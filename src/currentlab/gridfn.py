@@ -137,19 +137,16 @@ class GridFunction:
 
 
 def tabulate(cells: list, fn) -> GridFunction:
-    """Evaluate fn(xi_1, ..., xi_l) (vectorized over broadcast node arrays is
-    not assumed; fn maps a tuple of (d,) vectors to a scalar) on the product
-    grid.  For single-cell grids fn may also be vectorized with signature
-    fn(nodes) -> values."""
+    """Evaluate fn on the product grid.  A single-cell fn is vectorized,
+    fn(nodes (N, d)) -> values (N,); with several cells fn maps a tuple of
+    (d,) vectors to a scalar and is called once per product node."""
     if len(cells) == 1:
         c = cells[0]
-        try:
-            vals = np.asarray(fn(c.nodes), dtype=complex)
-            if vals.shape == (c.size,):
-                return GridFunction(cells, vals)
-        except Exception:
-            pass
-        vals = np.asarray([fn(x) for x in c.nodes], dtype=complex)
+        vals = np.asarray(fn(c.nodes), dtype=complex)
+        if vals.shape != (c.size,):
+            raise DomainError(
+                f"single-cell fn must map {c.size} nodes to shape ({c.size},), got {vals.shape}"
+            )
         return GridFunction(cells, vals)
     shape = tuple(c.size for c in cells)
     vals = np.empty(shape, dtype=complex)

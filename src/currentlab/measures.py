@@ -167,9 +167,7 @@ def log_rn_derivative(dims: Dimensions, partition: Partition, xi) -> float:
     xi = _as_cells(partition, dims, xi)
     acc = -partition.total_mass * math.log(2.0)
     for lam, x in zip(partition.masses, xi):
-        r = float(np.linalg.norm(x))
-        if r > 0.0:
-            acc += specfun.log_v_rho((dims.d - lam) / 2.0, r)
+        acc += specfun.log_v_rho((dims.d - lam) / 2.0, float(np.linalg.norm(x)))
     return acc
 
 
@@ -179,13 +177,8 @@ def rn_derivative(dims: Dimensions, partition: Partition, xi) -> float:
 
 
 def log_density_v(dims: Dimensions, total_mass: float, radii) -> float:
-    acc = -float(total_mass) * math.log(2.0)
-    for r in np.atleast_1d(np.asarray(radii, dtype=float)):
-        if r < 0:
-            raise DomainError("radii must be nonnegative")
-        if r > 0:
-            acc += specfun.log_v_rho(dims.d / 2.0, float(r))
-    return acc
+    log_v = specfun.log_v_rho(dims.d / 2.0, np.atleast_1d(radii))
+    return -float(total_mass) * math.log(2.0) + float(np.sum(log_v))
 
 
 def density_v(dims: Dimensions, total_mass: float, radii) -> float:

@@ -30,36 +30,6 @@ class SeededStream:
         )
 
 
-def gamma_variates(rng: np.random.Generator, shape: float, size: int) -> np.ndarray:
-    """Marsaglia-Tsang squeeze-free rejection sampler for Gamma(shape, scale 1),
-    with the standard power-of-uniform boost for shape < 1."""
-    if shape <= 0:
-        raise DomainError("gamma shape must be positive")
-    boost = None
-    a = shape
-    if a < 1.0:
-        boost = rng.random(size) ** (1.0 / a)
-        a = a + 1.0
-    d = a - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(size)
-    todo = np.arange(size)
-    while todo.size:
-        x = rng.standard_normal(todo.size)
-        v = (1.0 + c * x) ** 3
-        u = rng.random(todo.size)
-        ok = v > 0
-        ok &= np.log(np.where(u > 0, u, 1e-300)) < (
-            0.5 * x * x + d - d * np.where(ok, v, 1.0)
-            + d * np.log(np.where(ok, v, 1.0))
-        )
-        out[todo[ok]] = d * v[ok]
-        todo = todo[~ok]
-    if boost is not None:
-        out *= boost
-    return out
-
-
 def sample_marginal(dims: Dimensions, partition, stream: SeededStream,
                     size: int | None = None) -> np.ndarray:
     """Draw from the joint cell marginal of mu: per cell of mass lam,
@@ -71,7 +41,7 @@ def sample_marginal(dims: Dimensions, partition, stream: SeededStream,
     l, d = partition.size, dims.d
     out = np.empty((n_draws, l, d))
     for i, lam in enumerate(partition.masses):
-        w = gamma_variates(stream.rng, lam / 2.0, n_draws)
+        w = stream.rng.gamma(lam / 2.0, size=n_draws)
         out[:, i, :] = np.sqrt(w / 2.0)[:, None] * stream.rng.standard_normal((n_draws, d))
     return out[0] if single else out
 
@@ -80,9 +50,11 @@ def oracle_n2(lam: float, stream: SeededStream, size: int | None = None):
     """Independent sampler of the n = 2 cell marginal: the difference of two
     Gamma(lam/2, scale 1/2) variables has characteristic function
     (1 + gamma^2/4)^(-lam/2)."""
+    if lam <= 0:
+        raise DomainError("gamma shape must be positive")
     n_draws = 1 if size is None else int(size)
-    g1 = 0.5 * gamma_variates(stream.rng, lam / 2.0, n_draws)
-    g2 = 0.5 * gamma_variates(stream.rng, lam / 2.0, n_draws)
+    g1 = stream.rng.gamma(lam / 2.0, 0.5, size=n_draws)
+    g2 = stream.rng.gamma(lam / 2.0, 0.5, size=n_draws)
     out = g1 - g2
     return float(out[0]) if size is None else out
 
@@ -116,10 +88,7 @@ class JumpSizeTable:
         d = dims.d
         area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
         rs = np.geomspace(cutoff, r_max, grid_size)
-        dens = np.asarray([
-            intensity_scale * area * r ** (d - 1) * specfun.levy_density_radial(dims, r)
-            for r in rs
-        ])
+        dens = intensity_scale * area * rs ** (d - 1) * specfun.levy_density_radial(dims, rs)
         # cumulative tail mass by trapezoid on the log grid (refined enough
         # that the inversion error is far below sampling noise)
         chunks = 0.5 * (dens[1:] + dens[:-1]) * np.diff(rs)
@@ -198,12 +167,10 @@ def project_config(config: PointConfiguration, partition) -> np.ndarray:
     if abs(partition.total_mass - config.total_mass) > 1e-9:
         raise DomainError("partition must cover the configuration's base space")
     edges = partition.edges
-    d = config.amplitudes.shape[1] if len(config.positions) else 1
-    out = np.zeros((partition.size, d))
+    out = np.zeros((partition.size, config.amplitudes.shape[1]))
     idx = np.clip(np.searchsorted(edges, config.positions, side="right") - 1,
                   0, partition.size - 1)
-    for i, c in zip(idx, config.amplitudes):
-        out[i] += c
+    np.add.at(out, idx, config.amplitudes)
     return out
 
 

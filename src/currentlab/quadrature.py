@@ -313,11 +313,9 @@ def fourier_vrho_inverse_check(dims: Dimensions, rho: float, cn: float,
     d = dims.d
 
     def vinv(r):
-        return np.asarray([
-            2.0 / _gamma(rho) * s ** rho * specfun.bessel_k(rho, s) for s in np.atleast_1d(r)
-        ])
+        return np.exp(-specfun.log_v_rho(rho, np.atleast_1d(r)))
 
-    prof = RadialProfile(vinv, rho if rho < 0 else 0.0)
+    prof = RadialProfile(vinv)  # 1/V_rho(0) = 1
     const = (2.0 * math.pi) ** d * _gamma(0.5 * d + rho) / (cn * _gamma(rho))
     resids = []
     for x in x_grid:
@@ -366,6 +364,8 @@ def kernel_integral_n3(lam: float, xi, xi_prime, tol: float = 1e-10):
     xi, xi' in R^2 both nonzero, 0 < lam < 2."""
     xi = np.asarray(xi, dtype=float)
     xip = np.asarray(xi_prime, dtype=float)
+    if xi.shape != (2,) or xip.shape != (2,):
+        raise DomainError(f"n=3 kernel needs xi, xi' in R^2, got shapes {xi.shape}, {xip.shape}")
     if not 0.0 < lam < 2.0:
         raise DomainError("n=3 kernel needs 0 < lam < 2")
     na, nb = np.linalg.norm(xi), np.linalg.norm(xip)

@@ -368,6 +368,11 @@ def z_exchange_residual(dims: Dimensions, lam: float, grid: CellGrid,
 # vacuum vector
 # ---------------------------------------------------------------------------
 
+def _log_k_profile(rho: float, r):
+    """log(r^(-rho) K_rho(2r)) elementwise over radii r > 0."""
+    return -rho * np.log(r) + specfun.log_bessel_k(rho, r)
+
+
 def vacuum_evaluator(dims: Dimensions, lam: float):
     """f_lambda(xi) = (|xi|^((lam-d)/2) K_{(d-lam)/2}(2|xi|))^(1/2); at
     lam = 0 this is the square root of the jump density g.  (The power
@@ -377,12 +382,9 @@ def vacuum_evaluator(dims: Dimensions, lam: float):
     rho = (dims.d - lam) / 2.0
 
     def f(xi):
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        r = np.linalg.norm(xi, axis=1)
-        return np.asarray([
-            math.sqrt(s ** (-rho) * specfun.bessel_k(rho, s)) if s > 0 else 0.0
-            for s in r
-        ])
+        r = np.linalg.norm(np.atleast_2d(np.asarray(xi, dtype=float)), axis=1)
+        pos = r > 0
+        return np.where(pos, np.exp(0.5 * _log_k_profile(rho, np.where(pos, r, 1.0))), 0.0)
 
     return f
 
@@ -406,8 +408,7 @@ def vacuum_checks(dims: Dimensions, lam: float, cn: float,
     rho = (d - lam) / 2.0
 
     def prof(r):
-        r = np.atleast_1d(r)
-        return np.asarray([s ** (-rho) * specfun.bessel_k(rho, s) for s in r])
+        return np.exp(_log_k_profile(rho, np.atleast_1d(r)))
 
     profile = Q.RadialProfile(prof, lam - d)
     norm0 = Q.radial_fourier(dims, profile, 0.0).value
@@ -625,7 +626,7 @@ def spherical_reproduce(dims: Dimensions, partition: M.Partition, gamma,
         for i, lam in enumerate(partition.masses):
             r = np.linalg.norm(draws[:, i, :], axis=1)
             rho = (dims.d - lam) / 2.0
-            log_v += specfun.log_v_rho_bulk(rho, r)
+            log_v += specfun.log_v_rho(rho, r)
             log_v -= lam * math.log(2.0)
         # f = v^(-1/2): integrand e^{i xi gamma} f^2 v = e^{i(..)} e^{-log v + log v},
         # assembled from the explicitly computed log-density (sum in log space

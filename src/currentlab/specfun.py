@@ -2,15 +2,14 @@
 derived radial densities.
 
 All Bessel evaluators here take the *half* argument: ``bessel_i(rho, z)``
-returns I_rho(2z) and ``bessel_k(rho, z)`` returns K_rho(2z), matching the
-series
-
-    I_rho(2z)  = sum_m z^(2m+rho) / (m! Gamma(m+rho+1)),
-    K_rho(2z)  = pi / (2 sin(pi rho)) * (I_{-rho}(2z) - I_rho(2z)),
-
-with the digamma/log limit formula at integer order.  On top of these sit
-the normalisation function V_rho, the radial jump density g, and the
-radial marginal density of the gamma-type vector law.
+returns I_rho(2z) and ``bessel_k(rho, z)`` returns K_rho(2z).  Production
+values come from scipy's ``iv``/``kv``/``kve`` (D. E. Amos, ACM TOMS
+Algorithm 644, 1986): ``bessel_k`` for scalars and ``log_bessel_k``, from
+the exponentially scaled ``kve``, for arrays.  On the latter sit the
+normalisation function V_rho, the radial jump density g, and the radial
+marginal density of the gamma-type vector law.  ``bessel_k_reference``
+evaluates K_rho(2z) independently with ``mpmath.besselk``; only the checks
+and tests use it.
 """
 
 from __future__ import annotations
@@ -19,19 +18,12 @@ import math
 import threading
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, iv, kv, kve
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 
-_MAX_SERIES_TERMS = 400
-_SERIES_TAIL_REL = 1e-16
-_INTEGER_ORDER_TOL = 1e-6
-_EULER_GAMMA = 0.5772156649015329
 _MPMATH_LOCK = threading.Lock()
-_HALF_INTEGER_TOL = 1e-9
-_LARGE_ARGUMENT = 30.0  # threshold on 2z
 
 
 @dataclass(frozen=True)
@@ -60,189 +52,61 @@ class FourierConstant:
 
 
 def bessel_i(rho: float, z: float) -> float:
-    """I_rho(2z) by the ascending series with term recurrence.
-
-    The series has positive terms, so plain float64 summation keeps full
-    relative accuracy; the tail is bounded by a geometric comparison.
-    """
+    """I_rho(2z) for rho >= 0 and z > 0."""
     if rho < 0:
         raise DomainError(f"bessel_i requires rho >= 0, got {rho}")
     if z <= 0:
         raise DomainError(f"bessel_i requires z > 0, got {z}")
-    # t_0 = z^rho / Gamma(rho+1), t_{m+1} = t_m * z^2 / ((m+1)(m+rho+1))
-    log_t0 = rho * math.log(z) - gammaln(rho + 1.0)
-    term = math.exp(log_t0)
-    total = term
-    z2 = z * z
-    for m in range(_MAX_SERIES_TERMS):
-        term *= z2 / ((m + 1.0) * (m + rho + 1.0))
-        total += term
-        if term < _SERIES_TAIL_REL * total:
-            # remaining tail is dominated by a geometric series with
-            # ratio z^2/((m+2)(m+rho+2)) < 1 at this point
-            return total
-    raise AccuracyError(
-        f"bessel_i series did not reach tol within {_MAX_SERIES_TERMS} terms "
-        f"(rho={rho}, z={z})"
-    )
-
-
-def _mp_bessel_i_series(rho, z):
-    """Ascending series for I_rho(2z) in mpmath arithmetic (current precision).
-
-    Works for negative non-integer rho too, where Gamma(m+rho+1) changes
-    sign over the first few terms."""
-    term = z ** rho / mpmath.gamma(rho + 1)
-    total = term
-    z2 = z * z
-    eps = mpmath.mpf(10) ** (-mpmath.mp.dps - 4)
-    for m in range(_MAX_SERIES_TERMS):
-        term *= z2 / ((m + 1) * (m + rho + 1))
-        total += term
-        if abs(term) < eps * abs(total):
-            return total
-    raise AccuracyError(f"high-precision I series stalled (rho={rho}, z={z})")
-
-
-def _mp_bessel_k_integer(m: int, z):
-    """K_m(2z) via the digamma/log limit series at integer order m >= 0."""
-    z = mpmath.mpf(z)
-    logz = mpmath.log(z)
-    # finite sum: (1/2) z^-m sum_{k<m} (m-k-1)!/k! (-z^2)^k
-    finite = mpmath.mpf(0)
-    for k in range(m):
-        finite += (
-            mpmath.factorial(m - k - 1)
-            / mpmath.factorial(k)
-            * (-(z * z)) ** k
-        )
-    finite = finite / 2 * z ** (-m)
-    log_part = (-1) ** (m + 1) * logz * _mp_bessel_i_series(m, z)
-    # regular series with digamma weights
-    reg = mpmath.mpf(0)
-    term = z ** m
-    for k in range(_MAX_SERIES_TERMS):
-        w = mpmath.digamma(k + 1) + mpmath.digamma(m + k + 1)
-        contrib = w * term / (mpmath.factorial(k) * mpmath.factorial(m + k))
-        reg += contrib
-        term *= z * z
-        if abs(contrib) < mpmath.mpf(10) ** (-mpmath.mp.dps - 4) * (abs(reg) + 1):
-            break
-    reg = reg * (-1) ** m / 2
-    return finite + log_part + reg
-
-
-def _bessel_k_half_integer(rho: float, z: float) -> float:
-    """Closed form K_{m+1/2}(x), x = 2z: sqrt(pi/2x) e^-x sum_k (m+k)!/(k!(m-k)!(2x)^k)."""
-    m = int(round(rho - 0.5))
-    x = 2.0 * z
-    acc = 0.0
-    for k in range(m + 1):
-        acc += math.exp(
-            gammaln(m + k + 1) - gammaln(k + 1) - gammaln(m - k + 1)
-            - k * math.log(2.0 * x)
-        )
-    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * acc
-
-
-def _bessel_k_asymptotic(rho: float, z: float) -> float:
-    """Large-argument expansion K_rho(x) ~ sqrt(pi/2x) e^-x sum a_k(rho)/x^k,
-    truncated at the smallest term."""
-    x = 2.0 * z
-    a = 1.0
-    total = a
-    smallest = abs(a)
-    for k in range(1, 60):
-        a *= (4.0 * rho * rho - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(a) >= smallest:
-            break
-        total += a
-        smallest = abs(a)
-        if abs(a) < 1e-17 * abs(total):
-            break
-    if smallest > 1e-12 * abs(total):
-        raise AccuracyError(
-            f"asymptotic K expansion insufficient at rho={rho}, 2z={x}"
-        )
-    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * total
+    return float(iv(rho, 2.0 * z))
 
 
 def bessel_k(rho: float, z: float) -> float:
-    """K_rho(2z) for real order (symmetric in rho) and z > 0.
-
-    Route selection: half-integer closed form; large-argument expansion for
-    2z > 30; otherwise the reflection combination of ascending I series,
-    executed at boosted precision because the combination cancels to size
-    e^(-4z) relative to its summands, with the digamma limit branch when
-    rho is within 1e-6 of an integer.
-    """
+    """K_rho(2z) for real order (symmetric in rho) and z > 0."""
     if z <= 0:
         raise DomainError(f"bessel_k requires z > 0, got {z}")
-    rho = abs(float(rho))
-    if abs(rho - (math.floor(rho) + 0.5)) < _HALF_INTEGER_TOL:
-        return _bessel_k_half_integer(rho, z)
-    if 2.0 * z > _LARGE_ARGUMENT:
-        try:
-            return _bessel_k_asymptotic(rho, z)
-        except AccuracyError:
-            pass  # fall through to the high-precision series
-    # reflection / limit series at boosted precision; mpmath precision is a
-    # process-global setting, so the region is serialized across threads
-    dps = 25 + int(1.8 * z) + int(2 * rho)
-    with _MPMATH_LOCK, mpmath.workdps(dps):
-        if abs(rho - round(rho)) < _INTEGER_ORDER_TOL:
-            val = _mp_bessel_k_integer(int(round(rho)), z)
-        else:
-            r = mpmath.mpf(rho)
-            val = (
-                mpmath.pi
-                / (2 * mpmath.sin(mpmath.pi * r))
-                * (_mp_bessel_i_series(-r, mpmath.mpf(z)) - _mp_bessel_i_series(r, mpmath.mpf(z)))
-            )
-        return float(val)
+    return float(kv(rho, 2.0 * z))
+
+
+def log_bessel_k(rho, z):
+    """log K_rho(2z) elementwise over arrays of z > 0, from the exponentially
+    scaled kve so that the e^(-2z) decay neither underflows nor loses
+    relative accuracy."""
+    z = np.asarray(z, dtype=float)
+    if np.any(z <= 0):
+        raise DomainError("log_bessel_k requires z > 0")
+    return np.log(kve(rho, 2.0 * z)) - 2.0 * z
+
+
+def bessel_k_reference(rho: float, z: float) -> float:
+    """K_rho(2z) by mpmath.besselk at 30 significant digits: the independent
+    reference route, used only by the checks and the tests.  mpmath's
+    working precision is process-global and the check runner uses threads,
+    so the evaluation holds a lock."""
+    import mpmath
+
+    if z <= 0:
+        raise DomainError(f"bessel_k_reference requires z > 0, got {z}")
+    with _MPMATH_LOCK, mpmath.workdps(30):
+        return float(mpmath.besselk(rho, 2 * mpmath.mpf(z)))
 
 
 def v_rho(rho: float, x: float) -> float:
     """V_rho(x) = Gamma(rho) / (2 x^rho K_rho(2x)), with V_rho(0) = 1."""
-    if rho <= 0:
-        raise DomainError(f"v_rho requires rho > 0, got {rho}")
-    if x < 0:
-        raise DomainError(f"v_rho requires x >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
     return math.exp(log_v_rho(rho, x))
 
 
-def log_v_rho(rho: float, x: float) -> float:
-    """log V_rho(x); stable for large x where V grows like e^(2x)."""
-    if x == 0.0:
-        return 0.0
-    if abs(rho - 0.5) < _HALF_INTEGER_TOL:
-        return 2.0 * x  # V_{1/2}(x) = e^{2x} exactly
-    k = bessel_k(rho, x)
-    return float(gammaln(rho)) - math.log(2.0) - rho * math.log(x) - math.log(k)
-
-
-def log_v_rho_bulk(rho: float, x) -> np.ndarray:
-    """Vectorized log V_rho over an array of radii, for bulk Monte Carlo
-    weights.  Uses the exponentially scaled Bessel K (kve), so the e^(2x)
-    growth of V is handled in log space; x = 0 entries give 0."""
-    from scipy.special import kve
-
+def log_v_rho(rho: float, x):
+    """log V_rho elementwise over x >= 0 (0 at x = 0); stable for large x,
+    where V grows like e^(2x).  A scalar x gives a scalar."""
     if rho <= 0:
-        raise DomainError(f"log_v_rho_bulk requires rho > 0, got {rho}")
+        raise DomainError(f"v_rho requires rho > 0, got {rho}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
-        raise DomainError("log_v_rho_bulk requires x >= 0")
-    if abs(rho - 0.5) < _HALF_INTEGER_TOL:
-        return 2.0 * x
-    out = np.zeros_like(x)
+        raise DomainError("v_rho requires x >= 0")
     pos = x > 0
-    xp = x[pos]
-    # log K_rho(2x) = log kve(rho, 2x) - 2x
-    log_k = np.log(kve(rho, 2.0 * xp)) - 2.0 * xp
-    out[pos] = float(gammaln(rho)) - math.log(2.0) - rho * np.log(xp) - log_k
-    return out
+    xp = np.where(pos, x, 1.0)
+    out = float(gammaln(rho)) - math.log(2.0) - rho * np.log(xp) - log_bessel_k(rho, xp)
+    return np.where(pos, out, 0.0)[()]
 
 
 def v_rho_asymptotic(rho: float, x: float) -> float:
@@ -262,8 +126,8 @@ def v_rho_asymptotic(rho: float, x: float) -> float:
         raise DomainError(f"v_rho_asymptotic requires x >= 0, got {x}")
     if x == 0.0:
         return 1.0
-    if abs(rho - 1.0) < _INTEGER_ORDER_TOL:
-        return 1.0 - 2.0 * x * x * (math.log(x) + _EULER_GAMMA - 0.5)
+    if abs(rho - 1.0) < 1e-6:
+        return 1.0 - 2.0 * x * x * (math.log(x) + np.euler_gamma - 0.5)
     if rho < 1.0:
         return 1.0 + x ** (2.0 * rho) * math.exp(gammaln(1.0 - rho) - gammaln(1.0 + rho))
     return 1.0 + x * x / (rho - 1.0)
@@ -274,19 +138,16 @@ def levy_density(dims: Dimensions, xi) -> float:
 
     Defined for xi != 0; integrates |xi| g(xi) near 0 but not g itself.
     """
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=float))))
-    if r == 0.0:
-        raise DomainError("levy_density is singular at xi = 0")
-    rho = dims.d / 2.0
-    return r ** (-rho) * bessel_k(rho, r)
+    return levy_density_radial(dims, float(np.linalg.norm(np.atleast_1d(xi))))
 
 
-def levy_density_radial(dims: Dimensions, r: float) -> float:
-    """g as a function of the radius r = |xi| > 0."""
-    if r <= 0:
+def levy_density_radial(dims: Dimensions, r):
+    """g as a function of the radius r = |xi| > 0, elementwise over arrays."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0):
         raise DomainError("radius must be positive")
     rho = dims.d / 2.0
-    return r ** (-rho) * bessel_k(rho, r)
+    return np.exp(-rho * np.log(r) + log_bessel_k(rho, r))[()]
 
 
 def marginal_radial_density(dims: Dimensions, lam: float, xi) -> float:
@@ -307,20 +168,20 @@ def marginal_radial_density(dims: Dimensions, lam: float, xi) -> float:
     return math.exp(log_marginal_radial_density(dims, lam, r))
 
 
-def log_marginal_radial_density(dims: Dimensions, lam: float, r: float) -> float:
-    """log of marginal_radial_density at radius r > 0."""
-    if r <= 0:
+def log_marginal_radial_density(dims: Dimensions, lam: float, r):
+    """log of marginal_radial_density at radii r > 0, elementwise over arrays."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0):
         raise DomainError("radius must be positive")
     d = dims.d
     rho = (d - lam) / 2.0
-    k = bessel_k(rho, r)
     return (
         -0.5 * d * math.log(math.pi)
         + math.log(2.0)
         - float(gammaln(lam / 2.0))
-        + 0.5 * (lam - d) * math.log(r)
-        + math.log(k)
-    )
+        + 0.5 * (lam - d) * np.log(r)
+        + log_bessel_k(rho, r)
+    )[()]
 
 
 def marginal_kernel(dims: Dimensions, lam: float, r: float) -> float:

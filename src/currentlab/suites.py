@@ -161,17 +161,20 @@ def _v_asymptotic(cfg, stream):
     return worst
 
 
-@_check("specfun", "k-integer-order-continuity", "17-5", 1e-8)
-def _k_continuity(cfg, stream):
-    # the order-derivative is finite, so the two-sided mean across the
-    # integer-order branch switch agrees with the limit value to O(eps^2)
+@_check("specfun", "k-reference-agreement", "17-5", 1e-12)
+def _k_reference(cfg, stream):
+    # both production routes (scalar kv, array log-kve) against mpmath on a
+    # grid straddling every boundary of the former hand-written K routes:
+    # integer orders +- 1e-6, half-integer orders +- 1e-9, 2z = 30 +- 1e-3
+    orders = [m + e for m in range(4) for e in (-1e-6, 0.0, 1e-6)]
+    orders += [m + 0.5 + e for m in range(3) for e in (-1e-9, 0.0, 1e-9)]
+    zs = [float(z) for z in np.geomspace(1e-4, 40.0, 9)] + [15.0 - 5e-4, 15.0 + 5e-4]
     worst = 0.0
-    for m in (1.0, 2.0):
-        for x in (0.5, 2.0):
-            mid = specfun.bessel_k(m, x)
-            two = 0.5 * (specfun.bessel_k(m + 2e-6, x)
-                         + specfun.bessel_k(m - 2e-6, x))
-            worst = max(worst, abs(two - mid) / mid)
+    for rho in orders:
+        for z in zs:
+            want = specfun.bessel_k_reference(rho, z)
+            for got in (specfun.bessel_k(rho, z), math.exp(specfun.log_bessel_k(rho, z))):
+                worst = max(worst, abs(got - want) / want)
     return worst
 
 

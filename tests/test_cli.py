@@ -147,6 +147,17 @@ def test_kernel_tabulate_csv(tmp_path, capsys):
     assert float(first[2]) != 0.0
 
 
+def test_kernel_tabulate_n3_scalar_grid_is_domain_error(tmp_path, capsys):
+    # the n = 3 kernel takes vectors in R^2; a scalar grid is rejected cleanly
+    out = tmp_path / "k3.csv"
+    code = cli.main(["kernel", "tabulate", "--n", "3", "--lambda", "0.5",
+                     "--grid", "0.5,1.0", "--out", str(out)])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
 def test_rep_apply_and_check(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = cli.main(["rep", "apply", "--n", "2", "--lambda", "0.5",

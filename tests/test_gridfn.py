@@ -64,3 +64,11 @@ def test_scale_values():
     assert np.allclose(out.values, np.multiply.outer(f0, f1))
     # original untouched
     assert np.allclose(phi.values, 1.0)
+
+
+def test_tabulate_single_cell_needs_vectorized_fn():
+    grid = GF.grid_1d(5.0, 6)
+    phi = GF.tabulate([grid], lambda nodes: nodes[:, 0] ** 2)
+    assert np.allclose(phi.values, grid.nodes[:, 0] ** 2)
+    with pytest.raises(DomainError):
+        GF.tabulate([grid], lambda nodes: 1.0)

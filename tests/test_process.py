@@ -20,14 +20,9 @@ def test_seeded_stream_determinism():
     assert not np.array_equal(a, c)
 
 
-def test_gamma_variates_moments_and_domain():
-    rng = np.random.default_rng(0)
-    for shape in (0.25, 0.9, 3.7):
-        x = P.gamma_variates(rng, shape, 200_000)
-        assert x.min() > 0
-        assert x.mean() == pytest.approx(shape, abs=4 * math.sqrt(shape / 200_000))
+def test_oracle_n2_domain():
     with pytest.raises(DomainError):
-        P.gamma_variates(rng, 0.0, 10)
+        P.oracle_n2(0.0, P.SeededStream(2024, 0), size=10)
 
 
 def test_marginal_matches_oracle_two_sample_ks():
@@ -192,3 +187,10 @@ def test_project_rotate_scale_config():
     sc2 = P.scale_config(cfg, lambda x: 1.0 if x < 0.5 else 3.0)
     assert np.allclose(sc2.amplitudes[0], cfg.amplitudes[0])
     assert np.allclose(sc2.amplitudes[1], 3.0 * cfg.amplitudes[1])
+
+
+def test_project_empty_config_keeps_dimension():
+    cfg = P.PointConfiguration(1.0, np.empty(0), np.empty((0, 2)))
+    proj = P.project_config(cfg, M.Partition((0.5, 0.5)))
+    assert proj.shape == (2, 2)
+    assert np.all(proj == 0.0)

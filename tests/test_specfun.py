@@ -30,13 +30,19 @@ def test_bessel_k_domain_error():
         specfun.bessel_k(0.5, -1.0)
 
 
+# every boundary of the former hand-written K routes: integer orders +- 1e-6,
+# half-integer orders +- 1e-9, and 2z = 30 +- 1e-3
+_BOUNDARY_ORDERS = ([m + e for m in range(4) for e in (-1e-6, 0.0, 1e-6)]
+                    + [m + 0.5 + e for m in range(3) for e in (-1e-9, 0.0, 1e-9)])
+_BOUNDARY_Z = (1e-4, 1e-2, 0.5, 2.0, 15.0 - 5e-4, 15.0 + 5e-4, 40.0)
+
+
 def test_bessel_k_scipy_cross_check():
-    # independent route: scipy's kv at the doubled argument
-    from scipy.special import kv
-    for rho in (0.25, 0.5, 1.0, 1.7, 3.0):
-        for z in (0.05, 0.5, 2.0, 10.0, 20.0):
+    # the production kv route against the independent mpmath reference
+    for rho in _BOUNDARY_ORDERS:
+        for z in _BOUNDARY_Z:
             assert specfun.bessel_k(rho, z) == pytest.approx(
-                float(kv(rho, 2.0 * z)), rel=1e-9)
+                specfun.bessel_k_reference(rho, z), rel=1e-12)
 
 
 def test_bessel_i_small_argument():
@@ -91,16 +97,20 @@ def test_v_rho_asymptotic_small_rho_value():
     assert specfun.v_rho(0.75, x) == pytest.approx(want, abs=5e-4)
 
 
-def test_log_v_rho_bulk_matches_scalar():
+def test_log_v_rho_array():
     xs = np.array([0.0, 0.05, 1.0, 10.0, 80.0])
     for rho in (0.5, 0.97, 2.3):
-        bulk = specfun.log_v_rho_bulk(rho, xs)
-        for x, got in zip(xs, bulk):
-            if x == 0.0:
-                assert got == 0.0
-            else:
-                assert got == pytest.approx(specfun.log_v_rho(rho, float(x)),
-                                            rel=1e-10)
+        got = specfun.log_v_rho(rho, xs)
+        assert got.shape == xs.shape
+        assert got[0] == 0.0
+        assert np.all(np.isfinite(got))
+        for x, g in zip(xs[1:], got[1:]):
+            # log V = log Gamma(rho) - log 2 - rho log x - log K_rho(2x)
+            want = (math.lgamma(rho) - math.log(2.0) - rho * math.log(x)
+                    - math.log(specfun.bessel_k_reference(rho, float(x))))
+            assert g == pytest.approx(want, rel=1e-12)
+    with pytest.raises(DomainError):
+        specfun.log_v_rho(0.5, np.array([1.0, -0.1]))
 
 
 def test_levy_density_radial_and_rotation():
