@@ -20,7 +20,7 @@ sometimes convenient to absorb it into the cell factors; we never do)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln

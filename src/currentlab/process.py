@@ -6,7 +6,7 @@ small-jump cutoff."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate

@@ -7,7 +7,16 @@ exact sign changes of the oscillating factor (cos phase crossings or
 Bessel-J zeros) and accelerating the resulting alternating series of
 segment integrals with repeated averaging; this converges also for the
 conditionally convergent and Abel-summable cases that arise from the
-slowly decaying profiles."""
+slowly decaying profiles.
+
+The radial Fourier transform takes an array of radii.  In the variable
+u = k r the sign changes sit at fixed roots for every radius k, so one
+fixed rule serves them all: a graded rule on the head [0, first root] (a
+Gauss-Jacobi panel that maps out the algebraic singularity at 0, then
+doubling Gauss-Legendre panels) and Gauss sums on the tail segments, with
+one profile evaluation per block of radii.  The paired power identity
+integrates the transform against |x|^(-lam) with a fixed graded outer
+rule of the same kind, so its whole node set is one transform call."""
 
 from __future__ import annotations
 
@@ -18,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gamma as _gamma, gammaln, j0, jn_zeros, jv
+from scipy.special import gamma as _gamma, j0, jn_zeros, jv, roots_jacobi
 
 from . import specfun
 from .errors import CalibrationError, ConvergenceError, DomainError
@@ -30,8 +39,8 @@ _MAX_SEGMENTS = 600
 
 @dataclass
 class QuadratureReport:
-    value: float
-    abs_error: float
+    value: float | np.ndarray
+    abs_error: float | np.ndarray
     nodes_used: int
 
 
@@ -64,34 +73,40 @@ def _gauss_on_segments(f, edges: np.ndarray) -> np.ndarray:
 
 
 def _average_tail(segment_sums: np.ndarray, tol: float):
-    """Accelerate sum of an alternating-segment series by repeated averaging
-    of its partial sums; returns (value, error_estimate)."""
-    partial = np.cumsum(segment_sums)
-    row = partial
-    best = row[-1]
-    err = abs(segment_sums[-1]) if len(segment_sums) else 0.0
+    """Accelerate each row's sum of an alternating-segment series by repeated
+    averaging of its partial sums; a row stops improving once its error
+    estimate is within tol.  Returns (values, error_estimates), one per row
+    of the 2-d segment_sums."""
+    row = np.cumsum(segment_sums, axis=1)
+    best = row[:, -1]
+    err = np.abs(segment_sums[:, -1])
     prev = best
-    while len(row) > 1:
-        row = 0.5 * (row[:-1] + row[1:])
-        diff = abs(row[-1] - prev)
-        prev = row[-1]
-        if diff < err:
-            err = diff
-            best = row[-1]
-        if err <= tol:
-            break
+    active = np.ones(len(row), dtype=bool)
+    while row.shape[1] > 1 and active.any():
+        row = 0.5 * (row[:, :-1] + row[:, 1:])
+        diff = np.abs(row[:, -1] - prev)
+        prev = row[:, -1]
+        better = active & (diff < err)
+        err = np.where(better, diff, err)
+        best = np.where(better, prev, best)
+        active &= ~(err <= tol)
     return best, err
+
+
+def _accelerated_sum(segment_sums: np.ndarray, tol: float):
+    """Row sums of segment integrals over alternating lobes: a few raw head
+    segments (they may be irregular), the rest by _average_tail."""
+    head = min(4, segment_sums.shape[1] // 4)
+    val, err = _average_tail(segment_sums[:, head:], tol)
+    return segment_sums[:, :head].sum(axis=1) + val, err
 
 
 def _oscillatory_sum(f, edges: np.ndarray, tol: float):
     """Integrate f over [edges[0], edges[-1]] -> infinity surrogate: the edge
     list must bracket sign-alternating lobes; acceleration handles the tail."""
     segs = _gauss_on_segments(f, edges)
-    # keep a few raw head segments (they may be irregular), accelerate the rest
-    head = min(4, len(segs) // 4)
-    head_sum = segs[:head].sum()
-    val, err = _average_tail(segs[head:], tol)
-    return head_sum + val, err, (len(segs)) * _GAUSS_PTS
+    val, err = _accelerated_sum(segs[None, :], tol)
+    return float(val[0]), float(err[0]), len(segs) * _GAUSS_PTS
 
 
 def osc_cos_tail(a: float, b: float, p: float, start: float, tol: float = 1e-11):
@@ -175,57 +190,130 @@ def osc_j0_tail(a: float, b: float, c2: float, p: float, start: float,
 # radial Fourier transform
 # ---------------------------------------------------------------------------
 
+_HEAD_PANELS = 40   # graded panels on [0, first root]; the first is 2^-39 of it
+_HEAD_PTS = 16      # nodes per head panel; the error estimate uses half as many
+_BLOCK = 4          # radii per node tensor: (4, 607, 12) doubles stay under 256 kB
+_EPS = np.finfo(float).eps
+
+
 def _sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / _gamma(d / 2.0)
 
 
-def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out: float,
+@lru_cache(maxsize=32)
+def _graded_rule(top: float, panels: int, alpha: float, pts: int):
+    """Nodes and weights of a fixed rule for integral_0^top g(x) dx, g ~ x^alpha
+    at 0: a Gauss-Jacobi panel with weight x^alpha on [0, top 2^(1-panels)]
+    (its weights divided by x^alpha, so the rule samples g itself), then
+    Gauss-Legendre panels on the doubling intervals up to top.  Every panel
+    spans [a, 2a], so a singularity at 0 lies equally far from each of them
+    relative to its width."""
+    edges = top * 2.0 ** np.arange(1 - panels, 1)
+    xj, wj = roots_jacobi(pts, 0.0, alpha)
+    xl, wl = np.polynomial.legendre.leggauss(pts)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = np.concatenate((0.5 * edges[0] * (1.0 + xj),
+                            (mid[:, None] + half[:, None] * xl).ravel()))
+    weights = np.concatenate((0.5 * edges[0] * wj / (1.0 + xj) ** alpha,
+                              (half[:, None] * wl).ravel()))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _bessel_factor(d: int, u: np.ndarray) -> np.ndarray:
+    """u^(d/2) J_{d/2-1}(u), the oscillating factor of the radial transform
+    in the variable u = k r; sqrt(2/pi) cos u for d = 1."""
+    if d == 1:
+        return math.sqrt(2.0 / math.pi) * np.cos(u)
+    nu = 0.5 * d - 1.0
+    return u ** (0.5 * d) * (j0(u) if nu == 0.0 else jv(nu, u))
+
+
+@lru_cache(maxsize=16)
+def _transform_rule(d: int, alpha: float):
+    """The radial transform's fixed nodes in u = k r, shared by every radius:
+    the head [0, first root of J_{d/2-1}] by a graded rule at _HEAD_PTS and
+    at _HEAD_PTS/2 nodes per panel (for the error estimate), then the tail
+    segments between consecutive roots at _GAUSS_PTS nodes each.  Returns
+    the nodes and the weights of the two head rules and the (segment, node)
+    tail weights, the Bessel factor included."""
+    roots = _bessel_zeros(0.5 * d - 1.0, _MAX_SEGMENTS + 8)
+    hi_u, hi_w = _graded_rule(float(roots[0]), _HEAD_PANELS, alpha, _HEAD_PTS)
+    lo_u, lo_w = _graded_rule(float(roots[0]), _HEAD_PANELS, alpha, _HEAD_PTS // 2)
+    half = 0.5 * np.diff(roots)
+    tail_u = 0.5 * (roots[1:] + roots[:-1])[:, None] + half[:, None] * _GL_X
+    rule = (np.concatenate((hi_u, lo_u, tail_u.ravel())),
+            hi_w * _bessel_factor(d, hi_u), lo_w * _bessel_factor(d, lo_u),
+            half[:, None] * _GL_W * _bessel_factor(d, tail_u))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
                    tol: float = 1e-10) -> QuadratureReport:
     """d-dimensional Fourier transform of the radial profile, evaluated at
-    radius r_out, with the standard unweighted convention
-    T(xi) = integral f(|x|) e^{i<xi,x>} dx over R^d, d = n - 1.
+    the radius or array of radii r_out, with the standard unweighted
+    convention T(xi) = integral f(|x|) e^{i<xi,x>} dx over R^d, d = n - 1.
 
-    Reduces to 2 integral f cos(kr) dr for n = 2 and to
-    (2 pi)^(d/2) k^(1-d/2) integral f r^(d/2) J_{d/2-1}(kr) dr for n > 2."""
+    For k = |xi| > 0 this is (2 pi)^(d/2) k^(-d) integral f(u/k) u^(d/2)
+    J_{d/2-1}(u) du (2 integral f cos(kr) dr for n = 2), taken in u = k r so
+    that the nodes of _transform_rule serve every radius.  The head [0, first
+    root] has a fixed graded rule whose Gauss-Jacobi panel maps out the
+    profile's r^singularity_exponent times the Jacobian and Bessel powers;
+    its doubling panels also cover the long head of small k.  The tail
+    segments between the roots are accelerated by repeated averaging until
+    the error estimate is within tol (absolute, on T).  Radii go through in
+    blocks of _BLOCK, with one profile evaluation per block.  k = 0 is the
+    plain integral, by adaptive quad.
+
+    A scalar r_out gives a scalar value and abs_error, an array gives arrays
+    of its shape.  abs_error is the tail estimate plus the difference between
+    the head rule and the same panels at half the nodes, plus the rounding
+    of the sums."""
     d = dims.d
     f = profile.evaluator
-    k = float(r_out)
-    if k < 0:
-        raise DomainError("r_out must be >= 0")
+    k = np.asarray(r_out, dtype=float)
+    if not np.all(np.isfinite(k) & (k >= 0)):
+        raise DomainError("r_out must be finite and >= 0")
     if profile.singularity_exponent <= -d:
         raise DomainError("profile is not locally integrable in R^d")
-    if k == 0.0:
+    ks = k.ravel()
+    value = np.empty(ks.size)
+    error = np.empty(ks.size)
+    nodes = 0
+    zero = ks == 0.0
+    if zero.any():
         area = _sphere_area(d)
         g = lambda r: area * f(np.asarray(r)) * np.asarray(r) ** (d - 1)
-        val, err = integrate.quad(lambda r: float(g(np.asarray([r]))[0]), 0.0,
-                                  np.inf, limit=400)
-        return QuadratureReport(val, err, 400)
+        value[zero], error[zero] = integrate.quad(
+            lambda r: float(g(np.asarray([r]))[0]), 0.0, np.inf, limit=400)
+        nodes += 400
 
-    def _head(fun, hi):
-        # interior breakpoints keep adaptive quad from overlooking profile
-        # structure when the first oscillation root lies far out
-        pts = [x for x in (1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0) if x < hi]
-        return integrate.quad(
-            lambda r: float(fun(np.asarray([r]))[0]), 0.0, hi, limit=200,
-            points=pts or None,
-        )
-
-    if d == 1:
-        integrand = lambda r: f(r) * np.cos(k * r)
-        first = 0.5 * math.pi / k
-        head, ehead = _head(integrand, first)
-        roots = (0.5 * math.pi + math.pi * np.arange(0, _MAX_SEGMENTS + 1)) / k
-        edges = roots[roots >= first * (1 - 1e-15)]
-        val, err, nev = _oscillatory_sum(integrand, edges, tol)
-        return QuadratureReport(2.0 * (head + val), 2.0 * (ehead + err), nev + 200)
-
-    nu = 0.5 * d - 1.0
-    const = (2.0 * math.pi) ** (0.5 * d) * k ** (1.0 - 0.5 * d)
-    integrand = lambda r: f(r) * r ** (0.5 * d) * jv(nu, k * r)
-    zeros = _bessel_zeros(nu, _MAX_SEGMENTS + 8) / k
-    head, ehead = _head(integrand, zeros[0])
-    val, err, nev = _oscillatory_sum(integrand, zeros, tol)
-    return QuadratureReport(const * (head + val), const * (ehead + err), nev + 200)
+    u, hi_w, lo_w, tail_w = _transform_rule(d, profile.singularity_exponent + d - 1.0)
+    n_hi, n_lo = hi_w.size, lo_w.size
+    pos = np.flatnonzero(~zero)
+    for start in range(0, pos.size, _BLOCK):
+        idx = pos[start:start + _BLOCK]
+        kb = ks[idx]
+        vals = f((u / kb[:, None]).ravel()).reshape(idx.size, u.size)
+        scale = (2.0 * math.pi) ** (0.5 * d) * kb ** -d
+        head_terms = vals[:, :n_hi] * hi_w
+        head = scale * head_terms.sum(axis=1)
+        head_lo = scale * (vals[:, n_hi:n_hi + n_lo] * lo_w).sum(axis=1)
+        segs = scale[:, None] * (
+            vals[:, n_hi + n_lo:].reshape(idx.size, *tail_w.shape) * tail_w).sum(axis=2)
+        tail, tail_err = _accelerated_sum(segs, tol)
+        # the rounding of both sums keeps the estimate above 0 where the
+        # head rules agree to the last bit
+        rounding = _EPS * (scale * np.abs(head_terms).sum(axis=1) + np.abs(segs).sum(axis=1))
+        value[idx] = head + tail
+        error[idx] = np.abs(head - head_lo) + tail_err + rounding
+        nodes += idx.size * u.size
+    if k.ndim == 0:
+        return QuadratureReport(float(value[0]), float(error[0]), nodes)
+    return QuadratureReport(value.reshape(k.shape), error.reshape(k.shape), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +322,8 @@ def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out: float,
 
 _DEF_LAM_GRID = (0.5, 1.0, 1.5)
 _DEF_XI_GRID = (0.25, 0.5, 1.0, 2.0)
+_OUTER_PANELS = 7   # power_pairing_residual's outer rule: 7 panels of 24 nodes
+_OUTER_PTS = 24
 
 
 def calibrate_cn(dims: Dimensions, lam_grid=_DEF_LAM_GRID, xi_grid=_DEF_XI_GRID,
@@ -245,14 +335,14 @@ def calibrate_cn(dims: Dimensions, lam_grid=_DEF_LAM_GRID, xi_grid=_DEF_XI_GRID,
 
     over a grid of lam and |xi|; raises CalibrationError if the ratio is not
     constant to spread_tol."""
+    xi = np.asarray(xi_grid, dtype=float)
     ratios = []
     for lam in lam_grid:
         prof = RadialProfile(lambda r, lam=lam: (1.0 + r * r / 4.0) ** (-lam / 2.0), 0.0)
-        for xi in xi_grid:
-            lhs = radial_fourier(dims, prof, xi, tol=1e-11).value
-            rhs = specfun.marginal_kernel(dims, lam, xi)
-            ratios.append(lhs / rhs)
-    ratios = np.asarray(ratios)
+        lhs = radial_fourier(dims, prof, xi, tol=1e-11).value
+        rhs = np.array([specfun.marginal_kernel(dims, lam, x) for x in xi_grid])
+        ratios.append(lhs / rhs)
+    ratios = np.concatenate(ratios)
     mean = float(ratios.mean())
     spread = float((ratios.max() - ratios.min()) / abs(mean))
     if spread > spread_tol:
@@ -283,15 +373,13 @@ def power_pairing_residual(dims: Dimensions, lam: float, cn: float,
     if not 0 < lam < d:
         raise DomainError("the pairing identity needs 0 < lam < d = n - 1")
     prof = RadialProfile(lambda r: np.exp(-(r / width) ** 2), 0.0)
-
-    def ft_w(s: float) -> float:
-        return radial_fourier(dims, prof, s, tol=1e-11).value
-
+    # fixed outer rule on [0, 40/width] (FT[w] is below e^-400 beyond): the
+    # s^(d-1-lam) factor is mapped out on the first panel, and every node's
+    # transform comes from one radial_fourier call
+    s, w = _graded_rule(40.0 / width, _OUTER_PANELS, d - 1.0 - lam, _OUTER_PTS)
+    ft_w = radial_fourier(dims, prof, s, tol=1e-11).value
     area = _sphere_area(d)
-    lhs, _ = integrate.quad(
-        lambda s: area * s ** (d - 1 - lam) * ft_w(s), 0.0, 40.0 / width,
-        limit=120, points=[1e-3, 0.1, 1.0, 5.0],
-    )
+    lhs = area * float(np.sum(w * s ** (d - 1 - lam) * ft_w))
     # closed form of integral w |xi|^(lam-d) dxi for the Gaussian test profile
     rhs_integral = area * 0.5 * width ** lam * _gamma(lam / 2.0)
     rhs = (
@@ -317,14 +405,12 @@ def fourier_vrho_inverse_check(dims: Dimensions, rho: float, cn: float,
 
     prof = RadialProfile(vinv)  # 1/V_rho(0) = 1
     const = (2.0 * math.pi) ** d * _gamma(0.5 * d + rho) / (cn * _gamma(rho))
-    resids = []
-    for x in x_grid:
-        got = radial_fourier(dims, prof, x, tol=1e-11).value
-        want = const * (1.0 + x * x / 4.0) ** (-0.5 * d - rho)
-        if got <= 0:
-            raise ConvergenceError("transform of 1/V_rho must be positive")
-        resids.append(abs(got - want) / abs(want))
-    return resids
+    x = np.asarray(x_grid, dtype=float)
+    got = radial_fourier(dims, prof, x, tol=1e-11).value
+    want = const * (1.0 + x * x / 4.0) ** (-0.5 * d - rho)
+    if np.any(got <= 0):
+        raise ConvergenceError("transform of 1/V_rho must be positive")
+    return (np.abs(got - want) / np.abs(want)).tolist()
 
 
 # ---------------------------------------------------------------------------

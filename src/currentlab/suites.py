@@ -24,7 +24,7 @@ from . import process as P
 from . import quadrature as Q
 from . import reps as R
 from . import specfun
-from .errors import DomainError
+from .errors import DomainError, NotInGroupError, PointAtInfinityError
 from .gridfn import CellGrid, GridFunction, grid_1d_sqrt, tabulate
 from .process import SeededStream
 from .specfun import Dimensions
@@ -133,9 +133,8 @@ def _k_symmetry(cfg, stream):
     worst = 0.0
     for rho in (0.3, 0.8, 1.7, 2.4):
         for x in (0.1, 1.0, 5.0):
-            a = specfun.bessel_k(rho, x)
-            b = specfun.bessel_k(-rho, x)
-            worst = max(worst, abs(a - b) / abs(a))
+            want = specfun.bessel_k_reference(rho, x)
+            worst = max(worst, abs(specfun.bessel_k(-rho, x) - want) / want)
     return worst
 
 
@@ -205,14 +204,22 @@ def _levy_value(cfg, stream):
 # Fourier identities
 # ---------------------------------------------------------------------------
 
+def _cn_residual(n: int) -> float:
+    """The calibration's ratio spread or the calibrated c_n's relative
+    distance from the closed form (2 sqrt(pi))^(n-1), whichever is larger:
+    the spread alone stays 0 under a constant-factor error."""
+    const = Q.cached_cn(n)
+    return max(const.spread, abs(const.value / (2.0 * math.sqrt(math.pi)) ** (n - 1) - 1.0))
+
+
 @_check("fourier", "fourier-constant-n2", "17-3", 1e-6)
 def _cn_2(cfg, stream):
-    return Q.cached_cn(2).spread
+    return _cn_residual(2)
 
 
 @_check("fourier", "fourier-constant-n3", "17-3", 1e-6)
 def _cn_3(cfg, stream):
-    return Q.cached_cn(3).spread
+    return _cn_residual(3)
 
 
 @_check("fourier", "power-pairing-n2", "17-4", 1e-5)
@@ -297,63 +304,67 @@ def _membership(cfg, stream):
     return worst
 
 
-@_check("group", "cocycle-law", "1-4", 1e-9)
-def _cocycle_law(cfg, stream):
+_ATTEMPTS_PER_TRIAL = 4   # a group check gives up after this many attempts per trial
+
+
+def _bounded_trials(count: int, trial) -> float:
+    """Worst residual over `count` completed trials.  trial(i) draws its
+    random inputs and returns the residual of trial number i; a draw that
+    lands on the point at infinity or outside the group is skipped.  After
+    _ATTEMPTS_PER_TRIAL * count attempts the result is inf, so a check whose
+    draws keep failing fails instead of spinning."""
     worst = 0.0
     done = 0
-    while done < _group_trials(cfg):
-        n = 2 + done % 2
-        dims = Dimensions(n)
+    for _ in range(_ATTEMPTS_PER_TRIAL * count):
+        try:
+            res = trial(done)
+        except (PointAtInfinityError, NotInGroupError):
+            continue
+        worst = max(worst, res)
+        done += 1
+        if done == count:
+            return worst
+    return math.inf
+
+
+@_check("group", "cocycle-law", "1-4", 1e-9)
+def _cocycle_law(cfg, stream):
+    def trial(i):
+        dims = Dimensions(2 + i % 2)
         g1 = G.random_element(dims, stream.rng)
         g2 = G.random_element(dims, stream.rng)
         x = _random_point(stream.rng, dims.d)
-        try:
-            lhs = G.cocycle_beta(x, g1 @ g2)
-            rhs = G.cocycle_beta(x, g1) * G.cocycle_beta(G.act(x, g1), g2)
-        except Exception:
-            continue
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
-        done += 1
-    return worst
+        lhs = G.cocycle_beta(x, g1 @ g2)
+        rhs = G.cocycle_beta(x, g1) * G.cocycle_beta(G.act(x, g1), g2)
+        return abs(lhs - rhs) / abs(lhs)
+
+    return _bounded_trials(_group_trials(cfg), trial)
 
 
 @_check("group", "action-composition", "1-2", 1e-9)
 def _action_law(cfg, stream):
-    worst = 0.0
-    done = 0
-    while done < _group_trials(cfg):
-        n = 2 + done % 2
-        dims = Dimensions(n)
+    def trial(i):
+        dims = Dimensions(2 + i % 2)
         g1 = G.random_element(dims, stream.rng)
         g2 = G.random_element(dims, stream.rng)
         x = _random_point(stream.rng, dims.d)
-        try:
-            lhs = G.act(G.act(x, g1), g2)
-            rhs = G.act(x, g1 @ g2)
-        except Exception:
-            continue
+        lhs = G.act(G.act(x, g1), g2)
+        rhs = G.act(x, g1 @ g2)
         scale = max(1.0, float(np.abs(rhs).max()))
-        worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
-        done += 1
-    return worst
+        return float(np.abs(lhs - rhs).max()) / scale
+
+    return _bounded_trials(_group_trials(cfg), trial)
 
 
 def _measure_relation_worst(cfg, stream, which: int) -> float:
-    worst = 0.0
-    done = 0
-    while done < max(25, _group_trials(cfg) // 4):
-        n = 2 + done % 2
-        dims = Dimensions(n)
+    def trial(i):
+        dims = Dimensions(2 + i % 2)
         g = G.random_element(dims, stream.rng)
         x = _random_point(stream.rng, dims.d)
         y = _random_point(stream.rng, dims.d)
-        try:
-            res = G.measure_relation_check(g, x, y)
-        except Exception:
-            continue
-        worst = max(worst, res[which])
-        done += 1
-    return worst
+        return G.measure_relation_check(g, x, y)[which]
+
+    return _bounded_trials(max(25, _group_trials(cfg) // 4), trial)
 
 
 @_check("group", "jacobian-cocycle-relation", "1-5", 1e-6)
@@ -380,20 +391,13 @@ def _exchange_matrix(cfg, stream):
 
 @_check("group", "factor-word-roundtrip", "1-1", 1e-8)
 def _factor_roundtrip(cfg, stream):
-    worst = 0.0
-    done = 0
-    while done < _group_trials(cfg):
-        n = 2 + done % 2
-        dims = Dimensions(n)
-        g = G.random_element(dims, stream.rng)
-        try:
-            w = G.factor_word(g)
-        except Exception:
-            continue
+    def trial(i):
+        g = G.random_element(Dimensions(2 + i % 2), stream.rng)
+        w = G.factor_word(g)
         scale = max(1.0, float(np.abs(g.m).max()))
-        worst = max(worst, float(np.abs(w.evaluate().m - g.m).max()) / scale)
-        done += 1
-    return worst
+        return float(np.abs(w.evaluate().m - g.m).max()) / scale
+
+    return _bounded_trials(_group_trials(cfg), trial)
 
 
 @_check("group", "triangular-composition", "1-1", 1e-10)

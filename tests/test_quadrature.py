@@ -31,6 +31,53 @@ def test_radial_fourier_gaussian_closed_form():
             assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_radial_fourier_array_matches_scalar_calls():
+    # the scalar call is the one-element case of the blocked array path
+    radii = np.array([0.0, 1e-3, 0.05, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0,
+                      7.0, 10.0, 0.25, 0.75, 1.25, 4.0, 6.0, 8.0, 0.1])
+    for n in (2, 3, 4):
+        dims = Dimensions(n)
+        prof = Q.RadialProfile(lambda r: np.exp(-r * r), 0.0)
+        rep = Q.radial_fourier(dims, prof, radii)
+        assert rep.value.shape == rep.abs_error.shape == radii.shape
+        scalar = [Q.radial_fourier(dims, prof, k) for k in radii]
+        assert all(isinstance(s.value, float) for s in scalar)
+        np.testing.assert_allclose(rep.value, [s.value for s in scalar], rtol=0,
+                                   atol=1e-14 * math.pi ** (dims.d / 2.0))
+
+
+def test_radial_fourier_gaussian_closed_form_small_and_large_radii():
+    # small k puts the whole Gaussian inside a head thousands of units long
+    radii = np.array([1e-3, 0.05, 0.5, 1.5, 10.0])
+    for n in (2, 3, 4):
+        d = Dimensions(n).d
+        prof = Q.RadialProfile(lambda r: np.exp(-r * r), 0.0)
+        rep = Q.radial_fourier(Dimensions(n), prof, radii)
+        want = math.pi ** (d / 2.0) * np.exp(-radii * radii / 4.0)
+        np.testing.assert_allclose(rep.value, want, rtol=0, atol=1e-9)
+        assert np.all(np.isfinite(rep.abs_error)) and np.all(rep.abs_error >= 0)
+
+
+def test_radial_fourier_singular_head():
+    # FT of r^(-1/2) e^(-r) on the line: 2 Re integral r^(-1/2) e^(-(1-ik) r) dr
+    # = 2 sqrt(pi) (1+k^2)^(-1/4) cos(atan(k)/2); the Gauss-Jacobi panel
+    # carries the r^(-1/2)
+    radii = np.array([0.0, 0.1, 0.5, 1.0, 3.0, 10.0])
+    prof = Q.RadialProfile(lambda r: r ** -0.5 * np.exp(-r), -0.5)
+    rep = Q.radial_fourier(Dimensions(2), prof, radii)
+    want = 2.0 * math.sqrt(math.pi) * (1.0 + radii ** 2) ** -0.25 * np.cos(0.5 * np.arctan(radii))
+    np.testing.assert_allclose(rep.value, want, rtol=0, atol=1e-9)
+    assert np.all(np.isfinite(rep.abs_error)) and np.all(rep.abs_error >= 0)
+
+
+def test_radial_fourier_domain():
+    prof = Q.RadialProfile(lambda r: np.exp(-r * r), 0.0)
+    with pytest.raises(DomainError):
+        Q.radial_fourier(Dimensions(2), prof, np.array([0.5, -1.0]))
+    with pytest.raises(DomainError):
+        Q.radial_fourier(Dimensions(3), Q.RadialProfile(prof.evaluator, -2.0), 1.0)
+
+
 def test_cn_calibration_spread():
     for n in (2, 3):
         const = Q.cached_cn(n)

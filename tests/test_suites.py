@@ -1,10 +1,16 @@
 import csv
 import json
+import math
+import time
 
 import pytest
 
+from currentlab import group as G
+from currentlab import quadrature as Q
+from currentlab import specfun
 from currentlab import suites as S
-from currentlab.errors import DomainError
+from currentlab.errors import DomainError, PointAtInfinityError
+from currentlab.specfun import FourierConstant
 
 
 def test_suite_names_registered():
@@ -86,3 +92,45 @@ def test_write_report_json_and_csv(tmp_path):
     assert len(rows) == len(reports)
     assert set(rows[0]) == {"check_id", "paper_anchor", "residual",
                             "tolerance", "pass", "runtime_ms"}
+
+
+def _run_check(check_id: str, cfg=None) -> float:
+    cfg = cfg or S.RunConfig(workers=1)
+    (spec,) = [s for s in S.suite_specs("all") if s.check_id == check_id]
+    return float(spec.fn(cfg, S.SeededStream(cfg.seed, 0)))
+
+
+def test_group_check_raises_on_unexpected_error(monkeypatch):
+    # only degenerate draws are skipped; a TypeError is a bug and propagates
+    def broken(x, g):
+        raise TypeError("broken action")
+
+    monkeypatch.setattr(G, "act", broken)
+    with pytest.raises(TypeError):
+        _run_check("action-composition")
+
+
+def test_group_check_retries_are_bounded(monkeypatch):
+    def at_infinity(x, g):
+        raise PointAtInfinityError("always at infinity")
+
+    monkeypatch.setattr(G, "act", at_infinity)
+    t0 = time.perf_counter()
+    assert _run_check("action-composition", S.RunConfig(workers=1, trials=50)) == math.inf
+    assert time.perf_counter() - t0 < 30.0
+
+
+def test_fourier_constant_check_sees_a_constant_factor(monkeypatch):
+    # a c_n off by a constant factor keeps the ratio spread; the check must fail
+    true = Q.cached_cn(2)
+    monkeypatch.setattr(Q, "cached_cn",
+                        lambda n: FourierConstant(n, true.value * (1.0 + 1e-5), true.spread))
+    assert _run_check("fourier-constant-n2") > 1e-6
+
+
+def test_k_order_symmetry_compares_with_the_reference(monkeypatch):
+    # scipy kv takes |rho| first, so K(-rho) against K(rho) compares a value
+    # with itself; an error in the shared route must still fail the check
+    kv = specfun.kv
+    monkeypatch.setattr(specfun, "kv", lambda rho, x: kv(rho, x) * (1.0 + 1e-8))
+    assert _run_check("k-order-symmetry") > 1e-10
