@@ -247,12 +247,8 @@ _REP_SUITE_CHECKS = {
 def _cmd_rep_check(args) -> int:
     try:
         cfg = _build_run_config(args)
-        if args.suite == "spherical":
-            reports = suites.run_suite(cfg, "spherical")
-        else:
-            wanted = _REP_SUITE_CHECKS[args.suite]
-            reports = [r for r in suites.run_suite(cfg, "reps")
-                       if r.check_id in wanted]
+        suite = "spherical" if args.suite == "spherical" else "reps"
+        reports = suites.run_suite(cfg, suite, _REP_SUITE_CHECKS[args.suite])
     except (DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -167,19 +167,6 @@ def cocycle_beta(gamma, g: GroupElement) -> float:
     return abs(float(den))
 
 
-def cocycle_beta_variant(gamma, g: GroupElement) -> float:
-    """Alternative reading using the middle column blocks (g12, g22, g32);
-    kept selectable for the cocycle-law comparison test, which it fails for
-    diagonal letters (it returns |gamma| instead of |eps|)."""
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    val = (
-        -0.5 * float(gamma @ gamma) * g.g12
-        + gamma @ g.g22
-        + g.g32
-    )
-    return float(np.linalg.norm(np.atleast_1d(val)))
-
-
 @dataclass
 class TriangularElement:
     """Element (eps, u, gamma) of the triangular subgroup, realized as

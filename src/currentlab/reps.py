@@ -124,32 +124,46 @@ def _sample_difference(dims: Dimensions, rng: np.random.Generator, lam: float,
     return u, p_sing * q_sing + (1 - p_sing) * q_gauss
 
 
-def inner_std(dims: Dimensions, lam: float, f1, f2, stream, n_mc: int = 200_000,
+def inner_std(dims: Dimensions, lam, f1, f2, stream, n_mc: int = 200_000,
               sigma: float = 2.0):
     """Monte Carlo estimate of the standard-model pairing
     integral integral |g' - g''|^(-lam) f1(g') f2(g'') dg' dg''.
 
-    The difference variable is importance-sampled with an |u|^(-lam)-exact
-    proposal near 0 so the estimator has finite variance for all lam < d.
-    Returns (estimate, standard_error)."""
-    if not 0 < lam < dims.d:
-        raise DomainError("inner_std needs 0 < lam < d")
+    lam is one exponent or a sequence of them; a sequence pairs with the
+    per-cell kernel prod_i |g' - g''|^(-lam_i), its factors multiplied in
+    order.  f1 and f2 take the (n_mc, d) array of sample points and return
+    the (n_mc,) array of values; each is called once.
+
+    The difference variable is importance-sampled with an
+    |u|^(-sum lam_i)-exact proposal near 0 so the estimator has finite
+    variance for all 0 < sum lam_i < d.  Returns (estimate, standard_error)."""
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    total = float(np.sum(lams))
+    if not 0 < total < dims.d:
+        raise DomainError("inner_std needs 0 < sum(lam) < d")
     rng = stream.rng
     d = dims.d
-    u, qu = _sample_difference(dims, rng, lam, n_mc, sigma=sigma)
+    u, qu = _sample_difference(dims, rng, total, n_mc, sigma=sigma)
     gpp = sigma * rng.standard_normal((n_mc, d))
     q_gpp = (2 * math.pi * sigma ** 2) ** (-d / 2.0) * np.exp(
         -np.sum(gpp ** 2, axis=1) / (2 * sigma ** 2)
     )
     gp = gpp + u
     rr = np.linalg.norm(u, axis=1)
-    vals = (
-        rr ** (-lam)
-        * np.asarray([f1(x) for x in gp])
-        * np.asarray([f2(x) for x in gpp])
-        / (qu * q_gpp)
-    )
+    kern = rr ** (-lams[0])
+    for li in lams[1:]:
+        kern = kern * rr ** (-li)
+    vals = (kern * _integrand_values(f1, gp) * _integrand_values(f2, gpp)
+            / (qu * q_gpp))
     return float(np.mean(vals)), float(np.std(vals) / math.sqrt(n_mc))
+
+
+def _integrand_values(f, points: np.ndarray) -> np.ndarray:
+    vals = np.asarray(f(points))
+    if vals.shape != points.shape[:1]:
+        raise DomainError("an inner_std integrand maps (N, d) sample points "
+                          f"to (N,) values, got shape {vals.shape}")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +207,12 @@ def _kernel_block_n2(lam: float, xi: np.ndarray, xi_prime: np.ndarray) -> np.nda
     w = 2.0 ** 1.5 * np.sqrt(np.abs(s))
     amp = np.abs(2.0 * y / x) ** ((lam - 1.0) / 2.0)
     const = math.pi / (2.0 * math.cos(0.5 * math.pi * lam))
+    same = s > 0
+    cross = ~same
+    d = np.empty(s.shape)
     with np.errstate(under="ignore"):
-        same = const * (jv(lam - 1.0, w) - jv(1.0 - lam, w))
-        cross = 2.0 * math.sin(0.5 * math.pi * lam) * kv(lam - 1.0, np.where(s > 0, 1.0, w))
-    d = np.where(s > 0, same, cross)
+        d[same] = const * (jv(lam - 1.0, w[same]) - jv(1.0 - lam, w[same]))
+        d[cross] = 2.0 * math.sin(0.5 * math.pi * lam) * kv(lam - 1.0, w[cross])
     return (2.0 / math.pi) * 2.0 ** (-lam / 2.0) * amp * d
 
 
@@ -456,31 +472,10 @@ def tau_isometry_mc(dims: Dimensions, lambdas, f, stream, stream2,
     lam = sum(lambdas) with the pairing of the embedded tensor, whose kernel
     is the per-cell product prod_i |g'-g''|^(-lam_i) (the diagonal support of
     the embedding collapses every factor onto the same pair of points).
-    Independent MC streams; agreement within joint standard errors is the
-    isometry check.  Returns (est1, se1, est2, se2)."""
-    lam = float(np.sum(lambdas))
-    e1, s1 = inner_std(dims, lam, f, f, stream, n_mc, sigma=sigma)
-
-    rng = stream2.rng
-    d = dims.d
-    u, qu = _sample_difference(dims, rng, lam, n_mc, sigma=sigma)
-    gpp = sigma * rng.standard_normal((n_mc, d))
-    q_gpp = (2 * math.pi * sigma ** 2) ** (-d / 2.0) * np.exp(
-        -np.sum(gpp ** 2, axis=1) / (2 * sigma ** 2)
-    )
-    gp = gpp + u
-    rr = np.linalg.norm(u, axis=1)
-    kern = np.ones(n_mc)
-    for li in lambdas:
-        kern = kern * rr ** (-float(li))
-    vals = (
-        kern
-        * np.asarray([f(x) for x in gp])
-        * np.asarray([f(x) for x in gpp])
-        / (qu * q_gpp)
-    )
-    e2 = float(np.mean(vals))
-    s2 = float(np.std(vals) / math.sqrt(n_mc))
+    f is an inner_std integrand.  Independent MC streams; agreement within
+    joint standard errors is the isometry check.  Returns (est1, se1, est2, se2)."""
+    e1, s1 = inner_std(dims, float(np.sum(lambdas)), f, f, stream, n_mc, sigma=sigma)
+    e2, s2 = inner_std(dims, lambdas, f, f, stream2, n_mc, sigma=sigma)
     return e1, s1, e2, s2
 
 
@@ -607,33 +602,18 @@ def r_covariance_s_residual(dims: Dimensions, partition: M.Partition,
 def spherical_reproduce(dims: Dimensions, partition: M.Partition, gamma,
                         stream, n_draws: int = 100_000):
     """Headline equivalence check: the matrix coefficient of the current
-    z-letter against the normalized vacuum 1/sqrt(v) of L^2(nu_alpha) equals
-    the characteristic functional Psi(gamma).  By the density ratio
-    v = d nu/d mu the coefficient is E_mu[e^{i<xi,gamma>}], estimated here by
-    importance Monte Carlo over mu draws with the v-weights evaluated
-    explicitly (they cancel only up to floating point).  Returns
+    z-letter against the normalized vacuum f = v^(-1/2) of L^2(nu_alpha)
+    equals the characteristic functional Psi(gamma).  With v = d nu/d mu the
+    coefficient is E_mu[e^{i<xi,gamma>} f^2 v], and f^2 v = 1, so the
+    estimate is the mu-average of the phases over mu draws; the v-weights
+    are not computed.  The same average is the coefficient for cells with
+    lam_i >= d, which have no sigma-finite nu factor.  Returns
     (estimate_re, se, target)."""
     from .process import sample_marginal
 
     gamma = np.asarray(gamma, dtype=float).reshape(partition.size, dims.d)
     draws = sample_marginal(dims, partition, stream, size=n_draws)
-    nu_valid = all(lam < dims.d for lam in partition.masses)
-    if nu_valid:
-        log_v = np.zeros(n_draws)
-        for i, lam in enumerate(partition.masses):
-            r = np.linalg.norm(draws[:, i, :], axis=1)
-            rho = (dims.d - lam) / 2.0
-            log_v += specfun.log_v_rho(rho, r)
-            log_v -= lam * math.log(2.0)
-        # f = v^(-1/2): integrand e^{i xi gamma} f^2 v = e^{i(..)} e^{-log v + log v},
-        # assembled from the explicitly computed log-density (sum in log space
-        # so the e^(2r) growth of v cannot overflow)
-        weights = np.exp(-log_v + log_v)
-    else:
-        # cells with lam_i >= d have no sigma-finite nu factor; the matrix
-        # coefficient is computed directly as the mu-average of the phases
-        weights = np.ones(n_draws)
-    phases = np.exp(1j * np.einsum("nld,ld->n", draws, gamma)) * weights
+    phases = np.exp(1j * np.einsum("nld,ld->n", draws, gamma))
     est = phases.real.mean()
     se = float(phases.real.std() / math.sqrt(n_draws))
     target = M.big_psi(partition, dims, gamma)

@@ -711,7 +711,7 @@ def _tau_z(cfg, stream):
 @_check("reps", "tensor-embedding-isometry", "31-21", 3.0)
 def _tau_isometry(cfg, stream):
     dims = Dimensions(3)
-    f = lambda g: math.exp(-float(np.dot(g, g)))
+    f = lambda g: np.exp(-np.sum(g * g, axis=-1))
     s2 = SeededStream(stream.seed, stream.stream_id + 1000)
     e1, s1, e2, ss2 = R.tau_isometry_mc(dims, (0.5, 0.7), f, stream, s2, n_mc=100_000)
     return abs(e1 - e2) / math.sqrt(s1 ** 2 + ss2 ** 2)
@@ -811,11 +811,15 @@ def _run_one(spec: CheckSpec, cfg: RunConfig, index: int) -> CheckReport:
                        residual <= tol, ms)
 
 
-def run_suite(config: RunConfig, suite: str) -> list:
-    """Run every check of the suite; returns the reports in registry order
-    and, when config.output_path is set, writes the report file atomically
-    (no partial file on failure)."""
+def run_suite(config: RunConfig, suite: str, check_ids=None) -> list:
+    """Run every check of the suite, or only those named in check_ids;
+    returns the reports in registry order and, when config.output_path is
+    set, writes the report file atomically (no partial file on failure).
+    A check's stream depends on its registry index alone, so its residual
+    does not depend on which other checks run."""
     specs = suite_specs(suite)
+    if check_ids is not None:
+        specs = [s for s in specs if s.check_id in check_ids]
     indices = {id(s): _REGISTRY.index(s) for s in specs}
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:

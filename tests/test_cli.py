@@ -175,6 +175,30 @@ def test_rep_apply_and_check(tmp_path, capsys):
     assert rows and all(r["pass"] for r in rows)
 
 
+def test_rep_check_runs_only_the_checks_it_reports(capsys, monkeypatch):
+    from currentlab import reps, suites
+
+    builds = []
+    real = reps.kernel_matrix
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reps, "kernel_matrix", counting)
+    code, txt, _ = run(capsys, ["rep", "check", "--suite", "tau", "--workers", "1"])
+    assert code == 0
+    assert builds == []
+    rows = json.loads(txt)
+    assert [r["check"] for r in rows] == ["tensor-embedding-z-commutation",
+                                          "tensor-embedding-isometry"]
+    # each check keeps its registry stream, so its residual is the one the
+    # whole suite reports
+    cfg = suites.RunConfig(workers=1)
+    whole = {r.check_id: r.residual for r in suites.run_suite(cfg, "reps")}
+    assert all(r["residual"] == whole[r["check"]] for r in rows)
+
+
 def test_group_check(capsys):
     code, out, _ = run(capsys, ["group", "check", "--n", "3", "--seed", "5"])
     assert code == 0

@@ -106,17 +106,29 @@ def test_cocycle_law_random_words():
             done += 1
 
 
+def cocycle_beta_variant(gamma, g: G.GroupElement) -> float:
+    """The alternative reading of beta from the middle column blocks
+    (g12, g22, g32), which the cocycle law rules out."""
+    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+    val = (
+        -0.5 * float(gamma @ gamma) * g.g12
+        + gamma @ g.g22
+        + g.g32
+    )
+    return float(np.linalg.norm(np.atleast_1d(val)))
+
+
 def test_cocycle_beta_variant_fails_for_diagonal_letters():
     # the middle-column reading returns |gamma| for a diagonal letter, not
     # |eps|; keeping both routes distinguishes the two candidate formulas
     gam = np.array([0.7, -1.1])
     dlt = G.make_d(3.0, n=3)
-    assert G.cocycle_beta_variant(gam, dlt) == pytest.approx(
+    assert cocycle_beta_variant(gam, dlt) == pytest.approx(
         float(np.linalg.norm(gam)), abs=1e-14)
     assert G.cocycle_beta(gam, dlt) == pytest.approx(3.0, abs=1e-14)
     # for a translation it returns the norm of the translated point
     z = G.make_z([0.5, 0.5])
-    assert G.cocycle_beta_variant(gam, z) == pytest.approx(
+    assert cocycle_beta_variant(gam, z) == pytest.approx(
         float(np.linalg.norm(gam + np.array([0.5, 0.5]))), abs=1e-13)
 
 

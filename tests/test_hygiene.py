@@ -1,0 +1,37 @@
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "currentlab"
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by the module's import statements that no other part of
+    the module reads (a name listed in __all__ counts as read)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return sorted(f"line {line}: {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_imports_are_found():
+    src = "import os\nimport math\nfrom numpy import pi as PI, e\n__all__ = ['e']\nmath.sqrt(2)\n"
+    assert unused_imports(src) == ["line 1: os", "line 3: PI"]
+
+
+def test_package_has_no_unused_imports():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = {path.name: unused_imports(path.read_text()) for path in paths}
+    assert {name: got for name, got in found.items() if got} == {}

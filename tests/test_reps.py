@@ -8,7 +8,7 @@ from currentlab import measures as M
 from currentlab import quadrature as Q
 from currentlab import reps as R
 from currentlab.errors import DomainError
-from currentlab.gridfn import grid_1d_sqrt, tabulate
+from currentlab.gridfn import grid_1d, grid_1d_sqrt, tabulate
 from currentlab.process import SeededStream
 from currentlab.specfun import Dimensions
 
@@ -19,6 +19,10 @@ LAM = 0.5
 
 def grid64():
     return grid_1d_sqrt(25.0, 64)
+
+
+def gauss(g):
+    return np.exp(-np.sum(g * g, axis=-1))
 
 
 def bump(grid):
@@ -43,12 +47,17 @@ def test_op_kernel_dual_route_n3():
 
 
 def test_kernel_matrix_matches_pointwise():
-    g = grid_1d_sqrt(5.0, 8)
-    m = R.kernel_matrix(D2, LAM, g, g)
-    for i in (0, 3, 7):
-        for j in (1, 4, 6):
-            want = R.op_kernel(D2, LAM, g.nodes[i, 0], g.nodes[j, 0]) * g.weights[j]
-            assert m[i, j] == pytest.approx(want, rel=1e-10)
+    # every entry, on grids with nodes of both signs, so that both the J
+    # (xi xi' > 0) and the K (xi xi' < 0) branches of the block are covered
+    target = grid_1d_sqrt(5.0, 8)
+    source = grid_1d(3.0, 6)
+    m = R.kernel_matrix(D2, LAM, target, source)
+    signs = np.sign(np.multiply.outer(target.nodes[:, 0], source.nodes[:, 0]))
+    assert (signs > 0).any() and (signs < 0).any()
+    for i, xi in enumerate(target.nodes[:, 0]):
+        for j, xp in enumerate(source.nodes[:, 0]):
+            want = R.op_kernel(D2, LAM, xi, xp) * source.weights[j]
+            assert m[i, j] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_std_model_letter_action():
@@ -115,9 +124,8 @@ def test_tau_embedding_z_commutation():
 
 
 def test_tau_embedding_isometry_mc():
-    f = lambda g: math.exp(-float(np.dot(g, g)))
     e1, s1, e2, s2 = R.tau_isometry_mc(
-        D3, (0.5, 0.7), f, SeededStream(2024, 100), SeededStream(2024, 101),
+        D3, (0.5, 0.7), gauss, SeededStream(2024, 100), SeededStream(2024, 101),
         n_mc=100_000)
     assert abs(e1 - e2) / math.sqrt(s1 ** 2 + s2 ** 2) <= 3.0
 
@@ -161,10 +169,28 @@ def test_spherical_reproduction_single_case():
 
 def test_inner_std_matches_power_pairing_scale():
     # MC pairing of two Gaussians against the deterministic radial reduction
-    f = lambda g: math.exp(-float(np.dot(g, g)))
-    est, se = R.inner_std(D2, LAM, f, f, SeededStream(2024, 300), n_mc=200_000)
+    est, se = R.inner_std(D2, LAM, gauss, gauss, SeededStream(2024, 300),
+                          n_mc=200_000)
     # closed form via u = x - y, v = x + y:
     # (1/2) sqrt(2 pi) 2^((1-lam)/2) Gamma((1-lam)/2)
     want = 0.5 * math.sqrt(2.0 * math.pi) * 2.0 ** ((1.0 - LAM) / 2.0) \
         * math.gamma((1.0 - LAM) / 2.0)
     assert abs(est - want) <= 4.0 * se
+
+
+def test_inner_std_calls_each_integrand_once_per_sample_array():
+    shapes = []
+
+    def counting(g):
+        shapes.append(g.shape)
+        return gauss(g)
+
+    R.inner_std(D3, 0.8, counting, counting, SeededStream(1, 1), n_mc=500)
+    assert shapes == [(500, 2), (500, 2)]
+    shapes.clear()
+    R.tau_isometry_mc(D3, (0.5, 0.7), counting, SeededStream(1, 2),
+                      SeededStream(1, 3), n_mc=300)
+    assert shapes == [(300, 2)] * 4
+    # an integrand that does not return one value per sample point is refused
+    with pytest.raises(DomainError):
+        R.inner_std(D3, 0.8, lambda g: 1.0, gauss, SeededStream(1, 4), n_mc=10)
