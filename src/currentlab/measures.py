@@ -106,10 +106,13 @@ def _as_cells(partition: Partition, dims: Dimensions, xi) -> np.ndarray:
     return xi
 
 
-def char_l(gamma) -> float:
-    """One-dimensional-mass characteristic function L(gamma) = (1+|gamma|^2/4)^(-1/2)."""
+def char_l(gamma):
+    """One-dimensional-mass characteristic function L(gamma) = (1+|gamma|^2/4)^(-1/2)
+    of one vector gamma, which gives a float, or elementwise over the last
+    axis of an array (..., d) of vectors."""
     g = np.atleast_1d(np.asarray(gamma, dtype=float))
-    return float((1.0 + g @ g / 4.0) ** -0.5)
+    out = (1.0 + (g[..., None, :] @ g[..., :, None])[..., 0, 0] / 4.0) ** -0.5
+    return float(out) if g.ndim == 1 else out
 
 
 def big_psi(partition: Partition, dims: Dimensions, gamma) -> float:

@@ -21,6 +21,8 @@ transform), and it is what makes s an involution numerically."""
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 
 import numpy as np
 from scipy.special import gamma as _gamma, gammaln
@@ -198,25 +200,41 @@ def op_kernel_quadrature(dims: Dimensions, lam: float, xi, xi_prime) -> float:
 
 
 def _kernel_block_n2(lam: float, xi: np.ndarray, xi_prime: np.ndarray) -> np.ndarray:
-    """Vectorized n = 2 closed-form kernel block A_op(xi_i, xi'_j)."""
+    """Vectorized n = 2 closed-form kernel block A_op(xi_i, xi'_j).
+
+    An entry depends on |xi_i|, |xi'_j| and on whether xi_i xi'_j > 0, so
+    the Bessel terms are evaluated once per distinct pair (|xi|, |xi'|) that
+    some entry needs and gathered back; |x y| = |x| |y| exactly, so the
+    block equals the entrywise formula bit for bit."""
     from scipy.special import jv, kv
 
-    x = xi[:, None]
-    y = xi_prime[None, :]
-    s = x * y
-    w = 2.0 ** 1.5 * np.sqrt(np.abs(s))
-    amp = np.abs(2.0 * y / x) ** ((lam - 1.0) / 2.0)
+    ax, ix = np.unique(np.abs(xi), return_inverse=True)
+    ay, iy = np.unique(np.abs(xi_prime), return_inverse=True)
+    pair = (ix[:, None] * ay.size + iy[None, :]).ravel()
+    same = (xi[:, None] * xi_prime[None, :] > 0).ravel()
+    need_same = np.zeros(ax.size * ay.size, dtype=bool)
+    need_same[pair[same]] = True
+    need_cross = np.zeros(ax.size * ay.size, dtype=bool)
+    need_cross[pair[~same]] = True
+    w = (2.0 ** 1.5 * np.sqrt(ax[:, None] * ay[None, :])).ravel()
+    amp = ((2.0 * ay[None, :] / ax[:, None]) ** ((lam - 1.0) / 2.0)).ravel()
+    coeff = (2.0 / math.pi) * 2.0 ** (-lam / 2.0)
     const = math.pi / (2.0 * math.cos(0.5 * math.pi * lam))
-    same = s > 0
-    cross = ~same
-    d = np.empty(s.shape)
+    d = np.zeros((2, w.size))
     with np.errstate(under="ignore"):
-        d[same] = const * (jv(lam - 1.0, w[same]) - jv(1.0 - lam, w[same]))
-        d[cross] = 2.0 * math.sin(0.5 * math.pi * lam) * kv(lam - 1.0, w[cross])
-    return (2.0 / math.pi) * 2.0 ** (-lam / 2.0) * amp * d
+        ws = w[need_same]
+        d[0, need_same] = const * (jv(lam - 1.0, ws) - jv(1.0 - lam, ws))
+        d[1, need_cross] = 2.0 * math.sin(0.5 * math.pi * lam) * kv(lam - 1.0, w[need_cross])
+    block = coeff * amp * d
+    return np.where(same, block[0, pair], block[1, pair]).reshape(xi.size, xi_prime.size)
 
 
-_KERNEL_CACHE: dict = {}
+# Least recently used matrices are dropped beyond this many: a `check all`
+# round builds 6 and reuses each within a few calls.  The check runner's
+# threads share the cache, so reordering and eviction hold the lock.
+_KERNEL_CACHE_SIZE = 16
+_KERNEL_CACHE: OrderedDict = OrderedDict()
+_KERNEL_LOCK = threading.Lock()
 
 
 def kernel_matrix(dims: Dimensions, lam: float, target: CellGrid,
@@ -226,9 +244,11 @@ def kernel_matrix(dims: Dimensions, lam: float, target: CellGrid,
         dims.n, round(lam, 12),
         target.nodes.tobytes(), source.nodes.tobytes(), source.weights.tobytes(),
     )
-    got = _KERNEL_CACHE.get(key)
-    if got is not None:
-        return got
+    with _KERNEL_LOCK:
+        got = _KERNEL_CACHE.get(key)
+        if got is not None:
+            _KERNEL_CACHE.move_to_end(key)
+            return got
     if dims.n == 2:
         m = _kernel_block_n2(lam, target.nodes[:, 0], source.nodes[:, 0])
     else:
@@ -237,7 +257,10 @@ def kernel_matrix(dims: Dimensions, lam: float, target: CellGrid,
             for j, xp in enumerate(source.nodes):
                 m[i, j] = op_kernel(dims, lam, xi, xp)
     m = m * source.weights[None, :]
-    _KERNEL_CACHE[key] = m
+    with _KERNEL_LOCK:
+        _KERNEL_CACHE[key] = m
+        if len(_KERNEL_CACHE) > _KERNEL_CACHE_SIZE:
+            _KERNEL_CACHE.popitem(last=False)
     return m
 
 
@@ -626,7 +649,8 @@ def spherical_reproduce(dims: Dimensions, partition: M.Partition, gamma,
 
 def special_apply(dims: Dimensions, letters, f):
     """T^0_g on analytic evaluators for words in {z, d}: z multiplies by the
-    phase, d substitutes xi -> eps xi u with no amplitude factor."""
+    phase, d substitutes xi -> eps xi u with no amplitude factor.  f and the
+    returned evaluator map an (N, d) array of points to (N,) values."""
 
     def build(let, inner):
         if isinstance(let, str):
@@ -637,7 +661,7 @@ def special_apply(dims: Dimensions, letters, f):
             xi = np.asarray(xi, dtype=float)
             val = inner(eps * xi @ u)
             if np.abs(gamma0).max() > 0:
-                val = val * np.exp(1j * float(xi @ gamma0))
+                val = val * np.exp(1j * (xi @ gamma0))
             return val
 
         return out
@@ -649,34 +673,24 @@ def special_apply(dims: Dimensions, letters, f):
     return g
 
 
+def _cocycle_evaluator(dims: Dimensions, letters):
+    """xi -> b(g)(xi) = (T^0_g f_0 - f_0)(xi) over (N, d) arrays of points."""
+    f0 = vacuum_evaluator(dims, 0.0)
+    moved = special_apply(dims, letters, f0)
+    return lambda xi: moved(xi) - f0(xi)
+
+
 def special_cocycle(dims: Dimensions, letters, grid: CellGrid) -> GridFunction:
     """b(g) = T^0_g f_0 - f_0 tabulated on the grid (f_0 the lambda = 0
     vacuum), for words over the triangular letters."""
-    f0v = vacuum_evaluator(dims, 0.0)
-
-    def f0(xi):
-        return complex(f0v(np.atleast_2d(xi))[0])
-
-    moved = special_apply(dims, letters, f0)
-    return tabulate([grid], lambda nodes: np.asarray(
-        [moved(x) - f0(x) for x in nodes], dtype=complex))
+    return tabulate([grid], _cocycle_evaluator(dims, letters))
 
 
 def special_cocycle_law_residual(dims: Dimensions, g1_letters, g2_letters,
                                  grid: CellGrid) -> float:
     """b(g1 g2) = T^0_{g1} b(g2) + b(g1) pointwise on the nodes."""
     b12 = special_cocycle(dims, list(g1_letters) + list(g2_letters), grid)
-    b2 = special_cocycle(dims, g2_letters, grid)
-    f0v = vacuum_evaluator(dims, 0.0)
-
-    def b2_eval(xi):
-        # evaluate b(g2) analytically at arbitrary points
-        moved = special_apply(dims, g2_letters, lambda x: complex(
-            f0v(np.atleast_2d(x))[0]))
-        return moved(xi) - complex(f0v(np.atleast_2d(xi))[0])
-
-    t1_b2 = special_apply(dims, g1_letters, b2_eval)
-    b1 = special_cocycle(dims, g1_letters, grid)
-    rhs = np.asarray([t1_b2(x) for x in grid.nodes]) + b1.values
+    t1_b2 = special_apply(dims, g1_letters, _cocycle_evaluator(dims, g2_letters))
+    rhs = t1_b2(grid.nodes) + special_cocycle(dims, g1_letters, grid).values
     denom = max(float(np.abs(b12.values).max()), 1e-12)
     return float(np.abs(b12.values - rhs).max() / denom)

@@ -8,22 +8,20 @@ Algorithm 644, 1986): ``bessel_k`` for scalars and ``log_bessel_k``, from
 the exponentially scaled ``kve``, for arrays.  On the latter sit the
 normalisation function V_rho, the radial jump density g, and the radial
 marginal density of the gamma-type vector law.  ``bessel_k_reference``
-evaluates K_rho(2z) independently with ``mpmath.besselk``; only the checks
-and tests use it.
+evaluates K_rho(2z) independently, by the trapezoid rule on the integral
+representation K_rho(x) = integral_0^inf e^(-x cosh t) cosh(rho t) dt
+(DLMF 10.32.9); only the checks and tests use it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, iv, kv, kve
 
 from .errors import DomainError
-
-_MPMATH_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -77,17 +75,39 @@ def log_bessel_k(rho, z):
     return np.log(kve(rho, 2.0 * z)) - 2.0 * z
 
 
-def bessel_k_reference(rho: float, z: float) -> float:
-    """K_rho(2z) by mpmath.besselk at 30 significant digits: the independent
-    reference route, used only by the checks and the tests.  mpmath's
-    working precision is process-global and the check runner uses threads,
-    so the evaluation holds a lock."""
-    import mpmath
+def bessel_k_reference(rho, z):
+    """K_rho(2z) by the trapezoid rule on the integral representation
+    (DLMF 10.32.9), elementwise over arrays of rho and z > 0 that broadcast
+    together; scalars give a float.  The independent reference route, used
+    only by the checks and the tests.
 
-    if z <= 0:
-        raise DomainError(f"bessel_k_reference requires z > 0, got {z}")
-    with _MPMATH_LOCK, mpmath.workdps(30):
-        return float(mpmath.besselk(rho, 2 * mpmath.mpf(z)))
+    With x = 2z the rule sums the scaled integrand
+    e^x K_rho(x) = integral_0^inf exp(-2x sinh^2(t/2)) cosh(rho t) dt,
+    which is positive and analytic in a strip, so the rule converges
+    geometrically in 1/h.  The step is h = min(0.05, 0.6/sqrt(x)): near
+    t = 0 the integrand is a Gaussian of width 1/sqrt(x), and a fixed
+    h = 0.05 is off by 5e-12 at x = 300.  The sum stops at T where
+    x (cosh T - 1) = log(1e18) + log(1 + x)/2 + |rho| T, so that the
+    integrand left out is below 1e-18 of the integral (e^x K_0(x) stays
+    above 1/sqrt(1 + x)).  Agrees with mpmath at 30 digits to 4e-15
+    relative for |rho| <= 5 and 1e-6 <= z <= 150."""
+    rho, z = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(z, dtype=float))
+    if np.any(z <= 0):
+        raise DomainError("bessel_k_reference requires z > 0")
+    r = np.abs(rho).ravel()
+    x = 2.0 * z.ravel()
+    h = np.minimum(0.05, 0.6 / np.sqrt(x))
+    left_out = math.log(1e18) + 0.5 * np.log1p(x)
+    t_max = np.arccosh(1.0 + left_out / x)
+    for _ in range(6):  # contracting fixed-point iteration for T
+        t_max = np.arccosh(1.0 + (left_out + r * t_max) / x)
+    steps = np.ceil(t_max / h).astype(int)
+    k = np.arange(1, steps.max(initial=0) + 1)
+    inside = k <= steps[:, None]
+    t = h[:, None] * np.where(inside, k, 0)
+    f = np.exp(-2.0 * x[:, None] * np.sinh(0.5 * t) ** 2) * np.cosh(r[:, None] * t)
+    scaled = h * (0.5 + np.sum(np.where(inside, f, 0.0), axis=1))
+    return (scaled * np.exp(-x)).reshape(z.shape)[()]
 
 
 def v_rho(rho: float, x: float) -> float:

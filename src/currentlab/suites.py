@@ -130,12 +130,10 @@ def _k_half_int(cfg, stream):
 
 @_check("specfun", "k-order-symmetry", "17-5", 1e-10)
 def _k_symmetry(cfg, stream):
-    worst = 0.0
-    for rho in (0.3, 0.8, 1.7, 2.4):
-        for x in (0.1, 1.0, 5.0):
-            want = specfun.bessel_k_reference(rho, x)
-            worst = max(worst, abs(specfun.bessel_k(-rho, x) - want) / want)
-    return worst
+    rho, x = np.meshgrid((0.3, 0.8, 1.7, 2.4), (0.1, 1.0, 5.0), indexing="ij")
+    want = specfun.bessel_k_reference(rho, x)
+    got = np.vectorize(specfun.bessel_k, otypes=[float])(-rho, x)
+    return float(np.max(np.abs(got - want) / want))
 
 
 @_check("specfun", "v-bessel-product", "17-7", 1e-10)
@@ -162,19 +160,18 @@ def _v_asymptotic(cfg, stream):
 
 @_check("specfun", "k-reference-agreement", "17-5", 1e-12)
 def _k_reference(cfg, stream):
-    # both production routes (scalar kv, array log-kve) against mpmath on a
-    # grid straddling every boundary of the former hand-written K routes:
-    # integer orders +- 1e-6, half-integer orders +- 1e-9, 2z = 30 +- 1e-3
+    # both production routes (scalar kv, array log-kve) against the
+    # trapezoid-rule reference on a grid straddling every boundary of the
+    # former hand-written K routes: integer orders +- 1e-6, half-integer
+    # orders +- 1e-9, 2z = 30 +- 1e-3
     orders = [m + e for m in range(4) for e in (-1e-6, 0.0, 1e-6)]
     orders += [m + 0.5 + e for m in range(3) for e in (-1e-9, 0.0, 1e-9)]
     zs = [float(z) for z in np.geomspace(1e-4, 40.0, 9)] + [15.0 - 5e-4, 15.0 + 5e-4]
-    worst = 0.0
-    for rho in orders:
-        for z in zs:
-            want = specfun.bessel_k_reference(rho, z)
-            for got in (specfun.bessel_k(rho, z), math.exp(specfun.log_bessel_k(rho, z))):
-                worst = max(worst, abs(got - want) / want)
-    return worst
+    rho, z = np.meshgrid(orders, zs, indexing="ij")
+    want = specfun.bessel_k_reference(rho, z)
+    scalar_route = np.vectorize(specfun.bessel_k, otypes=[float])(rho, z)
+    array_route = np.exp(specfun.log_bessel_k(rho, z))
+    return float(np.max(np.abs(np.stack((scalar_route, array_route)) - want) / want))
 
 
 @_check("specfun", "marginal-density-total-mass", "17-9", 1e-8)
@@ -488,10 +485,7 @@ def _refinement_limit(cfg, stream):
 @_check("measures", "characteristic-positive-definite", "181-1", 1e-10)
 def _char_l_psd(cfg, stream):
     pts = stream.rng.standard_normal((20, 2)) * 1.5
-    gram = np.empty((20, 20))
-    for i in range(20):
-        for j in range(20):
-            gram[i, j] = M.char_l(pts[i] - pts[j])
+    gram = M.char_l(pts[:, None, :] - pts[None, :, :])
     return max(0.0, -float(np.linalg.eigvalsh(gram).min()))
 
 

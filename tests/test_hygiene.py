@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "currentlab"
@@ -35,3 +38,18 @@ def test_package_has_no_unused_imports():
     assert paths
     found = {path.name: unused_imports(path.read_text()) for path in paths}
     assert {name: got for name, got in found.items() if got} == {}
+
+
+def test_checks_run_without_mpmath():
+    # mpmath is a test-only dependency: the specfun suite, whose reference
+    # route it used to be, must not import it
+    code = ("import sys\n"
+            "from currentlab.suites import RunConfig, run_suite\n"
+            "assert all(r.passed for r in run_suite(RunConfig(), 'specfun'))\n"
+            "assert 'mpmath' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from currentlab import measures as M
 from currentlab import quadrature as Q
 from currentlab import reps as R
 from currentlab.errors import DomainError
-from currentlab.gridfn import grid_1d, grid_1d_sqrt, tabulate
+from currentlab.gridfn import CellGrid, grid_1d, grid_1d_sqrt, tabulate
 from currentlab.process import SeededStream
 from currentlab.specfun import Dimensions
 
@@ -58,6 +59,52 @@ def test_kernel_matrix_matches_pointwise():
         for j, xp in enumerate(source.nodes[:, 0]):
             want = R.op_kernel(D2, LAM, xi, xp) * source.weights[j]
             assert m[i, j] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _block_entrywise(lam, xi, xi_prime):
+    # the closed form entry by entry, both Bessel terms on the full block
+    from scipy.special import jv, kv
+
+    s = xi[:, None] * xi_prime[None, :]
+    w = 2.0 ** 1.5 * np.sqrt(np.abs(s))
+    amp = np.abs(2.0 * xi_prime[None, :] / xi[:, None]) ** ((lam - 1.0) / 2.0)
+    const = math.pi / (2.0 * math.cos(0.5 * math.pi * lam))
+    with np.errstate(under="ignore"):
+        d = np.where(s > 0, const * (jv(lam - 1.0, w) - jv(1.0 - lam, w)),
+                     2.0 * math.sin(0.5 * math.pi * lam) * kv(lam - 1.0, w))
+    return (2.0 / math.pi) * 2.0 ** (-lam / 2.0) * amp * d
+
+
+def test_kernel_block_without_sign_symmetry():
+    # the block evaluates each Bessel term once per distinct (|xi|, |xi'|);
+    # grids whose nodes are not sign-symmetric must give the same entries
+    positive = np.geomspace(0.05, 30.0, 12)
+    skew = np.concatenate((positive[:7], -positive[3:5], [2.0, -2.0, 2.0]))
+    phi = tabulate([CellGrid(skew[:, None], np.ones(skew.size))], gauss)
+    moved = R._apply_d(D2, LAM, phi, 0, -0.6, np.eye(1)).cells[0].nodes[:, 0]
+    symmetric = grid_1d_sqrt(5.0, 8).nodes[:, 0]
+    cases = ((positive, positive), (positive[:5], -positive), (skew, skew),
+             (moved, skew), (symmetric, moved))
+    for lam in (LAM, 0.3):
+        for xi, xp in cases:
+            block = R._kernel_block_n2(lam, xi, xp)
+            assert np.array_equal(block, _block_entrywise(lam, xi, xp))
+            want = np.array([[R.op_kernel(D2, lam, a, b) for b in xp] for a in xi])
+            assert np.max(np.abs(block - want) / np.abs(want)) <= 1e-13
+
+
+def test_kernel_cache_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(R, "_KERNEL_CACHE", OrderedDict())
+    grids = [grid_1d(1.0 + k, 2) for k in range(R._KERNEL_CACHE_SIZE + 1)]
+    first = [R.kernel_matrix(D2, LAM, g, g) for g in grids[:R._KERNEL_CACHE_SIZE]]
+    # a hit makes the oldest entry the most recent
+    assert R.kernel_matrix(D2, LAM, grids[0], grids[0]) is first[0]
+    R.kernel_matrix(D2, LAM, grids[-1], grids[-1])
+    assert len(R._KERNEL_CACHE) == R._KERNEL_CACHE_SIZE
+    assert R.kernel_matrix(D2, LAM, grids[0], grids[0]) is first[0]
+    # the second grid became the oldest and was evicted: it is built again
+    assert R.kernel_matrix(D2, LAM, grids[1], grids[1]) is not first[1]
+    assert len(R._KERNEL_CACHE) == R._KERNEL_CACHE_SIZE
 
 
 def test_std_model_letter_action():

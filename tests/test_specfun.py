@@ -38,11 +38,33 @@ _BOUNDARY_Z = (1e-4, 1e-2, 0.5, 2.0, 15.0 - 5e-4, 15.0 + 5e-4, 40.0)
 
 
 def test_bessel_k_scipy_cross_check():
-    # the production kv route against the independent mpmath reference
-    for rho in _BOUNDARY_ORDERS:
-        for z in _BOUNDARY_Z:
-            assert specfun.bessel_k(rho, z) == pytest.approx(
-                specfun.bessel_k_reference(rho, z), rel=1e-12)
+    # the production kv route against the independent trapezoid-rule reference
+    rho, z = np.meshgrid(_BOUNDARY_ORDERS, _BOUNDARY_Z, indexing="ij")
+    want = specfun.bessel_k_reference(rho, z)
+    assert want.shape == rho.shape
+    for r, zz, w in zip(rho.flat, z.flat, want.flat):
+        assert specfun.bessel_k(r, zz) == pytest.approx(w, rel=1e-12)
+
+
+def test_bessel_k_reference_matches_mpmath():
+    # mpmath at 30 digits is the oracle of the reference route, and this
+    # test is the one place it is used
+    import mpmath
+
+    orders = [m + e for m in range(6) for e in (-1e-6, 0.0, 1e-6)]
+    orders += [m + 0.5 + e for m in range(5) for e in (-1e-9, 0.0, 1e-9)]
+    orders += [-0.3, -1.0, -2.5 - 1e-9, -4.0 + 1e-6, -5.0]
+    zs = list(np.geomspace(1e-6, 150.0, 17)) + [15.0 - 5e-4, 15.0 + 5e-4]
+    rho, z = np.meshgrid(orders, zs, indexing="ij")
+    got = specfun.bessel_k_reference(rho, z)
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.besselk(r, 2 * mpmath.mpf(float(zz))))
+                         for r, zz in zip(rho.flat, z.flat)]).reshape(rho.shape)
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+    # a scalar pair gives a float
+    assert isinstance(specfun.bessel_k_reference(0.5, 1.0), float)
+    with pytest.raises(DomainError):
+        specfun.bessel_k_reference([0.5, 1.0], [1.0, 0.0])
 
 
 def test_bessel_i_small_argument():
@@ -104,11 +126,10 @@ def test_log_v_rho_array():
         assert got.shape == xs.shape
         assert got[0] == 0.0
         assert np.all(np.isfinite(got))
-        for x, g in zip(xs[1:], got[1:]):
-            # log V = log Gamma(rho) - log 2 - rho log x - log K_rho(2x)
-            want = (math.lgamma(rho) - math.log(2.0) - rho * math.log(x)
-                    - math.log(specfun.bessel_k_reference(rho, float(x))))
-            assert g == pytest.approx(want, rel=1e-12)
+        # log V = log Gamma(rho) - log 2 - rho log x - log K_rho(2x)
+        want = (math.lgamma(rho) - math.log(2.0) - rho * np.log(xs[1:])
+                - np.log(specfun.bessel_k_reference(rho, xs[1:])))
+        assert got[1:] == pytest.approx(want, rel=1e-12)
     with pytest.raises(DomainError):
         specfun.log_v_rho(0.5, np.array([1.0, -0.1]))
 

@@ -134,3 +134,28 @@ def test_k_order_symmetry_compares_with_the_reference(monkeypatch):
     kv = specfun.kv
     monkeypatch.setattr(specfun, "kv", lambda rho, x: kv(rho, x) * (1.0 + 1e-8))
     assert _run_check("k-order-symmetry") > 1e-10
+
+
+def _fails(check_id: str) -> bool:
+    (spec,) = [s for s in S.suite_specs("all") if s.check_id == check_id]
+    return _run_check(check_id) > spec.tolerance
+
+
+def test_k_reference_agreement_sees_an_order_shift(monkeypatch):
+    # the former hand-written route evaluated K at an order off by 1e-6
+    monkeypatch.setattr(specfun, "bessel_k",
+                        lambda rho, z: float(specfun.kv(rho - 1e-6, 2.0 * z)))
+    assert _run_check("k-reference-agreement") > 1e-6
+
+
+def test_k_reference_agreement_sees_a_shifted_log_route(monkeypatch):
+    log_k = specfun.log_bessel_k
+    monkeypatch.setattr(specfun, "log_bessel_k", lambda rho, z: log_k(rho, z) + 1e-11)
+    assert _fails("k-reference-agreement")
+
+
+def test_k_reference_agreement_sees_a_scaled_reference(monkeypatch):
+    ref = specfun.bessel_k_reference
+    monkeypatch.setattr(specfun, "bessel_k_reference",
+                        lambda rho, z: ref(rho, z) * (1.0 + 1e-11))
+    assert _fails("k-reference-agreement")
