@@ -8,6 +8,7 @@ failures or the configuration is invalid, 2 on usage errors."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -52,41 +53,49 @@ def _emit(obj) -> None:
 
 def _cmd_specfun_eval(args) -> int:
     x = args.x
-    if args.fn == "I":
-        val = specfun.bessel_i(args.rho, x)
-    elif args.fn == "K":
-        val = specfun.bessel_k(args.rho, x)
-    elif args.fn == "V":
-        val = specfun.v_rho(args.rho, x)
-    elif args.fn == "g":
-        val = specfun.levy_density_radial(Dimensions(args.n), x)
-    else:  # psi: single-cell marginal density at radius x
-        val = math.exp(specfun.log_marginal_radial_density(
-            Dimensions(args.n), args.lam, x))
+    try:
+        if args.fn == "I":
+            val = specfun.bessel_i(args.rho, x)
+        elif args.fn == "K":
+            val = specfun.bessel_k(args.rho, x)
+        elif args.fn == "V":
+            val = specfun.v_rho(args.rho, x)
+        elif args.fn == "g":
+            val = specfun.levy_density_radial(Dimensions(args.n), x)
+        else:  # psi: single-cell marginal density at radius x
+            val = math.exp(specfun.log_marginal_radial_density(
+                Dimensions(args.n), args.lam, x))
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(repr(val))
     return 0
 
 
 def _load_config_file(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        base = json.load(fh)
+    if not isinstance(base, dict):
+        raise DomainError("a config file holds one JSON object")
+    unknown = sorted(set(base) - {f.name for f in dataclasses.fields(suites.RunConfig)})
+    if unknown:
+        raise DomainError(f"unknown config key {', '.join(map(repr, unknown))}")
+    return base
 
 
 def _build_run_config(args) -> suites.RunConfig:
     base: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         base = _load_config_file(args.config)
     if _SEED_ENV in os.environ and "seed" not in base:
         base["seed"] = _default_seed()
     # explicit flags override config-file values
-    for key in ("n", "partition", "seed", "workers", "trials", "format"):
-        val = getattr(args, key, None)
+    for key in ("seed", "workers", "trials", "format"):
+        val = getattr(args, key)
         if val is not None:
             base[key] = val
-    if getattr(args, "out", None):
+    if args.out:
         base["output_path"] = args.out
-    if "partition" in base and not isinstance(base["partition"], tuple):
-        base["partition"] = tuple(base["partition"])
     if "tolerances" in base:
         base["tolerances"] = {k: float(v) for k, v in base["tolerances"].items()}
     return suites.RunConfig(**base)
@@ -262,16 +271,16 @@ def _cmd_rep_check(args) -> int:
 
 def _cmd_group_check(args) -> int:
     try:
+        Dimensions(args.n)
         cfg = _build_run_config(args)
         reports = suites.run_suite(cfg, "group")
-    except (DomainError, ValueError) as exc:
+    except (DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    n = args.n if args.n is not None else 2
     _emit({
-        "n": n,
-        "trials": cfg.trials or 100,
-        "form_matrix": [row for row in G.form_matrix(n).tolist()],
+        "n": args.n,
+        "trials": cfg.trials,
+        "form_matrix": G.form_matrix(args.n).tolist(),
         "all_pass": all(r.passed for r in reports),
         "reports": _report_dicts(reports),
     })
@@ -282,11 +291,8 @@ def _cmd_group_check(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p, partition_default="0.5,0.3"):
-    p.add_argument("--n", type=int, default=None)
+def _add_common(p):
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--partition", type=_parse_partition, default=None,
-                   metavar="M1,M2,...")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default=None)
     p.add_argument("--config", default=None, help="JSON config file")
@@ -341,7 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ke = sub.add_parser("kernel", help="tabulate the inversion kernel")
     ke_sub = ke.add_subparsers(dest="action", required=True)
-    ta = ke_sub.add_parser("tabulate")
+    ta = ke_sub.add_parser(
+        "tabulate", help="CSV of kernel_A by quadrature on a grid",
+        description="Tabulate quadrature.kernel_A, which is pi * A_op at n = 2 "
+                    "and 2 pi^2 * A_op at n = 3 (A_op: the operator kernel of "
+                    "the inversion letter s).")
     ta.add_argument("--n", type=int, default=2)
     ta.add_argument("--lambda", dest="lam", type=float, default=0.5)
     ta.add_argument("--grid", required=True, help="comma-separated xi values")
@@ -365,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     gr = sub.add_parser("group", help="verify the group laws")
     gr_sub = gr.add_subparsers(dest="action", required=True)
     gc = gr_sub.add_parser("check")
+    gc.add_argument("--n", type=int, default=2,
+                    help="dimension of the printed form matrix")
     _add_common(gc)
     gc.set_defaults(func=_cmd_group_check)
 

@@ -199,7 +199,6 @@ class TriangularElement:
     @classmethod
     def from_matrix(cls, g: GroupElement, tol: float = _MEMBERSHIP_TOL) -> "TriangularElement":
         """Read (eps, u, gamma) off a block lower-triangular group element."""
-        n = g.n
         upper = max(abs(g.g13), float(np.abs(g.g12).max(initial=0.0)),
                     float(np.abs(g.g23).max(initial=0.0)))
         if upper > tol:

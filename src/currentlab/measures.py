@@ -126,6 +126,7 @@ def big_psi(partition: Partition, dims: Dimensions, gamma) -> float:
 
 
 def log_mu_alpha_density(dims: Dimensions, partition: Partition, xi) -> float:
+    """log of the joint probability density of the cell marginals of mu."""
     xi = _as_cells(partition, dims, xi)
     acc = 0.0
     for lam, x in zip(partition.masses, xi):
@@ -136,12 +137,9 @@ def log_mu_alpha_density(dims: Dimensions, partition: Partition, xi) -> float:
     return acc
 
 
-def mu_alpha_density(dims: Dimensions, partition: Partition, xi) -> float:
-    """Joint probability density of the cell marginals of mu."""
-    return math.exp(log_mu_alpha_density(dims, partition, xi))
-
-
 def log_nu_alpha_density(dims: Dimensions, partition: Partition, xi) -> float:
+    """log of the density of the (sigma-finite) nu marginal; the density is
+    homogeneous of degree lam_i - d in each cell vector."""
     partition.require_nu_valid(dims)
     xi = _as_cells(partition, dims, xi)
     d = dims.d
@@ -159,13 +157,8 @@ def log_nu_alpha_density(dims: Dimensions, partition: Partition, xi) -> float:
     return acc
 
 
-def nu_alpha_density(dims: Dimensions, partition: Partition, xi) -> float:
-    """Density of the (sigma-finite) nu marginal; homogeneous of degree
-    lam_i - d in each cell vector."""
-    return math.exp(log_nu_alpha_density(dims, partition, xi))
-
-
 def log_rn_derivative(dims: Dimensions, partition: Partition, xi) -> float:
+    """log d nu_alpha / d mu_alpha (xi) = log(2^(-m(X)) prod_k V_{(d-lam_k)/2}(|xi^k|))."""
     partition.require_nu_valid(dims)
     xi = _as_cells(partition, dims, xi)
     acc = -partition.total_mass * math.log(2.0)
@@ -174,20 +167,12 @@ def log_rn_derivative(dims: Dimensions, partition: Partition, xi) -> float:
     return acc
 
 
-def rn_derivative(dims: Dimensions, partition: Partition, xi) -> float:
-    """d nu_alpha / d mu_alpha (xi) = 2^(-m(X)) prod_k V_{(d-lam_k)/2}(|xi^k|)."""
-    return math.exp(log_rn_derivative(dims, partition, xi))
-
-
 def log_density_v(dims: Dimensions, total_mass: float, radii) -> float:
+    """log of the partition-free limit density v = d nu / d mu on point
+    configurations, 2^(-m(X)) prod_i V_{(n-1)/2}(|c^i|) over the atom
+    amplitudes |c^i|."""
     log_v = specfun.log_v_rho(dims.d / 2.0, np.atleast_1d(radii))
     return -float(total_mass) * math.log(2.0) + float(np.sum(log_v))
-
-
-def density_v(dims: Dimensions, total_mass: float, radii) -> float:
-    """Partition-free limit density v = d nu / d mu on point configurations:
-    2^(-m(X)) prod_i V_{(n-1)/2}(|c^i|) over the atom amplitudes |c^i|."""
-    return math.exp(log_density_v(dims, total_mass, radii))
 
 
 def nu_char(partition: Partition, dims: Dimensions, gamma) -> float:

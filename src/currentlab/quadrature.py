@@ -1,5 +1,6 @@
 """Radial Fourier transforms, calibration of the Fourier constant c_n,
-the singular boundary-inversion kernel A^lambda, and the Levy-Khinchin
+the singular boundary-inversion kernel A^lambda by quadrature (the
+reference route of the closed form in reps), and the Levy-Khinchin
 residual for log(1 + |gamma|^2/4).
 
 Oscillatory improper integrals are computed by splitting the axis at the
@@ -109,6 +110,25 @@ def _oscillatory_sum(f, edges: np.ndarray, tol: float):
     return float(val[0]), float(err[0]), len(segs) * _GAUSS_PTS
 
 
+def _segmented_tail(f, start: float, roots, tol: float, what: str):
+    """integral_start^inf f by _oscillatory_sum over the lobes between the
+    sign changes roots(count) of f beyond start, with count doubling from 80
+    until the error estimate is within tol or count reaches _MAX_SEGMENTS;
+    raises ConvergenceError when the last estimate is still far off.
+
+    Returns (value, error_estimate, evaluations)."""
+    n_seg = 80
+    while True:
+        r = roots(n_seg)
+        edges = np.concatenate(([start], r[r > start * (1 + 1e-15)]))
+        val, err, nev = _oscillatory_sum(f, edges, tol)
+        if err <= max(tol, 1e-14 * abs(val)) or n_seg >= _MAX_SEGMENTS:
+            if err > 1e3 * max(tol, 1e-12 * (abs(val) + 1e-300)) and n_seg >= _MAX_SEGMENTS:
+                raise ConvergenceError(f"oscillatory {what} tail stalled (err={err})")
+            return val, err, nev
+        n_seg *= 2
+
+
 def osc_cos_tail(a: float, b: float, p: float, start: float, tol: float = 1e-11):
     """integral_start^inf u^p cos(a u + b/u) du for a > 0, with start at or
     beyond the stationary point sqrt(max(b,0)/a) so the phase is monotone.
@@ -122,24 +142,14 @@ def osc_cos_tail(a: float, b: float, p: float, start: float, tol: float = 1e-11)
     phase0 = a * start + (b / start if start > 0 else 0.0)
     # phase values where cos vanishes: pi/2 + k pi beyond phase0
     k0 = math.ceil((phase0 - 0.5 * math.pi) / math.pi)
-    n_seg = 80
-    f = lambda u: u ** p * np.cos(a * u + b / u)
-    best = None
-    while True:
-        ks = k0 + np.arange(n_seg + 1)
-        phis = 0.5 * math.pi + ks * math.pi
+
+    def roots(count):
+        phis = 0.5 * math.pi + (k0 + np.arange(count + 1)) * math.pi
         disc = phis * phis - 4.0 * a * b
-        roots = (phis + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
-        edges = np.concatenate(([start], roots[roots > start * (1 + 1e-15)]))
-        val, err, nev = _oscillatory_sum(f, edges, tol)
-        if err <= max(tol, 1e-14 * abs(val)) or n_seg >= _MAX_SEGMENTS:
-            if err > 1e3 * max(tol, 1e-12 * (abs(val) + 1e-300)) and n_seg >= _MAX_SEGMENTS:
-                raise ConvergenceError(
-                    f"oscillatory cos tail stalled (a={a}, b={b}, p={p}, err={err})"
-                )
-            return val, err, nev
-        best = (val, err, nev)
-        n_seg *= 2
+        return (phis + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
+
+    return _segmented_tail(lambda u: u ** p * np.cos(a * u + b / u), start, roots,
+                           tol, f"cos (a={a}, b={b}, p={p})")
 
 
 @lru_cache(maxsize=8)
@@ -164,26 +174,17 @@ def osc_j0_tail(a: float, b: float, c2: float, p: float, start: float,
     if a <= 0:
         raise DomainError("osc_j0_tail needs a > 0")
     w = lambda r: np.sqrt(np.maximum(a * r * r + b + c2 / (r * r), 0.0))
-    f = lambda r: r ** p * j0(w(r))
     w0 = w(np.asarray([start]))[0]
-    n_seg = 80
-    while True:
-        zeros = _bessel_zeros(0.0, n_seg + 8)
-        zeros = zeros[zeros > w0]
+
+    def roots(count):
+        zeros = _bessel_zeros(0.0, count + 8)
+        z2 = zeros[zeros > w0] ** 2
         # invert w(r) = z on the increasing branch: a t^2 + (b - z^2) t + c2 = 0, t = r^2
-        z2 = zeros ** 2
         disc = (b - z2) ** 2 - 4.0 * a * c2
-        t = ((z2 - b) + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
-        roots = np.sqrt(t)
-        edges = np.concatenate(([start], roots[roots > start * (1 + 1e-15)]))
-        val, err, nev = _oscillatory_sum(f, edges, tol)
-        if err <= max(tol, 1e-14 * abs(val)) or n_seg >= _MAX_SEGMENTS:
-            if err > 1e3 * max(tol, 1e-12 * (abs(val) + 1e-300)) and n_seg >= _MAX_SEGMENTS:
-                raise ConvergenceError(
-                    f"oscillatory J0 tail stalled (a={a}, b={b}, c2={c2}, p={p}, err={err})"
-                )
-            return val, err, nev
-        n_seg *= 2
+        return np.sqrt(((z2 - b) + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a))
+
+    return _segmented_tail(lambda r: r ** p * j0(w(r)), start, roots, tol,
+                           f"J0 (a={a}, b={b}, c2={c2}, p={p})")
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +335,15 @@ def calibrate_cn(dims: Dimensions, lam_grid=_DEF_LAM_GRID, xi_grid=_DEF_XI_GRID,
             ((2/Gamma(lam/2)) |xi|^((lam-d)/2) K_{(d-lam)/2}(2|xi|))
 
     over a grid of lam and |xi|; raises CalibrationError if the ratio is not
-    constant to spread_tol."""
+    constant to spread_tol.  The denominator, which integrates to pi^(d/2),
+    is pi^(d/2) times the single-cell marginal density."""
     xi = np.asarray(xi_grid, dtype=float)
     ratios = []
     for lam in lam_grid:
         prof = RadialProfile(lambda r, lam=lam: (1.0 + r * r / 4.0) ** (-lam / 2.0), 0.0)
         lhs = radial_fourier(dims, prof, xi, tol=1e-11).value
-        rhs = np.array([specfun.marginal_kernel(dims, lam, x) for x in xi_grid])
+        rhs = math.pi ** (0.5 * dims.d) * np.exp(
+            specfun.log_marginal_radial_density(dims, lam, xi))
         ratios.append(lhs / rhs)
     ratios = np.concatenate(ratios)
     mean = float(ratios.mean())
@@ -471,11 +474,15 @@ def kernel_integral_n3(lam: float, xi, xi_prime, tol: float = 1e-10):
 
 def kernel_A(dims: Dimensions, lam: float, xi, xi_prime, cn: float | None = None,
              tol: float = 1e-10) -> QuadratureReport:
-    """The boundary-inversion kernel
+    """The boundary-inversion kernel by oscillatory quadrature, the
+    reference route for the closed form in reps.kernel_matrix:
 
         n = 2:  A(xi, xi') = 2^(1-lam/2) integral cos(xi x + 2 xi'/x) x^(lam-2) dx
         n = 3:  A(xi, xi') = c_n 2^(-lam/2) integral r^(lam-3) J_0(|r xi + 2 xi'/r|) dr
-    """
+
+    This normalisation is pi A_op at n = 2 and 2 pi^2 A_op at n = 3 (with
+    c_3 = 4 pi), where A_op = (2/pi) 2^(-lam/2) (integral) is the operator
+    kernel of reps; it is what `kernel tabulate` prints."""
     if dims.n == 2:
         v, e, nev = kernel_integral_n2(lam, float(xi), float(xi_prime), tol)
         c = 2.0 ** (1.0 - lam / 2.0)
@@ -487,30 +494,6 @@ def kernel_A(dims: Dimensions, lam: float, xi, xi_prime, cn: float | None = None
         c = cn * 2.0 ** (-lam / 2.0)
         return QuadratureReport(c * v, c * e, nev)
     raise DomainError("kernel_A implemented for n in {2, 3}")
-
-
-def kernel_closed_form_n2(lam: float, xi: float, xi_prime: float) -> float:
-    """Bessel closed form of the n = 2 kernel integral
-    I = integral cos(xi x + 2 xi'/x) x^(lam-2) dx:
-
-        I = pi / (2 cos(pi lam / 2)) * |2 xi'/xi|^((lam-1)/2) * D(w),
-        w = 2^(3/2) |xi xi'|^(1/2),
-        D = J_{lam-1}(w) - J_{1-lam}(w)  if xi xi' > 0,
-        D = I_{lam-1}(w) - I_{1-lam}(w)  if xi xi' < 0,
-
-    equivalently 2 sin(pi lam/2) K_{lam-1}(w) on the negative branch (the
-    K form is used: the I difference cancels catastrophically for large w)."""
-    from scipy.special import jv as _jv, kv as _kv
-
-    s = xi * xi_prime
-    if s == 0.0:
-        raise DomainError("closed form needs xi * xi' != 0")
-    w = 2.0 ** 1.5 * math.sqrt(abs(s))
-    amp = abs(2.0 * xi_prime / xi) ** ((lam - 1.0) / 2.0)
-    const = math.pi / (2.0 * math.cos(0.5 * math.pi * lam))
-    if s > 0:
-        return const * amp * (_jv(lam - 1.0, w) - _jv(1.0 - lam, w))
-    return amp * 2.0 * math.sin(0.5 * math.pi * lam) * _kv(lam - 1.0, w)
 
 
 # ---------------------------------------------------------------------------

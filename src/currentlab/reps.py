@@ -25,7 +25,7 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
-from scipy.special import gamma as _gamma, gammaln
+from scipy.special import gamma as _gamma, gammaln, jv, kv
 
 from . import group as G
 from . import measures as M
@@ -172,42 +172,30 @@ def _integrand_values(f, points: np.ndarray) -> np.ndarray:
 # operator kernel and its discretization
 # ---------------------------------------------------------------------------
 
-def op_kernel(dims: Dimensions, lam: float, xi, xi_prime) -> float:
-    """Kernel of T^lambda_s in the commutative model,
-    (2/pi) 2^(-lam/2) * (raw kernel integral).  For n = 2 the Bessel closed
-    form of the integral is used (exact and stable at large |xi xi'|); for
-    n = 3 the oscillatory quadrature."""
-    if dims.n == 2:
-        v = Q.kernel_closed_form_n2(lam, float(xi), float(xi_prime))
-    elif dims.n == 3:
-        v, _, _ = Q.kernel_integral_n3(lam, xi, xi_prime)
-    else:
-        raise DomainError("operator kernel implemented for n in {2, 3}")
-    return (2.0 / math.pi) * 2.0 ** (-lam / 2.0) * v
-
-
-def op_kernel_quadrature(dims: Dimensions, lam: float, xi, xi_prime) -> float:
-    """Same kernel evaluated by oscillatory quadrature of the defining
-    integral for every n — the independent route cross-checked against
-    op_kernel in the test suite."""
-    if dims.n == 2:
-        v, _, _ = Q.kernel_integral_n2(lam, float(xi), float(xi_prime))
-    elif dims.n == 3:
-        v, _, _ = Q.kernel_integral_n3(lam, xi, xi_prime)
-    else:
-        raise DomainError("operator kernel implemented for n in {2, 3}")
-    return (2.0 / math.pi) * 2.0 ** (-lam / 2.0) * v
+def _op_coeff(lam: float) -> float:
+    """The constant (2/pi) 2^(-lam/2) of A_op in front of the raw kernel
+    integral."""
+    return (2.0 / math.pi) * 2.0 ** (-lam / 2.0)
 
 
 def _kernel_block_n2(lam: float, xi: np.ndarray, xi_prime: np.ndarray) -> np.ndarray:
-    """Vectorized n = 2 closed-form kernel block A_op(xi_i, xi'_j).
+    """Vectorized n = 2 closed-form kernel block A_op(xi_i, xi'_j), the
+    Bessel closed form of the raw integral
+    I = integral cos(xi x + 2 xi'/x) x^(lam-2) dx:
+
+        I = pi / (2 cos(pi lam / 2)) * |2 xi'/xi|^((lam-1)/2) * D(w),
+        w = 2^(3/2) |xi xi'|^(1/2),
+        D = J_{lam-1}(w) - J_{1-lam}(w)  if xi xi' > 0,
+        D = I_{lam-1}(w) - I_{1-lam}(w)  if xi xi' < 0,
+
+    and on the second branch the product of the prefactor and D is taken as
+    2 sin(pi lam/2) K_{lam-1}(w) (the I difference cancels catastrophically
+    for large w).  quadrature.kernel_A is the reference route.
 
     An entry depends on |xi_i|, |xi'_j| and on whether xi_i xi'_j > 0, so
     the Bessel terms are evaluated once per distinct pair (|xi|, |xi'|) that
     some entry needs and gathered back; |x y| = |x| |y| exactly, so the
     block equals the entrywise formula bit for bit."""
-    from scipy.special import jv, kv
-
     ax, ix = np.unique(np.abs(xi), return_inverse=True)
     ay, iy = np.unique(np.abs(xi_prime), return_inverse=True)
     pair = (ix[:, None] * ay.size + iy[None, :]).ravel()
@@ -218,7 +206,7 @@ def _kernel_block_n2(lam: float, xi: np.ndarray, xi_prime: np.ndarray) -> np.nda
     need_cross[pair[~same]] = True
     w = (2.0 ** 1.5 * np.sqrt(ax[:, None] * ay[None, :])).ravel()
     amp = ((2.0 * ay[None, :] / ax[:, None]) ** ((lam - 1.0) / 2.0)).ravel()
-    coeff = (2.0 / math.pi) * 2.0 ** (-lam / 2.0)
+    coeff = _op_coeff(lam)
     const = math.pi / (2.0 * math.cos(0.5 * math.pi * lam))
     d = np.zeros((2, w.size))
     with np.errstate(under="ignore"):
@@ -239,7 +227,10 @@ _KERNEL_LOCK = threading.Lock()
 
 def kernel_matrix(dims: Dimensions, lam: float, target: CellGrid,
                   source: CellGrid) -> np.ndarray:
-    """M[i, j] = A_op(target_i, source_j) * w_j, cached on grid content."""
+    """M[i, j] = A_op(target_i, source_j) * w_j, cached on grid content:
+    the Bessel closed form at n = 2, oscillatory quadrature at n = 3."""
+    if dims.n not in (2, 3):
+        raise DomainError("operator kernel implemented for n in {2, 3}")
     key = (
         dims.n, round(lam, 12),
         target.nodes.tobytes(), source.nodes.tobytes(), source.weights.tobytes(),
@@ -252,10 +243,8 @@ def kernel_matrix(dims: Dimensions, lam: float, target: CellGrid,
     if dims.n == 2:
         m = _kernel_block_n2(lam, target.nodes[:, 0], source.nodes[:, 0])
     else:
-        m = np.empty((target.size, source.size))
-        for i, xi in enumerate(target.nodes):
-            for j, xp in enumerate(source.nodes):
-                m[i, j] = op_kernel(dims, lam, xi, xp)
+        m = _op_coeff(lam) * np.array([[Q.kernel_integral_n3(lam, xi, xp)[0]
+                                        for xp in source.nodes] for xi in target.nodes])
     m = m * source.weights[None, :]
     with _KERNEL_LOCK:
         _KERNEL_CACHE[key] = m

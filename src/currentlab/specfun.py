@@ -6,8 +6,8 @@ returns I_rho(2z) and ``bessel_k(rho, z)`` returns K_rho(2z).  Production
 values come from scipy's ``iv``/``kv``/``kve`` (D. E. Amos, ACM TOMS
 Algorithm 644, 1986): ``bessel_k`` for scalars and ``log_bessel_k``, from
 the exponentially scaled ``kve``, for arrays.  On the latter sit the
-normalisation function V_rho, the radial jump density g, and the radial
-marginal density of the gamma-type vector law.  ``bessel_k_reference``
+normalisation function V_rho, the radial jump density g, and the log of
+the radial marginal density of the gamma-type vector law.  ``bessel_k_reference``
 evaluates K_rho(2z) independently, by the trapezoid rule on the integral
 representation K_rho(x) = integral_0^inf e^(-x cosh t) cosh(rho t) dt
 (DLMF 10.32.9); only the checks and tests use it.
@@ -153,16 +153,10 @@ def v_rho_asymptotic(rho: float, x: float) -> float:
     return 1.0 + x * x / (rho - 1.0)
 
 
-def levy_density(dims: Dimensions, xi) -> float:
-    """Radially symmetric jump density g(xi) = |xi|^(-(n-1)/2) K_{(n-1)/2}(2|xi|).
-
-    Defined for xi != 0; integrates |xi| g(xi) near 0 but not g itself.
-    """
-    return levy_density_radial(dims, float(np.linalg.norm(np.atleast_1d(xi))))
-
-
 def levy_density_radial(dims: Dimensions, r):
-    """g as a function of the radius r = |xi| > 0, elementwise over arrays."""
+    """Radially symmetric jump density g(xi) = |xi|^(-(n-1)/2) K_{(n-1)/2}(2|xi|)
+    as a function of the radius r = |xi| > 0, elementwise over arrays.
+    |xi| g(xi) is integrable near 0 but g itself is not."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise DomainError("radius must be positive")
@@ -170,26 +164,18 @@ def levy_density_radial(dims: Dimensions, r):
     return np.exp(-rho * np.log(r) + log_bessel_k(rho, r))[()]
 
 
-def marginal_radial_density(dims: Dimensions, lam: float, xi) -> float:
-    """Probability density on R^(n-1) of a single cell of mass lam of the
-    gamma-type vector law:
+def log_marginal_radial_density(dims: Dimensions, lam: float, r):
+    """log of the probability density on R^(n-1) of a single cell of mass
+    lam > 0 of the gamma-type vector law, at radii r > 0, elementwise over
+    arrays:
 
-        pi^(-(n-1)/2) * (2/Gamma(lam/2)) * |xi|^((lam-n+1)/2) * K_{(n-1-lam)/2}(2|xi|).
+        pi^(-(n-1)/2) * (2/Gamma(lam/2)) * r^((lam-n+1)/2) * K_{(n-1-lam)/2}(2r).
 
     The pi^(-(n-1)/2) prefactor normalises the radial kernel to total mass
     one (the kernel alone integrates to pi^((n-1)/2) for every lam), so this
-    is the exact law of the Gaussian mixture sampler.
-    """
+    is the exact law of the Gaussian mixture sampler."""
     if lam <= 0:
         raise DomainError(f"mass parameter must be positive, got {lam}")
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=float))))
-    if r == 0.0:
-        raise DomainError("marginal density is evaluated away from xi = 0")
-    return math.exp(log_marginal_radial_density(dims, lam, r))
-
-
-def log_marginal_radial_density(dims: Dimensions, lam: float, r):
-    """log of marginal_radial_density at radii r > 0, elementwise over arrays."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise DomainError("radius must be positive")
@@ -202,19 +188,3 @@ def log_marginal_radial_density(dims: Dimensions, lam: float, r):
         + 0.5 * (lam - d) * np.log(r)
         + log_bessel_k(rho, r)
     )[()]
-
-
-def marginal_kernel(dims: Dimensions, lam: float, r: float) -> float:
-    """Unnormalised radial kernel (2/Gamma(lam/2)) r^((lam-d)/2) K_{(d-lam)/2}(2r)
-    appearing on the Bessel side of the Fourier identity for
-    (1 + |x|^2/4)^(-lam/2); integrates to pi^(d/2) over R^d."""
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    d = dims.d
-    rho = (d - lam) / 2.0
-    return (
-        2.0
-        * math.exp(-gammaln(lam / 2.0))
-        * r ** (0.5 * (lam - d))
-        * bessel_k(rho, r)
-    )

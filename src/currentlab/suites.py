@@ -35,20 +35,16 @@ class RunConfig:
     """Knobs shared by every suite run; flags override config-file values,
     which override these defaults."""
 
-    n: int = 2
-    partition: tuple = (0.5, 0.3)
     seed: int = 2024
     tolerances: dict = field(default_factory=dict)
     output_path: str | None = None
     format: str = "json"
     workers: int = 4
-    trials: int | None = None
+    trials: int = 100   # random draws per group-law check
 
     def __post_init__(self):
-        if self.n < 2:
-            raise DomainError("n must be at least 2")
-        if any(m <= 0 for m in self.partition):
-            raise DomainError("partition masses must be positive")
+        if self.trials < 1:
+            raise DomainError(f"trials must be at least 1, got {self.trials}")
         if any(t <= 0 for t in self.tolerances.values()):
             raise DomainError("tolerances must be positive")
         if self.format not in ("json", "csv"):
@@ -280,10 +276,6 @@ def _lk_kappa_3(cfg, stream):
 # group laws
 # ---------------------------------------------------------------------------
 
-def _group_trials(cfg) -> int:
-    return cfg.trials if cfg.trials else 100
-
-
 def _random_point(rng, d):
     return rng.standard_normal(d)
 
@@ -335,7 +327,7 @@ def _cocycle_law(cfg, stream):
         rhs = G.cocycle_beta(x, g1) * G.cocycle_beta(G.act(x, g1), g2)
         return abs(lhs - rhs) / abs(lhs)
 
-    return _bounded_trials(_group_trials(cfg), trial)
+    return _bounded_trials(cfg.trials, trial)
 
 
 @_check("group", "action-composition", "1-2", 1e-9)
@@ -350,7 +342,7 @@ def _action_law(cfg, stream):
         scale = max(1.0, float(np.abs(rhs).max()))
         return float(np.abs(lhs - rhs).max()) / scale
 
-    return _bounded_trials(_group_trials(cfg), trial)
+    return _bounded_trials(cfg.trials, trial)
 
 
 def _measure_relation_worst(cfg, stream, which: int) -> float:
@@ -361,7 +353,7 @@ def _measure_relation_worst(cfg, stream, which: int) -> float:
         y = _random_point(stream.rng, dims.d)
         return G.measure_relation_check(g, x, y)[which]
 
-    return _bounded_trials(max(25, _group_trials(cfg) // 4), trial)
+    return _bounded_trials(max(25, cfg.trials // 4), trial)
 
 
 @_check("group", "jacobian-cocycle-relation", "1-5", 1e-6)
@@ -394,7 +386,7 @@ def _factor_roundtrip(cfg, stream):
         scale = max(1.0, float(np.abs(g.m).max()))
         return float(np.abs(w.evaluate().m - g.m).max()) / scale
 
-    return _bounded_trials(_group_trials(cfg), trial)
+    return _bounded_trials(cfg.trials, trial)
 
 
 @_check("group", "triangular-composition", "1-1", 1e-10)
@@ -837,7 +829,6 @@ def write_report(config: RunConfig, suite: str, reports: list) -> None:
     else:
         body = json.dumps({
             "suite": suite,
-            "n": config.n,
             "seed": config.seed,
             "all_pass": all(r.passed for r in reports),
             "reports": [r.to_dict() for r in reports],

@@ -60,15 +60,56 @@ def test_check_writes_report_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert doc["all_pass"] is True
+    assert set(doc) == {"suite", "seed", "all_pass", "reports"}
 
 
 def test_check_bad_config_exits_one_without_partial_file(tmp_path, capsys):
     out_path = tmp_path / "rep.json"
-    code, _, err = run(capsys, ["check", "specfun", "--n", "1",
-                                "--out", str(out_path)])
-    assert code == 1
-    assert err.strip()
-    assert not out_path.exists()
+    cfgfile = tmp_path / "cfg.json"
+    for bad in ({"foo": 1}, {"seed": 3, "partition": [0.5, 0.3]}, {"trials": 0}, [1]):
+        cfgfile.write_text(json.dumps(bad))
+        code, out, err = run(capsys, ["check", "specfun", "--config", str(cfgfile),
+                                      "--out", str(out_path)])
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out == ""
+        assert not out_path.exists()
+    cfgfile.write_text(json.dumps({"foo": 1}))
+    _, _, err = run(capsys, ["check", "specfun", "--config", str(cfgfile)])
+    assert err.strip() == "error: unknown config key 'foo'"
+
+
+def test_trials_below_one_is_an_error(capsys):
+    # a bad count must not read as a broken group law (inf residuals) or
+    # silently fall back to the default
+    for argv in (["check", "all", "--trials", "0"], ["check", "group", "--trials", "-3"],
+                 ["group", "check", "--trials", "0"]):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert err.startswith("error: trials must be at least 1")
+        assert out == ""
+
+
+def test_check_has_no_dimension_or_partition_flags(capsys):
+    for argv in (["check", "specfun", "--n", "7"],
+                 ["check", "specfun", "--partition", "9,9"],
+                 ["rep", "check", "--suite", "tau", "--n", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_specfun_eval_domain_errors(capsys):
+    for argv in (["--fn", "psi", "--lambda", "-0.5", "--x", "0.5"],
+                 ["--fn", "psi", "--lambda", "0", "--x", "0.5"],
+                 ["--fn", "g", "--x", "-1"],
+                 ["--fn", "K", "--x", "0"],
+                 ["--fn", "V", "--rho", "0.5", "--x", "-1"]):
+        code, out, err = run(capsys, ["specfun", "eval"] + argv)
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out == ""
 
 
 def test_sample_marginal_jsonl_deterministic(tmp_path, capsys):

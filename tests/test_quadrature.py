@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import j0
 
 from currentlab import quadrature as Q
-from currentlab import specfun
-from currentlab.errors import DomainError
+from currentlab import reps as R
+from currentlab.errors import ConvergenceError, DomainError
+from currentlab.gridfn import CellGrid
 from currentlab.specfun import Dimensions
 
 
@@ -107,27 +109,93 @@ def test_fourier_vrho_inverse_positive_and_accurate():
         assert max(resids) <= 1e-5
 
 
-def test_kernel_closed_form_vs_quadrature():
-    # dual route: oscillatory quadrature of the defining integral against
-    # the Bessel closed form, both signs of xi * xi'
-    lam = 0.5
-    for xi, xp in ((0.7, 1.1), (0.7, -1.1), (-2.0, 0.4), (1.5, 2.5)):
-        quad_val, err, _ = Q.kernel_integral_n2(lam, xi, xp)
-        closed = Q.kernel_closed_form_n2(lam, xi, xp)
-        assert quad_val == pytest.approx(closed, abs=max(1e-8, 10 * err))
-
-
 def test_kernel_integral_n2_domain():
     with pytest.raises(DomainError):
         Q.kernel_integral_n2(1.5, 1.0, 1.0)
 
 
 def test_kernel_A_prefactor():
-    dims = Dimensions(2)
+    # kernel_A is pi A_op at n = 2 and 2 pi^2 A_op at n = 3 (c_3 = 4 pi),
+    # A_op the kernel_matrix entry on a unit-weight grid
     lam = 0.5
-    rep = Q.kernel_A(dims, lam, 0.8, 1.3)
-    want = 2.0 ** (1.0 - lam / 2.0) * Q.kernel_closed_form_n2(lam, 0.8, 1.3)
-    assert rep.value == pytest.approx(want, abs=max(1e-8, 10 * rep.abs_error))
+
+    def a_op(dims, xi, xp):
+        one = lambda x: CellGrid(np.atleast_2d(x), np.ones(1))
+        return R.kernel_matrix(dims, lam, one(xi), one(xp))[0, 0]
+
+    rep = Q.kernel_A(Dimensions(2), lam, 0.8, 1.3)
+    assert rep.value == pytest.approx(math.pi * a_op(Dimensions(2), [0.8], [1.3]),
+                                      abs=max(1e-8, 10 * rep.abs_error))
+    xi, xp = np.array([0.5, -0.2]), np.array([1.0, 0.7])
+    rep = Q.kernel_A(Dimensions(3), lam, xi, xp, cn=4.0 * math.pi)
+    assert rep.value == pytest.approx(2.0 * math.pi ** 2 * a_op(Dimensions(3), xi, xp),
+                                      rel=1e-13)
+
+
+def _separate_cos_tail(a, b, p, start, tol=1e-11):
+    # osc_cos_tail with its own doubling and stall loop, as it was before the
+    # loop was shared with osc_j0_tail
+    phase0 = a * start + (b / start if start > 0 else 0.0)
+    k0 = math.ceil((phase0 - 0.5 * math.pi) / math.pi)
+    n_seg = 80
+    f = lambda u: u ** p * np.cos(a * u + b / u)
+    while True:
+        ks = k0 + np.arange(n_seg + 1)
+        phis = 0.5 * math.pi + ks * math.pi
+        disc = phis * phis - 4.0 * a * b
+        roots = (phis + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
+        edges = np.concatenate(([start], roots[roots > start * (1 + 1e-15)]))
+        val, err, nev = Q._oscillatory_sum(f, edges, tol)
+        if err <= max(tol, 1e-14 * abs(val)) or n_seg >= Q._MAX_SEGMENTS:
+            if err > 1e3 * max(tol, 1e-12 * (abs(val) + 1e-300)) and n_seg >= Q._MAX_SEGMENTS:
+                raise ConvergenceError("stalled")
+            return val, err, nev
+        n_seg *= 2
+
+
+def _separate_j0_tail(a, b, c2, p, start, tol=1e-11):
+    # osc_j0_tail before the shared loop, likewise
+    w = lambda r: np.sqrt(np.maximum(a * r * r + b + c2 / (r * r), 0.0))
+    f = lambda r: r ** p * j0(w(r))
+    w0 = w(np.asarray([start]))[0]
+    n_seg = 80
+    while True:
+        zeros = Q._bessel_zeros(0.0, n_seg + 8)
+        zeros = zeros[zeros > w0]
+        z2 = zeros ** 2
+        disc = (b - z2) ** 2 - 4.0 * a * c2
+        t = ((z2 - b) + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
+        roots = np.sqrt(t)
+        edges = np.concatenate(([start], roots[roots > start * (1 + 1e-15)]))
+        val, err, nev = Q._oscillatory_sum(f, edges, tol)
+        if err <= max(tol, 1e-14 * abs(val)) or n_seg >= Q._MAX_SEGMENTS:
+            if err > 1e3 * max(tol, 1e-12 * (abs(val) + 1e-300)) and n_seg >= Q._MAX_SEGMENTS:
+                raise ConvergenceError("stalled")
+            return val, err, nev
+        n_seg *= 2
+
+
+def test_shared_tail_loop_keeps_kernel_integrals_bit_identical(monkeypatch):
+    # the tails on the shared loop against the separate loops they replaced:
+    # the kernel integrals of both signs of xi xi', a tail that doubles its
+    # segment count three times, and tails that stall
+    def results():
+        out = [Q.kernel_integral_n2(lam, xi, xp) for lam, xi, xp in
+               ((0.5, 0.7, 1.1), (0.5, 0.7, -1.1), (0.3, -2.0, 0.4), (0.8, 0.05, -3.0))]
+        out += [Q.kernel_integral_n3(lam, xi, xp) for lam, xi, xp in
+                ((0.8, [0.5, -0.2], [1.0, 0.7]), (1.5, [0.05, 0.02], [-0.4, 0.6]))]
+        out += [Q.osc_cos_tail(1.0, 0.0, 3.0, 1.0, 0.0),
+                Q.osc_j0_tail(1.0, 0.0, 0.0, 2.5, 1.0, 0.0)]
+        for tail, args in ((Q.osc_cos_tail, (1.0, 0.0, 5.0, 1.0)),
+                           (Q.osc_j0_tail, (1.0, 0.0, 0.0, 4.0, 1.0))):
+            with pytest.raises(ConvergenceError):
+                tail(*args)
+        return out
+
+    shared = results()
+    monkeypatch.setattr(Q, "osc_cos_tail", _separate_cos_tail)
+    monkeypatch.setattr(Q, "osc_j0_tail", _separate_j0_tail)
+    assert shared == results()
 
 
 def test_levy_khinchin_constant_and_residual():

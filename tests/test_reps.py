@@ -30,35 +30,66 @@ def bump(grid):
     return tabulate([grid], lambda xi: np.exp(-np.sum((xi - 0.8) ** 2, axis=-1)))
 
 
-def test_op_kernel_dual_route_n2():
-    # closed-form Bessel route against direct oscillatory quadrature of the
-    # defining integral
-    for xi, xp in ((0.6, 1.2), (0.6, -1.2), (-2.5, 0.3)):
-        a = R.op_kernel(D2, LAM, xi, xp)
-        b = R.op_kernel_quadrature(D2, LAM, xi, xp)
-        assert a == pytest.approx(b, abs=1e-8)
-
-
-def test_op_kernel_dual_route_n3():
-    xi = np.array([0.5, -0.2])
-    xp = np.array([1.0, 0.7])
-    a = R.op_kernel(D3, 0.8, xi, xp)
-    b = R.op_kernel_quadrature(D3, 0.8, xi, xp)
-    assert a == pytest.approx(b, rel=1e-8)
+def _unit_grid(nodes):
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    return CellGrid(nodes, np.ones(len(nodes)))
 
 
 def test_kernel_matrix_matches_pointwise():
-    # every entry, on grids with nodes of both signs, so that both the J
-    # (xi xi' > 0) and the K (xi xi' < 0) branches of the block are covered
-    target = grid_1d_sqrt(5.0, 8)
-    source = grid_1d(3.0, 6)
-    m = R.kernel_matrix(D2, LAM, target, source)
-    signs = np.sign(np.multiply.outer(target.nodes[:, 0], source.nodes[:, 0]))
-    assert (signs > 0).any() and (signs < 0).any()
-    for i, xi in enumerate(target.nodes[:, 0]):
-        for j, xp in enumerate(source.nodes[:, 0]):
-            want = R.op_kernel(D2, LAM, xi, xp) * source.weights[j]
-            assert m[i, j] == pytest.approx(want, rel=1e-13, abs=0.0)
+    # closed-form entries times the source weights against the quadrature
+    # reference kernel_A, which is pi A_op at n = 2, on nodes with both signs
+    # of xi * xi' (the J and the K branch of the block)
+    target = np.array([-2.5, -0.6, 0.3, 1.2])
+    source = CellGrid(np.array([[-1.1], [0.4], [0.7], [2.0]]), np.array([0.3, 0.7, 1.1, 0.5]))
+    for lam in (0.3, LAM):
+        m = R.kernel_matrix(D2, lam, _unit_grid(target[:, None]), source)
+        for i, xi in enumerate(target):
+            for j, (xp, w) in enumerate(zip(source.nodes[:, 0], source.weights)):
+                want = Q.kernel_A(D2, lam, xi, xp).value / math.pi * w
+                assert m[i, j] == pytest.approx(want, rel=0.0, abs=1e-9)
+
+
+XI3 = np.array([[0.5, -0.2], [1.3, 0.4], [-0.7, 0.9]])
+XP3 = np.array([[1.0, 0.7], [-0.4, 0.6], [0.2, -1.5]])
+ROT3 = np.array([[math.cos(0.9), -math.sin(0.9)], [math.sin(0.9), math.cos(0.9)]])
+
+
+def _n3_law_defect(lam=0.8, t=1.7) -> float:
+    """Largest relative defect of the kernel_matrix entries at n = 3 under
+    A(t xi, xi'/t) = t^(2-lam) A(xi, xi') and A(xi U, xi' U) = A(xi, xi')
+    (U a rotation); xi . xi' takes both signs on XI3 x XP3."""
+    base = R.kernel_matrix(D3, lam, _unit_grid(XI3), _unit_grid(XP3))
+    scaled = R.kernel_matrix(D3, lam, _unit_grid(t * XI3), _unit_grid(XP3 / t))
+    rotated = R.kernel_matrix(D3, lam, _unit_grid(XI3 @ ROT3), _unit_grid(XP3 @ ROT3))
+    return float(max(np.max(np.abs(scaled / (t ** (2.0 - lam) * base) - 1.0)),
+                     np.max(np.abs(rotated / base - 1.0))))
+
+
+def test_kernel_matrix_n3_scaling_and_rotation(monkeypatch):
+    monkeypatch.setattr(R, "_KERNEL_CACHE", OrderedDict())
+    assert (XI3 @ XP3.T > 0).any() and (XI3 @ XP3.T < 0).any()
+    assert _n3_law_defect() <= 1e-9
+
+
+def test_kernel_matrix_n3_laws_see_one_scaled_entry(monkeypatch):
+    # one rotated entry off by 1 + 1e-6 must fail the law check above
+    monkeypatch.setattr(R, "_KERNEL_CACHE", OrderedDict())
+    integral = Q.kernel_integral_n3
+
+    def one_entry_off(lam, xi, xi_prime, tol=1e-10):
+        v, e, nev = integral(lam, xi, xi_prime, tol)
+        if np.array_equal(xi, XI3[1] @ ROT3) and np.array_equal(xi_prime, XP3[2] @ ROT3):
+            v *= 1.0 + 1e-6
+        return v, e, nev
+
+    monkeypatch.setattr(Q, "kernel_integral_n3", one_entry_off)
+    assert _n3_law_defect() > 1e-7
+
+
+def test_kernel_matrix_domain():
+    with pytest.raises(DomainError):
+        R.kernel_matrix(Dimensions(4), LAM, _unit_grid([[1.0, 0.0, 0.0]]),
+                        _unit_grid([[0.0, 1.0, 0.0]]))
 
 
 def _block_entrywise(lam, xi, xi_prime):
@@ -89,8 +120,6 @@ def test_kernel_block_without_sign_symmetry():
         for xi, xp in cases:
             block = R._kernel_block_n2(lam, xi, xp)
             assert np.array_equal(block, _block_entrywise(lam, xi, xp))
-            want = np.array([[R.op_kernel(D2, lam, a, b) for b in xp] for a in xi])
-            assert np.max(np.abs(block - want) / np.abs(want)) <= 1e-13
 
 
 def test_kernel_cache_evicts_the_least_recently_used(monkeypatch):

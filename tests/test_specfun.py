@@ -138,11 +138,14 @@ def test_levy_density_radial_and_rotation():
     dims = Dimensions(2)
     want = 0.5 ** -0.5 * math.sqrt(math.pi / 2.0) * math.exp(-1.0)
     assert specfun.levy_density_radial(dims, 0.5) == pytest.approx(want, rel=1e-12)
+    # g(xi) depends on |xi| alone; at n = 3 it is |xi|^-1 K_1(2|xi|)
     dims3 = Dimensions(3)
     xi = np.array([0.3, -0.4])
     u = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert specfun.levy_density(dims3, xi) == pytest.approx(
-        specfun.levy_density(dims3, xi @ u), rel=1e-12)
+    r = float(np.linalg.norm(xi))
+    assert np.linalg.norm(xi @ u) == r
+    assert specfun.levy_density_radial(dims3, r) == pytest.approx(
+        specfun.bessel_k_reference(1.0, r) / r, rel=1e-13)
     # monotone decay
     assert specfun.levy_density_radial(dims, 2.0) < specfun.levy_density_radial(dims, 0.1)
 
@@ -160,9 +163,10 @@ def test_marginal_radial_density_normalization():
 
 
 def test_marginal_radial_density_domain():
+    for lam in (-0.5, 0.0):
+        with pytest.raises(DomainError):
+            specfun.log_marginal_radial_density(Dimensions(2), lam, np.array([0.5]))
     with pytest.raises(DomainError):
-        specfun.marginal_radial_density(Dimensions(2), -0.5, np.array([0.5]))
-    with pytest.raises(DomainError):
-        specfun.marginal_radial_density(Dimensions(2), 1.0, np.array([0.0]))
+        specfun.log_marginal_radial_density(Dimensions(2), 1.0, np.array([0.5, 0.0]))
     with pytest.raises(DomainError):
         specfun.log_marginal_radial_density(Dimensions(3), 0.7, 0.0)

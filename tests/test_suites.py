@@ -30,10 +30,9 @@ def test_unknown_suite_raises():
 
 
 def test_run_config_validation():
-    with pytest.raises(DomainError):
-        S.RunConfig(n=1)
-    with pytest.raises(DomainError):
-        S.RunConfig(partition=(0.5, 0.0))
+    for trials in (0, -3):
+        with pytest.raises(DomainError):
+            S.RunConfig(trials=trials)
     with pytest.raises(DomainError):
         S.RunConfig(format="yaml")
     with pytest.raises(DomainError):
