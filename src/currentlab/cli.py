@@ -72,6 +72,22 @@ def _cmd_specfun_eval(args) -> int:
     return 0
 
 
+# the JSON types a config-file value may have, per RunConfig field
+_CONFIG_TYPES = {
+    "seed": (int, "an integer"),
+    "workers": (int, "an integer"),
+    "trials": (int, "an integer"),
+    "format": (str, "a string"),
+    "output_path": ((str, type(None)), "a string or null"),
+    "tolerances": (dict, "an object"),
+}
+
+
+def _is(value, kind) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _load_config_file(path: str) -> dict:
     with open(path) as fh:
         base = json.load(fh)
@@ -80,6 +96,15 @@ def _load_config_file(path: str) -> dict:
     unknown = sorted(set(base) - {f.name for f in dataclasses.fields(suites.RunConfig)})
     if unknown:
         raise DomainError(f"unknown config key {', '.join(map(repr, unknown))}")
+    for key, value in base.items():
+        kind, name = _CONFIG_TYPES[key]
+        if not _is(value, kind):
+            raise DomainError(f"config key {key!r} must be {name}, "
+                              f"got {type(value).__name__}")
+    for check_id, tol in base.get("tolerances", {}).items():
+        if not _is(tol, (int, float)):
+            raise DomainError(f"tolerance of {check_id!r} must be a number, "
+                              f"got {type(tol).__name__}")
     return base
 
 

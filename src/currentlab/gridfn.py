@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,12 +44,21 @@ class CellGrid:
         return np.linalg.norm(self.nodes, axis=1)
 
 
+@lru_cache(maxsize=32)
+def _legendre_rule(count: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
+    The arrays are read-only: every grid derives its own from them."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def grid_1d(radius: float, count: int) -> CellGrid:
     """Two-panel Gauss-Legendre rule on [-radius, radius] clustered toward the
     origin (where the representation-space weight |xi|^(lam-1) is singular)."""
     if count % 2:
         raise DomainError("count must be even")
-    x, w = np.polynomial.legendre.leggauss(count // 2)
+    x, w = _legendre_rule(count // 2)
     pos = 0.5 * radius * (x + 1.0)
     wpos = 0.5 * radius * w
     nodes = np.concatenate((-pos[::-1], pos))[:, None]
@@ -63,7 +73,7 @@ def grid_1d_sqrt(radius: float, count: int) -> CellGrid:
     The natural rule for the kernel-letter operators."""
     if count % 2:
         raise DomainError("count must be even")
-    x, w = np.polynomial.legendre.leggauss(count // 2)
+    x, w = _legendre_rule(count // 2)
     t = 0.5 * math.sqrt(radius) * (x + 1.0)
     wt = 0.5 * math.sqrt(radius) * w
     pos = t * t
@@ -77,7 +87,7 @@ def grid_2d(radius: float, radial_count: int, angular_count: int) -> CellGrid:
     """Polar rule on the disk of the given radius: Gauss-Legendre radially
     (weight r from the area element), trapezoid in angle (exact for
     trigonometric polynomials)."""
-    x, w = np.polynomial.legendre.leggauss(radial_count)
+    x, w = _legendre_rule(radial_count)
     r = 0.5 * radius * (x + 1.0)
     wr = 0.5 * radius * w * r
     th = 2.0 * np.pi * np.arange(angular_count) / angular_count

@@ -17,7 +17,9 @@ Gauss-Jacobi panel that maps out the algebraic singularity at 0, then
 doubling Gauss-Legendre panels) and Gauss sums on the tail segments, with
 one profile evaluation per block of radii.  The paired power identity
 integrates the transform against |x|^(-lam) with a fixed graded outer
-rule of the same kind, so its whole node set is one transform call."""
+rule of the same kind, so its whole node set is one transform call.
+The Levy-Khinchin integral takes every |gamma| of a call on one fixed rule
+in r of the same graded kind (radial_rule)."""
 
 from __future__ import annotations
 
@@ -318,6 +320,35 @@ def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
 
 
 # ---------------------------------------------------------------------------
+# fixed rule on the half-line for radial densities that decay like e^(-2r)
+# ---------------------------------------------------------------------------
+
+_RADIAL_TOP = 30.0   # e^(-2r) is below 1e-26 beyond
+
+
+@lru_cache(maxsize=16)
+def _radial_rule(alpha: float, panels: int):
+    head_r, head_w = _graded_rule(1.0, _HEAD_PANELS, alpha, _HEAD_PTS)
+    edges = np.linspace(1.0, _RADIAL_TOP, panels + 1)
+    half = 0.5 * np.diff(edges)
+    xl, wl = np.polynomial.legendre.leggauss(_HEAD_PTS)
+    nodes = np.concatenate((head_r, ((0.5 * (edges[1:] + edges[:-1]))[:, None]
+                                     + half[:, None] * xl).ravel()))
+    weights = np.concatenate((head_w, (half[:, None] * wl).ravel()))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def radial_rule(alpha: float, width: float):
+    """Nodes and weights of a fixed rule for integral_0^30 g(r) dr, where
+    g ~ r^alpha at 0 and g decays like e^(-2r): the graded rule of
+    _graded_rule on [0, 1] (a Gauss-Jacobi panel with weight r^alpha, then
+    doubling Gauss-Legendre panels), then Gauss-Legendre panels of equal
+    width, at most `width`, on [1, 30]."""
+    return _radial_rule(float(alpha), math.ceil((_RADIAL_TOP - 1.0) / width))
+
+
+# ---------------------------------------------------------------------------
 # c_n calibration and the paired power identity
 # ---------------------------------------------------------------------------
 
@@ -500,24 +531,32 @@ def kernel_A(dims: Dimensions, lam: float, xi, xi_prime, cn: float | None = None
 # Levy-Khinchin representation of log(1 + |gamma|^2/4)
 # ---------------------------------------------------------------------------
 
-def _levy_rhs(dims: Dimensions, gamma_norm: float) -> float:
-    """integral over R^d of (e^{i<xi,gamma>} - 1) g(xi) dxi, reduced to the
-    radial integral with the angular average (cos for d=1, J_0 for d=2)."""
+def _angular_average(d: int, u):
+    """The mean of e^{i<xi, gamma>} over the sphere |xi| = r in R^d, as a
+    function of u = |gamma| r > 0: Gamma(d/2) (2/u)^nu J_nu(u) with
+    nu = d/2 - 1, that is cos u for d = 1 and J_0(u) for d = 2."""
+    if d == 1:
+        return np.cos(u)
+    nu = 0.5 * d - 1.0
+    if nu == 0.0:
+        return j0(u)
+    return _gamma(0.5 * d) * (2.0 / u) ** nu * jv(nu, u)
+
+
+def _levy_rhs(dims: Dimensions, gamma_norm):
+    """integral over R^d of (e^{i<xi,gamma>} - 1) g(xi) dxi at each |gamma| > 0
+    of the scalar or array gamma_norm, reduced to the radial integral with
+    the angular average.  Every |gamma| of a call shares one fixed rule in r
+    (radial_rule) whose tail panels are at most min(0.5, pi/max|gamma|)
+    wide, so each half-period of the oscillation spans a panel or more."""
+    k = np.asarray(gamma_norm, dtype=float)
+    if not np.all(np.isfinite(k) & (k > 0)):
+        raise DomainError("|gamma| must be finite and > 0")
     d = dims.d
-    area = _sphere_area(d)
-    k = gamma_norm
-
-    def integrand(r: float) -> float:
-        g = specfun.levy_density_radial(dims, r)
-        if d == 1:
-            osc = math.cos(k * r) - 1.0
-        else:
-            osc = j0(k * r) - 1.0
-        return area * r ** (d - 1) * g * osc
-
-    val, _ = integrate.quad(integrand, 0.0, 40.0, limit=400,
-                            points=[1e-4, 1e-2, 0.1, 1.0, 5.0])
-    return val
+    r, w = radial_rule(1.0, min(0.5, math.pi / float(k.max())))
+    weights = _sphere_area(d) * w * r ** (d - 1) * specfun.levy_density_radial(dims, r)
+    osc = _angular_average(d, k.reshape(-1, 1) * r) - 1.0
+    return (osc @ weights).reshape(k.shape)[()]
 
 
 _DEF_LK_GRID = (0.5, 1.0, 2.0, 4.0)
@@ -527,12 +566,11 @@ _DEF_LK_GRID = (0.5, 1.0, 2.0, 4.0)
 def fit_levy_khinchin_kappa(n: int, grid=_DEF_LK_GRID) -> float:
     """Fit the single constant kappa in
         log(1 + |gamma|^2/4) = kappa * integral (e^{i<xi,gamma>} - 1) g(xi) dxi
-    over the grid of |gamma| values (least squares = mean of ratios here)."""
-    dims = Dimensions(n)
-    ratios = [
-        math.log1p(g * g / 4.0) / _levy_rhs(dims, g) for g in grid
-    ]
-    return float(np.mean(ratios))
+    over the grid of |gamma| values (least squares = mean of ratios here),
+    all of them in one _levy_rhs call.  The closed form is
+    kappa = -2 pi^(-(n-1)/2)."""
+    g = np.asarray(grid, dtype=float)
+    return float(np.mean(np.log1p(g * g / 4.0) / _levy_rhs(Dimensions(n), g)))
 
 
 def levy_khinchin_residual(dims: Dimensions, gamma, kappa: float | None = None) -> float:
@@ -543,5 +581,5 @@ def levy_khinchin_residual(dims: Dimensions, gamma, kappa: float | None = None) 
     if kappa is None:
         kappa = fit_levy_khinchin_kappa(dims.n)
     lhs = math.log1p(gnorm * gnorm / 4.0)
-    rhs = kappa * _levy_rhs(dims, gnorm)
+    rhs = kappa * float(_levy_rhs(dims, gnorm))
     return abs(lhs - rhs) / abs(lhs)

@@ -192,29 +192,32 @@ def _kernel_block_n2(lam: float, xi: np.ndarray, xi_prime: np.ndarray) -> np.nda
     2 sin(pi lam/2) K_{lam-1}(w) (the I difference cancels catastrophically
     for large w).  quadrature.kernel_A is the reference route.
 
-    An entry depends on |xi_i|, |xi'_j| and on whether xi_i xi'_j > 0, so
-    the Bessel terms are evaluated once per distinct pair (|xi|, |xi'|) that
-    some entry needs and gathered back; |x y| = |x| |y| exactly, so the
-    block equals the entrywise formula bit for bit."""
+    An entry's Bessel term depends only on the product |xi_i| |xi'_j| and
+    on whether xi_i xi'_j > 0, so each term is evaluated once per distinct
+    product that some entry needs and gathered back; the amplitude is taken
+    per distinct pair (|xi|, |xi'|).  |x y| = |x| |y| exactly, so the block
+    equals the entrywise formula bit for bit."""
     ax, ix = np.unique(np.abs(xi), return_inverse=True)
     ay, iy = np.unique(np.abs(xi_prime), return_inverse=True)
     pair = (ix[:, None] * ay.size + iy[None, :]).ravel()
+    prod, ip = np.unique((ax[:, None] * ay[None, :]).ravel(), return_inverse=True)
+    entry = ip[pair]
     same = (xi[:, None] * xi_prime[None, :] > 0).ravel()
-    need_same = np.zeros(ax.size * ay.size, dtype=bool)
-    need_same[pair[same]] = True
-    need_cross = np.zeros(ax.size * ay.size, dtype=bool)
-    need_cross[pair[~same]] = True
-    w = (2.0 ** 1.5 * np.sqrt(ax[:, None] * ay[None, :])).ravel()
+    need_same = np.zeros(prod.size, dtype=bool)
+    need_same[entry[same]] = True
+    need_cross = np.zeros(prod.size, dtype=bool)
+    need_cross[entry[~same]] = True
+    w = 2.0 ** 1.5 * np.sqrt(prod)
     amp = ((2.0 * ay[None, :] / ax[:, None]) ** ((lam - 1.0) / 2.0)).ravel()
     coeff = _op_coeff(lam)
     const = math.pi / (2.0 * math.cos(0.5 * math.pi * lam))
-    d = np.zeros((2, w.size))
+    d = np.zeros((2, prod.size))
     with np.errstate(under="ignore"):
         ws = w[need_same]
         d[0, need_same] = const * (jv(lam - 1.0, ws) - jv(1.0 - lam, ws))
         d[1, need_cross] = 2.0 * math.sin(0.5 * math.pi * lam) * kv(lam - 1.0, w[need_cross])
-    block = coeff * amp * d
-    return np.where(same, block[0, pair], block[1, pair]).reshape(xi.size, xi_prime.size)
+    block = coeff * amp[pair] * np.where(same, d[0, entry], d[1, entry])
+    return block.reshape(xi.size, xi_prime.size)
 
 
 # Least recently used matrices are dropped beyond this many: a `check all`
@@ -619,16 +622,20 @@ def spherical_reproduce(dims: Dimensions, partition: M.Partition, gamma,
     coefficient is E_mu[e^{i<xi,gamma>} f^2 v], and f^2 v = 1, so the
     estimate is the mu-average of the phases over mu draws; the v-weights
     are not computed.  The same average is the coefficient for cells with
-    lam_i >= d, which have no sigma-finite nu factor.  Returns
+    lam_i >= d, which have no sigma-finite nu factor.  Only the real part is
+    estimated, as the mean of cos<xi, gamma>.  At gamma = 0 every phase is 1,
+    so the exact (1.0, 0.0, target) is returned without drawing.  Returns
     (estimate_re, se, target)."""
     from .process import sample_marginal
 
     gamma = np.asarray(gamma, dtype=float).reshape(partition.size, dims.d)
-    draws = sample_marginal(dims, partition, stream, size=n_draws)
-    phases = np.exp(1j * np.einsum("nld,ld->n", draws, gamma))
-    est = phases.real.mean()
-    se = float(phases.real.std() / math.sqrt(n_draws))
     target = M.big_psi(partition, dims, gamma)
+    if not gamma.any():
+        return 1.0, 0.0, target
+    draws = sample_marginal(dims, partition, stream, size=n_draws)
+    phases = np.cos(np.einsum("nld,ld->n", draws, gamma))
+    est = phases.mean()
+    se = float(phases.std() / math.sqrt(n_draws))
     return est, se, target
 
 

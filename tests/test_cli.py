@@ -79,6 +79,20 @@ def test_check_bad_config_exits_one_without_partial_file(tmp_path, capsys):
     assert err.strip() == "error: unknown config key 'foo'"
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"trials": "5"}, "config key 'trials' must be an integer, got str"),
+    ({"tolerances": [1]}, "config key 'tolerances' must be an object, got list"),
+    ({"seed": "x"}, "config key 'seed' must be an integer, got str"),
+])
+def test_check_config_value_of_the_wrong_type(tmp_path, capsys, bad, message):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(bad))
+    code, out, err = run(capsys, ["check", "specfun", "--config", str(cfgfile)])
+    assert code == 1
+    assert err.strip() == f"error: {message}"
+    assert out == ""
+
+
 def test_trials_below_one_is_an_error(capsys):
     # a bad count must not read as a broken group law (inf residuals) or
     # silently fall back to the default

@@ -30,6 +30,24 @@ def test_grid_1d_sqrt_integrates_singular_density():
     assert val == pytest.approx(want, rel=1e-3)
 
 
+def test_legendre_rule_is_shared_and_read_only():
+    x, w = GF._legendre_rule(24)
+    assert GF._legendre_rule(24)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    # grids built from the one rule own writable arrays of their own
+    grids = [GF.grid_1d(3.0, 48), GF.grid_1d_sqrt(3.0, 48), GF.grid_1d_sqrt(3.0, 48),
+             GF.grid_2d(3.0, 24, 4)]
+    arrays = [a for g in grids for a in (g.nodes, g.weights)]
+    assert all(a.flags.writeable for a in arrays)
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:] + [x, w])
+    grids[1].nodes[0, 0] = 99.0
+    assert grids[2].nodes[0, 0] != 99.0
+    assert np.array_equal(GF._legendre_rule(24)[0], np.polynomial.legendre.leggauss(24)[0])
+
+
 def test_grid_2d_integrates_gaussian():
     g = GF.grid_2d(10.0, 80, 40)
     val = float(np.sum(np.exp(-np.sum(g.nodes ** 2, axis=1)) * g.weights))

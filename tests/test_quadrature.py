@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import j0
+from scipy.special import j0, jv
 
 from currentlab import quadrature as Q
 from currentlab import reps as R
+from currentlab import specfun
 from currentlab.errors import ConvergenceError, DomainError
 from currentlab.gridfn import CellGrid
 from currentlab.specfun import Dimensions
@@ -210,6 +211,59 @@ def test_levy_khinchin_constant_and_residual():
 
 def test_levy_khinchin_zero_gamma():
     assert Q.levy_khinchin_residual(Dimensions(2), 0.0) == 0.0
+
+
+def _lk_closed_form(n):
+    return -2.0 * math.pi ** (-(n - 1) / 2.0)
+
+
+def test_levy_khinchin_in_higher_dimensions():
+    for n in (4, 5):
+        dims = Dimensions(n)
+        assert Q.fit_levy_khinchin_kappa(n) == pytest.approx(_lk_closed_form(n), rel=1e-9)
+        for g in (0.1, 0.5, 4.0, 10.0):
+            assert Q.levy_khinchin_residual(dims, g, _lk_closed_form(n)) <= 1e-9
+
+
+def test_levy_khinchin_sees_a_j0_average_beyond_d_2(monkeypatch):
+    # J_0 is the sphere average only in R^2; the fit bypasses its cache
+    monkeypatch.setattr(Q, "_angular_average", lambda d, u: j0(u))
+    for n in (4, 5):
+        kappa = Q.fit_levy_khinchin_kappa.__wrapped__(n)
+        assert abs(kappa / _lk_closed_form(n) - 1.0) > 0.1
+        assert Q.levy_khinchin_residual(Dimensions(n), 0.5, _lk_closed_form(n)) > 0.1
+
+
+def test_levy_rhs_fixed_rule_matches_adaptive_quad():
+    for n in (2, 3, 4, 5):
+        dims = Dimensions(n)
+        d = dims.d
+        area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+        ks = np.array([0.1, 0.5, 4.0, 10.0])
+        got = Q._levy_rhs(dims, ks)
+        assert got.shape == ks.shape
+        for k, value in zip(ks, got):
+            def integrand(r):
+                avg = math.gamma(d / 2.0) * (2.0 / (k * r)) ** (d / 2.0 - 1.0) \
+                    * jv(d / 2.0 - 1.0, k * r)
+                return area * r ** (d - 1) * specfun.levy_density_radial(dims, r) * (avg - 1.0)
+            want, _ = integrate.quad(integrand, 0.0, 40.0, limit=400,
+                                     points=[1e-4, 1e-2, 0.1, 1.0, 5.0])
+            assert value == pytest.approx(want, rel=1e-9)
+        assert np.ndim(Q._levy_rhs(dims, 0.5)) == 0
+    with pytest.raises(DomainError):
+        Q._levy_rhs(Dimensions(2), [0.5, 0.0])
+
+
+def test_radial_rule_integrates_gamma_profiles():
+    # integral_0^inf r^a e^(-2r) dr = Gamma(a + 1) / 2^(a + 1); the rule's
+    # Gauss-Jacobi panel takes the r^a head
+    for a in (-0.3, 0.0, 1.0, 2.5):
+        for width in (0.5, 0.1):
+            r, w = Q.radial_rule(a, width)
+            assert not r.flags.writeable and not w.flags.writeable
+            got = float(np.sum(w * r ** a * np.exp(-2.0 * r)))
+            assert got == pytest.approx(math.gamma(a + 1.0) / 2.0 ** (a + 1.0), rel=1e-13)
 
 
 def test_osc_cos_tail_against_closed_form():

@@ -107,18 +107,23 @@ def _block_entrywise(lam, xi, xi_prime):
 
 
 def test_kernel_block_without_sign_symmetry():
-    # the block evaluates each Bessel term once per distinct (|xi|, |xi'|);
-    # grids whose nodes are not sign-symmetric must give the same entries
+    # the block evaluates each Bessel term once per distinct |xi| |xi'|;
+    # grids whose nodes are not sign-symmetric, and distinct pairs with one
+    # product (1 * 2 = 4 * 0.5, 1 * 8 = 4 * 2), must give the same entries
     positive = np.geomspace(0.05, 30.0, 12)
     skew = np.concatenate((positive[:7], -positive[3:5], [2.0, -2.0, 2.0]))
     phi = tabulate([CellGrid(skew[:, None], np.ones(skew.size))], gauss)
     moved = R._apply_d(D2, LAM, phi, 0, -0.6, np.eye(1)).cells[0].nodes[:, 0]
     symmetric = grid_1d_sqrt(5.0, 8).nodes[:, 0]
+    large = grid_1d_sqrt(60.0, 320).nodes[:, 0]
+    other = grid_1d_sqrt(40.0, 96).nodes[:, 0]
     cases = ((positive, positive), (positive[:5], -positive), (skew, skew),
-             (moved, skew), (symmetric, moved))
+             (moved, skew), (symmetric, moved), (large, large), (large, other),
+             (np.array([1.0, -4.0, 4.0]), np.array([2.0, 0.5, -8.0, -2.0])))
     for lam in (LAM, 0.3):
         for xi, xp in cases:
             block = R._kernel_block_n2(lam, xi, xp)
+            assert block.shape == (xi.size, xp.size)
             assert np.array_equal(block, _block_entrywise(lam, xi, xp))
 
 
@@ -241,6 +246,35 @@ def test_spherical_reproduction_single_case():
     est, se, target = R.spherical_reproduce(
         D2, part, gamma, SeededStream(2024, 200), n_draws=100_000)
     assert abs(est - target) <= 3.0 * max(se, 1e-12)
+
+
+def test_spherical_reproduce_is_the_real_part_of_the_phase_average():
+    from currentlab.process import sample_marginal
+
+    part = M.Partition((0.5, 0.5))
+    gamma = np.array([[0.7], [-1.3]])
+    est, se, target = R.spherical_reproduce(D2, part, gamma, SeededStream(2024, 201),
+                                            n_draws=50_000)
+    draws = sample_marginal(D2, part, SeededStream(2024, 201), size=50_000)
+    phases = np.exp(1j * np.einsum("nld,ld->n", draws, gamma))
+    assert est == phases.real.mean()
+    assert se == float(phases.real.std() / math.sqrt(50_000))
+    assert target == M.big_psi(part, D2, gamma)
+
+
+def test_spherical_reproduce_at_zero_draws_nothing(monkeypatch):
+    import currentlab.process as P
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled at gamma = 0")
+
+    monkeypatch.setattr(P, "sample_marginal", no_draws)
+    for dims, part in ((D2, M.Partition((1.0,))), (D3, M.Partition((0.5, 0.5)))):
+        gamma = np.zeros((part.size, dims.d))
+        got = R.spherical_reproduce(dims, part, gamma, SeededStream(2024, 202))
+        assert got == (1.0, 0.0, M.big_psi(part, dims, gamma))
+    with pytest.raises(AssertionError):
+        R.spherical_reproduce(D2, M.Partition((1.0,)), [0.1], SeededStream(2024, 202))
 
 
 def test_inner_std_matches_power_pairing_scale():
