@@ -98,6 +98,22 @@ def grid_2d(radius: float, radial_count: int, angular_count: int) -> CellGrid:
     return CellGrid(nodes, weights)
 
 
+def grid_2d_sqrt(radius: float, radial_count: int, angular_count: int) -> CellGrid:
+    """Polar rule on the disk of the given radius with Gauss-Legendre nodes
+    in t = sqrt(|xi|), as in grid_1d_sqrt, and the trapezoid rule in angle:
+    the area element r dr becomes 2 t^3 dt, so the |xi|^(lam-2) weight of
+    L^2(nu_alpha) becomes 2 t^(2 lam - 1), regular for lam >= 1/2."""
+    x, w = _legendre_rule(radial_count)
+    t = 0.5 * math.sqrt(radius) * (x + 1.0)
+    r = t * t
+    wr = math.sqrt(radius) * w * t ** 3
+    th = 2.0 * np.pi * np.arange(angular_count) / angular_count
+    rr, tt = np.meshgrid(r, th, indexing="ij")
+    nodes = np.stack((rr * np.cos(tt), rr * np.sin(tt)), axis=-1).reshape(-1, 2)
+    weights = np.repeat(wr * (2.0 * np.pi / angular_count), angular_count)
+    return CellGrid(nodes, weights)
+
+
 def default_grid(d: int, radius: float | None = None, count: int = 64) -> CellGrid:
     if d == 1:
         return grid_1d_sqrt(25.0 if radius is None else radius, count)

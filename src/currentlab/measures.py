@@ -216,14 +216,16 @@ def check_coherence(dims: Dimensions, refinement: Refinement, stream=None,
     coarse_draws = np.zeros((n_samples, coarse.size, dims.d))
     for j, i in enumerate(refinement.assignment):
         coarse_draws[:, i, :] += draws[:, j, :]
-    phases = np.exp(1j * np.einsum("nld,ld->n", coarse_draws, gamma_c))
+    # Psi is real, so only the real part is estimated, as the mean of cos
+    # <xi, gamma>; its standard error leaves out the variance of sin
+    phases = np.cos(np.einsum("nld,ld->n", coarse_draws, gamma_c))
     est = phases.mean()
-    se = phases.std() / math.sqrt(n_samples)
+    se = float(phases.std() / math.sqrt(n_samples))
     target = big_psi(coarse, dims, gamma_c)
     return {
         "nu_char_residual": res_nu,
         "big_psi_residual": res_psi,
-        "mc_deviation": abs(est.real - target),
-        "mc_se": float(se),
-        "mc_sigmas": abs(est.real - target) / max(float(se), 1e-300),
+        "mc_deviation": abs(est - target),
+        "mc_se": se,
+        "mc_sigmas": abs(est - target) / max(se, 1e-300),
     }

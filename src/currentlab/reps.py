@@ -32,7 +32,7 @@ from . import measures as M
 from . import quadrature as Q
 from . import specfun
 from .errors import DomainError
-from .gridfn import CellGrid, GridFunction, tabulate
+from .gridfn import CellGrid, GridFunction, grid_1d_sqrt, grid_2d_sqrt, tabulate
 from .specfun import Dimensions
 
 
@@ -614,29 +614,48 @@ def r_covariance_s_residual(dims: Dimensions, partition: M.Partition,
     return abs(lhs - rhs) / abs(rhs)
 
 
-def spherical_reproduce(dims: Dimensions, partition: M.Partition, gamma,
-                        stream, n_draws: int = 100_000):
-    """Headline equivalence check: the matrix coefficient of the current
-    z-letter against the normalized vacuum f = v^(-1/2) of L^2(nu_alpha)
-    equals the characteristic functional Psi(gamma).  With v = d nu/d mu the
-    coefficient is E_mu[e^{i<xi,gamma>} f^2 v], and f^2 v = 1, so the
-    estimate is the mu-average of the phases over mu draws; the v-weights
-    are not computed.  The same average is the coefficient for cells with
-    lam_i >= d, which have no sigma-finite nu factor.  Only the real part is
-    estimated, as the mean of cos<xi, gamma>.  At gamma = 0 every phase is 1,
-    so the exact (1.0, 0.0, target) is returned without drawing.  Returns
-    (estimate_re, se, target)."""
-    from .process import sample_marginal
+def _spherical_cell(dims: Dimensions, lam: float, gamma: np.ndarray) -> complex:
+    """One cell's factor of the spherical matrix coefficient: with the
+    single-cell z-letter of shift gamma, <U_z f, f> in L^2(nu_lam) for
+    f = v^(-1/2) when lam < d, and the integral of e^{i<xi,gamma>} against
+    mu_lam when lam >= d, where nu has no sigma-finite factor (f^2 v = 1).
+    In t = sqrt|xi| the weight of either integral is t^(2 lam - 1) times a
+    smooth function, so the Gauss-Legendre rules in t are exact in it only
+    for 2 lam an integer; other masses raise DomainError."""
+    d = dims.d
+    if d not in (1, 2):
+        raise DomainError("grids implemented for d in {1, 2}")
+    if (2.0 * lam) % 1.0:
+        raise DomainError(f"spherical quadrature needs 2 lam an integer, got lam = {lam}")
+    part = M.Partition((lam,))
+    letters = [G.TriangularElement(1.0, np.eye(d), gamma)]
+    if lam < d:
+        grid = grid_1d_sqrt(40.0, 128) if d == 1 else grid_2d_sqrt(40.0, 64, 32)
+        log_v = -lam * math.log(2.0) + specfun.log_v_rho((d - lam) / 2.0, grid.radii)
+        f = GridFunction([grid], np.exp(-0.5 * log_v))
+        return nu_inner(dims, part, u_current_apply(dims, part, letters, f), f)
+    # with the log singularity of the density at lam = d the rule in t
+    # converges only as N^-4 on the line, as N^-8 on the disk
+    grid = grid_1d_sqrt(30.0, 1024) if d == 1 else grid_2d_sqrt(30.0, 128, 32)
+    dens = grid.weights * np.exp(specfun.log_marginal_radial_density(dims, lam, grid.radii))
+    return complex(u_current_apply(dims, part, letters, GridFunction([grid], dens)).values.sum())
 
+
+def spherical_reproduce(dims: Dimensions, partition: M.Partition, gamma):
+    """Headline equivalence check: the matrix coefficient <U_z f, f> of the
+    current z-letter z(gamma) against the vacuum f = v^(-1/2) of
+    L^2(nu_alpha), v = d nu/d mu, equals the characteristic functional
+    Psi(gamma), since f^2 v = 1 turns it into the mu-average of
+    e^{i<xi,gamma>}.  The current and the vacuum factorise over cells, so the
+    coefficient is the product of one single-cell quadrature per cell
+    (_spherical_cell); no product grid is built and nothing is drawn.  At
+    gamma = 0 it is the normalisation ||f||^2 = 1.  Returns (coefficient,
+    Psi(gamma)); the coefficient is complex."""
     gamma = np.asarray(gamma, dtype=float).reshape(partition.size, dims.d)
-    target = M.big_psi(partition, dims, gamma)
-    if not gamma.any():
-        return 1.0, 0.0, target
-    draws = sample_marginal(dims, partition, stream, size=n_draws)
-    phases = np.cos(np.einsum("nld,ld->n", draws, gamma))
-    est = phases.mean()
-    se = float(phases.std() / math.sqrt(n_draws))
-    return est, se, target
+    coeff = complex(1.0)
+    for lam, g in zip(partition.masses, gamma):
+        coeff *= _spherical_cell(dims, lam, g)
+    return coeff, M.big_psi(partition, dims, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -748,14 +748,12 @@ def _lambda_zero_limit(cfg, stream):
 # spherical-function reproduction (the headline equivalence)
 # ---------------------------------------------------------------------------
 
-def _spherical_case(n: int, masses: tuple, radius: float, stream) -> float:
+def _spherical_case(n: int, masses: tuple, radius: float) -> float:
     dims = Dimensions(n)
     part = M.Partition(masses)
     g = np.full((len(masses), dims.d), radius / math.sqrt(dims.d))
-    est, se, target = R.spherical_reproduce(dims, part, g, stream, n_draws=200_000)
-    if se == 0.0:
-        return 0.0 if abs(est - target) <= 1e-12 else math.inf
-    return abs(est - target) / se
+    coeff, target = R.spherical_reproduce(dims, part, g)
+    return abs(coeff - target)
 
 
 def _register_spherical():
@@ -765,9 +763,9 @@ def _register_spherical():
                 cid = (f"spherical-n{n}-l{len(masses)}-"
                        f"g{radius:g}".replace(".", "p"))
 
-                @_check("spherical", cid, "1-12", 3.0)
+                @_check("spherical", cid, "1-12", 1e-8)
                 def _sph(cfg, stream, n=n, masses=masses, radius=radius):
-                    return _spherical_case(n, masses, radius, stream)
+                    return _spherical_case(n, masses, radius)
 
 
 _register_spherical()

@@ -220,7 +220,7 @@ def test_criterion_09_spherical_reproduction():
     worst = max(r.residual for r in reports)
     ok = len(reports) == 12 and not failed and dt <= 300.0
     report("spherical-reproduction", ok,
-           f"12 combinations, worst {worst:.2f} SE, {dt:.1f}s"
+           f"12 combinations, worst residual {worst:.2e}, {dt:.1f}s"
            + (f", failed {failed}" if failed else ""))
 
 

@@ -54,6 +54,19 @@ def test_grid_2d_integrates_gaussian():
     assert val == pytest.approx(math.pi, rel=1e-6)
 
 
+def test_grid_2d_sqrt_integrates_the_singular_weight():
+    # |xi|^(-1/2) e^(-|xi|^2) over the disk of radius 6: pi * lower Gamma(3/4, 36)
+    from scipy.special import gamma, gammainc
+
+    want = math.pi * gamma(0.75) * gammainc(0.75, 36.0)
+    g = GF.grid_2d_sqrt(6.0, 64, 8)
+    r = g.radii
+    assert abs(float(np.sum(r ** -0.5 * np.exp(-r * r) * g.weights)) - want) <= 1e-12
+    # the plain Legendre radius of grid_2d leaves r^(1/2) singular in dr
+    p = GF.grid_2d(6.0, 64, 8)
+    assert abs(float(np.sum(p.radii ** -0.5 * np.exp(-p.radii ** 2) * p.weights)) - want) > 1e-6
+
+
 def test_default_grid_dimensions():
     assert GF.default_grid(1).d == 1
     assert GF.default_grid(2).d == 2

@@ -131,6 +131,27 @@ def test_check_coherence():
         assert out["mc_sigmas"] <= 3.0
 
 
+def test_check_coherence_se_is_that_of_the_real_part():
+    # Psi is real: the standard error is std(cos)/sqrt(N) on the same draws,
+    # not the std of the complex phases, which adds in the variance of sin
+    from currentlab.process import sample_marginal
+
+    dims = Dimensions(3)
+    ref = M.split_evenly(M.Partition((0.5, 0.7)), 2)
+    n = 20_000
+    out = M.check_coherence(dims, ref, stream=SeededStream(2024, 7), n_samples=n)
+    stream = SeededStream(2024, 7)
+    gamma_c = stream.rng.normal(scale=1.0, size=(2, dims.d))
+    draws = sample_marginal(dims, ref.fine, stream, size=n)
+    coarse = np.zeros((n, 2, dims.d))
+    for j, i in enumerate(ref.assignment):
+        coarse[:, i, :] += draws[:, j, :]
+    cos = np.cos(np.einsum("nld,ld->n", coarse, gamma_c))
+    assert out["mc_se"] == pytest.approx(cos.std() / math.sqrt(n), rel=1e-12)
+    assert out["mc_deviation"] == pytest.approx(
+        abs(cos.mean() - M.big_psi(ref.coarse, dims, gamma_c)), rel=1e-12)
+
+
 def test_density_v_is_refinement_limit_of_rn():
     dims = Dimensions(2)
     p = M.Partition((1.0,))

@@ -240,41 +240,43 @@ def test_special_representation_is_lambda_zero_limit():
     assert rel <= 1e-6
 
 
-def test_spherical_reproduction_single_case():
-    part = M.Partition((0.5, 0.5))
-    gamma = np.full((2, 1), 1.0 / math.sqrt(1.0))
-    est, se, target = R.spherical_reproduce(
-        D2, part, gamma, SeededStream(2024, 200), n_draws=100_000)
-    assert abs(est - target) <= 3.0 * max(se, 1e-12)
+def test_spherical_reproduce_matches_psi_with_distinct_cell_shifts():
+    # the registry shifts every cell alike; here each cell has its own gamma
+    for dims, part, gamma in (
+            (D2, M.Partition((0.5, 1.5)), [[0.7], [-1.3]]),
+            (D3, M.Partition((0.5, 1.5)), [[0.7, -0.2], [-1.3, 0.4]]),
+            (D3, M.Partition((2.0, 1.0)), [[0.7, -0.2], [-1.3, 0.4]]),
+            (D2, M.Partition((1.0, 0.5)), [[0.4], [2.5]])):
+        coeff, target = R.spherical_reproduce(dims, part, gamma)
+        assert target == M.big_psi(part, dims, gamma)
+        assert abs(coeff - target) <= 1e-8
+    # t^(2 lam - 1) is not smooth in t = sqrt|xi| for 2 lam not an integer
+    with pytest.raises(DomainError):
+        R.spherical_reproduce(D2, M.Partition((0.5, 0.3)), [[0.7], [-1.3]])
+    with pytest.raises(DomainError):
+        R.spherical_reproduce(Dimensions(4), M.Partition((1.0,)), [[0.7, 0.1, 0.0]])
 
 
-def test_spherical_reproduce_is_the_real_part_of_the_phase_average():
-    from currentlab.process import sample_marginal
-
+def test_spherical_reproduce_is_the_product_grid_coefficient():
+    # the per-cell factors multiply to <U_z f, f> of L^2(nu_alpha) on the
+    # product grid, with f = v^(-1/2) tabulated there from log_rn_derivative
     part = M.Partition((0.5, 0.5))
     gamma = np.array([[0.7], [-1.3]])
-    est, se, target = R.spherical_reproduce(D2, part, gamma, SeededStream(2024, 201),
-                                            n_draws=50_000)
-    draws = sample_marginal(D2, part, SeededStream(2024, 201), size=50_000)
-    phases = np.exp(1j * np.einsum("nld,ld->n", draws, gamma))
-    assert est == phases.real.mean()
-    assert se == float(phases.real.std() / math.sqrt(50_000))
-    assert target == M.big_psi(part, D2, gamma)
+    cells = [grid_1d_sqrt(40.0, 128), grid_1d_sqrt(40.0, 128)]
+    f = tabulate(cells, lambda a, b: math.exp(
+        -0.5 * M.log_rn_derivative(D2, part, np.array([a, b]))))
+    letters = [G.TriangularElement(1.0, np.eye(1), g) for g in gamma]
+    want = R.nu_inner(D2, part, R.u_current_apply(D2, part, letters, f), f)
+    coeff, _ = R.spherical_reproduce(D2, part, gamma)
+    assert abs(coeff - want) <= 1e-12 * abs(want)
 
 
-def test_spherical_reproduce_at_zero_draws_nothing(monkeypatch):
-    import currentlab.process as P
-
-    def no_draws(*args, **kwargs):
-        raise AssertionError("sampled at gamma = 0")
-
-    monkeypatch.setattr(P, "sample_marginal", no_draws)
-    for dims, part in ((D2, M.Partition((1.0,))), (D3, M.Partition((0.5, 0.5)))):
-        gamma = np.zeros((part.size, dims.d))
-        got = R.spherical_reproduce(dims, part, gamma, SeededStream(2024, 202))
-        assert got == (1.0, 0.0, M.big_psi(part, dims, gamma))
-    with pytest.raises(AssertionError):
-        R.spherical_reproduce(D2, M.Partition((1.0,)), [0.1], SeededStream(2024, 202))
+def test_spherical_reproduce_at_zero_is_the_vacuum_normalisation():
+    for dims, part in ((D2, M.Partition((1.0,))), (D2, M.Partition((0.5, 0.5))),
+                       (D3, M.Partition((0.5, 1.0)))):
+        coeff, target = R.spherical_reproduce(dims, part, np.zeros((part.size, dims.d)))
+        assert target == 1.0
+        assert coeff != 1.0 and abs(coeff - 1.0) <= 1e-8
 
 
 def test_inner_std_matches_power_pairing_scale():

@@ -6,7 +6,9 @@ import time
 import pytest
 
 from currentlab import group as G
+from currentlab import process as P
 from currentlab import quadrature as Q
+from currentlab import reps as R
 from currentlab import specfun
 from currentlab import suites as S
 from currentlab.errors import DomainError, PointAtInfinityError
@@ -158,3 +160,68 @@ def test_k_reference_agreement_sees_a_scaled_reference(monkeypatch):
     monkeypatch.setattr(specfun, "bessel_k_reference",
                         lambda rho, z: ref(rho, z) * (1.0 + 1e-11))
     assert _fails("k-reference-agreement")
+
+
+_SPHERICAL = [s.check_id for s in S.suite_specs("spherical")]
+_SPHERICAL_NU = [c for c in _SPHERICAL if not c.startswith("spherical-n2-l1-")]
+_SPHERICAL_MU = [c for c in _SPHERICAL if c.startswith("spherical-n2-l1-")]
+_SPHERICAL_SHIFTED = [c for c in _SPHERICAL if not c.endswith("-g0")]
+
+
+def _spherical_failures() -> list:
+    return [r.check_id for r in S.run_suite(S.RunConfig(workers=1), "spherical")
+            if not r.passed]
+
+
+def _scale_norm_coeff(monkeypatch):
+    coeff = R._norm_coeff
+    monkeypatch.setattr(R, "_norm_coeff", lambda dims, lam: coeff(dims, lam) * (1.0 + 1e-6))
+
+
+def _shift_log_v(monkeypatch):
+    log_v = specfun.log_v_rho
+    monkeypatch.setattr(specfun, "log_v_rho", lambda rho, x: log_v(rho, x) + 1e-6)
+
+
+def _shift_mu_density(monkeypatch):
+    log_dens = specfun.log_marginal_radial_density
+    monkeypatch.setattr(specfun, "log_marginal_radial_density",
+                        lambda dims, lam, r: log_dens(dims, lam, r) + 1e-6)
+
+
+def _scale_z_shift(monkeypatch):
+    apply_z = R._apply_z
+    monkeypatch.setattr(R, "_apply_z",
+                        lambda phi, axis, gamma0: apply_z(phi, axis, gamma0 * (1.0 + 1e-4)))
+
+
+@pytest.mark.parametrize("mutate, caught", [
+    (_scale_norm_coeff, _SPHERICAL_NU),
+    (_shift_log_v, _SPHERICAL_NU),
+    (_shift_mu_density, _SPHERICAL_MU),
+    (_scale_z_shift, _SPHERICAL_SHIFTED),
+])
+def test_spherical_checks_catch_mutants(monkeypatch, mutate, caught):
+    assert _spherical_failures() == []
+    mutate(monkeypatch)
+    assert _spherical_failures() == caught
+
+
+class _StreamWithoutDraws:
+    def __init__(self, seed, stream_id=0):
+        self.seed, self.stream_id = seed, stream_id
+
+    @property
+    def rng(self):
+        raise AssertionError("a spherical check used its random stream")
+
+
+def test_spherical_checks_draw_nothing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a spherical check drew from the sampler")
+
+    monkeypatch.setattr(P, "sample_marginal", no_draws)
+    monkeypatch.setattr(S, "SeededStream", _StreamWithoutDraws)
+    reports = S.run_suite(S.RunConfig(workers=1), "spherical")
+    assert len(reports) == 12
+    assert all(r.passed and r.tolerance == 1e-8 for r in reports)
