@@ -4,7 +4,6 @@ matrix group and its boundary action, the (mu, nu) measure pair, samplers,
 representation operators, and machine-checkable identity suites."""
 
 from .errors import (
-    AccuracyError,
     CalibrationError,
     ConvergenceError,
     DomainError,
@@ -34,7 +33,7 @@ from .suites import CheckReport, RunConfig, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyError", "CalibrationError", "CellGrid", "CheckReport",
+    "CalibrationError", "CellGrid", "CheckReport",
     "ConvergenceError", "Dimensions", "DomainError", "FourierConstant",
     "GridFunction", "GroupElement", "GroupWord", "NotInGroupError",
     "Partition", "PointAtInfinityError", "PointConfiguration",

@@ -126,10 +126,6 @@ def _build_run_config(args) -> suites.RunConfig:
     return suites.RunConfig(**base)
 
 
-def _report_dicts(reports) -> list:
-    return [r.to_dict() for r in reports]
-
-
 def _cmd_check(args) -> int:
     try:
         cfg = _build_run_config(args)
@@ -137,12 +133,7 @@ def _cmd_check(args) -> int:
     except (DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit({
-        "suite": args.suite,
-        "seed": cfg.seed,
-        "all_pass": all(r.passed for r in reports),
-        "reports": _report_dicts(reports),
-    })
+    _emit(suites.json_report(cfg, args.suite, reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -307,7 +298,7 @@ def _cmd_group_check(args) -> int:
         "trials": cfg.trials,
         "form_matrix": G.form_matrix(args.n).tolist(),
         "all_pass": all(r.passed for r in reports),
-        "reports": _report_dicts(reports),
+        "reports": [r.to_dict() for r in reports],
     })
     return 0 if all(r.passed for r in reports) else 1
 

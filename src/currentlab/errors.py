@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the function."""
 
 
-class AccuracyError(RuntimeError):
-    """A series or expansion could not reach the requested accuracy."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative quadrature or acceleration scheme failed to converge."""
 

@@ -139,10 +139,6 @@ class GridFunction:
     def l(self) -> int:
         return len(self.cells)
 
-    def copy(self) -> "GridFunction":
-        return GridFunction([CellGrid(c.nodes.copy(), c.weights.copy())
-                             for c in self.cells], self.values.copy())
-
     def weight_tensor(self) -> np.ndarray:
         w = self.cells[0].weights
         out = w

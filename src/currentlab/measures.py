@@ -15,7 +15,9 @@ cancel in the density ratio, so
     d nu_alpha / d mu_alpha = 2^(-m(X)) prod_k V_{(d-lam_k)/2}(|xi^k|)
 
 holds with the same 2^(-m(X)) prefactor in every dimension (for n = 2 it is
-sometimes convenient to absorb it into the cell factors; we never do)."""
+sometimes convenient to absorb it into the cell factors; we never do).  The
+three cell laws are written once, in specfun; the joint densities here sum
+them over the cells."""
 
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import specfun
 from .errors import DomainError
@@ -80,11 +81,12 @@ class Refinement:
 
     def group_sum(self, xi_fine: np.ndarray) -> np.ndarray:
         """Sum fine-cell vectors into coarse cells (the projection that
-        intertwines the two marginals)."""
+        intertwines the two marginals), over the cell axis of an array
+        (..., fine cells, d)."""
         xi_fine = np.asarray(xi_fine, dtype=float)
-        out = np.zeros((self.coarse.size, xi_fine.shape[1]))
+        out = np.zeros(xi_fine.shape[:-2] + (self.coarse.size, xi_fine.shape[-1]))
         for j, i in enumerate(self.assignment):
-            out[i] += xi_fine[j]
+            out[..., i, :] += xi_fine[..., j, :]
         return out
 
 
@@ -125,46 +127,31 @@ def big_psi(partition: Partition, dims: Dimensions, gamma) -> float:
     return math.exp(acc)
 
 
+def _cell_radii(partition: Partition, dims: Dimensions, xi) -> np.ndarray:
+    return np.linalg.norm(_as_cells(partition, dims, xi), axis=1)
+
+
 def log_mu_alpha_density(dims: Dimensions, partition: Partition, xi) -> float:
-    """log of the joint probability density of the cell marginals of mu."""
-    xi = _as_cells(partition, dims, xi)
-    acc = 0.0
-    for lam, x in zip(partition.masses, xi):
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            raise DomainError("mu density evaluated at a zero cell vector")
-        acc += specfun.log_marginal_radial_density(dims, lam, r)
-    return acc
+    """log of the joint probability density of the cell marginals of mu, the
+    sum of the mu cell laws."""
+    return float(sum(specfun.log_marginal_radial_density(dims, lam, r)
+                     for lam, r in zip(partition.masses, _cell_radii(partition, dims, xi))))
 
 
 def log_nu_alpha_density(dims: Dimensions, partition: Partition, xi) -> float:
-    """log of the density of the (sigma-finite) nu marginal; the density is
-    homogeneous of degree lam_i - d in each cell vector."""
-    partition.require_nu_valid(dims)
-    xi = _as_cells(partition, dims, xi)
-    d = dims.d
-    acc = 0.0
-    for lam, x in zip(partition.masses, xi):
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            raise DomainError("nu density evaluated at a zero cell vector")
-        acc += (
-            -0.5 * d * math.log(math.pi)
-            - lam * math.log(2.0)
-            + float(gammaln((d - lam) / 2.0) - gammaln(lam / 2.0))
-            + (lam - d) * math.log(r)
-        )
-    return acc
+    """log of the density of the (sigma-finite) nu marginal, the sum of the
+    nu cell laws; the density is homogeneous of degree lam_i - d in each
+    cell vector."""
+    return float(sum(specfun.log_nu_radial_density(dims, lam, r)
+                     for lam, r in zip(partition.masses, _cell_radii(partition, dims, xi))))
 
 
 def log_rn_derivative(dims: Dimensions, partition: Partition, xi) -> float:
-    """log d nu_alpha / d mu_alpha (xi) = log(2^(-m(X)) prod_k V_{(d-lam_k)/2}(|xi^k|))."""
+    """log d nu_alpha / d mu_alpha (xi) = log(2^(-m(X)) prod_k V_{(d-lam_k)/2}(|xi^k|)),
+    the sum of the cell ratios."""
     partition.require_nu_valid(dims)
-    xi = _as_cells(partition, dims, xi)
-    acc = -partition.total_mass * math.log(2.0)
-    for lam, x in zip(partition.masses, xi):
-        acc += specfun.log_v_rho((dims.d - lam) / 2.0, float(np.linalg.norm(x)))
-    return acc
+    return float(sum(specfun.log_cell_ratio(dims, lam, r)
+                     for lam, r in zip(partition.masses, _cell_radii(partition, dims, xi))))
 
 
 def log_density_v(dims: Dimensions, total_mass: float, radii) -> float:
@@ -187,7 +174,7 @@ def nu_char(partition: Partition, dims: Dimensions, gamma) -> float:
     return math.exp(acc)
 
 
-def check_coherence(dims: Dimensions, refinement: Refinement, stream=None,
+def check_coherence(dims: Dimensions, refinement: Refinement, stream,
                     n_samples: int = 200_000, gamma_scale: float = 1.0):
     """Consistency of the marginal families under refinement.
 
@@ -195,12 +182,12 @@ def check_coherence(dims: Dimensions, refinement: Refinement, stream=None,
     over fine cells equals the coarse product, and big_psi agrees likewise
     (mass additivity).  Monte Carlo part: fine samples of mu, group-summed to
     the coarse partition, reproduce the coarse characteristic functional
-    within 3 standard errors.  Returns a dict of residuals."""
-    from .process import SeededStream, sample_marginal
+    within 3 standard errors.  gamma and the samples both come from the
+    stream.  Returns a dict of residuals."""
+    from .process import sample_marginal
 
     coarse, fine = refinement.coarse, refinement.fine
-    rng = np.random.default_rng(2025) if stream is None else stream.rng
-    gamma_c = rng.normal(scale=gamma_scale, size=(coarse.size, dims.d))
+    gamma_c = stream.rng.normal(scale=gamma_scale, size=(coarse.size, dims.d))
     gamma_f = np.asarray([gamma_c[i] for i in refinement.assignment])
 
     res_nu = abs(
@@ -210,12 +197,8 @@ def check_coherence(dims: Dimensions, refinement: Refinement, stream=None,
         math.log(big_psi(fine, dims, gamma_f)) - math.log(big_psi(coarse, dims, gamma_c))
     )
 
-    stream = stream or SeededStream(2025, 0)
-    # vectorized marginal sampling: each coarse cell is a sum of fine draws
-    draws = sample_marginal(dims, fine, stream, size=n_samples)  # (N, l_f, d)
-    coarse_draws = np.zeros((n_samples, coarse.size, dims.d))
-    for j, i in enumerate(refinement.assignment):
-        coarse_draws[:, i, :] += draws[:, j, :]
+    # each coarse cell is a sum of fine draws
+    coarse_draws = refinement.group_sum(sample_marginal(dims, fine, stream, size=n_samples))
     # Psi is real, so only the real part is estimated, as the mean of cos
     # <xi, gamma>; its standard error leaves out the variance of sin
     phases = np.cos(np.einsum("nld,ld->n", coarse_draws, gamma_c))

@@ -86,9 +86,9 @@ class JumpSizeTable:
             raise DomainError("cutoff must lie in (0, r_max)")
         self.dims, self.cutoff, self.scale = dims, cutoff, intensity_scale
         d = dims.d
-        area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
         rs = np.geomspace(cutoff, r_max, grid_size)
-        dens = intensity_scale * area * rs ** (d - 1) * specfun.levy_density_radial(dims, rs)
+        dens = (intensity_scale * specfun.sphere_area(d) * rs ** (d - 1)
+                * specfun.levy_density_radial(dims, rs))
         # cumulative tail mass by trapezoid on the log grid (refined enough
         # that the inversion error is far below sampling noise)
         chunks = 0.5 * (dens[1:] + dens[:-1]) * np.diff(rs)
@@ -121,7 +121,7 @@ def truncation_bound(dims: Dimensions, total_mass: float, cutoff: float,
     if intensity_scale is None:
         intensity_scale = default_intensity_scale(dims)
     d = dims.d
-    area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    area = specfun.sphere_area(d)
     val, _ = integrate.quad(
         lambda r: area * r ** d * specfun.levy_density_radial(dims, r),
         0.0, cutoff, limit=200,

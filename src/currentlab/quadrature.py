@@ -34,6 +34,7 @@ from scipy.special import gamma as _gamma, j0, jn_zeros, jv, roots_jacobi
 
 from . import specfun
 from .errors import CalibrationError, ConvergenceError, DomainError
+from .gridfn import _legendre_rule
 from .specfun import Dimensions, FourierConstant
 
 _GAUSS_PTS = 12
@@ -61,18 +62,16 @@ class RadialProfile:
 # segment machinery
 # ---------------------------------------------------------------------------
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GAUSS_PTS)
-
-
 def _gauss_on_segments(f, edges: np.ndarray) -> np.ndarray:
     """Fixed-order Gauss-Legendre integral of f on each [edges_k, edges_{k+1}]."""
+    x, w = _legendre_rule(_GAUSS_PTS)
     a = edges[:-1]
     b = edges[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
-    pts = mid[:, None] + half[:, None] * _GL_X[None, :]
+    pts = mid[:, None] + half[:, None] * x[None, :]
     vals = f(pts.ravel()).reshape(pts.shape)
-    return half * (vals @ _GL_W)
+    return half * (vals @ w)
 
 
 def _average_tail(segment_sums: np.ndarray, tol: float):
@@ -199,10 +198,6 @@ _BLOCK = 4          # radii per node tensor: (4, 607, 12) doubles stay under 256
 _EPS = np.finfo(float).eps
 
 
-def _sphere_area(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2.0) / _gamma(d / 2.0)
-
-
 @lru_cache(maxsize=32)
 def _graded_rule(top: float, panels: int, alpha: float, pts: int):
     """Nodes and weights of a fixed rule for integral_0^top g(x) dx, g ~ x^alpha
@@ -213,7 +208,7 @@ def _graded_rule(top: float, panels: int, alpha: float, pts: int):
     relative to its width."""
     edges = top * 2.0 ** np.arange(1 - panels, 1)
     xj, wj = roots_jacobi(pts, 0.0, alpha)
-    xl, wl = np.polynomial.legendre.leggauss(pts)
+    xl, wl = _legendre_rule(pts)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = np.concatenate((0.5 * edges[0] * (1.0 + xj),
@@ -244,11 +239,12 @@ def _transform_rule(d: int, alpha: float):
     roots = _bessel_zeros(0.5 * d - 1.0, _MAX_SEGMENTS + 8)
     hi_u, hi_w = _graded_rule(float(roots[0]), _HEAD_PANELS, alpha, _HEAD_PTS)
     lo_u, lo_w = _graded_rule(float(roots[0]), _HEAD_PANELS, alpha, _HEAD_PTS // 2)
+    xl, wl = _legendre_rule(_GAUSS_PTS)
     half = 0.5 * np.diff(roots)
-    tail_u = 0.5 * (roots[1:] + roots[:-1])[:, None] + half[:, None] * _GL_X
+    tail_u = 0.5 * (roots[1:] + roots[:-1])[:, None] + half[:, None] * xl
     rule = (np.concatenate((hi_u, lo_u, tail_u.ravel())),
             hi_w * _bessel_factor(d, hi_u), lo_w * _bessel_factor(d, lo_u),
-            half[:, None] * _GL_W * _bessel_factor(d, tail_u))
+            half[:, None] * wl * _bessel_factor(d, tail_u))
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -288,7 +284,7 @@ def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
     nodes = 0
     zero = ks == 0.0
     if zero.any():
-        area = _sphere_area(d)
+        area = specfun.sphere_area(d)
         g = lambda r: area * f(np.asarray(r)) * np.asarray(r) ** (d - 1)
         value[zero], error[zero] = integrate.quad(
             lambda r: float(g(np.asarray([r]))[0]), 0.0, np.inf, limit=400)
@@ -331,7 +327,7 @@ def _radial_rule(alpha: float, panels: int):
     head_r, head_w = _graded_rule(1.0, _HEAD_PANELS, alpha, _HEAD_PTS)
     edges = np.linspace(1.0, _RADIAL_TOP, panels + 1)
     half = 0.5 * np.diff(edges)
-    xl, wl = np.polynomial.legendre.leggauss(_HEAD_PTS)
+    xl, wl = _legendre_rule(_HEAD_PTS)
     nodes = np.concatenate((head_r, ((0.5 * (edges[1:] + edges[:-1]))[:, None]
                                      + half[:, None] * xl).ravel()))
     weights = np.concatenate((head_w, (half[:, None] * wl).ravel()))
@@ -412,13 +408,13 @@ def power_pairing_residual(dims: Dimensions, lam: float, cn: float,
     # transform comes from one radial_fourier call
     s, w = _graded_rule(40.0 / width, _OUTER_PANELS, d - 1.0 - lam, _OUTER_PTS)
     ft_w = radial_fourier(dims, prof, s, tol=1e-11).value
-    area = _sphere_area(d)
+    area = specfun.sphere_area(d)
     lhs = area * float(np.sum(w * s ** (d - 1 - lam) * ft_w))
     # closed form of integral w |xi|^(lam-d) dxi for the Gaussian test profile
     rhs_integral = area * 0.5 * width ** lam * _gamma(lam / 2.0)
-    rhs = (
-        cn * 2.0 ** (-lam) * _gamma((d - lam) / 2.0) / _gamma(lam / 2.0) * rhs_integral
-    )
+    # the constant is pi^(d/2) times the nu cell density at |xi| = 1
+    nu_at_one = math.exp(specfun.log_nu_radial_density(dims, lam, 1.0))
+    rhs = cn * math.pi ** (d / 2.0) * nu_at_one * rhs_integral
     return abs(lhs - rhs) / abs(rhs)
 
 
@@ -531,16 +527,32 @@ def kernel_A(dims: Dimensions, lam: float, xi, xi_prime, cn: float | None = None
 # Levy-Khinchin representation of log(1 + |gamma|^2/4)
 # ---------------------------------------------------------------------------
 
-def _angular_average(d: int, u):
-    """The mean of e^{i<xi, gamma>} over the sphere |xi| = r in R^d, as a
-    function of u = |gamma| r > 0: Gamma(d/2) (2/u)^nu J_nu(u) with
-    nu = d/2 - 1, that is cos u for d = 1 and J_0(u) for d = 2."""
-    if d == 1:
-        return np.cos(u)
+def _angular_average_minus_one(d: int, u):
+    """The mean of e^{i<xi, gamma>} over the sphere |xi| = r in R^d, minus 1,
+    as a function of u = |gamma| r > 0.  The mean is Gamma(d/2) (2/u)^nu
+    J_nu(u) with nu = d/2 - 1, that is cos u for d = 1 and J_0(u) for d = 2;
+    below u = 1, where subtracting 1 from it would cancel, the difference is
+    summed as the power series
+    sum_{k>=1} (-u^2/4)^k Gamma(nu+1) / (k! Gamma(nu+k+1)), whose 12 terms
+    leave out less than 1e-17 of it."""
+    u = np.asarray(u, dtype=float)
     nu = 0.5 * d - 1.0
-    if nu == 0.0:
-        return j0(u)
-    return _gamma(0.5 * d) * (2.0 / u) ** nu * jv(nu, u)
+    if d == 1:
+        out = np.cos(u)
+    elif nu == 0.0:
+        out = j0(u)
+    else:
+        out = _gamma(0.5 * d) * (2.0 / u) ** nu * jv(nu, u)
+    out = out - 1.0
+    small = u < 1.0
+    q = -0.25 * u[small] ** 2
+    term = np.ones_like(q)
+    series = np.zeros_like(q)
+    for k in range(1, 13):
+        term = term * q / (k * (nu + k))
+        series = series + term
+    out[small] = series
+    return out
 
 
 def _levy_rhs(dims: Dimensions, gamma_norm):
@@ -554,8 +566,8 @@ def _levy_rhs(dims: Dimensions, gamma_norm):
         raise DomainError("|gamma| must be finite and > 0")
     d = dims.d
     r, w = radial_rule(1.0, min(0.5, math.pi / float(k.max())))
-    weights = _sphere_area(d) * w * r ** (d - 1) * specfun.levy_density_radial(dims, r)
-    osc = _angular_average(d, k.reshape(-1, 1) * r) - 1.0
+    weights = specfun.sphere_area(d) * w * r ** (d - 1) * specfun.levy_density_radial(dims, r)
+    osc = _angular_average_minus_one(d, k.reshape(-1, 1) * r)
     return (osc @ weights).reshape(k.shape)[()]
 
 

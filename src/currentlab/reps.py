@@ -11,7 +11,8 @@ functions over R^d with the pairing  <f1,f2> = integral integral
     s        :  phi(xi) -> integral A_op(xi, xi') phi(xi') dxi'
 
 with squared norm  (2^-lambda Gamma((d-lambda)/2)/Gamma(lambda/2))
-integral |xi|^(lambda-d) |phi|^2 dxi  (coefficient 1 at lambda = 0).
+integral |xi|^(lambda-d) |phi|^2 dxi, pi^(d/2) times the L^2(nu_lambda)
+norm; every pairing here weights its cells by the nu cell law of specfun.
 
 The operator kernel A_op carries the constant (2/pi) 2^(-lambda/2) in front
 of the raw oscillatory integrals of the quadrature module; this is the
@@ -25,7 +26,7 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
-from scipy.special import gamma as _gamma, gammaln, jv, kv
+from scipy.special import gamma as _gamma, jv, kv
 
 from . import group as G
 from . import measures as M
@@ -40,46 +41,30 @@ from .specfun import Dimensions
 # norms and inner products
 # ---------------------------------------------------------------------------
 
-def _norm_coeff(dims: Dimensions, lam: float) -> float:
-    if lam == 0.0:
-        return 1.0
-    return 2.0 ** (-lam) * math.exp(gammaln((dims.d - lam) / 2.0) - gammaln(lam / 2.0))
-
-
-def comm_inner(dims: Dimensions, lam: float, phi1: GridFunction,
-               phi2: GridFunction) -> complex:
-    """Single-cell commutative-model pairing
-    coeff(lam) * sum w |xi|^(lam-d) phi1 conj(phi2)."""
-    if phi1.l != 1 or phi2.l != 1:
-        raise DomainError("comm_inner is the single-cell pairing")
-    c = phi1.cells[0]
-    weight = c.weights * c.radii ** (lam - dims.d)
-    return _norm_coeff(dims, lam) * complex(np.sum(weight * phi1.values * np.conj(phi2.values)))
-
-
-def comm_norm(dims: Dimensions, lam: float, phi: GridFunction) -> float:
-    """Squared norm in the commutative model."""
-    return float(comm_inner(dims, lam, phi, phi).real)
+def _nu_weights(dims: Dimensions, partition: M.Partition, cells: list) -> list:
+    """Per cell, the quadrature weights times the nu cell density."""
+    return [c.weights * np.exp(specfun.log_nu_radial_density(dims, lam, c.radii))
+            for lam, c in zip(partition.masses, cells)]
 
 
 def nu_inner(dims: Dimensions, partition: M.Partition, phi1: GridFunction,
              phi2: GridFunction) -> complex:
     """L^2(nu_alpha) pairing on the product grid."""
-    vals = phi1.values * np.conj(phi2.values)
-    for axis, (lam, c) in enumerate(zip(partition.masses, phi1.cells)):
-        dens = (
-            math.pi ** (-dims.d / 2.0)
-            * _norm_coeff(dims, lam)
-            * c.radii ** (lam - dims.d)
-        )
-        shape = [1] * vals.ndim
-        shape[axis] = -1
-        vals = vals * (c.weights * dens).reshape(shape)
-    return complex(vals.sum())
+    prod = GridFunction(phi1.cells, phi1.values * np.conj(phi2.values))
+    return complex(prod.scale_values(_nu_weights(dims, partition, phi1.cells)).values.sum())
 
 
 def nu_norm(dims: Dimensions, partition: M.Partition, phi: GridFunction) -> float:
     return float(nu_inner(dims, partition, phi, phi).real)
+
+
+def comm_norm(dims: Dimensions, lam: float, phi: GridFunction) -> float:
+    """Squared norm in the commutative model of a single-cell function,
+    2^(-lam) Gamma((d-lam)/2)/Gamma(lam/2) sum w |xi|^(lam-d) |phi|^2,
+    which is pi^(d/2) times its squared norm in L^2(nu_lam)."""
+    if phi.l != 1:
+        raise DomainError("comm_norm is the single-cell norm")
+    return math.pi ** (dims.d / 2.0) * nu_norm(dims, M.Partition((lam,)), phi)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +90,7 @@ def _sample_difference(dims: Dimensions, rng: np.random.Generator, lam: float,
     singularity exactly) and a Gaussian; returns (u, q(u)) with q the mixture
     density in R^d."""
     d = dims.d
-    area = 2.0 * math.pi ** (d / 2.0) / _gamma(d / 2.0)
+    area = specfun.sphere_area(d)
     pick = rng.random(count) < p_sing
     r = r0 * rng.random(count) ** (1.0 / (d - lam))
     if d == 1:
@@ -418,10 +403,6 @@ def vacuum_evaluator(dims: Dimensions, lam: float):
     return f
 
 
-def vacuum(dims: Dimensions, lam: float, grid: CellGrid) -> GridFunction:
-    return tabulate([grid], vacuum_evaluator(dims, lam))
-
-
 def vacuum_checks(dims: Dimensions, lam: float, cn: float,
                   gamma_norms=(0.5, 1.0, 2.0)):
     """Two quadrature identities for the vacuum vector:
@@ -532,18 +513,9 @@ def r_transform(dims: Dimensions, partition: M.Partition, phi: GridFunction,
     """R phi(gamma) = integral phi(xi) e^{i<xi,gamma>} d nu_alpha(xi) by node
     quadrature on the product grid."""
     gamma = np.asarray(gamma, dtype=float).reshape(partition.size, dims.d)
-    vals = phi.values.astype(complex)
-    for axis, (lam, c) in enumerate(zip(partition.masses, phi.cells)):
-        dens = (
-            math.pi ** (-dims.d / 2.0)
-            * _norm_coeff(dims, lam)
-            * c.radii ** (lam - dims.d)
-        )
-        phase = np.exp(1j * c.nodes @ gamma[axis])
-        shape = [1] * vals.ndim
-        shape[axis] = -1
-        vals = vals * (c.weights * dens * phase).reshape(shape)
-    return complex(vals.sum())
+    factors = [w * np.exp(1j * c.nodes @ g)
+               for w, c, g in zip(_nu_weights(dims, partition, phi.cells), phi.cells, gamma)]
+    return complex(phi.scale_values(factors).values.sum())
 
 
 def _product_bump(cells: list) -> GridFunction:
@@ -631,7 +603,7 @@ def _spherical_cell(dims: Dimensions, lam: float, gamma: np.ndarray) -> complex:
     letters = [G.TriangularElement(1.0, np.eye(d), gamma)]
     if lam < d:
         grid = grid_1d_sqrt(40.0, 128) if d == 1 else grid_2d_sqrt(40.0, 64, 32)
-        log_v = -lam * math.log(2.0) + specfun.log_v_rho((d - lam) / 2.0, grid.radii)
+        log_v = specfun.log_cell_ratio(dims, lam, grid.radii)
         f = GridFunction([grid], np.exp(-0.5 * log_v))
         return nu_inner(dims, part, u_current_apply(dims, part, letters, f), f)
     # with the log singularity of the density at lam = d the rule in t

@@ -6,8 +6,9 @@ returns I_rho(2z) and ``bessel_k(rho, z)`` returns K_rho(2z).  Production
 values come from scipy's ``iv``/``kv``/``kve`` (D. E. Amos, ACM TOMS
 Algorithm 644, 1986): ``bessel_k`` for scalars and ``log_bessel_k``, from
 the exponentially scaled ``kve``, for arrays.  On the latter sit the
-normalisation function V_rho, the radial jump density g, and the log of
-the radial marginal density of the gamma-type vector law.  ``bessel_k_reference``
+normalisation function V_rho, the radial jump density g, and the per-cell
+laws of the (mu, nu) pair: the log density of a mu cell, of a nu cell, and
+of their ratio.  The sphere area is here too.  ``bessel_k_reference``
 evaluates K_rho(2z) independently, by the trapezoid rule on the integral
 representation K_rho(x) = integral_0^inf e^(-x cosh t) cosh(rho t) dt
 (DLMF 10.32.9); only the checks and tests use it.
@@ -162,6 +163,40 @@ def levy_density_radial(dims: Dimensions, r):
         raise DomainError("radius must be positive")
     rho = dims.d / 2.0
     return np.exp(-rho * np.log(r) + log_bessel_k(rho, r))[()]
+
+
+def sphere_area(d: int) -> float:
+    """Area 2 pi^(d/2) / Gamma(d/2) of the unit sphere in R^d (2 at d = 1)."""
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+
+
+def log_nu_radial_density(dims: Dimensions, lam: float, r):
+    """log of the (infinite-mass) density on R^(n-1) of a single cell of mass
+    0 < lam < n - 1 of the nu law, at radii r > 0, elementwise over arrays:
+
+        pi^(-(n-1)/2) * 2^(-lam) * Gamma((n-1-lam)/2)/Gamma(lam/2) * r^(lam-n+1).
+
+    It is homogeneous of degree lam - n + 1 in the cell vector."""
+    d = dims.d
+    if not 0 < lam < d:
+        raise DomainError(f"nu-side formulas need 0 < lam < n - 1 = {d}, got {lam}")
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0):
+        raise DomainError("radius must be positive")
+    return (
+        -0.5 * d * math.log(math.pi)
+        - lam * math.log(2.0)
+        + float(gammaln((d - lam) / 2.0) - gammaln(lam / 2.0))
+        + (lam - d) * np.log(r)
+    )[()]
+
+
+def log_cell_ratio(dims: Dimensions, lam: float, r):
+    """log of one cell's factor 2^(-lam) V_{(n-1-lam)/2}(r) of the density
+    ratio d nu / d mu, elementwise over radii r >= 0.  It comes from V, not
+    from the difference of the two log densities, so the ratio and the pair
+    of densities are independent routes."""
+    return -lam * math.log(2.0) + log_v_rho((dims.d - lam) / 2.0, r)
 
 
 def log_marginal_radial_density(dims: Dimensions, lam: float, r):

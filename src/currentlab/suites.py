@@ -175,10 +175,9 @@ def _marginal_mass(cfg, stream):
     for n, lam in ((2, 1.0), (3, 0.7)):
         dims = Dimensions(n)
         d = dims.d
-        area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
         # the density times r^(d-1) goes like r^(lam-1) at 0
         r, w = Q.radial_rule(lam - 1.0, 0.5)
-        val = area * float(np.sum(
+        val = specfun.sphere_area(d) * float(np.sum(
             w * r ** (d - 1) * np.exp(specfun.log_marginal_radial_density(dims, lam, r))))
         worst = max(worst, abs(val - 1.0))
     return worst
@@ -814,6 +813,17 @@ def run_suite(config: RunConfig, suite: str, check_ids=None) -> list:
     return reports
 
 
+def json_report(config: RunConfig, suite: str, reports: list) -> dict:
+    """The JSON report of a suite run, as the check command prints it and
+    write_report writes it."""
+    return {
+        "suite": suite,
+        "seed": config.seed,
+        "all_pass": all(r.passed for r in reports),
+        "reports": [r.to_dict() for r in reports],
+    }
+
+
 def write_report(config: RunConfig, suite: str, reports: list) -> None:
     tmp = config.output_path + ".tmp"
     if config.format == "csv":
@@ -823,12 +833,7 @@ def write_report(config: RunConfig, suite: str, reports: list) -> None:
                          f"{r.tolerance!r},{str(r.passed).lower()},{r.runtime_ms}")
         body = "\n".join(lines) + "\n"
     else:
-        body = json.dumps({
-            "suite": suite,
-            "seed": config.seed,
-            "all_pass": all(r.passed for r in reports),
-            "reports": [r.to_dict() for r in reports],
-        }, indent=2) + "\n"
+        body = json.dumps(json_report(config, suite, reports), indent=2) + "\n"
     with open(tmp, "w") as fh:
         fh.write(body)
     os.replace(tmp, config.output_path)

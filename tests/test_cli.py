@@ -56,11 +56,13 @@ def test_check_failing_tolerance_exits_one(tmp_path, capsys):
 
 def test_check_writes_report_file(tmp_path, capsys):
     out_path = tmp_path / "rep.json"
-    code, _, _ = run(capsys, ["check", "measures", "--out", str(out_path)])
+    code, out, _ = run(capsys, ["check", "measures", "--out", str(out_path)])
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert doc["all_pass"] is True
     assert set(doc) == {"suite", "seed", "all_pass", "reports"}
+    # the printed report is the file's, byte for byte
+    assert out == out_path.read_text()
 
 
 def test_check_bad_config_exits_one_without_partial_file(tmp_path, capsys):

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "currentlab"
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "currentlab"
 
 
 def unused_imports(source: str) -> list:
@@ -94,6 +97,115 @@ def test_package_has_no_unused_imports():
     assert paths
     found = {path.name: unused_imports(path.read_text()) for path in paths}
     assert {name: got for name, got in found.items() if got} == {}
+
+
+# attributes that every array or container has: reading x.copy names no
+# method of the package unless x is the defining class itself
+_CONTAINER_ATTRS = set(dir(np.ndarray)) | set(dir(list)) | set(dir(dict))
+
+
+def _references(source: str):
+    """What a module names: the names it reads, the identifier strings it
+    holds (as in monkeypatch.setattr(module, "name", ...)), and the
+    (receiver name or None, attribute) pairs it reads.  Import statements
+    and __all__ name nothing."""
+    tree = ast.parse(source)
+    exported = {id(e) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for e in ast.walk(node.value)}
+    names, attrs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in exported):
+            names.add(node.value)
+        elif isinstance(node, ast.Attribute):
+            receiver = node.value.id if isinstance(node.value, ast.Name) else None
+            attrs.add((receiver, node.attr))
+    return names, attrs
+
+
+def _definitions(source: str):
+    """(line, name, enclosing class or None) of every function, class and
+    method, except dunders and decorated ones, which the interpreter or the
+    decorator calls."""
+    todo = [(node, None) for node in ast.parse(source).body]
+    while todo:
+        node, owner = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+            if not node.decorator_list and not (name.startswith("__") and name.endswith("__")):
+                yield node.lineno, name, owner
+            inner = name if isinstance(node, ast.ClassDef) else None
+            todo.extend((child, inner) for child in node.body)
+        else:
+            todo.extend((child, owner) for child in ast.iter_child_nodes(node))
+
+
+def dead_definitions(package: dict, others: list) -> list:
+    """Functions, classes and methods defined in the package sources (a map
+    from file name to source) that neither the package nor the other
+    sources name."""
+    names, attrs = set(), set()
+    for source in list(package.values()) + list(others):
+        got_names, got_attrs = _references(source)
+        names |= got_names
+        attrs |= got_attrs
+    found = []
+    for fname, source in package.items():
+        for line, name, owner in _definitions(source):
+            if name in names or any(
+                    attr == name and (name not in _CONTAINER_ATTRS
+                                      or owner is not None and receiver == owner)
+                    for receiver, attr in attrs):
+                continue
+            found.append((fname, line, name))
+    return [f"{fname} line {line}: {name}" for fname, line, name in sorted(found)]
+
+
+def test_dead_definitions_are_found():
+    package = {"m.py": ("def used():\n"
+                        "    pass\n"
+                        "def dead():\n"
+                        "    pass\n"
+                        "class K:\n"
+                        "    def __init__(self):\n"
+                        "        pass\n"
+                        "    def method(self):\n"
+                        "        return used()\n"
+                        "    def by_string(self):\n"
+                        "        pass\n"
+                        "    def copy(self):\n"
+                        "        pass\n"
+                        "    def mean(self):\n"
+                        "        pass\n"
+                        "@register\n"
+                        "def hook():\n"
+                        "    def inner():\n"
+                        "        pass\n"
+                        "class Unused(K):\n"
+                        "    pass\n"
+                        "class Exported:\n"
+                        "    pass\n"
+                        "__all__ = ['Exported']\n"),
+               "n.py": "from .m import Exported\n"}
+    others = ["from m import K\n"
+              "K().method()\n"
+              "setattr(K, 'by_string', None)\n"
+              "a.copy()\n"          # an array's copy, not K's
+              "K.mean(k)\n"]
+    assert dead_definitions(package, others) == [
+        "m.py line 3: dead", "m.py line 12: copy", "m.py line 18: inner",
+        "m.py line 20: Unused", "m.py line 22: Exported"]
+
+
+def test_package_has_no_dead_definitions():
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    others = [path.read_text() for folder in ("tests", "bench", "tools", "demos")
+              for path in sorted((ROOT / folder).glob("**/*.py"))]
+    assert others
+    assert dead_definitions(package, others) == []
 
 
 def test_checks_run_without_mpmath():

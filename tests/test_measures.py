@@ -42,6 +42,8 @@ def test_group_sum():
     ref = M.split_evenly(p, 2)
     fine = np.array([[1.0], [2.0], [3.0], [4.0]])
     assert np.allclose(ref.group_sum(fine), [[3.0], [7.0]])
+    # a batch of draws sums over its cell axis
+    assert np.allclose(ref.group_sum(np.stack((fine, -fine))), [[[3.0], [7.0]], [[-3.0], [-7.0]]])
 
 
 def test_mu_density_is_product_of_marginals():

@@ -225,9 +225,17 @@ def test_levy_khinchin_in_higher_dimensions():
             assert Q.levy_khinchin_residual(dims, g, _lk_closed_form(n)) <= 1e-9
 
 
+def test_levy_khinchin_residual_is_at_rounding_level():
+    # the angular average minus 1 is summed as a series at small u = |gamma| r,
+    # so small |gamma| loses nothing to cancellation
+    for n in (2, 3, 4, 5):
+        for g in (0.1, 0.5, 4.0, 10.0):
+            assert Q.levy_khinchin_residual(Dimensions(n), g, _lk_closed_form(n)) <= 1e-14
+
+
 def test_levy_khinchin_sees_a_j0_average_beyond_d_2(monkeypatch):
     # J_0 is the sphere average only in R^2; the fit bypasses its cache
-    monkeypatch.setattr(Q, "_angular_average", lambda d, u: j0(u))
+    monkeypatch.setattr(Q, "_angular_average_minus_one", lambda d, u: j0(u) - 1.0)
     for n in (4, 5):
         kappa = Q.fit_levy_khinchin_kappa.__wrapped__(n)
         assert abs(kappa / _lk_closed_form(n) - 1.0) > 0.1

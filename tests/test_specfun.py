@@ -170,3 +170,24 @@ def test_marginal_radial_density_domain():
         specfun.log_marginal_radial_density(Dimensions(2), 1.0, np.array([0.5, 0.0]))
     with pytest.raises(DomainError):
         specfun.log_marginal_radial_density(Dimensions(3), 0.7, 0.0)
+
+
+def test_sphere_area():
+    for d, want in ((1, 2.0), (2, 2.0 * math.pi), (3, 4.0 * math.pi), (4, 2.0 * math.pi ** 2)):
+        assert specfun.sphere_area(d) == pytest.approx(want, rel=1e-15)
+
+
+def test_nu_radial_density_and_cell_ratio():
+    dims = Dimensions(3)
+    r = np.array([0.2, 1.0, 3.5])
+    for lam in (0.5, 1.3):
+        nu = specfun.log_nu_radial_density(dims, lam, r)
+        # the cell ratio is the nu law over the mu law
+        ratio = nu - specfun.log_marginal_radial_density(dims, lam, r)
+        assert np.allclose(specfun.log_cell_ratio(dims, lam, r), ratio, rtol=0, atol=1e-12)
+        assert specfun.log_cell_ratio(dims, lam, 0.0) == pytest.approx(-lam * math.log(2.0))
+    for lam in (0.0, 2.0, 2.5):
+        with pytest.raises(DomainError):
+            specfun.log_nu_radial_density(dims, lam, r)
+    with pytest.raises(DomainError):
+        specfun.log_nu_radial_density(dims, 0.5, np.array([1.0, 0.0]))

@@ -173,9 +173,10 @@ def _spherical_failures() -> list:
             if not r.passed]
 
 
-def _scale_norm_coeff(monkeypatch):
-    coeff = R._norm_coeff
-    monkeypatch.setattr(R, "_norm_coeff", lambda dims, lam: coeff(dims, lam) * (1.0 + 1e-6))
+def _shift_nu_density(monkeypatch):
+    log_dens = specfun.log_nu_radial_density
+    monkeypatch.setattr(specfun, "log_nu_radial_density",
+                        lambda dims, lam, r: log_dens(dims, lam, r) + 1e-6)
 
 
 def _shift_log_v(monkeypatch):
@@ -196,7 +197,7 @@ def _scale_z_shift(monkeypatch):
 
 
 @pytest.mark.parametrize("mutate, caught", [
-    (_scale_norm_coeff, _SPHERICAL_NU),
+    (_shift_nu_density, _SPHERICAL_NU),
     (_shift_log_v, _SPHERICAL_NU),
     (_shift_mu_density, _SPHERICAL_MU),
     (_scale_z_shift, _SPHERICAL_SHIFTED),
@@ -205,6 +206,14 @@ def test_spherical_checks_catch_mutants(monkeypatch, mutate, caught):
     assert _spherical_failures() == []
     mutate(monkeypatch)
     assert _spherical_failures() == caught
+
+
+def test_nu_cell_law_is_read_by_the_ratio_and_the_spherical_checks(monkeypatch):
+    # the one nu cell density feeds the measures' nu density and every
+    # L^2(nu_alpha) pairing; the pairings that are ratios cancel the shift
+    _shift_nu_density(monkeypatch)
+    failed = [r.check_id for r in S.run_suite(S.RunConfig(workers=1), "all") if not r.passed]
+    assert failed == ["density-ratio-consistency"] + _SPHERICAL_NU
 
 
 class _StreamWithoutDraws:
