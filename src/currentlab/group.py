@@ -1,6 +1,6 @@
 """The matrix group preserving the quadratic form 2 x_1 x_{n+1} + |x_mid|^2,
 its triangular subgroup, the boundary action on R^(n-1), and the Bruhat-type
-factorization of arbitrary elements into at most five letters over the
+factorization of arbitrary elements into at most four letters over the
 triangular subgroup together with the inversion s.
 
 Conventions: matrices are (n+1) x (n+1) in the block pattern
@@ -232,26 +232,47 @@ class GroupWord:
         return len(self.letters)
 
 
-def factor_word(g: GroupElement, tol: float = 1e-10) -> GroupWord:
-    """Factor g as a word of length <= 3 over {triangular} union {s}.
-
-    If the corner entry g13 vanishes, g is itself triangular.  Otherwise gs
-    admits an in-group LU splitting z(gamma) * (upper), giving
-    g = z(gamma) . s . b with b triangular: the first column (a, v, *) of
-    M = g s lies on the cone, so gamma = -(v/a) annihilates it under
-    z(-gamma) and the quotient is automatically block upper triangular."""
-    g.require_member()
+def _split(g: GroupElement) -> list:
+    """The letters z(gamma), s, b of g = z(gamma) . s . b, for g off the
+    triangular subgroup: the first column (a, v, *) of M = g s lies on the
+    cone, so gamma = -(v/a) annihilates it under z(-gamma) and the quotient
+    is automatically block upper triangular.  a is the corner entry g13."""
     n = g.n
-    scale = float(np.abs(g.m).max())
-    if abs(g.g13) <= tol * scale:
-        return GroupWord(n, [TriangularElement.from_matrix(g)])
     s = make_s(n)
     M = g @ s
     a = M.m[0, 0]
     gamma = -(M.m[1:n, 0] / a)
     upper = make_z(-gamma) @ M
     b = TriangularElement.from_matrix((s @ upper @ s).require_member(1e-7))
-    return GroupWord(n, [TriangularElement(1.0, np.eye(n - 1), gamma), "s", b])
+    return [TriangularElement(1.0, np.eye(n - 1), gamma), "s", b]
+
+
+# _split divides by the corner g13: over random_element draws its quotient
+# b left the group by up to 1e-15 (max|g| / |g13|)^2, which at this ratio
+# of |g13| to max|g| is 1e-8, a tenth of b's membership test
+_SPLIT_MIN_CORNER = 3e-4
+
+
+def factor_word(g: GroupElement, tol: float = 1e-10) -> GroupWord:
+    """Factor g as a word over {triangular} union {s}.
+
+    If the upper blocks g12, g13, g23 vanish, g is itself triangular.
+    Otherwise g s admits an in-group LU splitting, g = z(gamma) . s . b with
+    b triangular (_split).  The splitting divides by the corner g13, so
+    when |g13| is below _SPLIT_MIN_CORNER max|g| and below |g33| (g near the
+    triangular subgroup), s g, whose corner is g33, is split instead:
+    g = s . z(gamma) . s . b.  Words have at most 3 letters in the first
+    case and 4 in the second."""
+    g.require_member()
+    n = g.n
+    scale = float(np.abs(g.m).max())
+    upper = max(abs(g.g13), float(np.abs(g.g12).max(initial=0.0)),
+                float(np.abs(g.g23).max(initial=0.0)))
+    if upper <= tol * scale:
+        return GroupWord(n, [TriangularElement.from_matrix(g)])
+    if abs(g.g13) < min(_SPLIT_MIN_CORNER * scale, abs(g.g33)):
+        return GroupWord(n, ["s"] + _split(make_s(n) @ g))
+    return GroupWord(n, _split(g))
 
 
 def measure_relation_check(g: GroupElement, x, y, h: float = 1e-6):

@@ -17,7 +17,7 @@ cancel in the density ratio, so
 holds with the same 2^(-m(X)) prefactor in every dimension (for n = 2 it is
 sometimes convenient to absorb it into the cell factors; we never do).  The
 three cell laws are written once, in specfun; the joint densities here sum
-them over the cells."""
+them over the cells, all cells (and any batch of points) in one call."""
 
 from __future__ import annotations
 
@@ -82,12 +82,16 @@ class Refinement:
     def group_sum(self, xi_fine: np.ndarray) -> np.ndarray:
         """Sum fine-cell vectors into coarse cells (the projection that
         intertwines the two marginals), over the cell axis of an array
-        (..., fine cells, d)."""
+        (..., fine cells, d): one matrix product of the flattened cells with
+        the 0/1 assignment matrix kron I_d.  Its zero terms add nothing, so
+        where no coarse cell collects more than two fine cells it equals the
+        loop out[i] += xi[j] bit for bit; with more, the product may add
+        them in another order, which moves the sum by rounding."""
         xi_fine = np.asarray(xi_fine, dtype=float)
-        out = np.zeros(xi_fine.shape[:-2] + (self.coarse.size, xi_fine.shape[-1]))
-        for j, i in enumerate(self.assignment):
-            out[..., i, :] += xi_fine[..., j, :]
-        return out
+        batch, d = xi_fine.shape[:-2], xi_fine.shape[-1]
+        assign = np.eye(self.coarse.size)[list(self.assignment)]
+        out = xi_fine.reshape(batch + (-1,)) @ np.kron(assign, np.eye(d))
+        return out.reshape(batch + (self.coarse.size, d))
 
 
 def split_evenly(partition: Partition, parts: int) -> Refinement:
@@ -100,11 +104,21 @@ def split_evenly(partition: Partition, parts: int) -> Refinement:
 
 
 def _as_cells(partition: Partition, dims: Dimensions, xi) -> np.ndarray:
+    """One point as an array (cells, d), a flat one as (cells * d,), or a
+    batch of points as (..., cells, d)."""
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 1:
         xi = xi.reshape(partition.size, dims.d)
-    if xi.shape != (partition.size, dims.d):
+    if xi.shape[-2:] != (partition.size, dims.d):
         raise DomainError(f"expected shape {(partition.size, dims.d)}, got {xi.shape}")
+    return xi
+
+
+def _as_point(partition: Partition, dims: Dimensions, xi) -> np.ndarray:
+    xi = _as_cells(partition, dims, xi)
+    if xi.ndim != 2:
+        raise DomainError(f"expected one point of shape {(partition.size, dims.d)}, "
+                          f"got {xi.shape}")
     return xi
 
 
@@ -120,38 +134,43 @@ def char_l(gamma):
 def big_psi(partition: Partition, dims: Dimensions, gamma) -> float:
     """Characteristic functional of mu_alpha:
     Psi(gamma) = prod_i (1 + |gamma^i|^2/4)^(-lam_i/2)."""
-    gamma = _as_cells(partition, dims, gamma)
+    gamma = _as_point(partition, dims, gamma)
     acc = 0.0
     for lam, g in zip(partition.masses, gamma):
         acc += -0.5 * lam * math.log1p(float(g @ g) / 4.0)
     return math.exp(acc)
 
 
-def _cell_radii(partition: Partition, dims: Dimensions, xi) -> np.ndarray:
-    return np.linalg.norm(_as_cells(partition, dims, xi), axis=1)
+def _cell_sum(law, dims: Dimensions, partition: Partition, xi):
+    """The sum over the cells of a specfun cell law at the cell radii of xi,
+    one call of the law over all cells: a float for one point, an array of
+    the batch shape for a batch (..., cells, d) of points."""
+    radii = np.linalg.norm(_as_cells(partition, dims, xi), axis=-1)
+    total = np.sum(law(dims, np.asarray(partition.masses), radii), axis=-1)
+    return float(total) if np.ndim(total) == 0 else total
 
 
-def log_mu_alpha_density(dims: Dimensions, partition: Partition, xi) -> float:
+def log_mu_alpha_density(dims: Dimensions, partition: Partition, xi):
     """log of the joint probability density of the cell marginals of mu, the
-    sum of the mu cell laws."""
-    return float(sum(specfun.log_marginal_radial_density(dims, lam, r)
-                     for lam, r in zip(partition.masses, _cell_radii(partition, dims, xi))))
+    sum of the mu cell laws; at one point (a float) or over a batch of
+    points (..., cells, d)."""
+    return _cell_sum(specfun.log_marginal_radial_density, dims, partition, xi)
 
 
-def log_nu_alpha_density(dims: Dimensions, partition: Partition, xi) -> float:
+def log_nu_alpha_density(dims: Dimensions, partition: Partition, xi):
     """log of the density of the (sigma-finite) nu marginal, the sum of the
-    nu cell laws; the density is homogeneous of degree lam_i - d in each
-    cell vector."""
-    return float(sum(specfun.log_nu_radial_density(dims, lam, r)
-                     for lam, r in zip(partition.masses, _cell_radii(partition, dims, xi))))
+    nu cell laws, at one point or over a batch of points as
+    log_mu_alpha_density; the density is homogeneous of degree lam_i - d in
+    each cell vector."""
+    return _cell_sum(specfun.log_nu_radial_density, dims, partition, xi)
 
 
-def log_rn_derivative(dims: Dimensions, partition: Partition, xi) -> float:
+def log_rn_derivative(dims: Dimensions, partition: Partition, xi):
     """log d nu_alpha / d mu_alpha (xi) = log(2^(-m(X)) prod_k V_{(d-lam_k)/2}(|xi^k|)),
-    the sum of the cell ratios."""
+    the sum of the cell ratios, at one point or over a batch of points as
+    log_mu_alpha_density."""
     partition.require_nu_valid(dims)
-    return float(sum(specfun.log_cell_ratio(dims, lam, r)
-                     for lam, r in zip(partition.masses, _cell_radii(partition, dims, xi))))
+    return _cell_sum(specfun.log_cell_ratio, dims, partition, xi)
 
 
 def log_density_v(dims: Dimensions, total_mass: float, radii) -> float:
@@ -164,7 +183,7 @@ def log_density_v(dims: Dimensions, total_mass: float, radii) -> float:
 
 def nu_char(partition: Partition, dims: Dimensions, gamma) -> float:
     """The nu-side characteristic product prod_i |gamma^i|^(-lam_i)."""
-    gamma = _as_cells(partition, dims, gamma)
+    gamma = _as_point(partition, dims, gamma)
     acc = 0.0
     for lam, g in zip(partition.masses, gamma):
         r = float(np.linalg.norm(g))

@@ -350,8 +350,8 @@ def radial_rule(alpha: float, width: float):
 
 _DEF_LAM_GRID = (0.5, 1.0, 1.5)
 _DEF_XI_GRID = (0.25, 0.5, 1.0, 2.0)
-_OUTER_PANELS = 7   # power_pairing_residual's outer rule: 7 panels of 24 nodes
-_OUTER_PTS = 24
+_OUTER_PANELS = 6   # power_pairing_residual's outer rule: 6 panels of 16 nodes
+_OUTER_PTS = 16
 
 
 def calibrate_cn(dims: Dimensions, lam_grid=_DEF_LAM_GRID, xi_grid=_DEF_XI_GRID,
@@ -403,10 +403,10 @@ def power_pairing_residual(dims: Dimensions, lam: float, cn: float,
     if not 0 < lam < d:
         raise DomainError("the pairing identity needs 0 < lam < d = n - 1")
     prof = RadialProfile(lambda r: np.exp(-(r / width) ** 2), 0.0)
-    # fixed outer rule on [0, 40/width] (FT[w] is below e^-400 beyond): the
+    # fixed outer rule on [0, 20/width] (FT[w] is below e^-100 beyond): the
     # s^(d-1-lam) factor is mapped out on the first panel, and every node's
     # transform comes from one radial_fourier call
-    s, w = _graded_rule(40.0 / width, _OUTER_PANELS, d - 1.0 - lam, _OUTER_PTS)
+    s, w = _graded_rule(20.0 / width, _OUTER_PANELS, d - 1.0 - lam, _OUTER_PTS)
     ft_w = radial_fourier(dims, prof, s, tol=1e-11).value
     area = specfun.sphere_area(d)
     lhs = area * float(np.sum(w * s ** (d - 1 - lam) * ft_w))

@@ -26,7 +26,7 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
-from scipy.special import gamma as _gamma, jv, kv
+from scipy.special import gamma as _gamma, jv, kv, yv
 
 from . import group as G
 from . import measures as M
@@ -82,6 +82,12 @@ def t_std_apply(dims: Dimensions, lam: float, g: G.GroupElement, f):
     return out
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (N, d) array by einsum, about five
+    times faster than np.linalg.norm(x, axis=1) at d = 2."""
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
 def _sample_difference(dims: Dimensions, rng: np.random.Generator, lam: float,
                        count: int, r0: float = 1.0, sigma: float = 2.0,
                        p_sing: float = 0.5):
@@ -97,11 +103,11 @@ def _sample_difference(dims: Dimensions, rng: np.random.Generator, lam: float,
         dirs = np.where(rng.random(count) < 0.5, -1.0, 1.0)[:, None]
     else:
         raw = rng.standard_normal((count, d))
-        dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        dirs = raw / _row_norms(raw)[:, None]
     u_sing = r[:, None] * dirs
     u_gauss = sigma * rng.standard_normal((count, d))
     u = np.where(pick[:, None], u_sing, u_gauss)
-    rr = np.linalg.norm(u, axis=1)
+    rr = _row_norms(u)
     q_sing = np.where(
         rr <= r0,
         (d - lam) / (area * r0 ** (d - lam)) * rr ** (-lam),
@@ -133,10 +139,10 @@ def inner_std(dims: Dimensions, lam, f1, f2, stream, n_mc: int = 200_000,
     u, qu = _sample_difference(dims, rng, total, n_mc, sigma=sigma)
     gpp = sigma * rng.standard_normal((n_mc, d))
     q_gpp = (2 * math.pi * sigma ** 2) ** (-d / 2.0) * np.exp(
-        -np.sum(gpp ** 2, axis=1) / (2 * sigma ** 2)
+        -np.einsum("ij,ij->i", gpp, gpp) / (2 * sigma ** 2)
     )
     gp = gpp + u
-    rr = np.linalg.norm(u, axis=1)
+    rr = _row_norms(u)
     kern = rr ** (-lams[0])
     for li in lams[1:]:
         kern = kern * rr ** (-li)
@@ -171,9 +177,13 @@ def _kernel_block_n2(lam: float, xi: np.ndarray, xi_prime: np.ndarray) -> np.nda
         I = pi / (2 cos(pi lam / 2)) * |2 xi'/xi|^((lam-1)/2) * D(w),
         w = 2^(3/2) |xi xi'|^(1/2),
         D = J_{lam-1}(w) - J_{1-lam}(w)  if xi xi' > 0,
-        D = I_{lam-1}(w) - I_{1-lam}(w)  if xi xi' < 0,
+        D = I_{lam-1}(w) - I_{1-lam}(w)  if xi xi' < 0.
 
-    and on the second branch the product of the prefactor and D is taken as
+    On the first branch, with nu = 1 - lam, the reflection
+    J_{-nu} = cos(nu pi) J_nu - sin(nu pi) Y_nu (DLMF 10.4.7) gives
+    D = -2 sin^2(nu pi/2) J_nu(w) - sin(nu pi) Y_nu(w): one J and one Y of
+    positive order (a negative-order J costs scipy both).  On the second
+    branch the product of the prefactor and D is taken as
     2 sin(pi lam/2) K_{lam-1}(w) (the I difference cancels catastrophically
     for large w).  quadrature.kernel_A is the reference route.
 
@@ -196,10 +206,12 @@ def _kernel_block_n2(lam: float, xi: np.ndarray, xi_prime: np.ndarray) -> np.nda
     amp = ((2.0 * ay[None, :] / ax[:, None]) ** ((lam - 1.0) / 2.0)).ravel()
     coeff = _op_coeff(lam)
     const = math.pi / (2.0 * math.cos(0.5 * math.pi * lam))
+    nu = 1.0 - lam
     d = np.zeros((2, prod.size))
     with np.errstate(under="ignore"):
         ws = w[need_same]
-        d[0, need_same] = const * (jv(lam - 1.0, ws) - jv(1.0 - lam, ws))
+        d[0, need_same] = const * (-2.0 * math.sin(0.5 * math.pi * nu) ** 2 * jv(nu, ws)
+                                   - math.sin(math.pi * nu) * yv(nu, ws))
         d[1, need_cross] = 2.0 * math.sin(0.5 * math.pi * lam) * kv(lam - 1.0, w[need_cross])
     block = coeff * amp[pair] * np.where(same, d[0, entry], d[1, entry])
     return block.reshape(xi.size, xi_prime.size)

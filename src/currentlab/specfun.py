@@ -8,7 +8,9 @@ Algorithm 644, 1986): ``bessel_k`` for scalars and ``log_bessel_k``, from
 the exponentially scaled ``kve``, for arrays.  On the latter sit the
 normalisation function V_rho, the radial jump density g, and the per-cell
 laws of the (mu, nu) pair: the log density of a mu cell, of a nu cell, and
-of their ratio.  The sphere area is here too.  ``bessel_k_reference``
+of their ratio.  V and the three cell laws broadcast over arrays of the
+order or mass as well as of the radius, so that a sum over the cells of a
+partition is one call.  The sphere area is here too.  ``bessel_k_reference``
 evaluates K_rho(2z) independently, by the trapezoid rule on the integral
 representation K_rho(x) = integral_0^inf e^(-x cosh t) cosh(rho t) dt
 (DLMF 10.32.9); only the checks and tests use it.
@@ -116,17 +118,19 @@ def v_rho(rho: float, x: float) -> float:
     return math.exp(log_v_rho(rho, x))
 
 
-def log_v_rho(rho: float, x):
-    """log V_rho elementwise over x >= 0 (0 at x = 0); stable for large x,
-    where V grows like e^(2x).  A scalar x gives a scalar."""
-    if rho <= 0:
+def log_v_rho(rho, x):
+    """log V_rho(x) elementwise over arrays of orders rho > 0 and of x >= 0
+    that broadcast together (0 at x = 0); stable for large x, where V grows
+    like e^(2x).  Scalars give a scalar."""
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho <= 0):
         raise DomainError(f"v_rho requires rho > 0, got {rho}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("v_rho requires x >= 0")
     pos = x > 0
     xp = np.where(pos, x, 1.0)
-    out = float(gammaln(rho)) - math.log(2.0) - rho * np.log(xp) - log_bessel_k(rho, xp)
+    out = gammaln(rho) - math.log(2.0) - rho * np.log(xp) - log_bessel_k(rho, xp)
     return np.where(pos, out, 0.0)[()]
 
 
@@ -170,15 +174,17 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def log_nu_radial_density(dims: Dimensions, lam: float, r):
+def log_nu_radial_density(dims: Dimensions, lam, r):
     """log of the (infinite-mass) density on R^(n-1) of a single cell of mass
-    0 < lam < n - 1 of the nu law, at radii r > 0, elementwise over arrays:
+    0 < lam < n - 1 of the nu law, at radii r > 0, elementwise over arrays
+    of masses and radii that broadcast together:
 
         pi^(-(n-1)/2) * 2^(-lam) * Gamma((n-1-lam)/2)/Gamma(lam/2) * r^(lam-n+1).
 
     It is homogeneous of degree lam - n + 1 in the cell vector."""
     d = dims.d
-    if not 0 < lam < d:
+    lam = np.asarray(lam, dtype=float)
+    if np.any((lam <= 0) | (lam >= d)):
         raise DomainError(f"nu-side formulas need 0 < lam < n - 1 = {d}, got {lam}")
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
@@ -186,30 +192,33 @@ def log_nu_radial_density(dims: Dimensions, lam: float, r):
     return (
         -0.5 * d * math.log(math.pi)
         - lam * math.log(2.0)
-        + float(gammaln((d - lam) / 2.0) - gammaln(lam / 2.0))
+        + (gammaln((d - lam) / 2.0) - gammaln(lam / 2.0))
         + (lam - d) * np.log(r)
     )[()]
 
 
-def log_cell_ratio(dims: Dimensions, lam: float, r):
+def log_cell_ratio(dims: Dimensions, lam, r):
     """log of one cell's factor 2^(-lam) V_{(n-1-lam)/2}(r) of the density
-    ratio d nu / d mu, elementwise over radii r >= 0.  It comes from V, not
-    from the difference of the two log densities, so the ratio and the pair
-    of densities are independent routes."""
-    return -lam * math.log(2.0) + log_v_rho((dims.d - lam) / 2.0, r)
+    ratio d nu / d mu, elementwise over arrays of masses 0 < lam < n - 1 and
+    radii r >= 0 that broadcast together.  It comes from V, not from the
+    difference of the two log densities, so the ratio and the pair of
+    densities are independent routes."""
+    lam = np.asarray(lam, dtype=float)
+    return (-lam * math.log(2.0) + log_v_rho((dims.d - lam) / 2.0, r))[()]
 
 
-def log_marginal_radial_density(dims: Dimensions, lam: float, r):
+def log_marginal_radial_density(dims: Dimensions, lam, r):
     """log of the probability density on R^(n-1) of a single cell of mass
     lam > 0 of the gamma-type vector law, at radii r > 0, elementwise over
-    arrays:
+    arrays of masses and radii that broadcast together:
 
         pi^(-(n-1)/2) * (2/Gamma(lam/2)) * r^((lam-n+1)/2) * K_{(n-1-lam)/2}(2r).
 
     The pi^(-(n-1)/2) prefactor normalises the radial kernel to total mass
     one (the kernel alone integrates to pi^((n-1)/2) for every lam), so this
     is the exact law of the Gaussian mixture sampler."""
-    if lam <= 0:
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0):
         raise DomainError(f"mass parameter must be positive, got {lam}")
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
@@ -219,7 +228,7 @@ def log_marginal_radial_density(dims: Dimensions, lam: float, r):
     return (
         -0.5 * d * math.log(math.pi)
         + math.log(2.0)
-        - float(gammaln(lam / 2.0))
+        - gammaln(lam / 2.0)
         + 0.5 * (lam - d) * np.log(r)
         + log_bessel_k(rho, r)
     )[()]

@@ -424,11 +424,10 @@ def _rn_ratio(cfg, stream):
     for n, masses in ((2, (0.5, 0.3)), (3, (0.5, 0.7))):
         dims = Dimensions(n)
         part = M.Partition(masses)
-        for _ in range(50):
-            xi = stream.rng.standard_normal((part.size, dims.d))
-            a = M.log_rn_derivative(dims, part, xi)
-            b = M.log_nu_alpha_density(dims, part, xi) - M.log_mu_alpha_density(dims, part, xi)
-            worst = max(worst, abs(a - b))
+        xi = stream.rng.standard_normal((50, part.size, dims.d))
+        a = M.log_rn_derivative(dims, part, xi)
+        b = M.log_nu_alpha_density(dims, part, xi) - M.log_mu_alpha_density(dims, part, xi)
+        worst = max(worst, float(np.abs(a - b).max()))
     return worst
 
 
@@ -463,11 +462,9 @@ def _refinement_limit(cfg, stream):
     )
     want = M.log_density_v(dims, 1.0, config.radii)
     part = M.Partition((1.0,))
-    got = None
     for _ in range(4):
         part = M.split_evenly(part, 5).fine
-        xi = P.project_config(config, part)
-        got = M.log_rn_derivative(dims, part, xi)
+    got = M.log_rn_derivative(dims, part, P.project_config(config, part))
     return abs(math.exp(got - want) - 1.0)
 
 
@@ -546,17 +543,12 @@ def _coh_chain(cfg, stream):
 def _nu_rotation(cfg, stream):
     dims = Dimensions(3)
     part = M.Partition((0.5, 0.7))
-    worst = 0.0
+    xi, rotated = [], []
     for _ in range(20):
-        xi = stream.rng.standard_normal((2, 2))
-        rotated = np.asarray([
-            xi[i] @ G.random_orthogonal(2, stream.rng) for i in range(2)
-        ])
-        worst = max(worst, abs(
-            M.log_nu_alpha_density(dims, part, rotated)
-            - M.log_nu_alpha_density(dims, part, xi)
-        ))
-    return worst
+        xi.append(stream.rng.standard_normal((2, 2)))
+        rotated.append([xi[-1][i] @ G.random_orthogonal(2, stream.rng) for i in range(2)])
+    return float(np.abs(M.log_nu_alpha_density(dims, part, np.asarray(rotated))
+                        - M.log_nu_alpha_density(dims, part, np.asarray(xi))).max())
 
 
 @_check("invariance", "nu-scaling-covariance", "18-3", 1e-12)
@@ -565,14 +557,15 @@ def _nu_scaling(cfg, stream):
     for n, masses in ((2, (0.5, 0.3)), (3, (0.5, 0.7))):
         dims = Dimensions(n)
         part = M.Partition(masses)
+        xi, eps = [], []
         for _ in range(20):
-            xi = stream.rng.standard_normal((part.size, dims.d))
-            eps = np.exp(stream.rng.uniform(-1.0, 1.0, size=part.size))
-            lhs = (M.log_nu_alpha_density(dims, part, eps[:, None] * xi)
-                   + dims.d * float(np.log(eps).sum()))
-            rhs = (M.log_nu_alpha_density(dims, part, xi)
-                   + float(np.dot(part.masses, np.log(eps))))
-            worst = max(worst, abs(lhs - rhs))
+            xi.append(stream.rng.standard_normal((part.size, dims.d)))
+            eps.append(np.exp(stream.rng.uniform(-1.0, 1.0, size=part.size)))
+        xi, eps = np.asarray(xi), np.asarray(eps)
+        lhs = (M.log_nu_alpha_density(dims, part, eps[..., None] * xi)
+               + dims.d * np.log(eps).sum(axis=1))
+        rhs = M.log_nu_alpha_density(dims, part, xi) + np.log(eps) @ np.asarray(part.masses)
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
 
@@ -580,15 +573,13 @@ def _nu_scaling(cfg, stream):
 def _mu_rotation(cfg, stream):
     dims = Dimensions(3)
     part = M.Partition((0.5, 0.7))
-    worst = 0.0
+    xi, u = [], []
     for _ in range(20):
-        xi = stream.rng.standard_normal((2, 2))
-        u = G.random_orthogonal(2, stream.rng)
-        worst = max(worst, abs(
-            M.log_mu_alpha_density(dims, part, xi @ u)
-            - M.log_mu_alpha_density(dims, part, xi)
-        ))
-    return worst
+        xi.append(stream.rng.standard_normal((2, 2)))
+        u.append(G.random_orthogonal(2, stream.rng))
+    xi = np.asarray(xi)
+    return float(np.abs(M.log_mu_alpha_density(dims, part, xi @ np.asarray(u))
+                        - M.log_mu_alpha_density(dims, part, xi)).max())
 
 
 @_check("invariance", "configuration-rotation-radii", "29", 1e-12)

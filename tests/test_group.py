@@ -183,6 +183,23 @@ def test_factor_word_generic_case():
             assert np.abs(w.evaluate().m - g.m).max() <= 1e-8
 
 
+def test_factor_word_near_the_triangular_subgroup():
+    # random_element draws whose corner g13 is 1e-5 and 2e-6 of the largest
+    # entry, and an element 1e-12 off the subgroup; the split at g13 alone
+    # left the group (residuals 2.5e-6 and 4.5e-6) or raised for them
+    t = G.TriangularElement(-1.7, np.eye(1), np.array([0.8]))
+    s = G.make_s(2)
+    near = [G.random_element(Dimensions(2), np.random.default_rng(seed))
+            for seed in (23823, 26300)]
+    near.append(t.matrix() @ s @ G.make_z([1e-6]) @ s)
+    for g in near:
+        scale = float(np.abs(g.m).max())
+        assert 0 < abs(g.g13) <= 2e-5 * scale
+        w = G.factor_word(g)
+        assert len(w) == 4
+        assert np.abs(w.evaluate().m - g.m).max() <= 1e-8 * scale
+
+
 def test_factor_word_rejects_non_members():
     bad = G.GroupElement(np.eye(4) * 2.0, 3)
     with pytest.raises(NotInGroupError):

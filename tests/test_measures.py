@@ -46,6 +46,34 @@ def test_group_sum():
     assert np.allclose(ref.group_sum(np.stack((fine, -fine))), [[[3.0], [7.0]], [[-3.0], [-7.0]]])
 
 
+def _group_sum_loop(ref, xi_fine):
+    out = np.zeros(xi_fine.shape[:-2] + (ref.coarse.size, xi_fine.shape[-1]))
+    for j, i in enumerate(ref.assignment):
+        out[..., i, :] += xi_fine[..., j, :]
+    return out
+
+
+def test_group_sum_matches_the_cell_loop():
+    rng = np.random.default_rng(8)
+    coarse = M.Partition((0.6, 0.4, 0.9))
+    pairs = (M.split_evenly(coarse, 2),
+             M.Refinement(coarse, M.Partition((0.3, 0.2, 0.45, 0.3, 0.45, 0.2)),
+                          (0, 1, 2, 0, 2, 1)))
+    fives = (M.split_evenly(coarse, 5),
+             M.Refinement(coarse, M.Partition((0.2, 0.9, 0.4, 0.2, 0.2)), (0, 2, 1, 0, 0)))
+    for d in (1, 2):
+        for batch in ((), (7,), (3, 5)):
+            # at most two fine cells per coarse cell, sorted or not: bit for bit
+            for ref in pairs:
+                xi = rng.standard_normal(batch + (ref.fine.size, d))
+                assert np.array_equal(ref.group_sum(xi), _group_sum_loop(ref, xi))
+            # more: the same sums in another order
+            for ref in fives:
+                xi = rng.standard_normal(batch + (ref.fine.size, d))
+                assert np.allclose(ref.group_sum(xi), _group_sum_loop(ref, xi),
+                                   rtol=0, atol=1e-14)
+
+
 def test_mu_density_is_product_of_marginals():
     dims = Dimensions(3)
     p = M.Partition((0.5, 0.8))
@@ -55,6 +83,28 @@ def test_mu_density_is_product_of_marginals():
     assert M.log_mu_alpha_density(dims, p, xi) == pytest.approx(want, rel=1e-12)
     with pytest.raises(DomainError):
         M.log_mu_alpha_density(dims, p, np.array([[0.0, 0.0], [1.0, 0.5]]))
+
+
+def test_densities_over_a_batch_match_per_point_calls():
+    rng = np.random.default_rng(12)
+    for n, masses in ((2, (0.5, 0.3, 0.8)), (3, (0.5, 0.7))):
+        dims = Dimensions(n)
+        p = M.Partition(masses)
+        xi = rng.standard_normal((4, 6, p.size, dims.d))
+        for density in (M.log_mu_alpha_density, M.log_nu_alpha_density, M.log_rn_derivative):
+            got = density(dims, p, xi)
+            assert got.shape == (4, 6)
+            one = density(dims, p, xi[2, 3])
+            assert isinstance(one, float)
+            assert got[2, 3] == one
+            want = [[density(dims, p, x) for x in row] for row in xi]
+            assert np.allclose(got, want, rtol=1e-15, atol=0)
+            # a flat point is one point
+            assert density(dims, p, xi[1, 1].ravel()) == density(dims, p, xi[1, 1])
+    with pytest.raises(DomainError):
+        M.log_mu_alpha_density(Dimensions(3), M.Partition((0.5, 0.7)), np.ones((4, 3, 2)))
+    with pytest.raises(DomainError):
+        M.big_psi(M.Partition((0.5, 0.7)), Dimensions(3), np.ones((4, 2, 2)))
 
 
 def test_nu_density_closed_form_single_cell():

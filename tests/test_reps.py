@@ -92,16 +92,45 @@ def test_kernel_matrix_domain():
                         _unit_grid([[0.0, 1.0, 0.0]]))
 
 
+def _reflected_difference(nu, w):
+    # J_{-nu}(w) - J_nu(w) by the reflection J_{-nu} = cos(nu pi) J_nu - sin(nu pi) Y_nu
+    from scipy.special import jv, yv
+
+    return (-2.0 * math.sin(0.5 * math.pi * nu) ** 2 * jv(nu, w)
+            - math.sin(math.pi * nu) * yv(nu, w))
+
+
+def test_kernel_block_same_sign_term_against_mpmath():
+    # same-sign entries carry D = J_{lam-1}(w) - J_{1-lam}(w), taken by the
+    # reflection; against mpmath at 30 digits for w in [1e-4, 300], measured
+    # against the modulus sqrt(J_nu^2 + Y_nu^2) of the oscillation, since D
+    # itself passes through zero
+    mpmath = pytest.importorskip("mpmath")
+    from scipy.special import jv, yv
+
+    xi = (np.geomspace(1e-4, 300.0, 60) / 2.0 ** 1.5) ** 2
+    w = 2.0 ** 1.5 * np.sqrt(xi)
+    with mpmath.workdps(30):
+        for lam in (0.05, 0.3, 0.5, 0.7, 0.95):
+            nu = 1.0 - lam
+            d = np.array([float(mpmath.besselj(-nu, x) - mpmath.besselj(nu, x)) for x in w])
+            # A_op = (2/pi) 2^(-lam/2) |2 xi'/xi|^((lam-1)/2) pi/(2 cos(pi lam/2)) D at xi' = 1
+            pre = (2.0 / math.pi) * 2.0 ** (-lam / 2.0) * (2.0 / xi) ** ((lam - 1.0) / 2.0) \
+                * math.pi / (2.0 * math.cos(0.5 * math.pi * lam))
+            got = R._kernel_block_n2(lam, xi, np.array([1.0]))[:, 0]
+            assert np.all(np.abs(got - pre * d) <= 5e-13 * pre * np.hypot(jv(nu, w), yv(nu, w)))
+
+
 def _block_entrywise(lam, xi, xi_prime):
     # the closed form entry by entry, both Bessel terms on the full block
-    from scipy.special import jv, kv
+    from scipy.special import kv
 
     s = xi[:, None] * xi_prime[None, :]
     w = 2.0 ** 1.5 * np.sqrt(np.abs(s))
     amp = np.abs(2.0 * xi_prime[None, :] / xi[:, None]) ** ((lam - 1.0) / 2.0)
     const = math.pi / (2.0 * math.cos(0.5 * math.pi * lam))
     with np.errstate(under="ignore"):
-        d = np.where(s > 0, const * (jv(lam - 1.0, w) - jv(1.0 - lam, w)),
+        d = np.where(s > 0, const * _reflected_difference(1.0 - lam, w),
                      2.0 * math.sin(0.5 * math.pi * lam) * kv(lam - 1.0, w))
     return (2.0 / math.pi) * 2.0 ** (-lam / 2.0) * amp * d
 

@@ -177,6 +177,32 @@ def test_sphere_area():
         assert specfun.sphere_area(d) == pytest.approx(want, rel=1e-15)
 
 
+def test_cell_laws_over_arrays_of_masses():
+    # one call over an array of masses against one call per mass
+    r = np.array([[0.05, 0.7, 2.0, 9.0], [0.3, 1.1, 4.0, 25.0]])
+    for dims, lams in ((Dimensions(2), np.array([0.1, 0.5, 0.95])),
+                       (Dimensions(3), np.array([0.3, 1.0, 1.7]))):
+        laws = (specfun.log_marginal_radial_density, specfun.log_nu_radial_density,
+                specfun.log_cell_ratio)
+        for law in laws:
+            got = law(dims, lams[:, None, None], r)
+            assert got.shape == (3,) + r.shape
+            for k, lam in enumerate(lams):
+                assert np.array_equal(got[k], law(dims, float(lam), r))
+            # a mass per radius
+            assert np.array_equal(law(dims, lams, r[0, :3]),
+                                  [law(dims, float(a), b) for a, b in zip(lams, r[0, :3])])
+        rhos = (dims.d - lams) / 2.0
+        assert np.array_equal(specfun.log_v_rho(rhos[:, None], r[0]),
+                              [specfun.log_v_rho(float(rho), r[0]) for rho in rhos])
+    with pytest.raises(DomainError):
+        specfun.log_nu_radial_density(Dimensions(2), np.array([0.5, 1.0]), 1.0)
+    with pytest.raises(DomainError):
+        specfun.log_marginal_radial_density(Dimensions(2), np.array([0.5, 0.0]), 1.0)
+    with pytest.raises(DomainError):
+        specfun.log_v_rho(np.array([0.5, -0.1]), 1.0)
+
+
 def test_nu_radial_density_and_cell_ratio():
     dims = Dimensions(3)
     r = np.array([0.2, 1.0, 3.5])
