@@ -159,19 +159,20 @@ class GridFunction:
 
 
 def tabulate(cells: list, fn) -> GridFunction:
-    """Evaluate fn on the product grid.  A single-cell fn is vectorized,
-    fn(nodes (N, d)) -> values (N,); with several cells fn maps a tuple of
-    (d,) vectors to a scalar and is called once per product node."""
-    if len(cells) == 1:
-        c = cells[0]
-        vals = np.asarray(fn(c.nodes), dtype=complex)
-        if vals.shape != (c.size,):
-            raise DomainError(
-                f"single-cell fn must map {c.size} nodes to shape ({c.size},), got {vals.shape}"
-            )
-        return GridFunction(cells, vals)
+    """Evaluate fn on the product grid in one call.  fn takes one node array
+    per cell: the k-th holds cell k's nodes on axis k of the product grid,
+    with length 1 on the other cell axes and the coordinates last, shape
+    (1, .., N_k, .., 1, d), so that arrays built from them broadcast over
+    the grid; it returns the values, of shape (N_1, .., N_l).  For one cell
+    that is fn(nodes (N, d)) -> values (N,)."""
     shape = tuple(c.size for c in cells)
-    vals = np.empty(shape, dtype=complex)
-    for idx in np.ndindex(shape):
-        vals[idx] = fn(*(cells[k].nodes[idx[k]] for k in range(len(cells))))
+    nodes = []
+    for k, c in enumerate(cells):
+        axes = [1] * len(cells)
+        axes[k] = c.size
+        nodes.append(c.nodes.reshape(axes + [c.d]))
+    vals = np.asarray(fn(*nodes), dtype=complex)
+    if vals.shape != shape:
+        raise DomainError(f"fn must map the nodes of the grid to values of shape {shape}, "
+                          f"got {vals.shape}")
     return GridFunction(cells, vals)

@@ -14,7 +14,6 @@ p(gamma) = (-|gamma|^2/2, gamma, 1), acted on from the right."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,12 +70,10 @@ class GroupElement:
         return GroupElement(self.m @ other.m, self.n)
 
     def inverse(self) -> "GroupElement":
-        s = form_matrix(self.n)
-        return GroupElement(s @ self.m.T @ s, self.n)
+        return GroupElement(inverse_matrices(self.m), self.n)
 
     def membership_residual(self) -> float:
-        s = form_matrix(self.n)
-        return float(np.abs(self.m @ s @ self.m.T - s).max())
+        return float(membership_residuals(self.m))
 
     def require_member(self, tol: float = _MEMBERSHIP_TOL) -> "GroupElement":
         r = self.membership_residual()
@@ -85,22 +82,48 @@ class GroupElement:
         return self
 
 
+def inverse_matrices(m: np.ndarray) -> np.ndarray:
+    """g^-1 = s g^T s for each matrix of a stack (..., n+1, n+1)."""
+    s = form_matrix(m.shape[-1] - 1)
+    return s @ np.swapaxes(m, -1, -2) @ s
+
+
+def membership_residuals(m: np.ndarray) -> np.ndarray:
+    """max |g s g^T - s| for each matrix of a stack (..., n+1, n+1)."""
+    s = form_matrix(m.shape[-1] - 1)
+    return np.abs(m @ s @ np.swapaxes(m, -1, -2) - s).max(axis=(-2, -1))
+
+
 def make_s(n: int) -> GroupElement:
     """The inversion letter: the form matrix itself (an involution in the group)."""
     return GroupElement(form_matrix(n), n)
+
+
+def _z_matrices(gamma: np.ndarray) -> np.ndarray:
+    """The matrices of z(gamma) over a stack of shifts (..., d)."""
+    n = gamma.shape[-1] + 1
+    m = np.tile(np.eye(n + 1), gamma.shape[:-1] + (1, 1))
+    m[..., 1:n, 0] = -gamma
+    m[..., n, 0] = -0.5 * np.sum(gamma * gamma, axis=-1)
+    m[..., n, 1:n] = gamma
+    return m
+
+
+def _d_matrices(eps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The matrices of d(eps, u) over stacks of eps (...) and u (..., d, d)."""
+    n = u.shape[-1] + 1
+    m = np.zeros(eps.shape + (n + 1, n + 1))
+    m[..., 0, 0] = 1.0 / eps
+    m[..., 1:n, 1:n] = u
+    m[..., n, n] = eps
+    return m
 
 
 def make_z(gamma) -> GroupElement:
     """Unipotent translation letter z(gamma):
     rows (1, 0, 0), (-gamma^T, e, 0), (-|gamma|^2/2, gamma, 1)."""
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    d = gamma.shape[0]
-    n = d + 1
-    m = np.eye(n + 1)
-    m[1:n, 0] = -gamma
-    m[n, 0] = -0.5 * float(gamma @ gamma)
-    m[n, 1:n] = gamma
-    return GroupElement(m, n)
+    return GroupElement(_z_matrices(gamma), gamma.shape[0] + 1)
 
 
 def make_d(eps: float, u=None, n: int | None = None) -> GroupElement:
@@ -115,12 +138,7 @@ def make_d(eps: float, u=None, n: int | None = None) -> GroupElement:
     d = u.shape[0]
     if np.abs(u @ u.T - np.eye(d)).max() > 1e-10:
         raise DomainError("u must be orthogonal")
-    n = d + 1
-    m = np.zeros((n + 1, n + 1))
-    m[0, 0] = 1.0 / eps
-    m[1:n, 1:n] = u
-    m[n, n] = eps
-    return GroupElement(m, n)
+    return GroupElement(_d_matrices(np.asarray(float(eps)), u), d + 1)
 
 
 def d_of_gamma(gamma) -> GroupElement:
@@ -134,37 +152,58 @@ def d_of_gamma(gamma) -> GroupElement:
     return make_d(-0.5 * g2, u)
 
 
-def _action_parts(gamma: np.ndarray, g: GroupElement):
-    n = g.n
-    p = np.empty(n + 1)
-    p[0] = -0.5 * float(gamma @ gamma)
-    p[1:n] = gamma
-    p[n] = 1.0
-    img = p @ g.m
-    return img
+def _matrices(g) -> np.ndarray:
+    """The matrix of a GroupElement, or a stack of matrices (..., n+1, n+1)."""
+    return g.m if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
 
 
-def act(gamma, g: GroupElement) -> np.ndarray:
+def _action_parts(gamma, g):
+    """(gamma.g, beta(gamma, g)) from the image p(gamma) g of the cone point
+    p(gamma) = (-|gamma|^2/2, gamma, 1), broadcast over stacks of points
+    (..., d) and of matrices (..., n+1, n+1).  Raises PointAtInfinityError
+    if a point is sent to infinity: the last coordinate of the image is
+    below _INFINITY_TOL times the largest (at least 1)."""
+    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+    m = _matrices(g)
+    n = m.shape[-1] - 1
+    half = -0.5 * np.sum(gamma * gamma, axis=-1, keepdims=True)
+    p = np.concatenate((half, gamma, np.ones_like(half)), axis=-1)
+    img = (p[..., None, :] @ m)[..., 0, :]
+    den = img[..., n]
+    far = np.abs(den) < _INFINITY_TOL * np.maximum(1.0, np.abs(img).max(axis=-1))
+    if far.any():
+        point = np.broadcast_to(gamma, far.shape + gamma.shape[-1:])[far][0]
+        raise PointAtInfinityError(f"gamma={point} is sent to infinity")
+    return img[..., 1:n] / den[..., None], np.abs(den)
+
+
+def act(gamma, g) -> np.ndarray:
     """Boundary action gamma -> gamma.g: push the cone point
-    (-|gamma|^2/2, gamma, 1) through g and renormalize the last coordinate."""
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    img = _action_parts(gamma, g)
-    den = img[g.n]
-    scale = max(1.0, float(np.abs(img).max()))
-    if abs(den) < _INFINITY_TOL * scale:
-        raise PointAtInfinityError(f"gamma={gamma} is sent to infinity")
-    return img[1:g.n] / den
+    (-|gamma|^2/2, gamma, 1) through g and renormalize the last coordinate.
+    Broadcasts over stacks of points (..., d) and of elements
+    (..., n+1, n+1)."""
+    return _action_parts(gamma, g)[0]
 
 
-def cocycle_beta(gamma, g: GroupElement) -> float:
-    """beta(gamma, g) = | -|gamma|^2/2 g13 + gamma . g23 + g33 |."""
+def cocycle_beta(gamma, g):
+    """beta(gamma, g) = | -|gamma|^2/2 g13 + gamma . g23 + g33 |: a float
+    for one point and one element, an array over stacks as act."""
+    beta = _action_parts(gamma, g)[1]
+    return float(beta) if beta.ndim == 0 else beta
+
+
+def action_condition(gamma, g):
+    """kappa(gamma, g) = |p(gamma)|_1 max|g| / beta(gamma, g) >= 1, the
+    condition number of beta(gamma, g) and of gamma.g, broadcast as act.
+    Rounding errors of relative size u in p(gamma), and of size u max|g|
+    in every entry of g (a product of letters carries errors of that size
+    even in its small entries), move beta by up to about u kappa beta and
+    gamma.g by up to about u kappa (1 + |gamma.g|).  kappa is large near
+    the pole of g, where beta vanishes, and where g has large entries."""
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    img = _action_parts(gamma, g)
-    den = img[g.n]
-    scale = max(1.0, float(np.abs(img).max()))
-    if abs(den) < _INFINITY_TOL * scale:
-        raise PointAtInfinityError(f"beta undefined: gamma={gamma} sent to infinity")
-    return abs(float(den))
+    m = _matrices(g)
+    p_norm = 1.0 + np.abs(gamma).sum(axis=-1) + 0.5 * np.sum(gamma * gamma, axis=-1)
+    return p_norm * np.abs(m).max(axis=(-2, -1)) / _action_parts(gamma, m)[1]
 
 
 @dataclass
@@ -275,58 +314,92 @@ def factor_word(g: GroupElement, tol: float = 1e-10) -> GroupWord:
     return GroupWord(n, _split(g))
 
 
-def measure_relation_check(g: GroupElement, x, y, h: float = 1e-6):
-    """Two finite checks of the boundary geometry:
+_JACOBIAN_STEP = 1e-3       # difference step, relative to the distance to the pole
+_JACOBIAN_MAX_STEP = 1e-2   # ... and at most this
+_WORD_LETTERS = 6           # random words have 1 .. _WORD_LETTERS letters
+
+
+def measure_relation_check(g, x, y):
+    """Two finite checks of the boundary geometry, over one GroupElement or
+    a stack of elements (..., n+1, n+1) and points x, y (..., d):
 
     (1) |det D(x -> x.g)| = beta(x, g)^(1-n)   (quasi-invariance of Lebesgue
-        measure under the action), by central-difference Jacobian;
+        measure under the action), by a five-point (fourth-order)
+        central-difference Jacobian;
     (2) |x - y|^2 = |x.g - y.g|^2 beta(x,g) beta(y,g).
 
-    Returns the pair of relative residuals."""
+    beta(x, g) = |g13|/2 |x - x0|^2 about the pole x0 of g, so the action
+    varies on the scale of the distance |x - x0|: the difference step is
+    _JACOBIAN_STEP times that distance, at most _JACOBIAN_MAX_STEP (for
+    g13 = 0 there is no pole and the action is affine).  Returns the pair of
+    relative residuals: floats for one trial, else arrays."""
+    m = _matrices(g)
+    n = m.shape[-1] - 1
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = x.shape[0]
-    jac = np.empty((d, d))
-    for i in range(d):
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        jac[i] = (act(xp, g) - act(xm, g)) / (2.0 * h)
-    detj = abs(float(np.linalg.det(jac)))
-    beta_x = cocycle_beta(x, g)
-    want = beta_x ** (-(g.n - 1))
-    res1 = abs(detj - want) / abs(want)
-    lhs = float((x - y) @ (x - y))
-    rhs = float(np.sum((act(x, g) - act(y, g)) ** 2)) * beta_x * cocycle_beta(y, g)
-    res2 = abs(lhs - rhs) / max(abs(lhs), 1e-300)
+    beta_x = np.asarray(cocycle_beta(x, m))
+    beta_y = np.asarray(cocycle_beta(y, m))
+    with np.errstate(divide="ignore"):
+        pole_distance = np.sqrt(2.0 * beta_x / np.abs(m[..., 0, n]))
+    h = np.minimum(_JACOBIAN_STEP * pole_distance, _JACOBIAN_MAX_STEP)[..., None, None]
+    offsets = h * np.eye(x.shape[-1])   # row i is h e_i
+    stack = m[..., None, :, :]
+
+    def at(k):
+        return act(x[..., None, :] + k * offsets, stack)
+
+    jac = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
+    want = beta_x ** (-(n - 1))
+    res1 = np.abs(np.abs(np.linalg.det(jac)) - want) / want
+    lhs = np.sum((x - y) ** 2, axis=-1)
+    rhs = np.sum((act(x, m) - act(y, m)) ** 2, axis=-1) * beta_x * beta_y
+    res2 = np.abs(lhs - rhs) / np.maximum(lhs, 1e-300)
+    if res1.ndim == 0:
+        return float(res1), float(res2)
     return res1, res2
+
+
+def _sign_fixed_q(a: np.ndarray) -> np.ndarray:
+    """The orthogonal QR factors of a stack of square matrices, each column
+    signed so that R has a positive diagonal."""
+    q, r = np.linalg.qr(a)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
 def random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish orthogonal matrix by QR of a Gaussian matrix (sign-fixed)."""
     if d == 0:
         return np.eye(0)
-    a = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    return q * np.sign(np.diag(r))
+    return _sign_fixed_q(rng.standard_normal((d, d)))
 
 
-def random_element(dims: Dimensions, rng: np.random.Generator,
-                   max_letters: int = 6) -> GroupElement:
-    """Random word of up to max_letters letters in {z, d, s}: gamma standard
-    normal, log|eps| uniform on [-1, 1], u a QR orthogonal factor."""
-    n = dims.n
-    g = GroupElement(np.eye(n + 1), n)
-    k = int(rng.integers(1, max_letters + 1))
-    for _ in range(k):
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            g = g @ make_z(rng.standard_normal(dims.d))
-        elif kind == 1:
-            eps = math.exp(rng.uniform(-1.0, 1.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-            g = g @ make_d(eps, random_orthogonal(dims.d, rng))
-        else:
-            g = g @ make_s(n)
+def random_elements(dims: Dimensions, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count random words of up to _WORD_LETTERS letters in {z, d, s}, as one
+    (count, n+1, n+1) array: word lengths uniform on 1 .. _WORD_LETTERS, letter
+    kinds uniform, gamma standard normal, log|eps| uniform on [-1, 1] with a
+    fair sign, u the sign-fixed QR factor of a Gaussian matrix.  Every
+    letter is drawn; letters past a word's length are the identity."""
+    n, d = dims.n, dims.d
+    shape = (count, _WORD_LETTERS)
+    lengths = rng.integers(1, _WORD_LETTERS + 1, size=count)
+    kinds = rng.integers(0, 3, size=shape)
+    gamma = rng.standard_normal(shape + (d,))
+    eps = np.exp(rng.uniform(-1.0, 1.0, shape)) * np.where(rng.random(shape) < 0.5, 1.0, -1.0)
+    u = _sign_fixed_q(rng.standard_normal(shape + (d, d)))
+    kinds[np.arange(_WORD_LETTERS) >= lengths[:, None]] = -1
+    letters = np.tile(np.eye(n + 1), shape + (1, 1))
+    letters[kinds == 0] = _z_matrices(gamma[kinds == 0])
+    letters[kinds == 1] = _d_matrices(eps[kinds == 1], u[kinds == 1])
+    letters[kinds == 2] = form_matrix(n)
+    g = letters[:, 0]
+    for k in range(1, _WORD_LETTERS):
+        g = g @ letters[:, k]
     return g
+
+
+def random_element(dims: Dimensions, rng: np.random.Generator) -> GroupElement:
+    """One word of random_elements."""
+    return GroupElement(random_elements(dims, rng, 1)[0], dims.n)
 
 
 def word_identity_residual(gamma) -> float:

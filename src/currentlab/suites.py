@@ -273,84 +273,96 @@ def _lk_kappa_3(cfg, stream):
 # group laws
 # ---------------------------------------------------------------------------
 
-def _random_point(rng, d):
-    return rng.standard_normal(d)
-
-
 @_check("group", "membership-closure", "1-1", 1e-9)
 def _membership(cfg, stream):
     worst = 0.0
     for n in (2, 3):
-        dims = Dimensions(n)
-        for _ in range(20):
-            g = G.random_element(dims, stream.rng)
-            h = G.random_element(dims, stream.rng)
-            worst = max(worst, (g @ h).membership_residual(),
-                        g.inverse().membership_residual())
+        g = G.random_elements(Dimensions(n), stream.rng, 20)
+        h = G.random_elements(Dimensions(n), stream.rng, 20)
+        worst = max(worst, float(G.membership_residuals(g @ h).max()),
+                    float(G.membership_residuals(G.inverse_matrices(g)).max()))
     return worst
 
 
-_ATTEMPTS_PER_TRIAL = 4   # a group check gives up after this many attempts per trial
+_ATTEMPTS_PER_TRIAL = 4   # a group check gives up after this many drawn trials per trial
 
 
-def _bounded_trials(count: int, trial) -> float:
-    """Worst residual over `count` completed trials.  trial(i) draws its
-    random inputs and returns the residual of trial number i; a draw that
-    lands on the point at infinity or outside the group is skipped.  After
-    _ATTEMPTS_PER_TRIAL * count attempts the result is inf, so a check whose
-    draws keep failing fails instead of spinning."""
+def _bounded_trials(count: int, trials) -> float:
+    """Worst residual over `count` completed trials, the first half (rounded
+    up) at n = 2 and the rest at n = 3.  trials(dims, k) draws k trials as
+    one batch and returns the residuals of those it completed; a batch that
+    raises PointAtInfinityError completes none.  Trials not completed are
+    drawn again, up to _ATTEMPTS_PER_TRIAL * count drawn in all; past that
+    the result is inf, so a check whose draws keep failing fails instead of
+    spinning."""
     worst = 0.0
-    done = 0
-    for _ in range(_ATTEMPTS_PER_TRIAL * count):
-        try:
-            res = trial(done)
-        except (PointAtInfinityError, NotInGroupError):
-            continue
-        worst = max(worst, res)
-        done += 1
-        if done == count:
-            return worst
-    return math.inf
+    budget = _ATTEMPTS_PER_TRIAL * count
+    for n, need in ((2, count - count // 2), (3, count // 2)):
+        while need:
+            k = min(need, budget)
+            if k == 0:
+                return math.inf
+            budget -= k
+            try:
+                done = trials(Dimensions(n), k)
+            except PointAtInfinityError:
+                continue
+            # np.max keeps a nan residual, which then fails the check
+            worst = float(np.max(done, initial=worst))
+            need -= len(done)
+    return worst
+
+
+def _pair_trials(stream, dims, k):
+    """k draws (g1, g2, x): two batches of elements and one of points."""
+    g1 = G.random_elements(dims, stream.rng, k)
+    g2 = G.random_elements(dims, stream.rng, k)
+    return g1, g2, stream.rng.standard_normal((k, dims.d))
+
+
+def _composition_condition(x, g1, g2, x1):
+    """The largest action_condition of the three actions of a composition
+    law, x.(g1 g2), x.g1 and x1.g2 with x1 = x.g1.  The laws divide their
+    relative errors by it: near the pole of an element beta cancels, and
+    rounding of relative size u in the entries is amplified by this number."""
+    return np.maximum(np.maximum(G.action_condition(x, g1 @ g2), G.action_condition(x, g1)),
+                      G.action_condition(x1, g2))
 
 
 @_check("group", "cocycle-law", "1-4", 1e-9)
 def _cocycle_law(cfg, stream):
-    def trial(i):
-        dims = Dimensions(2 + i % 2)
-        g1 = G.random_element(dims, stream.rng)
-        g2 = G.random_element(dims, stream.rng)
-        x = _random_point(stream.rng, dims.d)
+    def trials(dims, k):
+        g1, g2, x = _pair_trials(stream, dims, k)
+        x1 = G.act(x, g1)
         lhs = G.cocycle_beta(x, g1 @ g2)
-        rhs = G.cocycle_beta(x, g1) * G.cocycle_beta(G.act(x, g1), g2)
-        return abs(lhs - rhs) / abs(lhs)
+        rhs = G.cocycle_beta(x, g1) * G.cocycle_beta(x1, g2)
+        return np.abs(lhs - rhs) / lhs / _composition_condition(x, g1, g2, x1)
 
-    return _bounded_trials(cfg.trials, trial)
+    return _bounded_trials(cfg.trials, trials)
 
 
 @_check("group", "action-composition", "1-2", 1e-9)
 def _action_law(cfg, stream):
-    def trial(i):
-        dims = Dimensions(2 + i % 2)
-        g1 = G.random_element(dims, stream.rng)
-        g2 = G.random_element(dims, stream.rng)
-        x = _random_point(stream.rng, dims.d)
-        lhs = G.act(G.act(x, g1), g2)
+    def trials(dims, k):
+        g1, g2, x = _pair_trials(stream, dims, k)
+        x1 = G.act(x, g1)
+        lhs = G.act(x1, g2)
         rhs = G.act(x, g1 @ g2)
-        scale = max(1.0, float(np.abs(rhs).max()))
-        return float(np.abs(lhs - rhs).max()) / scale
+        scale = np.maximum(1.0, np.abs(rhs).max(axis=-1))
+        return (np.abs(lhs - rhs).max(axis=-1) / scale
+                / _composition_condition(x, g1, g2, x1))
 
-    return _bounded_trials(cfg.trials, trial)
+    return _bounded_trials(cfg.trials, trials)
 
 
 def _measure_relation_worst(cfg, stream, which: int) -> float:
-    def trial(i):
-        dims = Dimensions(2 + i % 2)
-        g = G.random_element(dims, stream.rng)
-        x = _random_point(stream.rng, dims.d)
-        y = _random_point(stream.rng, dims.d)
+    def trials(dims, k):
+        g = G.random_elements(dims, stream.rng, k)
+        x = stream.rng.standard_normal((k, dims.d))
+        y = stream.rng.standard_normal((k, dims.d))
         return G.measure_relation_check(g, x, y)[which]
 
-    return _bounded_trials(max(25, cfg.trials // 4), trial)
+    return _bounded_trials(max(25, cfg.trials // 4), trials)
 
 
 @_check("group", "jacobian-cocycle-relation", "1-5", 1e-6)
@@ -377,13 +389,18 @@ def _exchange_matrix(cfg, stream):
 
 @_check("group", "factor-word-roundtrip", "1-1", 1e-8)
 def _factor_roundtrip(cfg, stream):
-    def trial(i):
-        g = G.random_element(Dimensions(2 + i % 2), stream.rng)
-        w = G.factor_word(g)
-        scale = max(1.0, float(np.abs(g.m).max()))
-        return float(np.abs(w.evaluate().m - g.m).max()) / scale
+    def trials(dims, k):
+        done = []
+        for m in G.random_elements(dims, stream.rng, k):
+            try:
+                w = G.factor_word(G.GroupElement(m, dims.n))
+            except NotInGroupError:
+                continue
+            scale = max(1.0, float(np.abs(m).max()))
+            done.append(float(np.abs(w.evaluate().m - m).max()) / scale)
+        return done
 
-    return _bounded_trials(cfg.trials, trial)
+    return _bounded_trials(cfg.trials, trials)
 
 
 @_check("group", "triangular-composition", "1-1", 1e-10)
@@ -679,7 +696,7 @@ def _vacuum_3(cfg, stream):
 def _tau_z(cfg, stream):
     cells = [grid_1d_sqrt(10.0, 24), grid_1d_sqrt(10.0, 24)]
     return R.tau_z_commutation_residual(
-        _D2, cells, lambda xi: np.exp(-np.sum(np.atleast_1d(xi) ** 2)), [0.4])
+        _D2, cells, lambda xi: np.exp(-np.sum(xi ** 2, axis=-1)), [0.4])
 
 
 @_check("reps", "tensor-embedding-isometry", "31-21", 3.0)

@@ -76,7 +76,7 @@ def test_default_grid_dimensions():
 
 def test_tabulate_and_weight_tensor():
     cells = [GF.grid_1d(6.0, 40), GF.grid_1d(6.0, 48)]
-    phi = GF.tabulate(cells, lambda x, y: math.exp(-float(x @ x) - float(y @ y)))
+    phi = GF.tabulate(cells, lambda x, y: np.exp(-np.sum(x * x, axis=-1) - np.sum(y * y, axis=-1)))
     assert phi.values.shape == (40, 48)
     assert phi.l == 2
     wt = phi.weight_tensor()
@@ -88,7 +88,7 @@ def test_tabulate_and_weight_tensor():
 
 def test_scale_values():
     cells = [GF.grid_1d(5.0, 6), GF.grid_1d(5.0, 4)]
-    phi = GF.tabulate(cells, lambda x, y: 1.0)
+    phi = GF.tabulate(cells, lambda x, y: np.ones((6, 4)))
     f0 = np.arange(6.0)
     f1 = np.arange(4.0)
     out = phi.scale_values([f0, f1])
@@ -103,3 +103,34 @@ def test_tabulate_single_cell_needs_vectorized_fn():
     assert np.allclose(phi.values, grid.nodes[:, 0] ** 2)
     with pytest.raises(DomainError):
         GF.tabulate([grid], lambda nodes: 1.0)
+
+
+def test_tabulate_calls_fn_once_on_the_whole_product_grid():
+    # a non-separable fn of three cells against a loop over the product nodes
+    cells = [GF.grid_2d(3.0, 2, 3), GF.grid_1d(2.0, 4), GF.grid_2d(1.0, 3, 2)]
+
+    def fn(a, b, c):
+        return np.cos(a[..., 0] * b[..., 0] + c[..., 1]) * np.exp(-np.sum(a * c, axis=-1) * b[..., 0])
+
+    calls = []
+    phi = GF.tabulate(cells, lambda *xs: calls.append([x.shape for x in xs]) or fn(*xs))
+    assert calls == [[(6, 1, 1, 2), (1, 4, 1, 1), (1, 1, 6, 2)]]
+    assert phi.values.shape == (6, 4, 6)
+    want = np.empty((6, 4, 6), dtype=complex)
+    for idx in np.ndindex(want.shape):
+        a, b, c = (cell.nodes[i] for cell, i in zip(cells, idx))
+        want[idx] = math.cos(a[0] * b[0] + c[1]) * math.exp(-float(a @ c) * b[0])
+    assert np.allclose(phi.values, want, rtol=1e-14, atol=0.0)
+
+
+def test_tabulate_rejects_a_wrong_output_shape():
+    cells = [GF.grid_1d(5.0, 6), GF.grid_1d(5.0, 4), GF.grid_2d(1.0, 2, 2)]
+    for fn in (lambda a, b, c: 1.0,                                   # a scalar
+               lambda a, b, c: a[..., 0] * b[..., 0],                 # one cell short
+               lambda a, b, c: np.ones((6, 4, 4, 1)),                 # one axis too many
+               lambda a, b, c: np.ones((4, 6, 4))):                   # axes swapped
+        with pytest.raises(DomainError):
+            GF.tabulate(cells, fn)
+    # a fn of the first cell alone gives (6, 1) on the (6, 4) grid
+    with pytest.raises(DomainError):
+        GF.tabulate(cells[:2], lambda a, b: a[..., 0])

@@ -51,6 +51,46 @@ def test_letters_satisfy_form_relation():
         assert G.make_s(n).membership_residual() == 0.0
 
 
+def test_random_elements_are_words_drawn_as_one_array():
+    for n in (2, 3):
+        dims = Dimensions(n)
+        g = G.random_elements(dims, np.random.default_rng(4), 3000)
+        assert g.shape == (3000, n + 1, n + 1)
+        assert G.membership_residuals(g).max() <= 1e-9
+        # one-letter words are the letters themselves: s, and z(gamma), lower
+        # unipotent
+        assert np.any(np.all(g == G.form_matrix(n), axis=(1, 2)))
+        assert np.any(np.all(np.triu(g) == np.eye(n + 1), axis=(1, 2)))
+        # random_element is the batch of one
+        one = G.random_element(dims, np.random.default_rng(9))
+        assert np.array_equal(one.m, G.random_elements(dims, np.random.default_rng(9), 1)[0])
+
+
+def test_act_and_cocycle_broadcast_over_stacks():
+    rng = np.random.default_rng(12)
+    for n in (2, 3):
+        dims = Dimensions(n)
+        g = G.random_elements(dims, rng, 30)
+        x = rng.standard_normal((30, dims.d))
+        image, beta = G.act(x, g), G.cocycle_beta(x, g)
+        kappa = G.action_condition(x, g)
+        for k in range(30):
+            one = G.GroupElement(g[k], n)
+            assert np.allclose(image[k], G.act(x[k], one), rtol=1e-14, atol=0.0)
+            assert beta[k] == pytest.approx(G.cocycle_beta(x[k], one), rel=1e-14)
+            assert kappa[k] == pytest.approx(G.action_condition(x[k], one), rel=1e-14)
+        assert np.all(kappa >= 1.0)
+        # one point against a stack of elements, and a stack of points against one element
+        assert G.act(x[0], g).shape == (30, dims.d)
+        assert G.cocycle_beta(x, G.GroupElement(g[0], n)).shape == (30,)
+        # a single point sent to infinity raises for the whole stack
+        x[7] = 0.0
+        with pytest.raises(PointAtInfinityError):
+            G.act(x, G.make_s(n))
+    # no cancellation and no large entry: the identity at the origin
+    assert G.action_condition([0.0], G.GroupElement(np.eye(3), 2)) == 1.0
+
+
 def test_inversion_squared_is_identity():
     for n in (2, 3):
         s = G.make_s(n)
@@ -150,6 +190,24 @@ def test_measure_relations():
             done += 1
 
 
+def test_jacobian_step_is_sized_to_the_pole():
+    # s has its pole at 0, where beta = |x|^2 / 2 is computed without
+    # cancellation; 1e-5 from it a fixed step of 1e-6 left a relative error
+    # of 1e-2 in the Jacobian
+    s = G.make_s(2)
+    for x in (1e-5, 3e-3, 0.7):
+        r1, r2 = G.measure_relation_check(s, [x], [-0.4])
+        assert r1 <= 1e-10 and r2 <= 1e-14
+    # over a stack, the residuals are the per-element ones
+    rng = np.random.default_rng(8)
+    g = G.random_elements(Dimensions(3), rng, 10)
+    x, y = rng.standard_normal((2, 10, 2))
+    r1, r2 = G.measure_relation_check(g, x, y)
+    for k in range(10):
+        one = G.measure_relation_check(G.GroupElement(g[k], 3), x[k], y[k])
+        assert one == pytest.approx((r1[k], r2[k]), rel=1e-6, abs=1e-18)
+
+
 def test_triangular_composition_matches_matrix_product():
     rng = np.random.default_rng(7)
     for n in (2, 3):
@@ -184,13 +242,17 @@ def test_factor_word_generic_case():
 
 
 def test_factor_word_near_the_triangular_subgroup():
-    # random_element draws whose corner g13 is 1e-5 and 2e-6 of the largest
-    # entry, and an element 1e-12 off the subgroup; the split at g13 alone
-    # left the group (residuals 2.5e-6 and 4.5e-6) or raised for them
+    # random_element draws whose corner g13 is 1.1e-5 and 1.8e-6 of the
+    # largest entry, and an element 1e-12 off the subgroup; the split at g13
+    # alone leaves the group for the draws (membership residuals 2.0e-7 and
+    # 6.5e-7) and raised "not block lower triangular" for the third
     t = G.TriangularElement(-1.7, np.eye(1), np.array([0.8]))
     s = G.make_s(2)
     near = [G.random_element(Dimensions(2), np.random.default_rng(seed))
-            for seed in (23823, 26300)]
+            for seed in (115268, 805762)]
+    for g in near:
+        with pytest.raises(NotInGroupError):
+            G._split(g)
     near.append(t.matrix() @ s @ G.make_z([1e-6]) @ s)
     for g in near:
         scale = float(np.abs(g.m).max())

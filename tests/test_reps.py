@@ -4,6 +4,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
+from currentlab import gridfn as GF
 from currentlab import group as G
 from currentlab import measures as M
 from currentlab import quadrature as Q
@@ -93,32 +94,34 @@ def test_kernel_matrix_domain():
 
 
 def _reflected_difference(nu, w):
-    # J_{-nu}(w) - J_nu(w) by the reflection J_{-nu} = cos(nu pi) J_nu - sin(nu pi) Y_nu
-    from scipy.special import jv, yv
+    # J_{-nu}(w) - J_nu(w) by the reflection J_{-nu} = cos(nu pi) J_nu - sin(nu pi) Y_nu,
+    # J_nu and Y_nu the real and imaginary parts of H^(1)_nu
+    from scipy.special import hankel1
 
-    return (-2.0 * math.sin(0.5 * math.pi * nu) ** 2 * jv(nu, w)
-            - math.sin(math.pi * nu) * yv(nu, w))
+    h = hankel1(nu, w)
+    return -2.0 * math.sin(0.5 * math.pi * nu) ** 2 * h.real - math.sin(math.pi * nu) * h.imag
 
 
 def test_kernel_block_same_sign_term_against_mpmath():
     # same-sign entries carry D = J_{lam-1}(w) - J_{1-lam}(w), taken by the
     # reflection; against mpmath at 30 digits for w in [1e-4, 300], measured
-    # against the modulus sqrt(J_nu^2 + Y_nu^2) of the oscillation, since D
-    # itself passes through zero
+    # against the modulus |H^(1)_nu| = sqrt(J_nu^2 + Y_nu^2) of the
+    # oscillation, since D itself passes through zero.  Measured <= 1.6e-15;
+    # J_nu and Y_nu from scipy's jv and yv reach 5.3e-14 on these points.
     mpmath = pytest.importorskip("mpmath")
-    from scipy.special import jv, yv
+    from scipy.special import hankel1
 
     xi = (np.geomspace(1e-4, 300.0, 60) / 2.0 ** 1.5) ** 2
     w = 2.0 ** 1.5 * np.sqrt(xi)
     with mpmath.workdps(30):
-        for lam in (0.05, 0.3, 0.5, 0.7, 0.95):
+        for lam in (1e-6, 0.05, 0.3, 0.5 - 1e-6, 0.5, 0.5 + 1e-6, 0.7, 0.95, 1.0 - 1e-6):
             nu = 1.0 - lam
             d = np.array([float(mpmath.besselj(-nu, x) - mpmath.besselj(nu, x)) for x in w])
             # A_op = (2/pi) 2^(-lam/2) |2 xi'/xi|^((lam-1)/2) pi/(2 cos(pi lam/2)) D at xi' = 1
             pre = (2.0 / math.pi) * 2.0 ** (-lam / 2.0) * (2.0 / xi) ** ((lam - 1.0) / 2.0) \
                 * math.pi / (2.0 * math.cos(0.5 * math.pi * lam))
             got = R._kernel_block_n2(lam, xi, np.array([1.0]))[:, 0]
-            assert np.all(np.abs(got - pre * d) <= 5e-13 * pre * np.hypot(jv(nu, w), yv(nu, w)))
+            assert np.all(np.abs(got - pre * d) <= 1e-14 * pre * np.abs(hankel1(nu, w)))
 
 
 def _block_entrywise(lam, xi, xi_prime):
@@ -228,9 +231,15 @@ def test_vacuum_identities():
 
 def test_tau_embedding_z_commutation():
     cells = [grid_1d_sqrt(10.0, 24), grid_1d_sqrt(10.0, 24)]
-    res = R.tau_z_commutation_residual(
-        D2, cells, lambda xi: np.exp(-np.sum(np.atleast_1d(xi) ** 2)), [0.4])
+    res = R.tau_z_commutation_residual(D2, cells, gauss, [0.4])
     assert res <= 1e-12
+    # three cells of d = 2, against the embedded function tabulated node by node
+    cells = [GF.grid_2d(3.0, 3, 4), GF.grid_2d(2.0, 2, 3), GF.grid_2d(1.0, 2, 2)]
+    tphi = tabulate(cells, R.tau_embed(gauss))
+    for idx in np.ndindex(tphi.values.shape):
+        total = sum(c.nodes[i] for c, i in zip(cells, idx))
+        assert tphi.values[idx] == gauss(total)
+    assert R.tau_z_commutation_residual(D3, cells, gauss, [0.4, -0.3]) <= 1e-12
 
 
 def test_tau_embedding_isometry_mc():
@@ -292,8 +301,8 @@ def test_spherical_reproduce_is_the_product_grid_coefficient():
     part = M.Partition((0.5, 0.5))
     gamma = np.array([[0.7], [-1.3]])
     cells = [grid_1d_sqrt(40.0, 128), grid_1d_sqrt(40.0, 128)]
-    f = tabulate(cells, lambda a, b: math.exp(
-        -0.5 * M.log_rn_derivative(D2, part, np.array([a, b]))))
+    f = tabulate(cells, lambda a, b: np.exp(
+        -0.5 * M.log_rn_derivative(D2, part, np.stack(np.broadcast_arrays(a, b), axis=-2))))
     letters = [G.TriangularElement(1.0, np.eye(1), g) for g in gamma]
     want = R.nu_inner(D2, part, R.u_current_apply(D2, part, letters, f), f)
     coeff, _ = R.spherical_reproduce(D2, part, gamma)

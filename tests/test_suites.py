@@ -3,6 +3,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from currentlab import group as G
@@ -119,6 +120,40 @@ def test_group_check_retries_are_bounded(monkeypatch):
     t0 = time.perf_counter()
     assert _run_check("action-composition", S.RunConfig(workers=1, trials=50)) == math.inf
     assert time.perf_counter() - t0 < 30.0
+
+
+def test_group_suite_passes_at_every_seed():
+    # the composition laws count error per unit of the rounding the action
+    # admits, and the Jacobian is a fourth-order difference whose step
+    # follows the distance to the pole, so trials near the pole of an
+    # element pass too
+    for seed in range(50):
+        failed = [(r.check_id, r.residual) for r in
+                  S.run_suite(S.RunConfig(seed=seed, workers=1), "group") if not r.passed]
+        assert failed == [], seed
+
+
+def _group_failures() -> list:
+    return [r.check_id for r in S.run_suite(S.RunConfig(workers=1), "group") if not r.passed]
+
+
+def test_group_checks_catch_planted_defects(monkeypatch):
+    beta = G.cocycle_beta
+    monkeypatch.setattr(G, "cocycle_beta", lambda x, g: beta(x, g) * (1.0 + 1e-6))
+    assert "cocycle-law" in _group_failures()
+    monkeypatch.undo()
+
+    act = G.act
+
+    def act_with_flipped_g23(x, g):
+        # the gamma . g23 term of the denominator with the wrong sign
+        m = np.array(g.m if isinstance(g, G.GroupElement) else g)
+        n = m.shape[-1] - 1
+        m[..., 1:n, n] *= -1.0
+        return act(x, m)
+
+    monkeypatch.setattr(G, "act", act_with_flipped_g23)
+    assert {"cocycle-law", "action-composition"} <= set(_group_failures())
 
 
 def test_fourier_constant_check_sees_a_constant_factor(monkeypatch):

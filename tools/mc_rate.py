@@ -1,14 +1,17 @@
-"""False-failure rate of the registry's Monte Carlo checks over many seeds.
+"""Failure rate of registry checks over many seeds.
 
     python3 tools/mc_rate.py --seeds 1000
+    python3 tools/mc_rate.py --seeds 1000 --suite group
 
-The Monte Carlo checks are those whose residual is a deviation in standard
-errors, with tolerance 3.0.  For each seed s in 0 .. N-1 the script runs
-them with run_suite(RunConfig(seed=s, workers=1), "all", check_ids=...),
-exactly as `currentlab check all --seed s` would, and prints per check the
-number of seeds on which it failed and its largest residual, then the seeds
-on which any check failed.  On correct code a 3-SE check fails on about
-0.27 % of seeds.  Run it from the root of a source checkout.
+By default it runs the Monte Carlo checks, those whose residual is a
+deviation in standard errors, with tolerance 3.0; on correct code a 3-SE
+check fails on about 0.27 % of seeds.  --suite runs every check of a suite,
+deterministic checks included: a check that is exact up to rounding should
+fail on no seed.  For each seed s in 0 .. N-1 the script runs the checks
+with run_suite(RunConfig(seed=s, workers=1), "all", check_ids=...), exactly
+as `currentlab check all --seed s` would, and prints per check the number of
+seeds on which it failed and its largest residual over them, then the seeds
+on which any check failed.  Run it from the root of a source checkout.
 """
 
 from __future__ import annotations
@@ -25,12 +28,20 @@ from currentlab import suites as S  # noqa: E402
 SE_TOLERANCE = 3.0
 
 
+def _check_ids(suite) -> list:
+    if suite:
+        return [s.check_id for s in S.suite_specs(suite)]
+    return [s.check_id for s in S.suite_specs("all") if s.tolerance == SE_TOLERANCE]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, default=1000, help="run seeds 0 .. N-1")
+    ap.add_argument("--suite", choices=[n for n in S.SUITE_NAMES if n != "all"],
+                    help="run every check of this suite")
     args = ap.parse_args(argv)
 
-    ids = [s.check_id for s in S.suite_specs("all") if s.tolerance == SE_TOLERANCE]
+    ids = _check_ids(args.suite)
     failures = {cid: 0 for cid in ids}
     worst = {cid: 0.0 for cid in ids}
     bad_seeds = []
@@ -44,11 +55,11 @@ def main(argv=None) -> int:
             failures[r.check_id] += 1
         if failed:
             bad_seeds.append(
-                f"{seed} (" + ", ".join(f"{r.check_id} {r.residual:.2f}" for r in failed) + ")")
-    print(f"{len(ids)} Monte Carlo checks, seeds 0..{args.seeds - 1}, "
-          f"{time.perf_counter() - t0:.1f} s")
+                f"{seed} (" + ", ".join(f"{r.check_id} {r.residual:.3g}" for r in failed) + ")")
+    kind = "checks" if args.suite else "Monte Carlo checks"
+    print(f"{len(ids)} {kind}, seeds 0..{args.seeds - 1}, {time.perf_counter() - t0:.1f} s")
     for cid in ids:
-        print(f"  {cid:32s} failed {failures[cid]:4d}  worst {worst[cid]:.2f} SE")
+        print(f"  {cid:32s} failed {failures[cid]:4d}  worst {worst[cid]:.3g}")
     print(f"seeds with a failure: {len(bad_seeds)} of {args.seeds}")
     for line in bad_seeds:
         print("  " + line)
