@@ -195,6 +195,7 @@ def osc_j0_tail(a: float, b: float, c2: float, p: float, start: float,
 _HEAD_PANELS = 40   # graded panels on [0, first root]; the first is 2^-39 of it
 _HEAD_PTS = 16      # nodes per head panel; the error estimate uses half as many
 _BLOCK = 4          # radii per node tensor: (4, 607, 12) doubles stay under 256 kB
+_FIRST_CHUNK = 76   # tail segments evaluated first, about an eighth of the rule's 607
 _EPS = np.finfo(float).eps
 
 
@@ -250,6 +251,31 @@ def _transform_rule(d: int, alpha: float):
     return rule
 
 
+def _segment_sums(vals: np.ndarray, weights: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The tail segments' integrals for each radius of a block: the profile
+    values on consecutive segments (flat per radius) against the (segment,
+    node) weights, times the radius's scale."""
+    return scale[:, None] * (vals.reshape(scale.size, *weights.shape) * weights).sum(axis=2)
+
+
+def _reaches(segs: np.ndarray, value: np.ndarray, tol: float, total: int) -> bool:
+    """Whether the tail of every row of segment sums can get within
+    min(tol, 4 eps |value|) by segment `total`: whether the largest |sum|
+    in the last quarter of its segments, shrinking on at the rate from the
+    quarter before, falls below that level there.  Algebraic decay, whose
+    rate tends to 1, does not reach a rounding-level stop on the transform
+    rule."""
+    q = segs.shape[1] // 4
+    quarters = np.abs(segs[:, -2 * q:]).reshape(-1, 2, q).max(axis=2)
+    left = (total - segs.shape[1]) / q
+    for (a, b), v in zip(quarters.tolist(), value.tolist()):
+        stop = min(tol, 4.0 * _EPS * abs(v))
+        if b > stop and (stop == 0.0 or b >= a
+                         or math.log(b) + left * math.log(b / a) > math.log(stop)):
+            return False
+    return True
+
+
 def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
                    tol: float = 1e-10) -> QuadratureReport:
     """d-dimensional Fourier transform of the radial profile, evaluated at
@@ -264,13 +290,19 @@ def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
     its doubling panels also cover the long head of small k.  The tail
     segments between the roots are accelerated by repeated averaging until
     the error estimate is within tol (absolute, on T).  Radii go through in
-    blocks of _BLOCK, with one profile evaluation per block.  k = 0 is the
-    plain integral, by adaptive quad.
+    blocks of _BLOCK.  A block evaluates the profile on the head and the
+    first _FIRST_CHUNK tail segments, then on twice as many segments, and
+    so on up to the whole rule, while the tail error of any of its radii is
+    above min(tol, 4 eps |T|); each step evaluates only the new segments.
+    When the first chunk's segment sums do not shrink fast enough to reach
+    that level by the end of the rule (_reaches), the block evaluates the
+    rest of the rule at once and averages its tail only there.  k = 0 is
+    the plain integral, by adaptive quad.
 
     A scalar r_out gives a scalar value and abs_error, an array gives arrays
     of its shape.  abs_error is the tail estimate plus the difference between
     the head rule and the same panels at half the nodes, plus the rounding
-    of the sums."""
+    of the sums.  nodes_used counts the profile values computed."""
     d = dims.d
     f = profile.evaluator
     k = np.asarray(r_out, dtype=float)
@@ -285,31 +317,48 @@ def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
     zero = ks == 0.0
     if zero.any():
         area = specfun.sphere_area(d)
-        g = lambda r: area * f(np.asarray(r)) * np.asarray(r) ** (d - 1)
-        value[zero], error[zero] = integrate.quad(
-            lambda r: float(g(np.asarray([r]))[0]), 0.0, np.inf, limit=400)
-        nodes += 400
+        evaluated = []
+
+        def g(r):
+            evaluated.append(r)
+            x = np.asarray([r])
+            return float((area * f(x) * x ** (d - 1))[0])
+
+        value[zero], error[zero] = integrate.quad(g, 0.0, np.inf, limit=400)
+        nodes += len(evaluated)
 
     u, hi_w, lo_w, tail_w = _transform_rule(d, profile.singularity_exponent + d - 1.0)
-    n_hi, n_lo = hi_w.size, lo_w.size
+    n_hi, n_head = hi_w.size, hi_w.size + lo_w.size
+    n_seg, pts = tail_w.shape
+    first = min(_FIRST_CHUNK, n_seg)
     pos = np.flatnonzero(~zero)
     for start in range(0, pos.size, _BLOCK):
         idx = pos[start:start + _BLOCK]
         kb = ks[idx]
-        vals = f((u / kb[:, None]).ravel()).reshape(idx.size, u.size)
         scale = (2.0 * math.pi) ** (0.5 * d) * kb ** -d
+        vals = f((u[:n_head + first * pts] / kb[:, None]).ravel()).reshape(idx.size, -1)
         head_terms = vals[:, :n_hi] * hi_w
         head = scale * head_terms.sum(axis=1)
-        head_lo = scale * (vals[:, n_hi:n_hi + n_lo] * lo_w).sum(axis=1)
-        segs = scale[:, None] * (
-            vals[:, n_hi + n_lo:].reshape(idx.size, *tail_w.shape) * tail_w).sum(axis=2)
-        tail, tail_err = _accelerated_sum(segs, tol)
+        head_lo = scale * (vals[:, n_hi:n_head] * lo_w).sum(axis=1)
+        segs = _segment_sums(vals[:, n_head:], tail_w[:first], scale)
+        done = first
+        test = first < n_seg and _reaches(segs, head + segs.sum(axis=1), tol, n_seg)
+        while True:
+            if test or done == n_seg:
+                tail, tail_err = _accelerated_sum(segs, tol)
+                stop = np.minimum(tol, 4.0 * _EPS * np.abs(head + tail))
+                if done == n_seg or np.all(tail_err <= stop):
+                    break
+            grow = min(2 * done, n_seg) if test else n_seg
+            more = f((u[n_head + done * pts:n_head + grow * pts] / kb[:, None]).ravel())
+            segs = np.concatenate((segs, _segment_sums(more, tail_w[done:grow], scale)), axis=1)
+            done = grow
         # the rounding of both sums keeps the estimate above 0 where the
         # head rules agree to the last bit
         rounding = _EPS * (scale * np.abs(head_terms).sum(axis=1) + np.abs(segs).sum(axis=1))
         value[idx] = head + tail
         error[idx] = np.abs(head - head_lo) + tail_err + rounding
-        nodes += idx.size * u.size
+        nodes += idx.size * (n_head + done * pts)
     if k.ndim == 0:
         return QuadratureReport(float(value[0]), float(error[0]), nodes)
     return QuadratureReport(value.reshape(k.shape), error.reshape(k.shape), nodes)
@@ -363,16 +412,17 @@ def calibrate_cn(dims: Dimensions, lam_grid=_DEF_LAM_GRID, xi_grid=_DEF_XI_GRID,
 
     over a grid of lam and |xi|; raises CalibrationError if the ratio is not
     constant to spread_tol.  The denominator, which integrates to pi^(d/2),
-    is pi^(d/2) times the single-cell marginal density."""
+    is pi^(d/2) times the single-cell marginal density, taken for the whole
+    grid in one call."""
     xi = np.asarray(xi_grid, dtype=float)
-    ratios = []
+    lhs = []
     for lam in lam_grid:
         prof = RadialProfile(lambda r, lam=lam: (1.0 + r * r / 4.0) ** (-lam / 2.0), 0.0)
-        lhs = radial_fourier(dims, prof, xi, tol=1e-11).value
-        rhs = math.pi ** (0.5 * dims.d) * np.exp(
-            specfun.log_marginal_radial_density(dims, lam, xi))
-        ratios.append(lhs / rhs)
-    ratios = np.concatenate(ratios)
+        lhs.append(radial_fourier(dims, prof, xi, tol=1e-11).value)
+    lams = np.asarray(lam_grid, dtype=float)[:, None]
+    rhs = math.pi ** (0.5 * dims.d) * np.exp(
+        specfun.log_marginal_radial_density(dims, lams, xi))
+    ratios = (np.array(lhs) / rhs).ravel()
     mean = float(ratios.mean())
     spread = float((ratios.max() - ratios.min()) / abs(mean))
     if spread > spread_tol:

@@ -282,9 +282,13 @@ def _apply_d(dims: Dimensions, lam: float, phi: GridFunction, axis: int,
 
 def _apply_s(dims: Dimensions, lam: float, phi: GridFunction, axis: int,
              target: CellGrid) -> GridFunction:
+    """s on the given cell axis, onto the target grid.  The kernel matrix is
+    real, so it multiplies the real and imaginary parts together: one real
+    matrix product with a float view of the values, contracted axis first."""
     mat = kernel_matrix(dims, lam, target, phi.cells[axis])
-    vals = np.tensordot(mat, phi.values, axes=([1], [axis]))
-    vals = np.moveaxis(vals, 0, axis)
+    vals = np.ascontiguousarray(np.moveaxis(phi.values, axis, 0))
+    flat = mat @ vals.reshape(vals.shape[0], -1).view(float)
+    vals = np.moveaxis(flat.view(complex).reshape(mat.shape[0], *vals.shape[1:]), 0, axis)
     cells = list(phi.cells)
     cells[axis] = target
     return GridFunction(cells, vals)
@@ -527,11 +531,14 @@ def involution_apply(dims: Dimensions, partition: M.Partition,
 def r_transform(dims: Dimensions, partition: M.Partition, phi: GridFunction,
                 gamma) -> complex:
     """R phi(gamma) = integral phi(xi) e^{i<xi,gamma>} d nu_alpha(xi) by node
-    quadrature on the product grid."""
+    quadrature on the product grid, contracting the values with one cell's
+    factor at a time, the last cell first."""
     gamma = np.asarray(gamma, dtype=float).reshape(partition.size, dims.d)
-    factors = [w * np.exp(1j * c.nodes @ g)
-               for w, c, g in zip(_nu_weights(dims, partition, phi.cells), phi.cells, gamma)]
-    return complex(phi.scale_values(factors).values.sum())
+    vals = phi.values
+    for w, c, g in reversed(list(zip(_nu_weights(dims, partition, phi.cells),
+                                     phi.cells, gamma))):
+        vals = vals @ (w * np.exp(1j * c.nodes @ g))
+    return complex(vals)
 
 
 def _product_bump(cells: list) -> GridFunction:

@@ -71,11 +71,23 @@ def bessel_k(rho: float, z: float) -> float:
 def log_bessel_k(rho, z):
     """log K_rho(2z) elementwise over arrays of z > 0, from the exponentially
     scaled kve so that the e^(-2z) decay neither underflows nor loses
-    relative accuracy."""
+    relative accuracy.  kve returns NaN from x = 2z = 2^30 on; there the
+    value is the large-argument expansion
+    1/2 log(pi/2x) - x + log1p((4 rho^2 - 1)/8x) (DLMF 10.40.2), whose
+    first term left out, (4 rho^2 - 1)(4 rho^2 - 9)/(128 x^2), is below
+    1e-18 for |rho| <= 2.  The domain is tested only when some value is
+    not finite, which z <= 0 makes it."""
     z = np.asarray(z, dtype=float)
+    x = 2.0 * z
+    out = np.log(kve(rho, x)) - x
+    if np.isfinite(out).all():
+        return out
     if np.any(z <= 0):
         raise DomainError("log_bessel_k requires z > 0")
-    return np.log(kve(rho, 2.0 * z)) - 2.0 * z
+    with np.errstate(divide="ignore"):
+        large = 0.5 * np.log(0.5 * math.pi / x) - x + np.log1p(
+            (4.0 * np.square(rho) - 1.0) / (8.0 * x))
+    return np.where(np.isnan(out), large, out)[()]
 
 
 def bessel_k_reference(rho, z):

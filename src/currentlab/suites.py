@@ -702,7 +702,7 @@ def _tau_z(cfg, stream):
 @_check("reps", "tensor-embedding-isometry", "31-21", 3.0)
 def _tau_isometry(cfg, stream):
     dims = Dimensions(3)
-    f = lambda g: np.exp(-np.sum(g * g, axis=-1))
+    f = lambda g: np.exp(-np.einsum("ij,ij->i", g, g))
     s2 = SeededStream(stream.seed, stream.stream_id + 1000)
     e1, s1, e2, ss2 = R.tau_isometry_mc(dims, (0.5, 0.7), f, stream, s2, n_mc=100_000)
     return abs(e1 - e2) / math.sqrt(s1 ** 2 + ss2 ** 2)

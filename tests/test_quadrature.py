@@ -20,6 +20,10 @@ def test_radial_fourier_zero_frequency_is_plain_integral():
     area = 2.0 * math.pi ** (dims.d / 2.0) / math.gamma(dims.d / 2.0)
     want, _ = integrate.quad(lambda r: area * r * math.exp(-r * r), 0.0, 20.0)
     assert got == pytest.approx(want, rel=1e-10)
+    # nodes_used counts the profile values that quad asked for
+    sizes = []
+    counted = Q.RadialProfile(lambda r: sizes.append(r.size) or np.exp(-r * r), 0.0)
+    assert Q.radial_fourier(dims, counted, 0.0).nodes_used == sum(sizes) > 0
 
 
 def test_radial_fourier_gaussian_closed_form():
@@ -79,6 +83,74 @@ def test_radial_fourier_domain():
         Q.radial_fourier(Dimensions(2), prof, np.array([0.5, -1.0]))
     with pytest.raises(DomainError):
         Q.radial_fourier(Dimensions(3), Q.RadialProfile(prof.evaluator, -2.0), 1.0)
+
+
+# profiles whose tails stop early (three) and one whose tail never reaches
+# the rounding level (algebraic decay)
+_PROFILES = {
+    "gaussian": Q.RadialProfile(lambda r: np.exp(-r * r), 0.0),
+    "inverse V_1": Q.RadialProfile(lambda r: np.exp(-specfun.log_v_rho(1.0, r)), 0.0),
+    "r^-1/2 e^-r": Q.RadialProfile(lambda r: r ** -0.5 * np.exp(-r), -0.5),
+    "algebraic": Q.RadialProfile(lambda r: (1.0 + r * r / 4.0) ** -0.75, 0.0),
+}
+_FULL_RULE = Q._transform_rule(1, 0.0)[3].shape[0]   # tail segments of the rule
+
+
+def test_early_stopped_tail_matches_the_full_rule(monkeypatch):
+    # a first chunk as long as the rule evaluates every segment at once; a
+    # tail stopped at the tolerance instead of the rounding level fails this
+    radii = np.geomspace(1e-3, 50.0, 25)
+    cases = [(n, name) for n in (2, 3, 4) for name in _PROFILES]
+    early = [Q.radial_fourier(Dimensions(n), _PROFILES[name], radii).value
+             for n, name in cases]
+    monkeypatch.setattr(Q, "_FIRST_CHUNK", _FULL_RULE)
+    for (n, name), got in zip(cases, early):
+        full = Q.radial_fourier(Dimensions(n), _PROFILES[name], radii).value
+        np.testing.assert_allclose(got, full, rtol=1e-14, atol=0,
+                                   err_msg=f"{name} at n = {n}")
+
+
+def test_tail_grows_only_as_far_as_its_error_needs(monkeypatch):
+    # the Gaussian stops within the first chunk up to k = 30, and 1/V_1 at
+    # k = 12..20 after doubling it once; the algebraic profile goes from the
+    # first chunk straight to the whole rule, so each node is evaluated once
+    # and the tail is averaged once
+    gaussian = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0])
+    doubled = np.array([12.0, 16.0, 20.0])
+    head = 1.5 * Q._HEAD_PANELS * Q._HEAD_PTS
+    algebraic = np.array([0.1, 0.5, 1.0, 2.0])
+    averaged = []
+    accelerated_sum = Q._accelerated_sum
+
+    def counted(segs, tol):
+        averaged.append(segs.shape[1])
+        return accelerated_sum(segs, tol)
+
+    monkeypatch.setattr(Q, "_accelerated_sum", counted)
+    for n in (2, 3, 4):
+        dims = Dimensions(n)
+        early = Q.radial_fourier(dims, _PROFILES["gaussian"], gaussian).nodes_used
+        assert Q.radial_fourier(dims, _PROFILES["inverse V_1"], doubled).nodes_used \
+            == doubled.size * (head + 2 * Q._FIRST_CHUNK * Q._GAUSS_PTS)
+        averaged.clear()
+        slow = Q.radial_fourier(dims, _PROFILES["algebraic"], algebraic).nodes_used
+        assert averaged == [_FULL_RULE]
+        with monkeypatch.context() as m:
+            m.setattr(Q, "_FIRST_CHUNK", _FULL_RULE)
+            full = Q.radial_fourier(dims, _PROFILES["gaussian"], gaussian).nodes_used
+            assert Q.radial_fourier(dims, _PROFILES["algebraic"], algebraic).nodes_used == slow
+        assert early < full / 4
+        assert full == gaussian.size * (head + _FULL_RULE * Q._GAUSS_PTS)
+
+
+def test_inverse_v_transform_at_tiny_radii():
+    # the profile reaches r = 1e11 at k = 1e-8, where log_bessel_k once
+    # returned NaN
+    prof = _PROFILES["inverse V_1"]
+    for n in (2, 3):
+        rep = Q.radial_fourier(Dimensions(n), prof, np.array([0.0, 1e-8, 1e-6]))
+        assert np.all(np.isfinite(rep.value))
+        np.testing.assert_allclose(rep.value[1:], rep.value[0], rtol=1e-9)
 
 
 def test_cn_calibration_spread():

@@ -261,6 +261,36 @@ def test_r_transform_covariances():
         R.r_covariance_s_residual(D2, part, cells, np.array([[0.0], [-1.1]]))
 
 
+def _two_cell_function():
+    """A complex function on two grids of different sizes, so that a wrong
+    axis cannot go unnoticed."""
+    cells = [grid_1d_sqrt(20.0, 40), grid_1d_sqrt(12.0, 26)]
+    return tabulate(cells, lambda x, y: np.exp(-(x[..., 0] - 0.8) ** 2 - 0.5 * y[..., 0] ** 2
+                                               + 1j * (0.7 * x[..., 0] - 1.3 * y[..., 0])))
+
+
+def test_apply_s_is_the_kernel_contracted_on_one_axis():
+    phi = _two_cell_function()
+    for axis, target in ((0, grid_1d_sqrt(15.0, 30)), (1, grid_1d_sqrt(9.0, 34))):
+        got = R._apply_s(D2, LAM, phi, axis, target)
+        mat = R.kernel_matrix(D2, LAM, target, phi.cells[axis])
+        want = np.moveaxis(np.tensordot(mat, phi.values, axes=([1], [axis])), 0, axis)
+        assert got.cells[axis] is target and got.cells[1 - axis] is phi.cells[1 - axis]
+        np.testing.assert_allclose(got.values, want, rtol=1e-14,
+                                   atol=1e-14 * np.abs(want).max())
+
+
+def test_r_transform_is_the_scaled_grid_sum():
+    phi = _two_cell_function()
+    part = M.Partition((0.5, 0.3))
+    weights = R._nu_weights(D2, part, phi.cells)
+    for gamma in ([[0.7], [-1.1]], [[0.0], [2.5]]):
+        factors = [w * np.exp(1j * c.nodes @ g)
+                   for w, c, g in zip(weights, phi.cells, np.asarray(gamma))]
+        want = complex(phi.scale_values(factors).values.sum())
+        assert R.r_transform(D2, part, phi, gamma) == pytest.approx(want, rel=1e-14)
+
+
 def test_special_cocycle_law():
     ident = np.eye(1)
     g1 = [G.TriangularElement(1.0, ident, [0.6])]

@@ -47,8 +47,7 @@ def test_bessel_k_scipy_cross_check():
 
 
 def test_bessel_k_reference_matches_mpmath():
-    # mpmath at 30 digits is the oracle of the reference route, and this
-    # test is the one place it is used
+    # mpmath at 30 digits is the oracle of the reference route
     import mpmath
 
     orders = [m + e for m in range(6) for e in (-1e-6, 0.0, 1e-6)]
@@ -65,6 +64,26 @@ def test_bessel_k_reference_matches_mpmath():
     assert isinstance(specfun.bessel_k_reference(0.5, 1.0), float)
     with pytest.raises(DomainError):
         specfun.bessel_k_reference([0.5, 1.0], [1.0, 0.0])
+
+
+def test_log_bessel_k_beyond_the_kve_range():
+    # kve returns NaN from 2z = 2^30 (z = 5.4e8) on; the large-argument
+    # expansion takes over there, on either side of which the values agree
+    # with mpmath at 30 digits to the rounding of log K itself
+    mpmath = pytest.importorskip("mpmath")
+    orders = (0.0, 0.5, 1.0, 1.7)
+    zs = (1e8, 5.4e8, 1e9, 1e12)
+    got = [specfun.log_bessel_k(r, np.array(zs)) for r in orders]
+    with mpmath.workdps(30):
+        want = [[float(mpmath.log(mpmath.besselk(r, 2 * mpmath.mpf(zz)))) for zz in zs]
+                for r in orders]
+    np.testing.assert_allclose(got, want, rtol=4e-16, atol=0)
+    # a scalar and an array mixing both ranges
+    assert specfun.log_bessel_k(0.5, 1e9) == got[1][2]
+    mixed = specfun.log_bessel_k(1.0, np.array([0.3, 1e12]))
+    assert mixed[1] == got[2][3] and mixed[0] == specfun.log_bessel_k(1.0, 0.3)
+    with pytest.raises(DomainError):
+        specfun.log_bessel_k(0.5, np.array([1e9, 0.0]))
 
 
 def test_bessel_i_small_argument():

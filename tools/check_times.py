@@ -1,0 +1,95 @@
+"""Warm time of every registry check, over many rounds in one process.
+
+    python3 tools/check_times.py --rounds 20
+    python3 tools/check_times.py --rounds 20 --suite fourier
+
+One unmeasured round first pays the imports and the rules cached for the
+life of the process.  Before every round the script clears what the
+benchmark's check-all round rebuilds (cached_cn, fit_levy_khinchin_kappa and
+reps._KERNEL_CACHE), so the check that first needs c_n, kappa or a kernel
+block is charged for it, as in `currentlab check all`.  Each check runs as
+`check all --seed S --workers 1` runs it, on the stream of its registry
+index, and is timed alone.  The script prints, per check and per suite (the
+sum of its checks in a round), the minimum and the median over the rounds
+in ms.  On a shared machine only minima over 15 or more rounds repeat
+between runs.  Run it from the root of a source checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import time
+from collections import defaultdict
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+import numpy as np  # noqa: E402
+
+from currentlab import quadrature as Q  # noqa: E402
+from currentlab import reps as R  # noqa: E402
+from currentlab import suites as S  # noqa: E402
+
+
+def _clear_caches() -> None:
+    Q.cached_cn.cache_clear()
+    Q.fit_levy_khinchin_kappa.cache_clear()
+    R._KERNEL_CACHE.clear()
+
+
+def _round(specs: list, config: S.RunConfig) -> dict:
+    """Seconds per check id of one round, caches cleared first."""
+    _clear_caches()
+    out = {}
+    for spec in specs:
+        stream = S.SeededStream(config.seed, S._REGISTRY.index(spec))
+        t0 = time.perf_counter()
+        spec.fn(config, stream)
+        out[spec.check_id] = time.perf_counter() - t0
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rounds", type=int, default=20, help="measured rounds")
+    ap.add_argument("--seed", type=int, default=S.RunConfig().seed)
+    ap.add_argument("--suite", choices=S.SUITE_NAMES, default="all",
+                    help="time only the checks of this suite")
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+
+    config = S.RunConfig(seed=args.seed, workers=1)
+    specs = S.suite_specs(args.suite)
+    _round(specs, config)  # warm-up
+    per_check = defaultdict(list)
+    per_suite = defaultdict(list)
+    totals = []
+    for _ in range(args.rounds):
+        times = _round(specs, config)
+        suite_sums = defaultdict(float)
+        for spec in specs:
+            per_check[spec.check_id].append(times[spec.check_id])
+            suite_sums[spec.suite] += times[spec.check_id]
+        for name, t in suite_sums.items():
+            per_suite[name].append(t)
+        totals.append(sum(times.values()))
+
+    def row(name: str, ts: list) -> str:
+        return f"  {name:34s} {1e3 * min(ts):9.2f} {1e3 * float(np.median(ts)):9.2f}"
+
+    print(f"{len(specs)} checks, {args.rounds} warm rounds, seed {args.seed}; "
+          "ms: min, median")
+    print("per check")
+    for spec in specs:
+        print(row(spec.check_id, per_check[spec.check_id]))
+    print("per suite")
+    for name, ts in per_suite.items():
+        print(row(name, ts))
+    print(row("round", totals))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
