@@ -190,12 +190,11 @@ def _cmd_measure_density(args) -> int:
 
 def _cmd_kernel_tabulate(args) -> int:
     try:
-        dims = Dimensions(args.n)
         grid = [float(v) for v in args.grid.split(",")]
         rows = []
         for xi in grid:
             for xp in grid:
-                rep = Q.kernel_A(dims, args.lam, xi, xp)
+                rep = Q.kernel_A(Dimensions(2), args.lam, xi, xp)
                 rows.append((xi, xp, float(rep.value), float(rep.abs_error)))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -365,10 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     ke_sub = ke.add_subparsers(dest="action", required=True)
     ta = ke_sub.add_parser(
         "tabulate", help="CSV of kernel_A by quadrature on a grid",
-        description="Tabulate quadrature.kernel_A, which is pi * A_op at n = 2 "
-                    "and 2 pi^2 * A_op at n = 3 (A_op: the operator kernel of "
-                    "the inversion letter s).")
-    ta.add_argument("--n", type=int, default=2)
+        description="Tabulate quadrature.kernel_A at n = 2, which is pi * A_op "
+                    "(A_op: the operator kernel of the inversion letter s).")
     ta.add_argument("--lambda", dest="lam", type=float, default=0.5)
     ta.add_argument("--grid", required=True, help="comma-separated xi values")
     ta.add_argument("--out", required=True)

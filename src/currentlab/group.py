@@ -236,22 +236,20 @@ class TriangularElement:
         return make_z(self.gamma) @ make_d(self.epsilon, self.u)
 
     @classmethod
-    def from_matrix(cls, g: GroupElement, tol: float = _MEMBERSHIP_TOL) -> "TriangularElement":
+    def from_matrix(cls, g: GroupElement) -> "TriangularElement":
         """Read (eps, u, gamma) off a block lower-triangular group element."""
         upper = max(abs(g.g13), float(np.abs(g.g12).max(initial=0.0)),
                     float(np.abs(g.g23).max(initial=0.0)))
-        if upper > tol:
+        if upper > _MEMBERSHIP_TOL:
             raise NotInGroupError("matrix is not block lower triangular")
         eps = g.g33
         u = g.g22
         gamma = g.g32 @ u.T
         t = cls(eps, u, gamma)
-        if np.abs(t.matrix().m - g.m).max() > 10 * tol * max(1.0, abs(eps), 1.0 / abs(eps)):
+        bound = 10 * _MEMBERSHIP_TOL * max(1.0, abs(eps), 1.0 / abs(eps))
+        if np.abs(t.matrix().m - g.m).max() > bound:
             raise NotInGroupError("matrix is not in the triangular subgroup")
         return t
-
-
-Letter = TriangularElement | str  # "s" is the only string letter
 
 
 @dataclass
@@ -292,10 +290,11 @@ def _split(g: GroupElement) -> list:
 _SPLIT_MIN_CORNER = 3e-4
 
 
-def factor_word(g: GroupElement, tol: float = 1e-10) -> GroupWord:
+def factor_word(g: GroupElement) -> GroupWord:
     """Factor g as a word over {triangular} union {s}.
 
-    If the upper blocks g12, g13, g23 vanish, g is itself triangular.
+    If the upper blocks g12, g13, g23 vanish (to 1e-10 max|g|), g is itself
+    triangular.
     Otherwise g s admits an in-group LU splitting, g = z(gamma) . s . b with
     b triangular (_split).  The splitting divides by the corner g13, so
     when |g13| is below _SPLIT_MIN_CORNER max|g| and below |g33| (g near the
@@ -307,7 +306,7 @@ def factor_word(g: GroupElement, tol: float = 1e-10) -> GroupWord:
     scale = float(np.abs(g.m).max())
     upper = max(abs(g.g13), float(np.abs(g.g12).max(initial=0.0)),
                 float(np.abs(g.g23).max(initial=0.0)))
-    if upper <= tol * scale:
+    if upper <= 1e-10 * scale:
         return GroupWord(n, [TriangularElement.from_matrix(g)])
     if abs(g.g13) < min(_SPLIT_MIN_CORNER * scale, abs(g.g33)):
         return GroupWord(n, ["s"] + _split(make_s(n) @ g))

@@ -194,7 +194,7 @@ def nu_char(partition: Partition, dims: Dimensions, gamma) -> float:
 
 
 def check_coherence(dims: Dimensions, refinement: Refinement, stream,
-                    n_samples: int = 200_000, gamma_scale: float = 1.0):
+                    n_samples: int = 200_000):
     """Consistency of the marginal families under refinement.
 
     Exact part: for gamma constant on each coarse cell, the nu-side product
@@ -206,7 +206,7 @@ def check_coherence(dims: Dimensions, refinement: Refinement, stream,
     from .process import sample_marginal
 
     coarse, fine = refinement.coarse, refinement.fine
-    gamma_c = stream.rng.normal(scale=gamma_scale, size=(coarse.size, dims.d))
+    gamma_c = stream.rng.normal(size=(coarse.size, dims.d))
     gamma_f = np.asarray([gamma_c[i] for i in refinement.assignment])
 
     res_nu = abs(

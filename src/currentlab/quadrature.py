@@ -8,18 +8,20 @@ exact sign changes of the oscillating factor (cos phase crossings or
 Bessel-J zeros) and accelerating the resulting alternating series of
 segment integrals with repeated averaging; this converges also for the
 conditionally convergent and Abel-summable cases that arise from the
-slowly decaying profiles.
+slowly decaying profiles.  Every such tail grows in one loop (_grown_tail),
+which doubles its segments up to _SEGMENTS, evaluating only the new ones.
 
 The radial Fourier transform takes an array of radii.  In the variable
 u = k r the sign changes sit at fixed roots for every radius k, so one
 fixed rule serves them all: a graded rule on the head [0, first root] (a
 Gauss-Jacobi panel that maps out the algebraic singularity at 0, then
 doubling Gauss-Legendre panels) and Gauss sums on the tail segments, with
-one profile evaluation per block of radii.  The paired power identity
-integrates the transform against |x|^(-lam) with a fixed graded outer
-rule of the same kind, so its whole node set is one transform call.
-The Levy-Khinchin integral takes every |gamma| of a call on one fixed rule
-in r of the same graded kind (radial_rule)."""
+one profile evaluation per block of radii; k = 0 has a graded rule of its
+own on [0, 2^20].  The paired power identity integrates the transform
+against |x|^(-lam) with a fixed graded outer rule of the same kind, so its
+whole node set is one transform call.  The Levy-Khinchin integral takes
+every |gamma| of a call on one fixed rule in r of the same graded kind
+(radial_rule)."""
 
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as _gamma, j0, jn_zeros, jv, roots_jacobi
 
 from . import specfun
@@ -38,7 +39,8 @@ from .gridfn import _legendre_rule
 from .specfun import Dimensions, FourierConstant
 
 _GAUSS_PTS = 12
-_MAX_SEGMENTS = 600
+_SEGMENTS = 607      # tail segments at most, per oscillatory tail
+_FIRST_CHUNK = 76    # tail segments evaluated first, about an eighth of _SEGMENTS
 
 
 @dataclass
@@ -103,31 +105,36 @@ def _accelerated_sum(segment_sums: np.ndarray, tol: float):
     return segment_sums[:, :head].sum(axis=1) + val, err
 
 
-def _oscillatory_sum(f, edges: np.ndarray, tol: float):
-    """Integrate f over [edges[0], edges[-1]] -> infinity surrogate: the edge
-    list must bracket sign-alternating lobes; acceleration handles the tail."""
-    segs = _gauss_on_segments(f, edges)
-    val, err = _accelerated_sum(segs[None, :], tol)
-    return float(val[0]), float(err[0]), len(segs) * _GAUSS_PTS
+def _grown_tail(segs: np.ndarray, sums, tol: float, stop):
+    """Accelerated row sums (_accelerated_sum) of tail segment integrals, one
+    row per integral, from the first segments' sums segs: the segments
+    double, up to _SEGMENTS, while any row's error estimate is above
+    stop(value), sums(lo, hi) giving the sums of the new segments lo .. hi-1
+    alone.  Returns (segs, value, error_estimate), segs all the sums."""
+    while True:
+        done = segs.shape[1]
+        val, err = _accelerated_sum(segs, tol)
+        if done == _SEGMENTS or np.all(err <= stop(val)):
+            return segs, val, err
+        segs = np.concatenate((segs, sums(done, min(2 * done, _SEGMENTS))), axis=1)
 
 
-def _segmented_tail(f, start: float, roots, tol: float, what: str):
-    """integral_start^inf f by _oscillatory_sum over the lobes between the
-    sign changes roots(count) of f beyond start, with count doubling from 80
-    until the error estimate is within tol or count reaches _MAX_SEGMENTS;
-    raises ConvergenceError when the last estimate is still far off.
+def _oscillatory_tail(f, start: float, roots: np.ndarray, tol: float, what: str):
+    """integral_start^inf f over its sign-alternating lobes between start and
+    the sign changes `roots` (at least _SEGMENTS + 1 of them beyond start):
+    the first _FIRST_CHUNK lobes, then as many more as _grown_tail needs for
+    an error estimate within max(tol, 1e-14 |value|).  Raises
+    ConvergenceError when the estimate of the whole budget is still far off.
 
     Returns (value, error_estimate, evaluations)."""
-    n_seg = 80
-    while True:
-        r = roots(n_seg)
-        edges = np.concatenate(([start], r[r > start * (1 + 1e-15)]))
-        val, err, nev = _oscillatory_sum(f, edges, tol)
-        if err <= max(tol, 1e-14 * abs(val)) or n_seg >= _MAX_SEGMENTS:
-            if err > 1e3 * max(tol, 1e-12 * (abs(val) + 1e-300)) and n_seg >= _MAX_SEGMENTS:
-                raise ConvergenceError(f"oscillatory {what} tail stalled (err={err})")
-            return val, err, nev
-        n_seg *= 2
+    edges = np.concatenate(([start], roots[roots > start * (1 + 1e-15)]))[:_SEGMENTS + 1]
+    sums = lambda lo, hi: _gauss_on_segments(f, edges[lo:hi + 1])[None, :]
+    segs, val, err = _grown_tail(sums(0, _FIRST_CHUNK), sums, tol,
+                                 lambda v: np.maximum(tol, 1e-14 * np.abs(v)))
+    val, err = float(val[0]), float(err[0])
+    if err > 1e3 * max(tol, 1e-12 * (abs(val) + 1e-300)):
+        raise ConvergenceError(f"oscillatory {what} tail stalled (err={err})")
+    return val, err, segs.shape[1] * _GAUSS_PTS
 
 
 def osc_cos_tail(a: float, b: float, p: float, start: float, tol: float = 1e-11):
@@ -143,24 +150,24 @@ def osc_cos_tail(a: float, b: float, p: float, start: float, tol: float = 1e-11)
     phase0 = a * start + (b / start if start > 0 else 0.0)
     # phase values where cos vanishes: pi/2 + k pi beyond phase0
     k0 = math.ceil((phase0 - 0.5 * math.pi) / math.pi)
-
-    def roots(count):
-        phis = 0.5 * math.pi + (k0 + np.arange(count + 1)) * math.pi
-        disc = phis * phis - 4.0 * a * b
-        return (phis + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
-
-    return _segmented_tail(lambda u: u ** p * np.cos(a * u + b / u), start, roots,
-                           tol, f"cos (a={a}, b={b}, p={p})")
+    phis = 0.5 * math.pi + (k0 + np.arange(_SEGMENTS + 1)) * math.pi
+    disc = phis * phis - 4.0 * a * b
+    roots = (phis + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
+    return _oscillatory_tail(lambda u: u ** p * np.cos(a * u + b / u), start, roots,
+                             tol, f"cos (a={a}, b={b}, p={p})")
 
 
 @lru_cache(maxsize=8)
-def _j0_zeros(count: int) -> tuple:
-    return tuple(jn_zeros(0, count))
+def _j0_zeros(count: int) -> np.ndarray:
+    zeros = jn_zeros(0, count)
+    zeros.flags.writeable = False
+    return zeros
 
 
 def _bessel_zeros(nu: float, count: int) -> np.ndarray:
     if nu == 0.0:
-        return np.asarray(_j0_zeros(count))
+        # tables in multiples of 256 zeros, shared by tails of other counts
+        return _j0_zeros(-(-count // 256) * 256)[:count]
     # McMahon expansion is plenty for partitioning purposes
     k = np.arange(1, count + 1)
     beta = (k + 0.5 * nu - 0.25) * math.pi
@@ -171,21 +178,22 @@ def _bessel_zeros(nu: float, count: int) -> np.ndarray:
 def osc_j0_tail(a: float, b: float, c2: float, p: float, start: float,
                 tol: float = 1e-11):
     """integral_start^inf r^p J_0(w(r)) dr with w(r) = sqrt(a r^2 + b + c2/r^2),
-    a > 0, start at or beyond the stationary point (c2/a)^(1/4) of w."""
+    a > 0, start at or beyond the stationary point (c2/a)^(1/4) of w.
+
+    Returns (value, error_estimate, evaluations)."""
     if a <= 0:
         raise DomainError("osc_j0_tail needs a > 0")
     w = lambda r: np.sqrt(np.maximum(a * r * r + b + c2 / (r * r), 0.0))
     w0 = w(np.asarray([start]))[0]
-
-    def roots(count):
-        zeros = _bessel_zeros(0.0, count + 8)
-        z2 = zeros[zeros > w0] ** 2
-        # invert w(r) = z on the increasing branch: a t^2 + (b - z^2) t + c2 = 0, t = r^2
-        disc = (b - z2) ** 2 - 4.0 * a * c2
-        return np.sqrt(((z2 - b) + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a))
-
-    return _segmented_tail(lambda r: r ** p * j0(w(r)), start, roots, tol,
-                           f"J0 (a={a}, b={b}, c2={c2}, p={p})")
+    # the zeros beyond w0: the k-th zero of J_0 exceeds (k - 1/4) pi, so at
+    # most w0/pi + 1/4 of them lie at or below w0
+    zeros = _bessel_zeros(0.0, int(w0 / math.pi + 0.25) + _SEGMENTS + 1)
+    z2 = zeros[zeros > w0][:_SEGMENTS + 1] ** 2
+    # invert w(r) = z on the increasing branch: a t^2 + (b - z^2) t + c2 = 0, t = r^2
+    disc = (b - z2) ** 2 - 4.0 * a * c2
+    roots = np.sqrt(((z2 - b) + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a))
+    return _oscillatory_tail(lambda r: r ** p * j0(w(r)), start, roots, tol,
+                             f"J0 (a={a}, b={b}, c2={c2}, p={p})")
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +203,6 @@ def osc_j0_tail(a: float, b: float, c2: float, p: float, start: float,
 _HEAD_PANELS = 40   # graded panels on [0, first root]; the first is 2^-39 of it
 _HEAD_PTS = 16      # nodes per head panel; the error estimate uses half as many
 _BLOCK = 4          # radii per node tensor: (4, 607, 12) doubles stay under 256 kB
-_FIRST_CHUNK = 76   # tail segments evaluated first, about an eighth of the rule's 607
 _EPS = np.finfo(float).eps
 
 
@@ -237,7 +244,7 @@ def _transform_rule(d: int, alpha: float):
     segments between consecutive roots at _GAUSS_PTS nodes each.  Returns
     the nodes and the weights of the two head rules and the (segment, node)
     tail weights, the Bessel factor included."""
-    roots = _bessel_zeros(0.5 * d - 1.0, _MAX_SEGMENTS + 8)
+    roots = _bessel_zeros(0.5 * d - 1.0, _SEGMENTS + 1)
     hi_u, hi_w = _graded_rule(float(roots[0]), _HEAD_PANELS, alpha, _HEAD_PTS)
     lo_u, lo_w = _graded_rule(float(roots[0]), _HEAD_PANELS, alpha, _HEAD_PTS // 2)
     xl, wl = _legendre_rule(_GAUSS_PTS)
@@ -291,13 +298,14 @@ def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
     segments between the roots are accelerated by repeated averaging until
     the error estimate is within tol (absolute, on T).  Radii go through in
     blocks of _BLOCK.  A block evaluates the profile on the head and the
-    first _FIRST_CHUNK tail segments, then on twice as many segments, and
-    so on up to the whole rule, while the tail error of any of its radii is
-    above min(tol, 4 eps |T|); each step evaluates only the new segments.
-    When the first chunk's segment sums do not shrink fast enough to reach
-    that level by the end of the rule (_reaches), the block evaluates the
-    rest of the rule at once and averages its tail only there.  k = 0 is
-    the plain integral, by adaptive quad.
+    first _FIRST_CHUNK tail segments; _grown_tail then doubles the tail up
+    to the whole rule while the tail error of any of its radii is above
+    min(tol, 4 eps |T|), evaluating only the new segments.  When the first
+    chunk's segment sums do not shrink fast enough to reach that level by
+    the end of the rule (_reaches), the block evaluates the rest of the rule
+    at once and averages its tail only there.  k = 0 is the plain integral
+    of f(r) times the sphere area r^(d-1), on the graded rule (_graded_rule)
+    of 64 panels on [0, 2^20]; the profile must be negligible beyond.
 
     A scalar r_out gives a scalar value and abs_error, an array gives arrays
     of its shape.  abs_error is the tail estimate plus the difference between
@@ -310,55 +318,50 @@ def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
         raise DomainError("r_out must be finite and >= 0")
     if profile.singularity_exponent <= -d:
         raise DomainError("profile is not locally integrable in R^d")
+    alpha = profile.singularity_exponent + d - 1.0
     ks = k.ravel()
     value = np.empty(ks.size)
     error = np.empty(ks.size)
     nodes = 0
     zero = ks == 0.0
     if zero.any():
-        area = specfun.sphere_area(d)
-        evaluated = []
+        hi_r, hi_w = _graded_rule(2.0 ** 20, 64, alpha, _HEAD_PTS)
+        lo_r, lo_w = _graded_rule(2.0 ** 20, 64, alpha, _HEAD_PTS // 2)
+        r = np.concatenate((hi_r, lo_r))
+        g = specfun.sphere_area(d) * f(r) * r ** (d - 1)
+        terms = hi_w * g[:hi_r.size]
+        value[zero] = hi = terms.sum()
+        error[zero] = abs(hi - lo_w @ g[hi_r.size:]) + _EPS * np.abs(terms).sum()
+        nodes += r.size
 
-        def g(r):
-            evaluated.append(r)
-            x = np.asarray([r])
-            return float((area * f(x) * x ** (d - 1))[0])
-
-        value[zero], error[zero] = integrate.quad(g, 0.0, np.inf, limit=400)
-        nodes += len(evaluated)
-
-    u, hi_w, lo_w, tail_w = _transform_rule(d, profile.singularity_exponent + d - 1.0)
+    u, hi_w, lo_w, tail_w = _transform_rule(d, alpha)
     n_hi, n_head = hi_w.size, hi_w.size + lo_w.size
-    n_seg, pts = tail_w.shape
-    first = min(_FIRST_CHUNK, n_seg)
+    pts = tail_w.shape[1]
     pos = np.flatnonzero(~zero)
     for start in range(0, pos.size, _BLOCK):
         idx = pos[start:start + _BLOCK]
         kb = ks[idx]
         scale = (2.0 * math.pi) ** (0.5 * d) * kb ** -d
-        vals = f((u[:n_head + first * pts] / kb[:, None]).ravel()).reshape(idx.size, -1)
+
+        def sums(lo, hi):
+            more = f((u[n_head + lo * pts:n_head + hi * pts] / kb[:, None]).ravel())
+            return _segment_sums(more, tail_w[lo:hi], scale)
+
+        vals = f((u[:n_head + _FIRST_CHUNK * pts] / kb[:, None]).ravel()).reshape(idx.size, -1)
         head_terms = vals[:, :n_hi] * hi_w
         head = scale * head_terms.sum(axis=1)
         head_lo = scale * (vals[:, n_hi:n_head] * lo_w).sum(axis=1)
-        segs = _segment_sums(vals[:, n_head:], tail_w[:first], scale)
-        done = first
-        test = first < n_seg and _reaches(segs, head + segs.sum(axis=1), tol, n_seg)
-        while True:
-            if test or done == n_seg:
-                tail, tail_err = _accelerated_sum(segs, tol)
-                stop = np.minimum(tol, 4.0 * _EPS * np.abs(head + tail))
-                if done == n_seg or np.all(tail_err <= stop):
-                    break
-            grow = min(2 * done, n_seg) if test else n_seg
-            more = f((u[n_head + done * pts:n_head + grow * pts] / kb[:, None]).ravel())
-            segs = np.concatenate((segs, _segment_sums(more, tail_w[done:grow], scale)), axis=1)
-            done = grow
+        segs = _segment_sums(vals[:, n_head:], tail_w[:_FIRST_CHUNK], scale)
+        if not _reaches(segs, head + segs.sum(axis=1), tol, _SEGMENTS):
+            segs = np.concatenate((segs, sums(_FIRST_CHUNK, _SEGMENTS)), axis=1)
+        segs, tail, tail_err = _grown_tail(
+            segs, sums, tol, lambda t: np.minimum(tol, 4.0 * _EPS * np.abs(head + t)))
         # the rounding of both sums keeps the estimate above 0 where the
         # head rules agree to the last bit
         rounding = _EPS * (scale * np.abs(head_terms).sum(axis=1) + np.abs(segs).sum(axis=1))
         value[idx] = head + tail
         error[idx] = np.abs(head - head_lo) + tail_err + rounding
-        nodes += idx.size * (n_head + done * pts)
+        nodes += idx.size * (n_head + segs.shape[1] * pts)
     if k.ndim == 0:
         return QuadratureReport(float(value[0]), float(error[0]), nodes)
     return QuadratureReport(value.reshape(k.shape), error.reshape(k.shape), nodes)
@@ -437,11 +440,10 @@ def cached_cn(n: int) -> FourierConstant:
     return calibrate_cn(Dimensions(n))
 
 
-def power_pairing_residual(dims: Dimensions, lam: float, cn: float,
-                           width: float = 1.0) -> float:
+def power_pairing_residual(dims: Dimensions, lam: float, cn: float) -> float:
     """Check the homogeneous Fourier identity
         FT[|x|^(-lam)](xi) = c_n 2^(-lam) Gamma((d-lam)/2)/Gamma(lam/2) |xi|^(lam-d)
-    in regularized pairing form against the Gaussian w(xi) = e^{-|xi|^2/width^2}:
+    in regularized pairing form against the Gaussian w(xi) = e^{-|xi|^2}:
 
         integral FT[w](x) |x|^(-lam) dx
             = c_n 2^(-lam) Gamma((d-lam)/2)/Gamma(lam/2) integral w |xi|^(lam-d) dxi,
@@ -452,32 +454,31 @@ def power_pairing_residual(dims: Dimensions, lam: float, cn: float,
     d = dims.d
     if not 0 < lam < d:
         raise DomainError("the pairing identity needs 0 < lam < d = n - 1")
-    prof = RadialProfile(lambda r: np.exp(-(r / width) ** 2), 0.0)
-    # fixed outer rule on [0, 20/width] (FT[w] is below e^-100 beyond): the
+    prof = RadialProfile(lambda r: np.exp(-r ** 2), 0.0)
+    # fixed outer rule on [0, 20] (FT[w] is below e^-100 beyond): the
     # s^(d-1-lam) factor is mapped out on the first panel, and every node's
     # transform comes from one radial_fourier call
-    s, w = _graded_rule(20.0 / width, _OUTER_PANELS, d - 1.0 - lam, _OUTER_PTS)
+    s, w = _graded_rule(20.0, _OUTER_PANELS, d - 1.0 - lam, _OUTER_PTS)
     ft_w = radial_fourier(dims, prof, s, tol=1e-11).value
     area = specfun.sphere_area(d)
     lhs = area * float(np.sum(w * s ** (d - 1 - lam) * ft_w))
     # closed form of integral w |xi|^(lam-d) dxi for the Gaussian test profile
-    rhs_integral = area * 0.5 * width ** lam * _gamma(lam / 2.0)
+    rhs_integral = area * 0.5 * _gamma(lam / 2.0)
     # the constant is pi^(d/2) times the nu cell density at |xi| = 1
     nu_at_one = math.exp(specfun.log_nu_radial_density(dims, lam, 1.0))
     rhs = cn * math.pi ** (d / 2.0) * nu_at_one * rhs_integral
     return abs(lhs - rhs) / abs(rhs)
 
 
-def fourier_vrho_inverse_check(dims: Dimensions, rho: float, cn: float,
-                               x_grid=(0.0, 0.5, 1.0, 2.0, 4.0)):
+def fourier_vrho_inverse_check(dims: Dimensions, rho: float, cn: float):
     """Quadrature Fourier transform of 1/V_rho(|xi|) against the closed form
 
         (2 pi)^d Gamma(d/2+rho) / (c_n Gamma(rho)) * (1 + |x|^2/4)^(-d/2-rho).
 
-    Returns the list of relative residuals (the transform is also checked to
-    be positive).  The prefactor restates the companion Fourier identity for
-    (1+|x|^2/4)^(-d/2-rho) with the inversion constant (2 pi)^d made
-    explicit."""
+    Returns the list of relative residuals at |x| = 0, 0.5, 1, 2 and 4 (the
+    transform is also checked to be positive).  The prefactor restates the
+    companion Fourier identity for (1+|x|^2/4)^(-d/2-rho) with the inversion
+    constant (2 pi)^d made explicit."""
     d = dims.d
 
     def vinv(r):
@@ -485,7 +486,7 @@ def fourier_vrho_inverse_check(dims: Dimensions, rho: float, cn: float,
 
     prof = RadialProfile(vinv)  # 1/V_rho(0) = 1
     const = (2.0 * math.pi) ** d * _gamma(0.5 * d + rho) / (cn * _gamma(rho))
-    x = np.asarray(x_grid, dtype=float)
+    x = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
     got = radial_fourier(dims, prof, x, tol=1e-11).value
     want = const * (1.0 + x * x / 4.0) ** (-0.5 * d - rho)
     if np.any(got <= 0):
@@ -506,7 +507,7 @@ def kernel_integral_n2(lam: float, xi: float, xi_prime: float,
     if not 0.0 < lam < 1.0:
         raise DomainError("n=2 kernel needs 0 < lam < 1")
     if xi == 0.0 or xi_prime == 0.0:
-        raise ConvergenceError(
+        raise DomainError(
             "kernel quadrature requires both arguments nonzero (the integral "
             "is only Abel-regularizable on the axes)"
         )
@@ -536,7 +537,7 @@ def kernel_integral_n3(lam: float, xi, xi_prime, tol: float = 1e-10):
         raise DomainError("n=3 kernel needs 0 < lam < 2")
     na, nb = np.linalg.norm(xi), np.linalg.norm(xip)
     if na == 0.0 or nb == 0.0:
-        raise ConvergenceError("kernel quadrature requires both arguments nonzero")
+        raise DomainError("kernel quadrature requires both arguments nonzero")
     a = na * na
     bmid = 4.0 * float(xi @ xip)
     c2 = 4.0 * nb * nb
@@ -559,7 +560,7 @@ def kernel_A(dims: Dimensions, lam: float, xi, xi_prime, cn: float | None = None
 
     This normalisation is pi A_op at n = 2 and 2 pi^2 A_op at n = 3 (with
     c_3 = 4 pi), where A_op = (2/pi) 2^(-lam/2) (integral) is the operator
-    kernel of reps; it is what `kernel tabulate` prints."""
+    kernel of reps; `kernel tabulate` prints it at n = 2."""
     if dims.n == 2:
         v, e, nev = kernel_integral_n2(lam, float(xi), float(xi_prime), tol)
         c = 2.0 ** (1.0 - lam / 2.0)
@@ -621,17 +622,14 @@ def _levy_rhs(dims: Dimensions, gamma_norm):
     return (osc @ weights).reshape(k.shape)[()]
 
 
-_DEF_LK_GRID = (0.5, 1.0, 2.0, 4.0)
-
-
 @lru_cache(maxsize=4)
-def fit_levy_khinchin_kappa(n: int, grid=_DEF_LK_GRID) -> float:
+def fit_levy_khinchin_kappa(n: int) -> float:
     """Fit the single constant kappa in
         log(1 + |gamma|^2/4) = kappa * integral (e^{i<xi,gamma>} - 1) g(xi) dxi
-    over the grid of |gamma| values (least squares = mean of ratios here),
+    over |gamma| = 0.5, 1, 2 and 4 (least squares = mean of ratios here),
     all of them in one _levy_rhs call.  The closed form is
     kappa = -2 pi^(-(n-1)/2)."""
-    g = np.asarray(grid, dtype=float)
+    g = np.array([0.5, 1.0, 2.0, 4.0])
     return float(np.mean(np.log1p(g * g / 4.0) / _levy_rhs(Dimensions(n), g)))
 
 

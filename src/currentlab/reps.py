@@ -88,37 +88,40 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
+# inner_std's proposals: radius bound and weight of the singular part, and
+# the standard deviation of the Gaussian parts
+_R0, _P_SING, _SIGMA = 1.0, 0.5, 2.0
+
+
 def _sample_difference(dims: Dimensions, rng: np.random.Generator, lam: float,
-                       count: int, r0: float = 1.0, sigma: float = 2.0,
-                       p_sing: float = 0.5):
+                       count: int):
     """Importance proposal for the singular factor |u|^(-lam): a mixture of
-    the normalized density ~ r^(d-1-lam) on [0, r0] (which integrates the
+    the normalized density ~ r^(d-1-lam) on [0, _R0] (which integrates the
     singularity exactly) and a Gaussian; returns (u, q(u)) with q the mixture
     density in R^d."""
     d = dims.d
     area = specfun.sphere_area(d)
-    pick = rng.random(count) < p_sing
-    r = r0 * rng.random(count) ** (1.0 / (d - lam))
+    pick = rng.random(count) < _P_SING
+    r = _R0 * rng.random(count) ** (1.0 / (d - lam))
     if d == 1:
         dirs = np.where(rng.random(count) < 0.5, -1.0, 1.0)[:, None]
     else:
         raw = rng.standard_normal((count, d))
         dirs = raw / _row_norms(raw)[:, None]
     u_sing = r[:, None] * dirs
-    u_gauss = sigma * rng.standard_normal((count, d))
+    u_gauss = _SIGMA * rng.standard_normal((count, d))
     u = np.where(pick[:, None], u_sing, u_gauss)
     rr = _row_norms(u)
     q_sing = np.where(
-        rr <= r0,
-        (d - lam) / (area * r0 ** (d - lam)) * rr ** (-lam),
+        rr <= _R0,
+        (d - lam) / (area * _R0 ** (d - lam)) * rr ** (-lam),
         0.0,
     )
-    q_gauss = (2 * math.pi * sigma ** 2) ** (-d / 2.0) * np.exp(-rr ** 2 / (2 * sigma ** 2))
-    return u, p_sing * q_sing + (1 - p_sing) * q_gauss
+    q_gauss = (2 * math.pi * _SIGMA ** 2) ** (-d / 2.0) * np.exp(-rr ** 2 / (2 * _SIGMA ** 2))
+    return u, _P_SING * q_sing + (1 - _P_SING) * q_gauss
 
 
-def inner_std(dims: Dimensions, lam, f1, f2, stream, n_mc: int = 200_000,
-              sigma: float = 2.0):
+def inner_std(dims: Dimensions, lam, f1, f2, stream, n_mc: int = 200_000):
     """Monte Carlo estimate of the standard-model pairing
     integral integral |g' - g''|^(-lam) f1(g') f2(g'') dg' dg''.
 
@@ -136,10 +139,10 @@ def inner_std(dims: Dimensions, lam, f1, f2, stream, n_mc: int = 200_000,
         raise DomainError("inner_std needs 0 < sum(lam) < d")
     rng = stream.rng
     d = dims.d
-    u, qu = _sample_difference(dims, rng, total, n_mc, sigma=sigma)
-    gpp = sigma * rng.standard_normal((n_mc, d))
-    q_gpp = (2 * math.pi * sigma ** 2) ** (-d / 2.0) * np.exp(
-        -np.einsum("ij,ij->i", gpp, gpp) / (2 * sigma ** 2)
+    u, qu = _sample_difference(dims, rng, total, n_mc)
+    gpp = _SIGMA * rng.standard_normal((n_mc, d))
+    q_gpp = (2 * math.pi * _SIGMA ** 2) ** (-d / 2.0) * np.exp(
+        -np.einsum("ij,ij->i", gpp, gpp) / (2 * _SIGMA ** 2)
     )
     gp = gpp + u
     rr = _row_norms(u)
@@ -332,12 +335,12 @@ def _as_letters(dims: Dimensions, g) -> list:
 # operator identity residuals (single cell, n = 2)
 # ---------------------------------------------------------------------------
 
-def involution_residual(dims: Dimensions, lam: float, grid: CellGrid,
-                        center: float = 0.8):
-    """Relative L^2 error of applying the kernel letter twice to a Gaussian
-    bump, and the relative norm defect of a single application:
+def involution_residual(dims: Dimensions, lam: float, grid: CellGrid):
+    """Relative L^2 error of applying the kernel letter twice to the
+    Gaussian bump phi centred at 0.8, and the relative norm defect of a
+    single application:
     (||T_s T_s phi - phi|| / ||phi||, | ||T_s phi||/||phi|| - 1 |)."""
-    phi = tabulate([grid], lambda xi: np.exp(-np.sum((xi - center) ** 2, axis=-1)))
+    phi = tabulate([grid], lambda xi: np.exp(-np.sum((xi - 0.8) ** 2, axis=-1)))
     s1 = t_comm_apply(dims, lam, "s", phi, target=grid)
     s2 = t_comm_apply(dims, lam, "s", s1, target=grid)
     den = math.sqrt(comm_norm(dims, lam, phi))
@@ -421,9 +424,9 @@ def vacuum_evaluator(dims: Dimensions, lam: float):
     return f
 
 
-def vacuum_checks(dims: Dimensions, lam: float, cn: float,
-                  gamma_norms=(0.5, 1.0, 2.0)):
-    """Two quadrature identities for the vacuum vector:
+def vacuum_checks(dims: Dimensions, lam: float, cn: float):
+    """Two quadrature identities for the vacuum vector, at |gamma| = 0.5, 1
+    and 2:
 
     (ratio)  integral e^{i<xi,gamma>} f_lambda^2 dxi /
              integral f_lambda^2 dxi  =  (1 + |gamma|^2/4)^(-lambda/2)
@@ -439,7 +442,7 @@ def vacuum_checks(dims: Dimensions, lam: float, cn: float,
         return np.exp(_log_k_profile(rho, np.atleast_1d(r)))
 
     profile = Q.RadialProfile(prof, lam - d)
-    gn = np.asarray(gamma_norms, dtype=float)
+    gn = np.array([0.5, 1.0, 2.0])
     transform = Q.radial_fourier(dims, profile, np.concatenate(([0.0], gn))).value
     norm0 = transform[0]
     want_norm = _gamma(lam / 2.0) * (2.0 * math.pi) ** d / (2.0 * cn)
@@ -483,15 +486,15 @@ def tau_z_commutation_residual(dims: Dimensions, cells: list, phi, gamma0) -> fl
 
 
 def tau_isometry_mc(dims: Dimensions, lambdas, f, stream, stream2,
-                    n_mc: int = 200_000, sigma: float = 2.0):
+                    n_mc: int = 200_000):
     """Compare the standard-model pairing of f under the single mass
     lam = sum(lambdas) with the pairing of the embedded tensor, whose kernel
     is the per-cell product prod_i |g'-g''|^(-lam_i) (the diagonal support of
     the embedding collapses every factor onto the same pair of points).
     f is an inner_std integrand.  Independent MC streams; agreement within
     joint standard errors is the isometry check.  Returns (est1, se1, est2, se2)."""
-    e1, s1 = inner_std(dims, float(np.sum(lambdas)), f, f, stream, n_mc, sigma=sigma)
-    e2, s2 = inner_std(dims, lambdas, f, f, stream2, n_mc, sigma=sigma)
+    e1, s1 = inner_std(dims, float(np.sum(lambdas)), f, f, stream, n_mc)
+    e2, s2 = inner_std(dims, lambdas, f, f, stream2, n_mc)
     return e1, s1, e2, s2
 
 

@@ -193,7 +193,7 @@ def test_measure_density_json(capsys):
 
 def test_kernel_tabulate_csv(tmp_path, capsys):
     out = tmp_path / "k.csv"
-    code = cli.main(["kernel", "tabulate", "--n", "2", "--lambda", "0.5",
+    code = cli.main(["kernel", "tabulate", "--lambda", "0.5",
                      "--grid", "0.5,1.0,2.0", "--out", str(out)])
     capsys.readouterr()
     assert code == 0
@@ -204,11 +204,16 @@ def test_kernel_tabulate_csv(tmp_path, capsys):
     assert float(first[2]) != 0.0
 
 
-def test_kernel_tabulate_n3_scalar_grid_is_domain_error(tmp_path, capsys):
-    # the n = 3 kernel takes vectors in R^2; a scalar grid is rejected cleanly
-    out = tmp_path / "k3.csv"
-    code = cli.main(["kernel", "tabulate", "--n", "3", "--lambda", "0.5",
-                     "--grid", "0.5,1.0", "--out", str(out)])
+def test_kernel_tabulate_usage_and_domain_errors(tmp_path, capsys):
+    # the table is the n = 2 kernel, so there is no --n; a zero argument is
+    # outside the quadrature's domain and ends in error: with no file
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kernel", "tabulate", "--n", "3", "--grid", "0.5,1.0",
+                  "--out", str(tmp_path / "k3.csv")])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    out = tmp_path / "k0.csv"
+    code = cli.main(["kernel", "tabulate", "--grid", "0,1", "--out", str(out)])
     _, err = capsys.readouterr()
     assert code == 1
     assert err.startswith("error:")

@@ -126,16 +126,29 @@ def _references(source: str):
     return names, attrs
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(source: str):
     """(line, name, enclosing class or None) of every function, class and
     method, except dunders and decorated ones, which the interpreter or the
-    decorator calls."""
-    todo = [(node, None) for node in ast.parse(source).body]
+    decorator calls, and of every name a module-level assignment binds,
+    except dunders."""
+    body = ast.parse(source).body
+    for node in body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not _is_dunder(name.id):
+                        yield node.lineno, name.id, None
+    todo = [(node, None) for node in body]
     while todo:
         node, owner = todo.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             name = node.name
-            if not node.decorator_list and not (name.startswith("__") and name.endswith("__")):
+            if not node.decorator_list and not _is_dunder(name):
                 yield node.lineno, name, owner
             inner = name if isinstance(node, ast.ClassDef) else None
             todo.extend((child, inner) for child in node.body)
@@ -144,9 +157,9 @@ def _definitions(source: str):
 
 
 def dead_definitions(package: dict, others: list) -> list:
-    """Functions, classes and methods defined in the package sources (a map
-    from file name to source) that neither the package nor the other
-    sources name."""
+    """Functions, classes, methods and module-level names defined in the
+    package sources (a map from file name to source) that neither the
+    package nor the other sources name."""
     names, attrs = set(), set()
     for source in list(package.values()) + list(others):
         got_names, got_attrs = _references(source)
@@ -188,16 +201,24 @@ def test_dead_definitions_are_found():
                         "    pass\n"
                         "class Exported:\n"
                         "    pass\n"
-                        "__all__ = ['Exported']\n"),
+                        "__all__ = ['Exported']\n"
+                        "LIMIT = 3\n"
+                        "STEP, SPARE = 1, 2\n"
+                        "TABLE: dict = {}\n"
+                        "__version__ = '1'\n"
+                        "def read():\n"
+                        "    return LIMIT * STEP\n"),
                "n.py": "from .m import Exported\n"}
     others = ["from m import K\n"
               "K().method()\n"
               "setattr(K, 'by_string', None)\n"
               "a.copy()\n"          # an array's copy, not K's
-              "K.mean(k)\n"]
+              "K.mean(k)\n"
+              "m.read()\n"]
     assert dead_definitions(package, others) == [
         "m.py line 3: dead", "m.py line 12: copy", "m.py line 18: inner",
-        "m.py line 20: Unused", "m.py line 22: Exported"]
+        "m.py line 20: Unused", "m.py line 22: Exported", "m.py line 26: SPARE",
+        "m.py line 27: TABLE"]
 
 
 def test_package_has_no_dead_definitions():
@@ -206,6 +227,17 @@ def test_package_has_no_dead_definitions():
               for path in sorted((ROOT / folder).glob("**/*.py"))]
     assert others
     assert dead_definitions(package, others) == []
+
+
+def test_quadrature_imports_nothing_from_scipy_integrate():
+    # every quadrature of the module is one of its own fixed rules
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "quadrature.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+    assert imported and not any(name.startswith("scipy.integrate") for name in imported)
 
 
 def test_checks_run_without_mpmath():

@@ -20,7 +20,7 @@ def test_radial_fourier_zero_frequency_is_plain_integral():
     area = 2.0 * math.pi ** (dims.d / 2.0) / math.gamma(dims.d / 2.0)
     want, _ = integrate.quad(lambda r: area * r * math.exp(-r * r), 0.0, 20.0)
     assert got == pytest.approx(want, rel=1e-10)
-    # nodes_used counts the profile values that quad asked for
+    # nodes_used counts the profile values computed
     sizes = []
     counted = Q.RadialProfile(lambda r: sizes.append(r.size) or np.exp(-r * r), 0.0)
     assert Q.radial_fourier(dims, counted, 0.0).nodes_used == sum(sizes) > 0
@@ -188,6 +188,11 @@ def test_fourier_vrho_inverse_positive_and_accurate():
 def test_kernel_integral_n2_domain():
     with pytest.raises(DomainError):
         Q.kernel_integral_n2(1.5, 1.0, 1.0)
+    # a zero argument is outside the domain at both n
+    for integral, args in ((Q.kernel_integral_n2, (0.5, 0.0, 1.0)),
+                           (Q.kernel_integral_n3, (0.5, [0.0, 0.0], [1.0, 0.0]))):
+        with pytest.raises(DomainError):
+            integral(*args)
 
 
 def test_kernel_A_prefactor():
@@ -208,70 +213,87 @@ def test_kernel_A_prefactor():
                                       rel=1e-13)
 
 
-def _separate_cos_tail(a, b, p, start, tol=1e-11):
-    # osc_cos_tail with its own doubling and stall loop, as it was before the
-    # loop was shared with osc_j0_tail
-    phase0 = a * start + (b / start if start > 0 else 0.0)
-    k0 = math.ceil((phase0 - 0.5 * math.pi) / math.pi)
-    n_seg = 80
-    f = lambda u: u ** p * np.cos(a * u + b / u)
-    while True:
-        ks = k0 + np.arange(n_seg + 1)
-        phis = 0.5 * math.pi + ks * math.pi
-        disc = phis * phis - 4.0 * a * b
-        roots = (phis + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
-        edges = np.concatenate(([start], roots[roots > start * (1 + 1e-15)]))
-        val, err, nev = Q._oscillatory_sum(f, edges, tol)
-        if err <= max(tol, 1e-14 * abs(val)) or n_seg >= Q._MAX_SEGMENTS:
-            if err > 1e3 * max(tol, 1e-12 * (abs(val) + 1e-300)) and n_seg >= Q._MAX_SEGMENTS:
-                raise ConvergenceError("stalled")
-            return val, err, nev
-        n_seg *= 2
+def test_tail_evaluations_are_the_integrand_values_computed(monkeypatch):
+    # every segment is evaluated once, also in a tail that doubles its
+    # segments (u^3 cos u, Abel-summed) and in both kernels
+    seen = []
+    gauss = Q._gauss_on_segments
+    monkeypatch.setattr(Q, "_gauss_on_segments",
+                        lambda f, edges: gauss(lambda x: seen.append(x.size) or f(x), edges))
+    assert Q.osc_cos_tail(1.0, 0.0, 3.0, 1.0, 0.0)[2] == sum(seen) \
+        > 2 * Q._FIRST_CHUNK * Q._GAUSS_PTS
+    for integral, args in ((Q.kernel_integral_n2, (0.5, 0.7, 1.1)),
+                           (Q.kernel_integral_n3, (0.8, [0.5, -0.2], [1.0, 0.7]))):
+        seen.clear()
+        assert integral(*args)[2] == sum(seen)
 
 
-def _separate_j0_tail(a, b, c2, p, start, tol=1e-11):
-    # osc_j0_tail before the shared loop, likewise
-    w = lambda r: np.sqrt(np.maximum(a * r * r + b + c2 / (r * r), 0.0))
-    f = lambda r: r ** p * j0(w(r))
-    w0 = w(np.asarray([start]))[0]
-    n_seg = 80
-    while True:
-        zeros = Q._bessel_zeros(0.0, n_seg + 8)
-        zeros = zeros[zeros > w0]
-        z2 = zeros ** 2
-        disc = (b - z2) ** 2 - 4.0 * a * c2
-        t = ((z2 - b) + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
-        roots = np.sqrt(t)
-        edges = np.concatenate(([start], roots[roots > start * (1 + 1e-15)]))
-        val, err, nev = Q._oscillatory_sum(f, edges, tol)
-        if err <= max(tol, 1e-14 * abs(val)) or n_seg >= Q._MAX_SEGMENTS:
-            if err > 1e3 * max(tol, 1e-12 * (abs(val) + 1e-300)) and n_seg >= Q._MAX_SEGMENTS:
-                raise ConvergenceError("stalled")
-            return val, err, nev
-        n_seg *= 2
+def test_kernel_tails_start_from_one_first_chunk(monkeypatch):
+    # the first chunk and the budget of a J_0 tail do not depend on w(start)
+    # (two tails per kernel integral)
+    firsts = []
+    grown = Q._grown_tail
+
+    def recorded(segs, *args):
+        firsts.append(segs.shape[1])
+        return grown(segs, *args)
+
+    monkeypatch.setattr(Q, "_grown_tail", recorded)
+    for xi, xp in (([0.5, 0.2], [1.0, 0.7]), ([20.0, 0.0], [20.0, 0.0]),
+                   ([50.0, 0.0], [50.0, 0.0])):
+        Q.kernel_integral_n3(0.8, xi, xp)
+    assert firsts == [Q._FIRST_CHUNK] * 6
 
 
-def test_shared_tail_loop_keeps_kernel_integrals_bit_identical(monkeypatch):
-    # the tails on the shared loop against the separate loops they replaced:
-    # the kernel integrals of both signs of xi xi', a tail that doubles its
-    # segment count three times, and tails that stall
-    def results():
-        out = [Q.kernel_integral_n2(lam, xi, xp) for lam, xi, xp in
-               ((0.5, 0.7, 1.1), (0.5, 0.7, -1.1), (0.3, -2.0, 0.4), (0.8, 0.05, -3.0))]
-        out += [Q.kernel_integral_n3(lam, xi, xp) for lam, xi, xp in
-                ((0.8, [0.5, -0.2], [1.0, 0.7]), (1.5, [0.05, 0.02], [-0.4, 0.6]))]
-        out += [Q.osc_cos_tail(1.0, 0.0, 3.0, 1.0, 0.0),
-                Q.osc_j0_tail(1.0, 0.0, 0.0, 2.5, 1.0, 0.0)]
-        for tail, args in ((Q.osc_cos_tail, (1.0, 0.0, 5.0, 1.0)),
-                           (Q.osc_j0_tail, (1.0, 0.0, 0.0, 4.0, 1.0))):
-            with pytest.raises(ConvergenceError):
-                tail(*args)
-        return out
+def test_stalled_tails_raise_after_the_whole_budget(monkeypatch):
+    widths = []
+    accelerated_sum = Q._accelerated_sum
+    monkeypatch.setattr(Q, "_accelerated_sum",
+                        lambda segs, tol: widths.append(segs.shape[1]) or accelerated_sum(segs, tol))
+    for tail, args in ((Q.osc_cos_tail, (1.0, 0.0, 5.0, 1.0)),
+                       (Q.osc_j0_tail, (1.0, 0.0, 0.0, 4.0, 1.0))):
+        widths.clear()
+        with pytest.raises(ConvergenceError):
+            tail(*args)
+        assert widths == [Q._FIRST_CHUNK, 2 * Q._FIRST_CHUNK, 4 * Q._FIRST_CHUNK, Q._SEGMENTS]
 
-    shared = results()
-    monkeypatch.setattr(Q, "osc_cos_tail", _separate_cos_tail)
-    monkeypatch.setattr(Q, "osc_j0_tail", _separate_j0_tail)
-    assert shared == results()
+
+def test_kernel_integrals_within_their_errors_of_the_separate_loops():
+    # values of the separate doubling loops that re-evaluated every segment
+    # at each pass, on 81 .. 641 segments
+    cases = [
+        (Q.kernel_integral_n2, (0.5, 0.7, 1.1), -1.1855538381779418),
+        (Q.kernel_integral_n2, (0.5, 0.7, -1.1), 0.07062493168986334),
+        (Q.kernel_integral_n2, (0.3, -2.0, 0.4), 0.0817968695508982),
+        (Q.kernel_integral_n2, (0.8, 0.05, -3.0), 0.43953415979774546),
+        (Q.kernel_integral_n3, (0.8, [0.5, -0.2], [1.0, 0.7]), -0.17943292870973657),
+        (Q.kernel_integral_n3, (1.5, [0.05, 0.02], [-0.4, 0.6]), 1.3147871980235766),
+    ]
+    for integral, args, before in cases:
+        value, err, _ = integral(*args)
+        assert abs(value - before) <= err, args
+
+
+def test_radial_fourier_zero_frequency_closed_forms():
+    # k = 0 on the graded rule: the plain integral of f times the sphere
+    # area, within its own error estimate
+    cases = [(n, _PROFILES["gaussian"], math.pi ** ((n - 1) / 2.0)) for n in (2, 3, 4)]
+    cases += [(2, _PROFILES["r^-1/2 e^-r"], 2.0 * math.sqrt(math.pi)),
+              (2, Q.RadialProfile(lambda r: (1.0 + r * r) ** -2.0, 0.0), math.pi / 2.0)]
+    for n, lam in ((2, 0.5), (3, 1.0)):   # the squared vacuum profiles
+        rho = (n - 1 - lam) / 2.0
+        vacuum = Q.RadialProfile(lambda r, rho=rho: np.exp(R._log_k_profile(rho, r)), -2.0 * rho)
+        cases.append((n, vacuum, math.gamma(lam / 2.0) * (2.0 * math.pi) ** (n - 1)
+                      / (2.0 * (4.0 * math.pi) ** ((n - 1) / 2.0))))
+    for n, rho in ((2, 0.5), (3, 1.0)):   # 1/V_rho
+        d = n - 1
+        inverse_v = Q.RadialProfile(lambda r, rho=rho: np.exp(-specfun.log_v_rho(rho, r)))
+        cases.append((n, inverse_v, (2.0 * math.pi) ** d * math.gamma(d / 2.0 + rho)
+                      / ((4.0 * math.pi) ** (d / 2.0) * math.gamma(rho))))
+    for n, prof, want in cases:
+        rep = Q.radial_fourier(Dimensions(n), prof, 0.0)
+        assert abs(rep.value - want) <= rep.abs_error, (n, rep.value, want)
+        assert rep.abs_error <= 1e-8 * want
 
 
 def test_levy_khinchin_constant_and_residual():
