@@ -15,6 +15,7 @@ p(gamma) = (-|gamma|^2/2, gamma, 1), acted on from the right."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,12 +26,15 @@ _MEMBERSHIP_TOL = 1e-9
 _INFINITY_TOL = 1e-12
 
 
+@lru_cache(maxsize=None)
 def form_matrix(n: int) -> np.ndarray:
-    """The invariant form s = antidiag(1, e, 1): s[0,n]=s[n,0]=1, identity middle."""
+    """The invariant form s = antidiag(1, e, 1): s[0,n]=s[n,0]=1, identity
+    middle; one read-only array per n."""
     s = np.zeros((n + 1, n + 1))
     s[0, n] = 1.0
     s[n, 0] = 1.0
     s[1:n, 1:n] = np.eye(n - 1)
+    s.setflags(write=False)
     return s
 
 
@@ -75,12 +79,6 @@ class GroupElement:
     def membership_residual(self) -> float:
         return float(membership_residuals(self.m))
 
-    def require_member(self, tol: float = _MEMBERSHIP_TOL) -> "GroupElement":
-        r = self.membership_residual()
-        if r > tol:
-            raise NotInGroupError(f"form relation violated: residual {r:.3e}")
-        return self
-
 
 def inverse_matrices(m: np.ndarray) -> np.ndarray:
     """g^-1 = s g^T s for each matrix of a stack (..., n+1, n+1)."""
@@ -91,7 +89,8 @@ def inverse_matrices(m: np.ndarray) -> np.ndarray:
 def membership_residuals(m: np.ndarray) -> np.ndarray:
     """max |g s g^T - s| for each matrix of a stack (..., n+1, n+1)."""
     s = form_matrix(m.shape[-1] - 1)
-    return np.abs(m @ s @ np.swapaxes(m, -1, -2) - s).max(axis=(-2, -1))
+    gap = np.abs(m @ s @ np.swapaxes(m, -1, -2) - s)
+    return gap.reshape(gap.shape[:-2] + (gap.shape[-1] ** 2,)).max(axis=-1)
 
 
 def make_s(n: int) -> GroupElement:
@@ -102,9 +101,10 @@ def make_s(n: int) -> GroupElement:
 def _z_matrices(gamma: np.ndarray) -> np.ndarray:
     """The matrices of z(gamma) over a stack of shifts (..., d)."""
     n = gamma.shape[-1] + 1
-    m = np.tile(np.eye(n + 1), gamma.shape[:-1] + (1, 1))
+    m = np.zeros(gamma.shape[:-1] + (n + 1, n + 1))
+    m.reshape(gamma.shape[:-1] + ((n + 1) ** 2,))[..., ::n + 2] = 1.0   # the diagonal
     m[..., 1:n, 0] = -gamma
-    m[..., n, 0] = -0.5 * np.sum(gamma * gamma, axis=-1)
+    m[..., n, 0] = -0.5 * (gamma * gamma).sum(axis=-1)
     m[..., n, 1:n] = gamma
     return m
 
@@ -210,46 +210,81 @@ def action_condition(gamma, g):
 class TriangularElement:
     """Element (eps, u, gamma) of the triangular subgroup, realized as
     z(gamma) d(eps, u); composition law
-    (e1,u1,c1)(e2,u2,c2) = (e1 e2, u1 u2, c1 + e1 c2 u1^{-1})."""
+    (e1,u1,c1)(e2,u2,c2) = (e1 e2, u1 u2, c1 + e1 c2 u1^{-1}).
+
+    The fields may also be stacks, eps (...), u (..., d, d) and
+    gamma (..., d): the element then stands for the stack of elements, and
+    compose and matrices broadcast over it."""
 
     epsilon: float
     u: np.ndarray
     gamma: np.ndarray
 
     def __post_init__(self):
-        self.u = np.atleast_2d(np.asarray(self.u, dtype=float))
-        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        if self.epsilon == 0.0:
+        self.u = np.array(self.u, dtype=float, copy=None, ndmin=2)
+        self.gamma = np.array(self.gamma, dtype=float, copy=None, ndmin=1)
+        if not np.asarray(self.epsilon).all():
             raise DomainError("epsilon must be nonzero")
 
     @property
     def n(self) -> int:
-        return self.gamma.shape[0] + 1
+        return self.gamma.shape[-1] + 1
 
     def compose(self, other: "TriangularElement") -> "TriangularElement":
         eps = self.epsilon * other.epsilon
         u = self.u @ other.u
-        gamma = self.gamma + self.epsilon * (other.gamma @ np.linalg.inv(self.u))
+        shift = (other.gamma[..., None, :] @ np.linalg.inv(self.u))[..., 0, :]
+        gamma = self.gamma + np.asarray(self.epsilon)[..., None] * shift
         return TriangularElement(eps, u, gamma)
 
-    def matrix(self) -> GroupElement:
-        return make_z(self.gamma) @ make_d(self.epsilon, self.u)
+    def matrices(self) -> np.ndarray:
+        """The matrix z(gamma) d(eps, u), or the stack of them (..., n+1, n+1)."""
+        return _triangular_matrices(np.asarray(self.epsilon, dtype=float), self.u, self.gamma)
 
-    @classmethod
-    def from_matrix(cls, g: GroupElement) -> "TriangularElement":
-        """Read (eps, u, gamma) off a block lower-triangular group element."""
-        upper = max(abs(g.g13), float(np.abs(g.g12).max(initial=0.0)),
-                    float(np.abs(g.g23).max(initial=0.0)))
-        if upper > _MEMBERSHIP_TOL:
-            raise NotInGroupError("matrix is not block lower triangular")
-        eps = g.g33
-        u = g.g22
-        gamma = g.g32 @ u.T
-        t = cls(eps, u, gamma)
-        bound = 10 * _MEMBERSHIP_TOL * max(1.0, abs(eps), 1.0 / abs(eps))
-        if np.abs(t.matrix().m - g.m).max() > bound:
-            raise NotInGroupError("matrix is not in the triangular subgroup")
-        return t
+    def matrix(self) -> GroupElement:
+        return GroupElement(self.matrices(), self.n)
+
+
+def random_triangular(dims: Dimensions, rng: np.random.Generator,
+                      count: int) -> TriangularElement:
+    """A stack of count triangular elements drawn as the letters of
+    random_elements: log|eps| uniform on [-1, 1] with a fair sign, u the
+    sign-fixed QR factor of a Gaussian matrix, gamma standard normal."""
+    eps = np.exp(rng.uniform(-1.0, 1.0, count)) * np.where(rng.random(count) < 0.5, 1.0, -1.0)
+    u = _sign_fixed_q(rng.standard_normal((count, dims.d, dims.d)))
+    return TriangularElement(eps, u, rng.standard_normal((count, dims.d)))
+
+
+def _upper_size(am: np.ndarray) -> np.ndarray:
+    """max(|g12|, |g13|, |g23|) for each matrix of a stack of absolute
+    values |g| (k, n+1, n+1)."""
+    n = am.shape[-1] - 1
+    return np.maximum(am[:, 0, 1:].max(axis=-1), am[:, :n, n].max(axis=-1))
+
+
+def _triangular_matrices(eps: np.ndarray, u: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """z(gamma) d(eps, u) over stacks of eps, u and gamma."""
+    return _z_matrices(gamma) @ _d_matrices(eps, u)
+
+
+def _triangular_parts(m: np.ndarray, upper: np.ndarray):
+    """Read (eps, u, gamma) off each block lower-triangular matrix of a
+    stack m (k, n+1, n+1) whose upper blocks have the sizes upper
+    (_upper_size).  Returns eps, u, gamma and a mask of the matrices that
+    are in the triangular subgroup: upper blocks below _MEMBERSHIP_TOL, and
+    z(gamma) d(eps, u) within 10 _MEMBERSHIP_TOL max(|eps|, 1/|eps|) of m.
+    A zero eps is set to 1, which puts z(gamma) d(eps, u) at least 1 off m."""
+    n = m.shape[-1] - 1
+    eps = m[:, n, n]
+    u = m[:, 1:n, 1:n]
+    ok = upper <= _MEMBERSHIP_TOL
+    eps = np.where(eps != 0.0, eps, 1.0)
+    gamma = (m[:, n, None, 1:n] @ np.swapaxes(u, -1, -2))[:, 0, :]
+    size = np.abs(eps)
+    bound = 10 * _MEMBERSHIP_TOL * np.maximum(size, 1.0 / size)   # max(1, ...) is implied
+    gap = np.abs(_triangular_matrices(eps, u, gamma) - m)
+    ok &= gap.reshape(gap.shape[:1] + ((n + 1) ** 2,)).max(axis=-1) <= bound
+    return eps, u, gamma, ok
 
 
 @dataclass
@@ -269,25 +304,85 @@ class GroupWord:
         return len(self.letters)
 
 
-def _split(g: GroupElement) -> list:
-    """The letters z(gamma), s, b of g = z(gamma) . s . b, for g off the
-    triangular subgroup: the first column (a, v, *) of M = g s lies on the
-    cone, so gamma = -(v/a) annihilates it under z(-gamma) and the quotient
-    is automatically block upper triangular.  a is the corner entry g13."""
-    n = g.n
-    s = make_s(n)
-    M = g @ s
-    a = M.m[0, 0]
-    gamma = -(M.m[1:n, 0] / a)
-    upper = make_z(-gamma) @ M
-    b = TriangularElement.from_matrix((s @ upper @ s).require_member(1e-7))
-    return [TriangularElement(1.0, np.eye(n - 1), gamma), "s", b]
+@dataclass
+class WordStack:
+    """The words of factor_words over a stack of k elements: element i is
+    the triangular letter b_i = (eps[i], u[i], gamma[i]) alone where
+    split[i] is False, else z(shift[i]) . s . b_i, preceded by s where
+    lead[i]."""
+
+    n: int
+    split: np.ndarray
+    lead: np.ndarray
+    shift: np.ndarray
+    eps: np.ndarray
+    u: np.ndarray
+    gamma: np.ndarray
+
+    def evaluate(self) -> np.ndarray:
+        """The product of each word's letters, left to right, as
+        GroupWord.evaluate: a stack (k, n+1, n+1)."""
+        s = form_matrix(self.n)
+        g = np.where(self.lead[:, None, None], s, np.eye(self.n + 1))
+        g = np.where(self.split[:, None, None], g @ _z_matrices(self.shift) @ s, g)
+        return g @ _triangular_matrices(self.eps, self.u, self.gamma)
+
+    def word(self, i: int) -> GroupWord:
+        """Word i as a GroupWord."""
+        b = TriangularElement(float(self.eps[i]), self.u[i], self.gamma[i])
+        if not self.split[i]:
+            return GroupWord(self.n, [b])
+        z = TriangularElement(1.0, np.eye(self.n - 1), self.shift[i])
+        return GroupWord(self.n, ["s"] * bool(self.lead[i]) + [z, "s", b])
+
+
+def _split(h: np.ndarray):
+    """(shift, q) with h = z(shift) . s . q for each element of a stack
+    (k, n+1, n+1) off the triangular subgroup: the first column (a, v, *) of
+    M = h s lies on the cone, so shift = -(v/a) annihilates it under
+    z(-shift) and the quotient q = s z(-shift) M s is block lower
+    triangular.  a is the corner entry h13; q is in the triangular subgroup
+    only up to the rounding that the division by a amplifies."""
+    n = h.shape[-1] - 1
+    s = form_matrix(n)
+    M = h @ s
+    shift = -(M[:, 1:n, 0] / M[:, 0, None, 0])
+    return shift, s @ (_z_matrices(-shift) @ M) @ s
 
 
 # _split divides by the corner g13: over random_element draws its quotient
 # b left the group by up to 1e-15 (max|g| / |g13|)^2, which at this ratio
 # of |g13| to max|g| is 1e-8, a tenth of b's membership test
 _SPLIT_MIN_CORNER = 3e-4
+_QUOTIENT_TOL = 1e-7   # membership tolerance of the split quotient b
+
+
+def factor_words(m):
+    """factor_word over a stack of matrices (k, n+1, n+1), in array
+    operations.  Returns (words, ok): a WordStack and a mask of the
+    elements factored; where factor_word would raise NotInGroupError, ok is
+    False and the word is meaningless.  A step that no element of the
+    stack needs is skipped."""
+    m = np.asarray(m, dtype=float)
+    n = m.shape[-1] - 1
+    am = np.abs(m)
+    scale = am.reshape(am.shape[:1] + ((n + 1) ** 2,)).max(axis=-1)
+    upper = _upper_size(am)
+    split = upper > 1e-10 * scale
+    ok = membership_residuals(m) <= _MEMBERSHIP_TOL
+    if not split.any():
+        *b, is_triangular = _triangular_parts(m, upper)
+        return WordStack(n, split, split, np.zeros(m.shape[:1] + (n - 1,)), *b), ok & is_triangular
+    lead = split & (am[:, 0, n] < np.minimum(_SPLIT_MIN_CORNER * scale, am[:, n, n]))
+    h = np.where(lead[:, None, None], form_matrix(n) @ m, m) if lead.any() else m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift, q = _split(h)
+        ok &= ~split | (membership_residuals(q) <= _QUOTIENT_TOL)
+    if not split.all():
+        shift = np.where(split[:, None], shift, 0.0)
+        q = np.where(split[:, None, None], q, m)
+    *b, is_triangular = _triangular_parts(q, _upper_size(np.abs(q)))
+    return WordStack(n, split, lead, shift, *b), ok & is_triangular
 
 
 def factor_word(g: GroupElement) -> GroupWord:
@@ -300,17 +395,13 @@ def factor_word(g: GroupElement) -> GroupWord:
     when |g13| is below _SPLIT_MIN_CORNER max|g| and below |g33| (g near the
     triangular subgroup), s g, whose corner is g33, is split instead:
     g = s . z(gamma) . s . b.  Words have at most 3 letters in the first
-    case and 4 in the second."""
-    g.require_member()
-    n = g.n
-    scale = float(np.abs(g.m).max())
-    upper = max(abs(g.g13), float(np.abs(g.g12).max(initial=0.0)),
-                float(np.abs(g.g23).max(initial=0.0)))
-    if upper <= 1e-10 * scale:
-        return GroupWord(n, [TriangularElement.from_matrix(g)])
-    if abs(g.g13) < min(_SPLIT_MIN_CORNER * scale, abs(g.g33)):
-        return GroupWord(n, ["s"] + _split(make_s(n) @ g))
-    return GroupWord(n, _split(g))
+    case and 4 in the second.  factor_words does the same over a stack;
+    this is its one-element call."""
+    words, ok = factor_words(g.m[None])
+    if not ok[0]:
+        raise NotInGroupError("g is not in the group, or the triangular letter "
+                              "of its split is not")
+    return words.word(0)
 
 
 _JACOBIAN_STEP = 1e-3       # difference step, relative to the distance to the pole

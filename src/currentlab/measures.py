@@ -193,6 +193,42 @@ def nu_char(partition: Partition, dims: Dimensions, gamma) -> float:
     return math.exp(acc)
 
 
+# The Monte Carlo estimators draw and evaluate this many samples at a time,
+# so their memory does not grow with the sample count
+MC_BLOCK = 2 ** 14
+
+
+class BlockMoments:
+    """Mean and centred sum of squares of values that arrive in blocks.  Each
+    block's own mean and centred sum are merged into the running ones by the
+    pairwise rule of Chan, Golub & LeVeque (1983); the one-pass
+    sum(x^2) - N mean^2 would cancel to nothing on a near-constant sample."""
+
+    def __init__(self):
+        self.count, self.mean, self.m2 = 0, 0.0, 0.0
+
+    def add(self, values) -> None:
+        values = np.asarray(values, dtype=float)
+        count, mean = values.size, float(np.mean(values))
+        m2 = float(np.sum((values - mean) ** 2))
+        total = self.count + count
+        delta = mean - self.mean
+        self.mean += delta * count / total
+        self.m2 += m2 + delta * delta * self.count * count / total
+        self.count = total
+
+    @property
+    def standard_error(self) -> float:
+        """std(values) / sqrt(N), numpy's std (divisor N) over all values."""
+        return math.sqrt(self.m2 / self.count) / math.sqrt(self.count)
+
+
+def mc_blocks(n_samples: int):
+    """The sizes of the MC_BLOCK-sample blocks of an n_samples-sample
+    estimate, the last one short."""
+    return [min(MC_BLOCK, n_samples - start) for start in range(0, n_samples, MC_BLOCK)]
+
+
 def check_coherence(dims: Dimensions, refinement: Refinement, stream,
                     n_samples: int = 200_000):
     """Consistency of the marginal families under refinement.
@@ -201,8 +237,10 @@ def check_coherence(dims: Dimensions, refinement: Refinement, stream,
     over fine cells equals the coarse product, and big_psi agrees likewise
     (mass additivity).  Monte Carlo part: fine samples of mu, group-summed to
     the coarse partition, reproduce the coarse characteristic functional
-    within 3 standard errors.  gamma and the samples both come from the
-    stream.  Returns a dict of residuals."""
+    within 3 standard errors.  gamma and then the samples come from the
+    stream, the samples MC_BLOCK at a time: each block is drawn by one
+    sample_marginal call and summed by one group_sum.  Returns a dict of
+    residuals."""
     from .process import sample_marginal
 
     coarse, fine = refinement.coarse, refinement.fine
@@ -216,13 +254,14 @@ def check_coherence(dims: Dimensions, refinement: Refinement, stream,
         math.log(big_psi(fine, dims, gamma_f)) - math.log(big_psi(coarse, dims, gamma_c))
     )
 
-    # each coarse cell is a sum of fine draws
-    coarse_draws = refinement.group_sum(sample_marginal(dims, fine, stream, size=n_samples))
-    # Psi is real, so only the real part is estimated, as the mean of cos
-    # <xi, gamma>; its standard error leaves out the variance of sin
-    phases = np.cos(np.einsum("nld,ld->n", coarse_draws, gamma_c))
-    est = phases.mean()
-    se = float(phases.std() / math.sqrt(n_samples))
+    # each coarse cell is a sum of fine draws.  Psi is real, so only the
+    # real part is estimated, as the mean of cos <xi, gamma>; its standard
+    # error leaves out the variance of sin
+    moments = BlockMoments()
+    for size in mc_blocks(n_samples):
+        coarse_draws = refinement.group_sum(sample_marginal(dims, fine, stream, size=size))
+        moments.add(np.cos(np.einsum("nld,ld->n", coarse_draws, gamma_c)))
+    est, se = moments.mean, moments.standard_error
     target = big_psi(coarse, dims, gamma_c)
     return {
         "nu_char_residual": res_nu,

@@ -127,8 +127,9 @@ def inner_std(dims: Dimensions, lam, f1, f2, stream, n_mc: int = 200_000):
 
     lam is one exponent or a sequence of them; a sequence pairs with the
     per-cell kernel prod_i |g' - g''|^(-lam_i), its factors multiplied in
-    order.  f1 and f2 take the (n_mc, d) array of sample points and return
-    the (n_mc,) array of values; each is called once.
+    order.  The n_mc samples are drawn and weighted M.MC_BLOCK at a time:
+    f1 and f2 take a block's (size, d) array of sample points and return
+    the (size,) array of values, and each is called once per block.
 
     The difference variable is importance-sampled with an
     |u|^(-sum lam_i)-exact proposal near 0 so the estimator has finite
@@ -139,19 +140,21 @@ def inner_std(dims: Dimensions, lam, f1, f2, stream, n_mc: int = 200_000):
         raise DomainError("inner_std needs 0 < sum(lam) < d")
     rng = stream.rng
     d = dims.d
-    u, qu = _sample_difference(dims, rng, total, n_mc)
-    gpp = _SIGMA * rng.standard_normal((n_mc, d))
-    q_gpp = (2 * math.pi * _SIGMA ** 2) ** (-d / 2.0) * np.exp(
-        -np.einsum("ij,ij->i", gpp, gpp) / (2 * _SIGMA ** 2)
-    )
-    gp = gpp + u
-    rr = _row_norms(u)
-    kern = rr ** (-lams[0])
-    for li in lams[1:]:
-        kern = kern * rr ** (-li)
-    vals = (kern * _integrand_values(f1, gp) * _integrand_values(f2, gpp)
-            / (qu * q_gpp))
-    return float(np.mean(vals)), float(np.std(vals) / math.sqrt(n_mc))
+    moments = M.BlockMoments()
+    for size in M.mc_blocks(n_mc):
+        u, qu = _sample_difference(dims, rng, total, size)
+        gpp = _SIGMA * rng.standard_normal((size, d))
+        q_gpp = (2 * math.pi * _SIGMA ** 2) ** (-d / 2.0) * np.exp(
+            -np.einsum("ij,ij->i", gpp, gpp) / (2 * _SIGMA ** 2)
+        )
+        gp = gpp + u
+        rr = _row_norms(u)
+        kern = rr ** (-lams[0])
+        for li in lams[1:]:
+            kern = kern * rr ** (-li)
+        moments.add(kern * _integrand_values(f1, gp) * _integrand_values(f2, gpp)
+                    / (qu * q_gpp))
+    return moments.mean, moments.standard_error
 
 
 def _integrand_values(f, points: np.ndarray) -> np.ndarray:
@@ -192,34 +195,29 @@ def _kernel_block_n2(lam: float, xi: np.ndarray, xi_prime: np.ndarray) -> np.nda
     2 sin(pi lam/2) K_{lam-1}(w) (the I difference cancels catastrophically
     for large w).  quadrature.kernel_A is the reference route.
 
-    An entry's Bessel term depends only on the product |xi_i| |xi'_j| and
-    on whether xi_i xi'_j > 0, so each term is evaluated once per distinct
-    product that some entry needs and gathered back; the amplitude is taken
-    per distinct pair (|xi|, |xi'|).  |x y| = |x| |y| exactly, so the block
-    equals the entrywise formula bit for bit."""
+    An entry depends only on the magnitudes (|xi_i|, |xi'_j|) and on
+    whether xi_i xi'_j > 0.  So the block is built from one table per sign
+    case over the distinct magnitude pairs, holding coeff * amp * D, and
+    one gather of the full block at the end.  The Bessel terms of both
+    cases are evaluated once per distinct product |xi| |xi'| of the pairs.
+    |x y| = |x| |y| exactly, so the block equals the entrywise formula bit
+    for bit."""
     ax, ix = np.unique(np.abs(xi), return_inverse=True)
     ay, iy = np.unique(np.abs(xi_prime), return_inverse=True)
-    pair = (ix[:, None] * ay.size + iy[None, :]).ravel()
-    prod, ip = np.unique((ax[:, None] * ay[None, :]).ravel(), return_inverse=True)
-    entry = ip[pair]
-    same = (xi[:, None] * xi_prime[None, :] > 0).ravel()
-    need_same = np.zeros(prod.size, dtype=bool)
-    need_same[entry[same]] = True
-    need_cross = np.zeros(prod.size, dtype=bool)
-    need_cross[entry[~same]] = True
+    prod, ip = np.unique(ax[:, None] * ay[None, :], return_inverse=True)
     w = 2.0 ** 1.5 * np.sqrt(prod)
-    amp = ((2.0 * ay[None, :] / ax[:, None]) ** ((lam - 1.0) / 2.0)).ravel()
-    coeff = _op_coeff(lam)
+    amp = (2.0 * ay[None, :] / ax[:, None]) ** ((lam - 1.0) / 2.0)
     const = math.pi / (2.0 * math.cos(0.5 * math.pi * lam))
     nu = 1.0 - lam
-    d = np.zeros((2, prod.size))
+    d = np.empty((2, prod.size))   # per product: D for xi xi' < 0, for xi xi' > 0
     with np.errstate(under="ignore"):
-        h = hankel1(nu, w[need_same])
-        d[0, need_same] = const * (-2.0 * math.sin(0.5 * math.pi * nu) ** 2 * h.real
-                                   - math.sin(math.pi * nu) * h.imag)
-        d[1, need_cross] = 2.0 * math.sin(0.5 * math.pi * lam) * kv(lam - 1.0, w[need_cross])
-    block = coeff * amp[pair] * np.where(same, d[0, entry], d[1, entry])
-    return block.reshape(xi.size, xi_prime.size)
+        h = hankel1(nu, w)
+        d[1] = const * (-2.0 * math.sin(0.5 * math.pi * nu) ** 2 * h.real
+                        - math.sin(math.pi * nu) * h.imag)
+        d[0] = 2.0 * math.sin(0.5 * math.pi * lam) * kv(lam - 1.0, w)
+    tables = _op_coeff(lam) * amp * d[:, ip.reshape(amp.shape)]
+    same = np.multiply.outer(np.sign(xi), np.sign(xi_prime)) > 0
+    return tables[same.view(np.uint8), ix[:, None], iy[None, :]]
 
 
 # Least recently used matrices are dropped beyond this many: a `check all`
@@ -250,7 +248,7 @@ def kernel_matrix(dims: Dimensions, lam: float, target: CellGrid,
     else:
         m = _op_coeff(lam) * np.array([[Q.kernel_integral_n3(lam, xi, xp)[0]
                                         for xp in source.nodes] for xi in target.nodes])
-    m = m * source.weights[None, :]
+    m *= source.weights[None, :]
     with _KERNEL_LOCK:
         _KERNEL_CACHE[key] = m
         if len(_KERNEL_CACHE) > _KERNEL_CACHE_SIZE:

@@ -23,7 +23,7 @@ from . import process as P
 from . import quadrature as Q
 from . import reps as R
 from . import specfun
-from .errors import DomainError, NotInGroupError, PointAtInfinityError
+from .errors import DomainError, PointAtInfinityError
 from .gridfn import CellGrid, GridFunction, grid_1d_sqrt, tabulate
 from .process import SeededStream
 from .specfun import Dimensions
@@ -390,15 +390,10 @@ def _exchange_matrix(cfg, stream):
 @_check("group", "factor-word-roundtrip", "1-1", 1e-8)
 def _factor_roundtrip(cfg, stream):
     def trials(dims, k):
-        done = []
-        for m in G.random_elements(dims, stream.rng, k):
-            try:
-                w = G.factor_word(G.GroupElement(m, dims.n))
-            except NotInGroupError:
-                continue
-            scale = max(1.0, float(np.abs(m).max()))
-            done.append(float(np.abs(w.evaluate().m - m).max()) / scale)
-        return done
+        m = G.random_elements(dims, stream.rng, k)
+        words, ok = G.factor_words(m)
+        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+        return (np.abs(words.evaluate() - m).max(axis=(-2, -1)) / scale)[ok]
 
     return _bounded_trials(cfg.trials, trials)
 
@@ -406,19 +401,11 @@ def _factor_roundtrip(cfg, stream):
 @_check("group", "triangular-composition", "1-1", 1e-10)
 def _triangular_composition(cfg, stream):
     worst = 0.0
-    for d in (1, 2):
-        for _ in range(20):
-            def rand_t():
-                eps = math.exp(stream.rng.uniform(-1, 1))
-                if stream.rng.random() < 0.5:
-                    eps = -eps
-                return G.TriangularElement(
-                    eps, G.random_orthogonal(d, stream.rng),
-                    stream.rng.standard_normal(d))
-            t1, t2 = rand_t(), rand_t()
-            lhs = t1.compose(t2).matrix().m
-            rhs = (t1.matrix() @ t2.matrix()).m
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    for n in (2, 3):
+        t1, t2 = (G.random_triangular(Dimensions(n), stream.rng, 20) for _ in range(2))
+        lhs = t1.compose(t2).matrices()
+        rhs = t1.matrices() @ t2.matrices()
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
 

@@ -250,9 +250,8 @@ def test_factor_word_near_the_triangular_subgroup():
     s = G.make_s(2)
     near = [G.random_element(Dimensions(2), np.random.default_rng(seed))
             for seed in (115268, 805762)]
-    for g in near:
-        with pytest.raises(NotInGroupError):
-            G._split(g)
+    _, quotients = G._split(np.stack([g.m for g in near]))
+    assert np.all(G.membership_residuals(quotients) > G._QUOTIENT_TOL)
     near.append(t.matrix() @ s @ G.make_z([1e-6]) @ s)
     for g in near:
         scale = float(np.abs(g.m).max())
@@ -260,6 +259,43 @@ def test_factor_word_near_the_triangular_subgroup():
         w = G.factor_word(g)
         assert len(w) == 4
         assert np.abs(w.evaluate().m - g.m).max() <= 1e-8 * scale
+
+
+def test_factor_words_is_factor_word_over_a_stack():
+    # generic, near-triangular and triangular elements and a non-member in
+    # one stack: each word evaluates as factor_word's, and ok is False
+    # exactly where factor_word raises
+    for n in (2, 3):
+        dims = Dimensions(n)
+        t = G.TriangularElement(-1.7, np.eye(n - 1), np.full(n - 1, 0.8))
+        s = G.make_s(n)
+        near = t.matrix() @ s @ G.make_z(np.full(n - 1, 1e-6)) @ s
+        m = np.concatenate((G.random_elements(dims, np.random.default_rng(n), 30),
+                            [near.m, t.matrix().m, 2.0 * np.eye(n + 1)]))
+        words, ok = G.factor_words(m)
+        assert ok[:-1].all() and not ok[-1]
+        assert words.lead[-3] and not words.split[-2]
+        got = words.evaluate()
+        for i in range(len(m) - 1):
+            w = G.factor_word(G.GroupElement(m[i], n))
+            assert len(w) == len(words.word(i))
+            assert np.abs(got[i] - w.evaluate().m).max() <= 1e-13 * np.abs(m[i]).max()
+        with pytest.raises(NotInGroupError):
+            G.factor_word(G.GroupElement(m[-1], n))
+
+
+def test_triangular_stacks_compose_elementwise():
+    t1 = G.random_triangular(Dimensions(3), np.random.default_rng(4), 6)
+    t2 = G.random_triangular(Dimensions(3), np.random.default_rng(5), 6)
+    both = t1.compose(t2)
+    mats = both.matrices()
+    assert mats.shape == (6, 4, 4)
+    for i in range(6):
+        one = G.TriangularElement(float(t1.epsilon[i]), t1.u[i], t1.gamma[i]).compose(
+            G.TriangularElement(float(t2.epsilon[i]), t2.u[i], t2.gamma[i]))
+        assert np.abs(one.matrix().m - mats[i]).max() <= 1e-14
+    with pytest.raises(DomainError):
+        G.TriangularElement(np.array([1.0, 0.0]), np.stack([np.eye(2)] * 2), np.zeros((2, 2)))
 
 
 def test_factor_word_rejects_non_members():

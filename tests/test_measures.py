@@ -185,7 +185,8 @@ def test_check_coherence():
 
 def test_check_coherence_se_is_that_of_the_real_part():
     # Psi is real: the standard error is std(cos)/sqrt(N) on the same draws,
-    # not the std of the complex phases, which adds in the variance of sin
+    # not the std of the complex phases, which adds in the variance of sin.
+    # The draws come MC_BLOCK at a time; n spans a full and a short block
     from currentlab.process import sample_marginal
 
     dims = Dimensions(3)
@@ -194,14 +195,58 @@ def test_check_coherence_se_is_that_of_the_real_part():
     out = M.check_coherence(dims, ref, stream=SeededStream(2024, 7), n_samples=n)
     stream = SeededStream(2024, 7)
     gamma_c = stream.rng.normal(scale=1.0, size=(2, dims.d))
-    draws = sample_marginal(dims, ref.fine, stream, size=n)
-    coarse = np.zeros((n, 2, dims.d))
-    for j, i in enumerate(ref.assignment):
-        coarse[:, i, :] += draws[:, j, :]
-    cos = np.cos(np.einsum("nld,ld->n", coarse, gamma_c))
+    cos = []
+    for size in (M.MC_BLOCK, n - M.MC_BLOCK):
+        draws = sample_marginal(dims, ref.fine, stream, size=size)
+        coarse = np.zeros((size, 2, dims.d))
+        for j, i in enumerate(ref.assignment):
+            coarse[:, i, :] += draws[:, j, :]
+        cos.append(np.cos(np.einsum("nld,ld->n", coarse, gamma_c)))
+    cos = np.concatenate(cos)
     assert out["mc_se"] == pytest.approx(cos.std() / math.sqrt(n), rel=1e-12)
     assert out["mc_deviation"] == pytest.approx(
         abs(cos.mean() - M.big_psi(ref.coarse, dims, gamma_c)), rel=1e-12)
+
+
+def test_block_moments_match_numpy_over_the_concatenated_values():
+    rng = np.random.default_rng(3)
+    samples = (rng.standard_normal(50_000) * 3.0 + 7.0,
+               # near-constant: sum(x^2) - N mean^2 cancels to nothing here
+               1.0 - 1e-9 * rng.random(50_000))
+    for values in samples:
+        moments = M.BlockMoments()
+        for start in range(0, values.size, 12_345):
+            moments.add(values[start:start + 12_345])
+        assert moments.count == values.size
+        assert moments.mean == pytest.approx(values.mean(), rel=1e-12)
+        want = values.std() / math.sqrt(values.size)
+        assert moments.standard_error == pytest.approx(want, rel=1e-12)
+    near = samples[1]
+    one_pass = math.sqrt(max(float(np.sum(near ** 2)) / near.size - near.mean() ** 2, 0.0))
+    assert abs(one_pass - near.std()) > 0.5 * near.std()
+
+
+def test_mc_blocks_cover_the_samples():
+    assert M.mc_blocks(100) == [100]
+    assert M.mc_blocks(2 * M.MC_BLOCK + 5) == [M.MC_BLOCK, M.MC_BLOCK, 5]
+    assert sum(M.mc_blocks(200_000)) == 200_000
+
+
+def test_check_coherence_memory_does_not_grow_with_the_samples():
+    # the 200k-sample n = 3 estimate held 21 MB of draws at once when drawn
+    # as one array
+    import tracemalloc
+
+    dims = Dimensions(3)
+    ref = M.split_evenly(M.Partition((0.5, 0.7)), 2)
+    M.check_coherence(dims, ref, stream=SeededStream(1, 1), n_samples=100)
+    tracemalloc.start()
+    try:
+        M.check_coherence(dims, ref, stream=SeededStream(2024, 3), n_samples=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_density_v_is_refinement_limit_of_rn():

@@ -159,6 +159,22 @@ def test_kernel_block_without_sign_symmetry():
             assert np.array_equal(block, _block_entrywise(lam, xi, xp))
 
 
+def test_kernel_block_is_built_without_full_size_temporaries():
+    # the 320-node block itself is 0.8 MB; building it entry by entry from
+    # per-entry index and value arrays peaked at 6.1 MB
+    import tracemalloc
+
+    nodes = grid_1d_sqrt(60.0, 320).nodes[:, 0]
+    R._kernel_block_n2(0.3, nodes[:8], nodes[:8])
+    tracemalloc.start()
+    try:
+        R._kernel_block_n2(0.3, nodes, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
 def test_kernel_cache_evicts_the_least_recently_used(monkeypatch):
     monkeypatch.setattr(R, "_KERNEL_CACHE", OrderedDict())
     grids = [grid_1d(1.0 + k, 2) for k in range(R._KERNEL_CACHE_SIZE + 1)]
@@ -358,6 +374,22 @@ def test_inner_std_matches_power_pairing_scale():
     assert abs(est - want) <= 4.0 * se
 
 
+def test_tau_isometry_memory_does_not_grow_with_the_samples():
+    # the 100k-sample estimate held 12 MB of samples at once when drawn as
+    # one array
+    import tracemalloc
+
+    R.tau_isometry_mc(D3, (0.5, 0.7), gauss, SeededStream(1, 1), SeededStream(1, 2), n_mc=100)
+    tracemalloc.start()
+    try:
+        R.tau_isometry_mc(D3, (0.5, 0.7), gauss, SeededStream(2024, 1),
+                          SeededStream(2024, 2), n_mc=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
 def test_inner_std_calls_each_integrand_once_per_sample_array():
     shapes = []
 
@@ -365,8 +397,12 @@ def test_inner_std_calls_each_integrand_once_per_sample_array():
         shapes.append(g.shape)
         return gauss(g)
 
+    # one call of each integrand per block of M.MC_BLOCK samples
     R.inner_std(D3, 0.8, counting, counting, SeededStream(1, 1), n_mc=500)
     assert shapes == [(500, 2), (500, 2)]
+    shapes.clear()
+    R.inner_std(D3, 0.8, counting, counting, SeededStream(1, 1), n_mc=M.MC_BLOCK + 500)
+    assert shapes == [(M.MC_BLOCK, 2)] * 2 + [(500, 2)] * 2
     shapes.clear()
     R.tau_isometry_mc(D3, (0.5, 0.7), counting, SeededStream(1, 2),
                       SeededStream(1, 3), n_mc=300)

@@ -4,21 +4,27 @@
     python3 tools/check_times.py --rounds 20 --suite fourier
 
 One unmeasured round first pays the imports and the rules cached for the
-life of the process.  Before every round the script clears what the
-benchmark's check-all round rebuilds (cached_cn, fit_levy_khinchin_kappa and
-reps._KERNEL_CACHE), so the check that first needs c_n, kappa or a kernel
-block is charged for it, as in `currentlab check all`.  Each check runs as
-`check all --seed S --workers 1` runs it, on the stream of its registry
-index, and is timed alone.  The script prints, per check and per suite (the
-sum of its checks in a round), the minimum and the median over the rounds
-in ms.  On a shared machine only minima over 15 or more rounds repeat
-between runs.  Run it from the root of a source checkout.
+life of the process; in it the script reads ru_maxrss, the process's peak
+resident memory, before and after each check, and reports how much each
+check raised it (the memory a check first needs beyond what the checks
+before it left, which is what a cold `check all` pays).  Before every
+round the script clears what the benchmark's check-all round rebuilds
+(cached_cn, fit_levy_khinchin_kappa and reps._KERNEL_CACHE), so the check
+that first needs c_n, kappa or a kernel block is charged for it, as in
+`currentlab check all`.  Each check runs as `check all --seed S
+--workers 1` runs it, on the stream of its registry index, and is timed
+alone.  The script prints, per check and per suite (the sum of its checks
+in a round), the minimum and the median over the rounds in ms, and the
+first round's ru_maxrss rise in MB.  On a shared machine only minima over
+15 or more rounds repeat between runs.  Run it from the root of a source
+checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import time
 from collections import defaultdict
@@ -38,15 +44,23 @@ def _clear_caches() -> None:
     R._KERNEL_CACHE.clear()
 
 
-def _round(specs: list, config: S.RunConfig) -> dict:
-    """Seconds per check id of one round, caches cleared first."""
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _round(specs: list, config: S.RunConfig, rss_rise=None) -> dict:
+    """Seconds per check id of one round, caches cleared first; with a
+    dict rss_rise, also the rise of ru_maxrss per check id in MB."""
     _clear_caches()
     out = {}
     for spec in specs:
         stream = S.SeededStream(config.seed, S._REGISTRY.index(spec))
+        rss0 = _peak_rss_mb()
         t0 = time.perf_counter()
         spec.fn(config, stream)
         out[spec.check_id] = time.perf_counter() - t0
+        if rss_rise is not None:
+            rss_rise[spec.check_id] = _peak_rss_mb() - rss0
     return out
 
 
@@ -62,7 +76,9 @@ def main(argv=None) -> int:
 
     config = S.RunConfig(seed=args.seed, workers=1)
     specs = S.suite_specs(args.suite)
-    _round(specs, config)  # warm-up
+    rss_start = _peak_rss_mb()
+    rss_rise = {}
+    _round(specs, config, rss_rise)  # warm-up
     per_check = defaultdict(list)
     per_suite = defaultdict(list)
     totals = []
@@ -76,18 +92,24 @@ def main(argv=None) -> int:
             per_suite[name].append(t)
         totals.append(sum(times.values()))
 
-    def row(name: str, ts: list) -> str:
-        return f"  {name:34s} {1e3 * min(ts):9.2f} {1e3 * float(np.median(ts)):9.2f}"
+    suite_rise = defaultdict(float)
+    for spec in specs:
+        suite_rise[spec.suite] += rss_rise[spec.check_id]
+
+    def row(name: str, ts: list, rise: float) -> str:
+        return (f"  {name:34s} {1e3 * min(ts):9.2f} {1e3 * float(np.median(ts)):9.2f}"
+                f" {rise:9.2f}")
 
     print(f"{len(specs)} checks, {args.rounds} warm rounds, seed {args.seed}; "
-          "ms: min, median")
+          "ms: min, median; MB: ru_maxrss rise in the first round "
+          f"(from {rss_start:.1f} MB)")
     print("per check")
     for spec in specs:
-        print(row(spec.check_id, per_check[spec.check_id]))
+        print(row(spec.check_id, per_check[spec.check_id], rss_rise[spec.check_id]))
     print("per suite")
     for name, ts in per_suite.items():
-        print(row(name, ts))
-    print(row("round", totals))
+        print(row(name, ts, suite_rise[name]))
+    print(row("round", totals, sum(rss_rise.values())))
     return 0
 
 
