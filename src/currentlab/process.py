@@ -30,10 +30,16 @@ class SeededStream:
         )
 
 
+def sample_mixing(lam: float, stream: SeededStream, size: int) -> np.ndarray:
+    """size draws of the mixing variable W ~ Gamma(lam/2, 1) of a cell of
+    mass lam: given W, the cell's coordinate of mu is N(0, (W/2) I_d)."""
+    return stream.rng.gamma(lam / 2.0, size=size)
+
+
 def sample_marginal(dims: Dimensions, partition, stream: SeededStream,
                     size: int | None = None) -> np.ndarray:
-    """Draw from the joint cell marginal of mu: per cell of mass lam,
-    W ~ Gamma(lam/2, 1) and xi ~ N(0, (W/2) I_d); cells independent.
+    """Draw from the joint cell marginal of mu: per cell, W by sample_mixing
+    and then xi ~ N(0, (W/2) I_d); cells independent.
 
     Returns shape (l, d), or (size, l, d) when size is given."""
     single = size is None
@@ -41,7 +47,7 @@ def sample_marginal(dims: Dimensions, partition, stream: SeededStream,
     l, d = partition.size, dims.d
     out = np.empty((n_draws, l, d))
     for i, lam in enumerate(partition.masses):
-        w = stream.rng.gamma(lam / 2.0, size=n_draws)
+        w = sample_mixing(lam, stream, n_draws)
         out[:, i, :] = np.sqrt(w / 2.0)[:, None] * stream.rng.standard_normal((n_draws, d))
     return out[0] if single else out
 

@@ -488,11 +488,13 @@ def _char_l_value(cfg, stream):
 # coherence under refinement
 # ---------------------------------------------------------------------------
 
-def _coherence(n: int, stream, n_samples: int = 200_000) -> dict:
+def _coherence(n: int, stream, n_samples: int = 200_000,
+               conditional: bool = False) -> dict:
     dims = Dimensions(n)
     coarse = M.Partition((0.5,) if n == 2 else (0.5, 0.7))
     ref = M.split_evenly(coarse, 2)
-    return M.check_coherence(dims, ref, stream=stream, n_samples=n_samples)
+    return M.check_coherence(dims, ref, stream=stream, n_samples=n_samples,
+                             conditional=conditional)
 
 
 @_check("coherence", "nu-exact-refinement-n2", "30-1", 1e-12)
@@ -509,12 +511,15 @@ def _coh_nu_3(cfg, stream):
 
 @_check("coherence", "mu-projection-mc-n2", "17-9", 3.0)
 def _coh_mu_2(cfg, stream):
+    # the raw estimator: the one check that runs sample_marginal end to end
     return _coherence(2, stream)["mc_sigmas"]
 
 
 @_check("coherence", "mu-projection-mc-n3", "17-9", 3.0)
 def _coh_mu_3(cfg, stream):
-    return _coherence(3, stream)["mc_sigmas"]
+    # conditioned on the mixing variables, 4 blocks have the standard error
+    # of the raw estimator's 200 000 samples
+    return _coherence(3, stream, n_samples=4 * M.MC_BLOCK, conditional=True)["mc_sigmas"]
 
 
 @_check("coherence", "trivial-refinement", "30-1", 1e-15)
@@ -688,11 +693,13 @@ def _tau_z(cfg, stream):
 
 @_check("reps", "tensor-embedding-isometry", "31-21", 3.0)
 def _tau_isometry(cfg, stream):
-    dims = Dimensions(3)
+    # the embedded tensor pairs under the per-cell product kernel
+    # |u|^(-0.5) |u|^(-0.7); the isometry makes that the single-mass pairing
+    # of lam = 1.2, whose closed form is gaussian_pairing
+    dims, lambdas = Dimensions(3), (0.5, 0.7)
     f = lambda g: np.exp(-np.einsum("ij,ij->i", g, g))
-    s2 = SeededStream(stream.seed, stream.stream_id + 1000)
-    e1, s1, e2, ss2 = R.tau_isometry_mc(dims, (0.5, 0.7), f, stream, s2, n_mc=100_000)
-    return abs(e1 - e2) / math.sqrt(s1 ** 2 + ss2 ** 2)
+    est, se = R.inner_std(dims, lambdas, f, f, stream, n_mc=100_000)
+    return abs(est - R.gaussian_pairing(dims, sum(lambdas))) / se
 
 
 def _r_cov_setup():

@@ -25,6 +25,24 @@ def test_oracle_n2_domain():
         P.oracle_n2(0.0, P.SeededStream(2024, 0), size=10)
 
 
+def test_sample_marginal_is_gamma_then_normal_per_cell():
+    # bit for bit the per-cell formula, in its draw order: the cell's
+    # Gamma(lam/2, 1) mixing variable W, then its N(0, (W/2) I_d) coordinate
+    dims, part = Dimensions(3), M.Partition((0.3, 0.8, 1.4))
+    for size in (None, 1, 1000):
+        got = P.sample_marginal(dims, part, P.SeededStream(2024, 40), size=size)
+        rng = P.SeededStream(2024, 40).rng
+        n_draws = 1 if size is None else size
+        want = np.empty((n_draws, part.size, dims.d))
+        for i, lam in enumerate(part.masses):
+            w = rng.gamma(lam / 2.0, 1.0, size=n_draws)
+            want[:, i, :] = np.sqrt(w / 2.0)[:, None] * rng.standard_normal((n_draws, dims.d))
+        assert np.array_equal(got, want[0] if size is None else want)
+    # the mixing draw alone is the same Gamma draw
+    w = P.sample_mixing(0.8, P.SeededStream(2024, 41), 500)
+    assert np.array_equal(w, P.SeededStream(2024, 41).rng.gamma(0.4, 1.0, size=500))
+
+
 def test_marginal_matches_oracle_two_sample_ks():
     # n = 2: the Gaussian-scale-mixture sampler against the independent
     # difference-of-gammas oracle

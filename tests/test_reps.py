@@ -259,10 +259,36 @@ def test_tau_embedding_z_commutation():
 
 
 def test_tau_embedding_isometry_mc():
-    e1, s1, e2, s2 = R.tau_isometry_mc(
-        D3, (0.5, 0.7), gauss, SeededStream(2024, 100), SeededStream(2024, 101),
-        n_mc=100_000)
-    assert abs(e1 - e2) / math.sqrt(s1 ** 2 + s2 ** 2) <= 3.0
+    # the embedded tensor's pairing, under the per-cell product kernel,
+    # against the closed form of the single-mass pairing
+    est, se = R.inner_std(D3, (0.5, 0.7), gauss, gauss, SeededStream(2024, 100),
+                          n_mc=100_000)
+    assert abs(est - R.gaussian_pairing(D3, 1.2)) <= 3.0 * se
+
+
+def test_gaussian_pairing_matches_radial_quadrature():
+    # |S^(d-1)| integral r^(d-1-lam) A(r e_1) dr, with the autocorrelation
+    # A(u) of e^(-|g|^2) a product of one-dimensional ones, each by quad
+    from scipy import integrate
+
+    def auto_1d(r):
+        return integrate.quad(lambda x: math.exp(-(x + r) ** 2 - x * x),
+                              -np.inf, np.inf, epsabs=0.0, epsrel=1e-13)[0]
+
+    area = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+    for d in (1, 2, 3):
+        for lam in (0.3, 0.5 * d, d - 0.2):
+            radial = sum(integrate.quad(
+                lambda r: r ** (d - 1 - lam) * auto_1d(r), a, b,
+                epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                for a, b in ((0.0, 1.0), (1.0, np.inf)))
+            want = area[d] * auto_1d(0.0) ** (d - 1) * radial
+            got = R.gaussian_pairing(Dimensions(d + 1), lam)
+            assert got == pytest.approx(want, rel=1e-9)
+    assert R.gaussian_pairing(D3, 1.2) == pytest.approx(14.4435692524, rel=1e-10)
+    for lam in (0.0, 2.0):
+        with pytest.raises(DomainError):
+            R.gaussian_pairing(D3, lam)
 
 
 def test_r_transform_covariances():
@@ -367,11 +393,7 @@ def test_inner_std_matches_power_pairing_scale():
     # MC pairing of two Gaussians against the deterministic radial reduction
     est, se = R.inner_std(D2, LAM, gauss, gauss, SeededStream(2024, 300),
                           n_mc=200_000)
-    # closed form via u = x - y, v = x + y:
-    # (1/2) sqrt(2 pi) 2^((1-lam)/2) Gamma((1-lam)/2)
-    want = 0.5 * math.sqrt(2.0 * math.pi) * 2.0 ** ((1.0 - LAM) / 2.0) \
-        * math.gamma((1.0 - LAM) / 2.0)
-    assert abs(est - want) <= 4.0 * se
+    assert abs(est - R.gaussian_pairing(D2, LAM)) <= 4.0 * se
 
 
 def test_tau_isometry_memory_does_not_grow_with_the_samples():
@@ -379,11 +401,10 @@ def test_tau_isometry_memory_does_not_grow_with_the_samples():
     # one array
     import tracemalloc
 
-    R.tau_isometry_mc(D3, (0.5, 0.7), gauss, SeededStream(1, 1), SeededStream(1, 2), n_mc=100)
+    R.inner_std(D3, (0.5, 0.7), gauss, gauss, SeededStream(1, 1), n_mc=100)
     tracemalloc.start()
     try:
-        R.tau_isometry_mc(D3, (0.5, 0.7), gauss, SeededStream(2024, 1),
-                          SeededStream(2024, 2), n_mc=100_000)
+        R.inner_std(D3, (0.5, 0.7), gauss, gauss, SeededStream(2024, 1), n_mc=100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -404,9 +425,8 @@ def test_inner_std_calls_each_integrand_once_per_sample_array():
     R.inner_std(D3, 0.8, counting, counting, SeededStream(1, 1), n_mc=M.MC_BLOCK + 500)
     assert shapes == [(M.MC_BLOCK, 2)] * 2 + [(500, 2)] * 2
     shapes.clear()
-    R.tau_isometry_mc(D3, (0.5, 0.7), counting, SeededStream(1, 2),
-                      SeededStream(1, 3), n_mc=300)
-    assert shapes == [(300, 2)] * 4
+    R.inner_std(D3, (0.5, 0.7), counting, counting, SeededStream(1, 2), n_mc=300)
+    assert shapes == [(300, 2)] * 2
     # an integrand that does not return one value per sample point is refused
     with pytest.raises(DomainError):
         R.inner_std(D3, 0.8, lambda g: 1.0, gauss, SeededStream(1, 4), n_mc=10)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from currentlab import group as G
+from currentlab import measures as M
 from currentlab import process as P
 from currentlab import quadrature as Q
 from currentlab import reps as R
@@ -269,3 +270,46 @@ def test_spherical_checks_draw_nothing(monkeypatch):
     reports = S.run_suite(S.RunConfig(workers=1), "spherical")
     assert len(reports) == 12
     assert all(r.passed and r.tolerance == 1e-8 for r in reports)
+
+
+_MC_CHECKS = ["mu-projection-mc-n2", "mu-projection-mc-n3", "tensor-embedding-isometry"]
+
+
+def _scale_proposal_density(monkeypatch):
+    sample = R._sample_difference
+
+    def scaled(dims, rng, lam, count):
+        u, q = sample(dims, rng, lam, count)
+        return u, 1.05 * q
+
+    monkeypatch.setattr(R, "_sample_difference", scaled)
+
+
+def _bias_mixing_shape(monkeypatch):
+    monkeypatch.setattr(P, "sample_mixing",
+                        lambda lam, stream, size: stream.rng.gamma(1.05 * lam / 2.0, size=size))
+
+
+def _drop_a_fine_cell(monkeypatch):
+    group_sum = M.Refinement.group_sum
+
+    def dropped(self, xi_fine):
+        xi_fine = np.array(xi_fine, dtype=float)
+        xi_fine[..., 0, :] = 0.0
+        return group_sum(self, xi_fine)
+
+    monkeypatch.setattr(M.Refinement, "group_sum", dropped)
+
+
+@pytest.mark.parametrize("mutate, caught", [
+    (None, []),
+    # a check comparing two inner_std streams reads 0.06 SE here: both share the bias
+    (_scale_proposal_density, ["tensor-embedding-isometry"]),
+    (_bias_mixing_shape, ["mu-projection-mc-n2", "mu-projection-mc-n3"]),
+    (_drop_a_fine_cell, ["mu-projection-mc-n2", "mu-projection-mc-n3"]),
+])
+def test_monte_carlo_checks_catch_mutants(monkeypatch, mutate, caught):
+    if mutate is not None:
+        mutate(monkeypatch)
+    reports = S.run_suite(S.RunConfig(workers=1), "all", check_ids=_MC_CHECKS)
+    assert [r.check_id for r in reports if not r.passed] == caught

@@ -1,0 +1,31 @@
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MC_CHECKS = ("mu-projection-mc-n2", "mu-projection-mc-n3", "tensor-embedding-isometry")
+
+
+def _run_tool(*args) -> str:
+    done = subprocess.run([sys.executable, *args], cwd=ROOT, timeout=300,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_mc_rate_runs_the_three_monte_carlo_checks():
+    out = _run_tool("tools/mc_rate.py", "--seeds", "2")
+    assert "3 Monte Carlo checks, seeds 0..1" in out
+    for check_id in MC_CHECKS:
+        assert check_id in out
+    assert "seeds with a failure:" in out
+
+
+def test_check_times_runs_one_suite():
+    out = _run_tool("tools/check_times.py", "--rounds", "1", "--suite", "coherence")
+    assert "1 warm rounds" in out
+    # the coherence suite holds two of the three Monte Carlo checks
+    for check_id in MC_CHECKS[:2]:
+        assert check_id in out
+    assert "round" in out.splitlines()[-1]
