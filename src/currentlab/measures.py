@@ -17,7 +17,9 @@ cancel in the density ratio, so
 holds with the same 2^(-m(X)) prefactor in every dimension (for n = 2 it is
 sometimes convenient to absorb it into the cell factors; we never do).  The
 three cell laws are written once, in specfun; the joint densities here sum
-them over the cells, all cells (and any batch of points) in one call."""
+them over the cells, all cells (and any batch of points) in one call.
+Coherence under refinement is checked exactly (coherence_exact, which draws
+gamma alone) and by Monte Carlo (coherence_mc)."""
 
 from __future__ import annotations
 
@@ -229,39 +231,37 @@ def mc_blocks(n_samples: int):
     return [min(MC_BLOCK, n_samples - start) for start in range(0, n_samples, MC_BLOCK)]
 
 
-def check_coherence(dims: Dimensions, refinement: Refinement, stream,
-                    n_samples: int = 200_000, conditional: bool = False):
-    """Consistency of the marginal families under refinement.
+def coherence_exact(dims: Dimensions, refinement: Refinement, stream) -> float:
+    """Consistency of the marginal families under refinement, exactly: for
+    gamma constant on each coarse cell (drawn from the stream), the nu-side
+    product over the fine cells equals the coarse product, and big_psi
+    agrees likewise (mass additivity).  Returns the larger of the two
+    log residuals."""
+    coarse, fine = refinement.coarse, refinement.fine
+    gamma_c = stream.rng.normal(size=(coarse.size, dims.d))
+    gamma_f = np.asarray([gamma_c[i] for i in refinement.assignment])
+    return max(abs(math.log(law(fine, dims, gamma_f)) - math.log(law(coarse, dims, gamma_c)))
+               for law in (nu_char, big_psi))
 
-    Exact part: for gamma constant on each coarse cell, the nu-side product
-    over fine cells equals the coarse product, and big_psi agrees likewise
-    (mass additivity).  Monte Carlo part: fine samples of mu, group-summed to
-    the coarse partition, reproduce the coarse characteristic functional
-    Psi(gamma) = big_psi within 3 standard errors.  gamma and then the
-    samples come from the stream, the samples MC_BLOCK at a time, each block
-    summed by one group_sum.  The raw estimator averages cos <xi, gamma>
-    over fine draws of sample_marginal.  The conditional one (Rao-Blackwell)
-    draws only the fine cells' mixing variables W by sample_mixing: given W
-    a coarse cell's draw is N(0, (S_c/2) I_d), S_c the group sum of W over
-    its fine cells, so it averages exp(-sum_c |gamma_c|^2 S_c / 4), the mean
-    of the cosine given W, with a smaller variance.  The registry's
-    mu-projection-mc-n2 runs the raw estimator on 200 000 samples and
-    mu-projection-mc-n3 the conditional one on 4 MC_BLOCK = 65 536, which
-    has the standard error of 200 000 raw samples; both against big_psi.
-    Returns a dict of residuals."""
+
+def coherence_mc(dims: Dimensions, refinement: Refinement, stream,
+                 n_samples: int = 200_000, conditional: bool = False):
+    """Consistency of the marginal families under refinement, by Monte
+    Carlo: fine samples of mu, group-summed to the coarse partition,
+    reproduce the coarse characteristic functional Psi(gamma) = big_psi.
+    gamma and then the samples come from the stream, gamma drawn as by
+    coherence_exact and the samples MC_BLOCK at a time, each block summed by
+    one group_sum.  The raw estimator averages cos <xi, gamma> over fine
+    draws of sample_marginal.  The conditional one (Rao-Blackwell) draws
+    only the fine cells' mixing variables W by sample_mixing: given W a
+    coarse cell's draw is N(0, (S_c/2) I_d), S_c the group sum of W over its
+    fine cells, so it averages exp(-sum_c |gamma_c|^2 S_c / 4), the mean of
+    the cosine given W, with a smaller variance.  Returns the estimate's
+    distance from big_psi and its standard error."""
     from . import process as P
 
     coarse, fine = refinement.coarse, refinement.fine
     gamma_c = stream.rng.normal(size=(coarse.size, dims.d))
-    gamma_f = np.asarray([gamma_c[i] for i in refinement.assignment])
-
-    res_nu = abs(
-        math.log(nu_char(fine, dims, gamma_f)) - math.log(nu_char(coarse, dims, gamma_c))
-    )
-    res_psi = abs(
-        math.log(big_psi(fine, dims, gamma_f)) - math.log(big_psi(coarse, dims, gamma_c))
-    )
-
     # Psi is real, so only the real part is estimated; the raw estimator's
     # standard error leaves out the variance of sin
     moments = BlockMoments()
@@ -273,12 +273,4 @@ def check_coherence(dims: Dimensions, refinement: Refinement, stream,
         else:
             draws = refinement.group_sum(P.sample_marginal(dims, fine, stream, size=size))
             moments.add(np.cos(np.einsum("nld,ld->n", draws, gamma_c)))
-    est, se = moments.mean, moments.standard_error
-    target = big_psi(coarse, dims, gamma_c)
-    return {
-        "nu_char_residual": res_nu,
-        "big_psi_residual": res_psi,
-        "mc_deviation": abs(est - target),
-        "mc_se": se,
-        "mc_sigmas": abs(est - target) / max(se, 1e-300),
-    }
+    return abs(moments.mean - big_psi(coarse, dims, gamma_c)), moments.standard_error

@@ -64,16 +64,19 @@ class RadialProfile:
 # segment machinery
 # ---------------------------------------------------------------------------
 
+def _legendre_panels(edges: np.ndarray, pts: int):
+    """Gauss-Legendre nodes of order pts on each panel [edges_k, edges_{k+1}],
+    one row per panel, and the panels' half widths, which scale the weights."""
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return mid[:, None] + half[:, None] * _legendre_rule(pts)[0], half
+
+
 def _gauss_on_segments(f, edges: np.ndarray) -> np.ndarray:
     """Fixed-order Gauss-Legendre integral of f on each [edges_k, edges_{k+1}]."""
-    x, w = _legendre_rule(_GAUSS_PTS)
-    a = edges[:-1]
-    b = edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    pts = mid[:, None] + half[:, None] * x[None, :]
+    pts, half = _legendre_panels(edges, _GAUSS_PTS)
     vals = f(pts.ravel()).reshape(pts.shape)
-    return half * (vals @ w)
+    return half * (vals @ _legendre_rule(_GAUSS_PTS)[1])
 
 
 def _average_tail(segment_sums: np.ndarray, tol: float):
@@ -216,13 +219,10 @@ def _graded_rule(top: float, panels: int, alpha: float, pts: int):
     relative to its width."""
     edges = top * 2.0 ** np.arange(1 - panels, 1)
     xj, wj = roots_jacobi(pts, 0.0, alpha)
-    xl, wl = _legendre_rule(pts)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = np.concatenate((0.5 * edges[0] * (1.0 + xj),
-                            (mid[:, None] + half[:, None] * xl).ravel()))
+    tail, half = _legendre_panels(edges, pts)
+    nodes = np.concatenate((0.5 * edges[0] * (1.0 + xj), tail.ravel()))
     weights = np.concatenate((0.5 * edges[0] * wj / (1.0 + xj) ** alpha,
-                              (half[:, None] * wl).ravel()))
+                              (half[:, None] * _legendre_rule(pts)[1]).ravel()))
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -247,12 +247,10 @@ def _transform_rule(d: int, alpha: float):
     roots = _bessel_zeros(0.5 * d - 1.0, _SEGMENTS + 1)
     hi_u, hi_w = _graded_rule(float(roots[0]), _HEAD_PANELS, alpha, _HEAD_PTS)
     lo_u, lo_w = _graded_rule(float(roots[0]), _HEAD_PANELS, alpha, _HEAD_PTS // 2)
-    xl, wl = _legendre_rule(_GAUSS_PTS)
-    half = 0.5 * np.diff(roots)
-    tail_u = 0.5 * (roots[1:] + roots[:-1])[:, None] + half[:, None] * xl
+    tail_u, half = _legendre_panels(roots, _GAUSS_PTS)
     rule = (np.concatenate((hi_u, lo_u, tail_u.ravel())),
             hi_w * _bessel_factor(d, hi_u), lo_w * _bessel_factor(d, lo_u),
-            half[:, None] * wl * _bessel_factor(d, tail_u))
+            half[:, None] * _legendre_rule(_GAUSS_PTS)[1] * _bessel_factor(d, tail_u))
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -305,12 +303,14 @@ def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
     the end of the rule (_reaches), the block evaluates the rest of the rule
     at once and averages its tail only there.  k = 0 is the plain integral
     of f(r) times the sphere area r^(d-1), on the graded rule (_graded_rule)
-    of 64 panels on [0, 2^20]; the profile must be negligible beyond.
+    of 64 panels on [0, 2^20]; the integral beyond is left out of the value.
 
     A scalar r_out gives a scalar value and abs_error, an array gives arrays
     of its shape.  abs_error is the tail estimate plus the difference between
     the head rule and the same panels at half the nodes, plus the rounding
-    of the sums.  nodes_used counts the profile values computed."""
+    of the sums.  At k = 0 the tail estimate is the integral beyond 2^20
+    extrapolated from the last two panels as a geometric series, inf when
+    they do not shrink.  nodes_used counts the profile values computed."""
     d = dims.d
     f = profile.evaluator
     k = np.asarray(r_out, dtype=float)
@@ -331,7 +331,13 @@ def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
         g = specfun.sphere_area(d) * f(r) * r ** (d - 1)
         terms = hi_w * g[:hi_r.size]
         value[zero] = hi = terms.sum()
-        error[zero] = abs(hi - lo_w @ g[hi_r.size:]) + _EPS * np.abs(terms).sum()
+        # the integral beyond 2^20, continued as a geometric series from the
+        # last two doubling panels: last q / (1 - q), q = last / prev
+        last = float(terms[-_HEAD_PTS:].sum())
+        prev = float(terms[-2 * _HEAD_PTS:-_HEAD_PTS].sum())
+        q = last / prev if prev else math.inf
+        beyond = 0.0 if last == 0.0 else math.inf if q >= 1.0 else abs(last * q / (1.0 - q))
+        error[zero] = abs(hi - lo_w @ g[hi_r.size:]) + _EPS * np.abs(terms).sum() + beyond
         nodes += r.size
 
     u, hi_w, lo_w, tail_w = _transform_rule(d, alpha)
@@ -377,12 +383,9 @@ _RADIAL_TOP = 30.0   # e^(-2r) is below 1e-26 beyond
 @lru_cache(maxsize=16)
 def _radial_rule(alpha: float, panels: int):
     head_r, head_w = _graded_rule(1.0, _HEAD_PANELS, alpha, _HEAD_PTS)
-    edges = np.linspace(1.0, _RADIAL_TOP, panels + 1)
-    half = 0.5 * np.diff(edges)
-    xl, wl = _legendre_rule(_HEAD_PTS)
-    nodes = np.concatenate((head_r, ((0.5 * (edges[1:] + edges[:-1]))[:, None]
-                                     + half[:, None] * xl).ravel()))
-    weights = np.concatenate((head_w, (half[:, None] * wl).ravel()))
+    tail, half = _legendre_panels(np.linspace(1.0, _RADIAL_TOP, panels + 1), _HEAD_PTS)
+    nodes = np.concatenate((head_r, tail.ravel()))
+    weights = np.concatenate((head_w, (half[:, None] * _legendre_rule(_HEAD_PTS)[1]).ravel()))
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

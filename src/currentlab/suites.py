@@ -4,10 +4,14 @@ Every check computes one nonnegative residual; it passes when the residual
 is at or below its tolerance.  Checks are pure given (config, stream), so a
 fixed RunConfig reproduces every residual bit for bit; only runtime_ms
 varies between runs.  Suites may execute checks concurrently — each check
-owns a private seeded stream derived from (config.seed, registry index)."""
+owns a private seeded stream derived from (config.seed, registry index).
+
+Each check is one _check row, in registry order; a family of checks (such as
+the n = 2 and n = 3 twins) is one function whose rows bind its parameters."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -24,7 +28,7 @@ from . import quadrature as Q
 from . import reps as R
 from . import specfun
 from .errors import DomainError, PointAtInfinityError
-from .gridfn import CellGrid, GridFunction, grid_1d_sqrt, tabulate
+from .gridfn import CellGrid, grid_1d_sqrt
 from .process import SeededStream
 from .specfun import Dimensions
 
@@ -87,9 +91,13 @@ SUITE_NAMES = (
 )
 
 
-def _check(suite: str, check_id: str, anchor: str, tolerance: float):
+def _check(suite: str, check_id: str, anchor: str, tolerance: float, **params):
+    """Register the decorated function as the check check_id, with params
+    bound; a family's function takes one `_check(...)(fn)` row per member.
+    A check's registry index seeds its stream."""
     def deco(fn):
-        _REGISTRY.append(CheckSpec(check_id, suite, anchor, tolerance, fn))
+        _REGISTRY.append(CheckSpec(check_id, suite, anchor, tolerance,
+                                   functools.partial(fn, **params)))
         return fn
     return deco
 
@@ -194,7 +202,7 @@ def _levy_value(cfg, stream):
 # Fourier identities
 # ---------------------------------------------------------------------------
 
-def _cn_residual(n: int) -> float:
+def _cn(cfg, stream, n):
     """The calibration's ratio spread or the calibrated c_n's relative
     distance from the closed form (2 sqrt(pi))^(n-1), whichever is larger:
     the spread alone stays 0 under a constant-factor error."""
@@ -202,71 +210,47 @@ def _cn_residual(n: int) -> float:
     return max(const.spread, abs(const.value / (2.0 * math.sqrt(math.pi)) ** (n - 1) - 1.0))
 
 
-@_check("fourier", "fourier-constant-n2", "17-3", 1e-6)
-def _cn_2(cfg, stream):
-    return _cn_residual(2)
+_check("fourier", "fourier-constant-n2", "17-3", 1e-6, n=2)(_cn)
+_check("fourier", "fourier-constant-n3", "17-3", 1e-6, n=3)(_cn)
 
 
-@_check("fourier", "fourier-constant-n3", "17-3", 1e-6)
-def _cn_3(cfg, stream):
-    return _cn_residual(3)
+def _pairing(cfg, stream, n, lams):
+    cn = Q.cached_cn(n).value
+    return max(Q.power_pairing_residual(Dimensions(n), lam, cn) for lam in lams)
 
 
-@_check("fourier", "power-pairing-n2", "17-4", 1e-5)
-def _pairing_2(cfg, stream):
-    return Q.power_pairing_residual(Dimensions(2), 0.5, Q.cached_cn(2).value)
+_check("fourier", "power-pairing-n2", "17-4", 1e-5, n=2, lams=(0.5,))(_pairing)
+_check("fourier", "power-pairing-n3", "17-4", 1e-5, n=3, lams=(0.5, 1.0, 1.5))(_pairing)
 
 
-@_check("fourier", "power-pairing-n3", "17-4", 1e-5)
-def _pairing_3(cfg, stream):
-    dims = Dimensions(3)
-    cn = Q.cached_cn(3).value
-    return max(Q.power_pairing_residual(dims, lam, cn) for lam in (0.5, 1.0, 1.5))
+def _v_inverse(cfg, stream, n, rho):
+    return max(Q.fourier_vrho_inverse_check(Dimensions(n), rho, Q.cached_cn(n).value))
 
 
-@_check("fourier", "v-inverse-transform-n2", "727-7", 1e-5)
-def _vinv_2(cfg, stream):
-    return max(Q.fourier_vrho_inverse_check(Dimensions(2), 0.5, Q.cached_cn(2).value))
-
-
-@_check("fourier", "v-inverse-transform-n3", "727-7", 1e-5)
-def _vinv_3(cfg, stream):
-    return max(Q.fourier_vrho_inverse_check(Dimensions(3), 1.0, Q.cached_cn(3).value))
+_check("fourier", "v-inverse-transform-n2", "727-7", 1e-5, n=2, rho=0.5)(_v_inverse)
+_check("fourier", "v-inverse-transform-n3", "727-7", 1e-5, n=3, rho=1.0)(_v_inverse)
 
 
 # ---------------------------------------------------------------------------
 # Levy-Khinchin representation
 # ---------------------------------------------------------------------------
 
-def _lk_worst(n: int) -> float:
-    dims = Dimensions(n)
+def _lk(cfg, stream, n):
     kappa = Q.fit_levy_khinchin_kappa(n)
-    return max(Q.levy_khinchin_residual(dims, g, kappa) for g in (0.5, 1.0, 2.0, 4.0))
+    return max(Q.levy_khinchin_residual(Dimensions(n), g, kappa) for g in (0.5, 1.0, 2.0, 4.0))
 
 
-@_check("levy-khinchin", "levy-khinchin-n2", "345-1", 1e-4)
-def _lk_2(cfg, stream):
-    return _lk_worst(2)
+_check("levy-khinchin", "levy-khinchin-n2", "345-1", 1e-4, n=2)(_lk)
+_check("levy-khinchin", "levy-khinchin-n3", "345-1", 1e-4, n=3)(_lk)
 
 
-@_check("levy-khinchin", "levy-khinchin-n3", "345-1", 1e-4)
-def _lk_3(cfg, stream):
-    return _lk_worst(3)
-
-
-def _lk_kappa_dev(n: int) -> float:
+def _lk_kappa(cfg, stream, n):
     want = -2.0 * math.pi ** (-(n - 1) / 2.0)
     return abs(Q.fit_levy_khinchin_kappa(n) - want) / abs(want)
 
 
-@_check("levy-khinchin", "levy-khinchin-constant-n2", "345-1", 1e-6)
-def _lk_kappa_2(cfg, stream):
-    return _lk_kappa_dev(2)
-
-
-@_check("levy-khinchin", "levy-khinchin-constant-n3", "345-1", 1e-6)
-def _lk_kappa_3(cfg, stream):
-    return _lk_kappa_dev(3)
+_check("levy-khinchin", "levy-khinchin-constant-n2", "345-1", 1e-6, n=2)(_lk_kappa)
+_check("levy-khinchin", "levy-khinchin-constant-n3", "345-1", 1e-6, n=3)(_lk_kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +339,7 @@ def _action_law(cfg, stream):
     return _bounded_trials(cfg.trials, trials)
 
 
-def _measure_relation_worst(cfg, stream, which: int) -> float:
+def _measure_relation(cfg, stream, which: int) -> float:
     def trials(dims, k):
         g = G.random_elements(dims, stream.rng, k)
         x = stream.rng.standard_normal((k, dims.d))
@@ -365,14 +349,8 @@ def _measure_relation_worst(cfg, stream, which: int) -> float:
     return _bounded_trials(max(25, cfg.trials // 4), trials)
 
 
-@_check("group", "jacobian-cocycle-relation", "1-5", 1e-6)
-def _jacobian_beta(cfg, stream):
-    return _measure_relation_worst(cfg, stream, 0)
-
-
-@_check("group", "distance-cocycle-relation", "1-6", 1e-6)
-def _distance_beta(cfg, stream):
-    return _measure_relation_worst(cfg, stream, 1)
+_check("group", "jacobian-cocycle-relation", "1-5", 1e-6, which=0)(_measure_relation)
+_check("group", "distance-cocycle-relation", "1-6", 1e-6, which=1)(_measure_relation)
 
 
 @_check("group", "exchange-identity-matrix", "364", 1e-10)
@@ -488,47 +466,30 @@ def _char_l_value(cfg, stream):
 # coherence under refinement
 # ---------------------------------------------------------------------------
 
-def _coherence(n: int, stream, n_samples: int = 200_000,
-               conditional: bool = False) -> dict:
-    dims = Dimensions(n)
-    coarse = M.Partition((0.5,) if n == 2 else (0.5, 0.7))
-    ref = M.split_evenly(coarse, 2)
-    return M.check_coherence(dims, ref, stream=stream, n_samples=n_samples,
-                             conditional=conditional)
+def _nu_exact(cfg, stream, n, masses, parts):
+    ref = M.split_evenly(M.Partition(masses), parts)
+    return M.coherence_exact(Dimensions(n), ref, stream)
 
 
-@_check("coherence", "nu-exact-refinement-n2", "30-1", 1e-12)
-def _coh_nu_2(cfg, stream):
-    r = _coherence(2, stream, n_samples=100)
-    return max(r["nu_char_residual"], r["big_psi_residual"])
+def _mu_projection(cfg, stream, n, masses, n_samples, conditional):
+    ref = M.split_evenly(M.Partition(masses), 2)
+    dev, se = M.coherence_mc(Dimensions(n), ref, stream, n_samples, conditional)
+    return dev / max(se, 1e-300)
 
 
-@_check("coherence", "nu-exact-refinement-n3", "30-1", 1e-12)
-def _coh_nu_3(cfg, stream):
-    r = _coherence(3, stream, n_samples=100)
-    return max(r["nu_char_residual"], r["big_psi_residual"])
-
-
-@_check("coherence", "mu-projection-mc-n2", "17-9", 3.0)
-def _coh_mu_2(cfg, stream):
-    # the raw estimator: the one check that runs sample_marginal end to end
-    return _coherence(2, stream)["mc_sigmas"]
-
-
-@_check("coherence", "mu-projection-mc-n3", "17-9", 3.0)
-def _coh_mu_3(cfg, stream):
-    # conditioned on the mixing variables, 4 blocks have the standard error
-    # of the raw estimator's 200 000 samples
-    return _coherence(3, stream, n_samples=4 * M.MC_BLOCK, conditional=True)["mc_sigmas"]
-
-
-@_check("coherence", "trivial-refinement", "30-1", 1e-15)
-def _coh_trivial(cfg, stream):
-    dims = Dimensions(2)
-    coarse = M.Partition((0.5, 0.3))
-    ref = M.split_evenly(coarse, 1)
-    r = M.check_coherence(dims, ref, stream=stream, n_samples=100)
-    return max(r["nu_char_residual"], r["big_psi_residual"])
+_check("coherence", "nu-exact-refinement-n2", "30-1", 1e-12,
+       n=2, masses=(0.5,), parts=2)(_nu_exact)
+_check("coherence", "nu-exact-refinement-n3", "30-1", 1e-12,
+       n=3, masses=(0.5, 0.7), parts=2)(_nu_exact)
+# the raw estimator: the one check that runs sample_marginal end to end
+_check("coherence", "mu-projection-mc-n2", "17-9", 3.0,
+       n=2, masses=(0.5,), n_samples=200_000, conditional=False)(_mu_projection)
+# conditioned on the mixing variables, 4 blocks have the standard error of
+# the raw estimator's 200 000 samples
+_check("coherence", "mu-projection-mc-n3", "17-9", 3.0,
+       n=3, masses=(0.5, 0.7), n_samples=4 * M.MC_BLOCK, conditional=True)(_mu_projection)
+_check("coherence", "trivial-refinement", "30-1", 1e-15,
+       n=2, masses=(0.5, 0.3), parts=1)(_nu_exact)
 
 
 @_check("coherence", "two-level-chain", "30-1", 1e-12)
@@ -618,24 +579,14 @@ def _grid320() -> CellGrid:
     return grid_1d_sqrt(60.0, 320)
 
 
-def _bump_phi(grid: CellGrid) -> GridFunction:
-    return tabulate([grid], lambda xi: np.exp(-np.sum((xi - 0.8) ** 2, axis=-1)))
+def _unitarity(cfg, stream, letter):
+    return R.letter_unitarity_residual(_D2, _LAM, letter, _grid64())
 
 
-@_check("reps", "z-letter-unitarity", "1-14-1", 1e-12)
-def _z_unitarity(cfg, stream):
-    phi = _bump_phi(_grid64())
-    out = R.t_comm_apply(_D2, _LAM, G.TriangularElement(1.0, np.eye(1), [0.7]), phi)
-    n0 = R.comm_norm(_D2, _LAM, phi)
-    return abs(math.sqrt(R.comm_norm(_D2, _LAM, out) / n0) - 1.0)
-
-
-@_check("reps", "d-letter-unitarity", "1-15-1", 1e-12)
-def _d_unitarity(cfg, stream):
-    phi = _bump_phi(_grid64())
-    out = R.t_comm_apply(_D2, _LAM, G.TriangularElement(2.0, np.eye(1), [0.0]), phi)
-    n0 = R.comm_norm(_D2, _LAM, phi)
-    return abs(math.sqrt(R.comm_norm(_D2, _LAM, out) / n0) - 1.0)
+_check("reps", "z-letter-unitarity", "1-14-1", 1e-12,
+       letter=G.TriangularElement(1.0, np.eye(1), [0.7]))(_unitarity)
+_check("reps", "d-letter-unitarity", "1-15-1", 1e-12,
+       letter=G.TriangularElement(2.0, np.eye(1), [0.0]))(_unitarity)
 
 
 @_check("reps", "current-letter-unitarity", "17-13", 1e-12)
@@ -654,12 +605,10 @@ def _current_unitarity(cfg, stream):
 
 @_check("reps", "kernel-involution", "73-1", 1e-3)
 def _s_involution(cfg, stream):
-    return R.involution_residual(_D2, _LAM, _grid64())[0]
+    return R.involution_residual(_D2, _LAM, _grid64())
 
 
-@_check("reps", "kernel-unitarity", "73-1", 1e-3)
-def _s_unitarity(cfg, stream):
-    return R.involution_residual(_D2, _LAM, _grid64())[1]
+_check("reps", "kernel-unitarity", "73-1", 1e-3, letter="s")(_unitarity)
 
 
 @_check("reps", "inversion-dilation-conjugation", "363", 1e-3)
@@ -672,16 +621,12 @@ def _z_exchange(cfg, stream):
     return R.z_exchange_residual(_D2, _LAM, _grid320(), [0.7])
 
 
-@_check("reps", "vacuum-identities-n2", "342-1", 1e-6)
-def _vacuum_2(cfg, stream):
-    r = R.vacuum_checks(_D2, 0.5, Q.cached_cn(2).value)
-    return max(r["ratio_residual"], r["norm_residual"])
+def _vacuum(cfg, stream, n, lam):
+    return R.vacuum_checks(Dimensions(n), lam, Q.cached_cn(n).value)
 
 
-@_check("reps", "vacuum-identities-n3", "342-1", 1e-6)
-def _vacuum_3(cfg, stream):
-    r = R.vacuum_checks(Dimensions(3), 1.0, Q.cached_cn(3).value)
-    return max(r["ratio_residual"], r["norm_residual"])
+_check("reps", "vacuum-identities-n2", "342-1", 1e-6, n=2, lam=0.5)(_vacuum)
+_check("reps", "vacuum-identities-n3", "342-1", 1e-6, n=3, lam=1.0)(_vacuum)
 
 
 @_check("reps", "tensor-embedding-z-commutation", "31-21", 1e-12)
@@ -702,29 +647,17 @@ def _tau_isometry(cfg, stream):
     return abs(est - R.gaussian_pairing(dims, sum(lambdas))) / se
 
 
-def _r_cov_setup():
-    part = M.Partition((0.5, 0.3))
-    cells = [_grid320(), _grid320()]
-    gamma = np.array([[0.7], [-1.1]])
-    return part, cells, gamma
+def _dual_transform(cfg, stream, residual, **letter):
+    part, cells = M.Partition((0.5, 0.3)), [_grid320(), _grid320()]
+    return residual(_D2, part, cells, gamma=np.array([[0.7], [-1.1]]), **letter)
 
 
-@_check("reps", "dual-transform-translation", "444", 1e-12)
-def _r_cov_z(cfg, stream):
-    part, cells, gamma = _r_cov_setup()
-    return R.r_covariance_z_residual(_D2, part, cells, [[0.4], [-0.6]], gamma)
-
-
-@_check("reps", "dual-transform-dilation", "257", 1e-6)
-def _r_cov_d(cfg, stream):
-    part, cells, gamma = _r_cov_setup()
-    return R.r_covariance_d_residual(_D2, part, cells, [2.0, -0.7], gamma)
-
-
-@_check("reps", "dual-transform-inversion", "2561", 1e-3)
-def _r_cov_s(cfg, stream):
-    part, cells, gamma = _r_cov_setup()
-    return R.r_covariance_s_residual(_D2, part, cells, gamma)
+_check("reps", "dual-transform-translation", "444", 1e-12,
+       residual=R.r_covariance_z_residual, gamma0=[[0.4], [-0.6]])(_dual_transform)
+_check("reps", "dual-transform-dilation", "257", 1e-6,
+       residual=R.r_covariance_d_residual, eps_list=[2.0, -0.7])(_dual_transform)
+_check("reps", "dual-transform-inversion", "2561", 1e-3,
+       residual=R.r_covariance_s_residual)(_dual_transform)
 
 
 @_check("reps", "special-cocycle-law", "11-13", 1e-8)
@@ -737,7 +670,7 @@ def _special_cocycle(cfg, stream):
 
 @_check("reps", "special-limit-continuity", "11-13", 1e-6)
 def _lambda_zero_limit(cfg, stream):
-    phi = _bump_phi(_grid64())
+    phi = R.bump(_grid64())
     letter = G.TriangularElement(1.01, np.eye(1), [0.5])
     small = R.t_comm_apply(_D2, 1e-4, letter, phi)
     zero = R.t_comm_apply(_D2, 0.0, letter, phi)
@@ -749,27 +682,28 @@ def _lambda_zero_limit(cfg, stream):
 # spherical-function reproduction (the headline equivalence)
 # ---------------------------------------------------------------------------
 
-def _spherical_case(n: int, masses: tuple, radius: float) -> float:
+def _spherical(cfg, stream, n, cells, radius):
+    """Mass 1 split evenly into `cells` cells, gamma of norm `radius` along
+    the diagonal in each."""
     dims = Dimensions(n)
-    part = M.Partition(masses)
-    g = np.full((len(masses), dims.d), radius / math.sqrt(dims.d))
+    part = M.Partition((1.0 / cells,) * cells)
+    g = np.full((cells, dims.d), radius / math.sqrt(dims.d))
     coeff, target = R.spherical_reproduce(dims, part, g)
     return abs(coeff - target)
 
 
-def _register_spherical():
-    for n in (2, 3):
-        for masses in ((1.0,), (0.5, 0.5)):
-            for radius in (0.0, 1.0, 2.0):
-                cid = (f"spherical-n{n}-l{len(masses)}-"
-                       f"g{radius:g}".replace(".", "p"))
-
-                @_check("spherical", cid, "1-12", 1e-8)
-                def _sph(cfg, stream, n=n, masses=masses, radius=radius):
-                    return _spherical_case(n, masses, radius)
-
-
-_register_spherical()
+_check("spherical", "spherical-n2-l1-g0", "1-12", 1e-8, n=2, cells=1, radius=0.0)(_spherical)
+_check("spherical", "spherical-n2-l1-g1", "1-12", 1e-8, n=2, cells=1, radius=1.0)(_spherical)
+_check("spherical", "spherical-n2-l1-g2", "1-12", 1e-8, n=2, cells=1, radius=2.0)(_spherical)
+_check("spherical", "spherical-n2-l2-g0", "1-12", 1e-8, n=2, cells=2, radius=0.0)(_spherical)
+_check("spherical", "spherical-n2-l2-g1", "1-12", 1e-8, n=2, cells=2, radius=1.0)(_spherical)
+_check("spherical", "spherical-n2-l2-g2", "1-12", 1e-8, n=2, cells=2, radius=2.0)(_spherical)
+_check("spherical", "spherical-n3-l1-g0", "1-12", 1e-8, n=3, cells=1, radius=0.0)(_spherical)
+_check("spherical", "spherical-n3-l1-g1", "1-12", 1e-8, n=3, cells=1, radius=1.0)(_spherical)
+_check("spherical", "spherical-n3-l1-g2", "1-12", 1e-8, n=3, cells=1, radius=2.0)(_spherical)
+_check("spherical", "spherical-n3-l2-g0", "1-12", 1e-8, n=3, cells=2, radius=0.0)(_spherical)
+_check("spherical", "spherical-n3-l2-g1", "1-12", 1e-8, n=3, cells=2, radius=1.0)(_spherical)
+_check("spherical", "spherical-n3-l2-g2", "1-12", 1e-8, n=3, cells=2, radius=2.0)(_spherical)
 
 
 # ---------------------------------------------------------------------------

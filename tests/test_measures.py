@@ -176,12 +176,16 @@ def test_check_coherence():
     for n in (2, 3):
         dims = Dimensions(n)
         ref = M.split_evenly(M.Partition((0.5, 0.3)), 3)
+        # the exact check draws gamma, as the Monte Carlo one first does, and nothing else
+        stream = SeededStream(2024, 0)
+        assert M.coherence_exact(dims, ref, stream) <= 1e-12
+        after_gamma = SeededStream(2024, 0).rng
+        after_gamma.normal(size=(ref.coarse.size, dims.d))
+        assert stream.rng.random() == after_gamma.random()
         for conditional in (False, True):
-            out = M.check_coherence(dims, ref, stream=SeededStream(2024, 0),
-                                    n_samples=100_000, conditional=conditional)
-            assert out["nu_char_residual"] <= 1e-12
-            assert out["big_psi_residual"] <= 1e-12
-            assert out["mc_sigmas"] <= 3.0
+            dev, se = M.coherence_mc(dims, ref, SeededStream(2024, 0), n_samples=100_000,
+                                     conditional=conditional)
+            assert dev / se <= 3.0
 
 
 def test_check_coherence_conditional_averages_the_mean_given_the_mixing():
@@ -192,8 +196,7 @@ def test_check_coherence_conditional_averages_the_mean_given_the_mixing():
     dims = Dimensions(3)
     ref = M.split_evenly(M.Partition((0.5, 0.7)), 2)
     n = 20_000
-    out = M.check_coherence(dims, ref, stream=SeededStream(2024, 8), n_samples=n,
-                            conditional=True)
+    dev, se = M.coherence_mc(dims, ref, SeededStream(2024, 8), n_samples=n, conditional=True)
     rng = SeededStream(2024, 8).rng
     gamma_c = rng.normal(size=(2, dims.d))
     values = []
@@ -203,12 +206,12 @@ def test_check_coherence_conditional_averages_the_mean_given_the_mixing():
             s[:, ref.assignment[j]] += rng.gamma(lam / 2.0, 1.0, size=size)
         values.append(np.exp(-(s @ np.sum(gamma_c ** 2, axis=1)) / 4.0))
     values = np.concatenate(values)
-    assert out["mc_se"] == pytest.approx(values.std() / math.sqrt(n), rel=1e-12)
-    assert out["mc_deviation"] == pytest.approx(
+    assert se == pytest.approx(values.std() / math.sqrt(n), rel=1e-12)
+    assert dev == pytest.approx(
         abs(values.mean() - M.big_psi(ref.coarse, dims, gamma_c)), rel=1e-12)
     # and its standard error is below the raw estimator's on as many draws
-    raw = M.check_coherence(dims, ref, stream=SeededStream(2024, 8), n_samples=n)
-    assert out["mc_se"] < raw["mc_se"]
+    _, raw_se = M.coherence_mc(dims, ref, SeededStream(2024, 8), n_samples=n)
+    assert se < raw_se
 
 
 def test_check_coherence_se_is_that_of_the_real_part():
@@ -220,7 +223,7 @@ def test_check_coherence_se_is_that_of_the_real_part():
     dims = Dimensions(3)
     ref = M.split_evenly(M.Partition((0.5, 0.7)), 2)
     n = 20_000
-    out = M.check_coherence(dims, ref, stream=SeededStream(2024, 7), n_samples=n)
+    dev, se = M.coherence_mc(dims, ref, SeededStream(2024, 7), n_samples=n)
     stream = SeededStream(2024, 7)
     gamma_c = stream.rng.normal(scale=1.0, size=(2, dims.d))
     cos = []
@@ -231,9 +234,8 @@ def test_check_coherence_se_is_that_of_the_real_part():
             coarse[:, i, :] += draws[:, j, :]
         cos.append(np.cos(np.einsum("nld,ld->n", coarse, gamma_c)))
     cos = np.concatenate(cos)
-    assert out["mc_se"] == pytest.approx(cos.std() / math.sqrt(n), rel=1e-12)
-    assert out["mc_deviation"] == pytest.approx(
-        abs(cos.mean() - M.big_psi(ref.coarse, dims, gamma_c)), rel=1e-12)
+    assert se == pytest.approx(cos.std() / math.sqrt(n), rel=1e-12)
+    assert dev == pytest.approx(abs(cos.mean() - M.big_psi(ref.coarse, dims, gamma_c)), rel=1e-12)
 
 
 def test_block_moments_match_numpy_over_the_concatenated_values():
@@ -268,12 +270,11 @@ def test_check_coherence_memory_does_not_grow_with_the_samples():
     dims = Dimensions(3)
     ref = M.split_evenly(M.Partition((0.5, 0.7)), 2)
     for conditional in (False, True):
-        M.check_coherence(dims, ref, stream=SeededStream(1, 1), n_samples=100,
-                          conditional=conditional)
+        M.coherence_mc(dims, ref, SeededStream(1, 1), n_samples=100, conditional=conditional)
         tracemalloc.start()
         try:
-            M.check_coherence(dims, ref, stream=SeededStream(2024, 3), n_samples=200_000,
-                              conditional=conditional)
+            M.coherence_mc(dims, ref, SeededStream(2024, 3), n_samples=200_000,
+                           conditional=conditional)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

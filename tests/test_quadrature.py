@@ -294,6 +294,13 @@ def test_radial_fourier_zero_frequency_closed_forms():
         rep = Q.radial_fourier(Dimensions(n), prof, 0.0)
         assert abs(rep.value - want) <= rep.abs_error, (n, rep.value, want)
         assert rep.abs_error <= 1e-8 * want
+    # algebraic tails: the integral beyond 2^20 is left out of the value, and
+    # abs_error counts it, continued geometrically from the last two panels
+    for prof, want in ((lambda r: 1.0 / (1.0 + r * r), math.pi),
+                       (lambda r: (1.0 + r * r) ** -0.75,
+                        math.gamma(0.5) * math.gamma(0.25) / math.gamma(0.75))):
+        rep = Q.radial_fourier(Dimensions(2), Q.RadialProfile(prof, 0.0), 0.0)
+        assert abs(rep.value - want) <= rep.abs_error <= 1.01 * abs(rep.value - want)
 
 
 def test_levy_khinchin_constant_and_residual():

@@ -211,6 +211,8 @@ def test_z_and_d_letter_unitarity():
         out = R.t_comm_apply(D2, LAM, letter, phi)
         assert math.sqrt(R.comm_norm(D2, LAM, out) / n0) == pytest.approx(
             1.0, abs=1e-12)
+        assert R.letter_unitarity_residual(D2, LAM, letter, grid64()) == \
+            abs(math.sqrt(R.comm_norm(D2, LAM, out) / n0) - 1.0)
 
 
 def test_current_group_elementwise_unitarity():
@@ -225,9 +227,8 @@ def test_current_group_elementwise_unitarity():
 
 
 def test_involution_squares_to_identity_and_preserves_norm():
-    inv_res, norm_res = R.involution_residual(D2, LAM, grid64())
-    assert inv_res <= 1e-3
-    assert norm_res <= 1e-3
+    assert R.involution_residual(D2, LAM, grid64()) <= 1e-3
+    assert R.letter_unitarity_residual(D2, LAM, "s", grid64()) <= 1e-3
 
 
 def test_inversion_dilation_conjugation():
@@ -240,9 +241,7 @@ def test_inversion_translation_exchange():
 
 def test_vacuum_identities():
     for dims, lam in ((D2, 0.5), (D3, 1.0)):
-        out = R.vacuum_checks(dims, lam, Q.cached_cn(dims.n).value)
-        assert out["ratio_residual"] <= 1e-6
-        assert out["norm_residual"] <= 1e-6
+        assert R.vacuum_checks(dims, lam, Q.cached_cn(dims.n).value) <= 1e-6
 
 
 def test_tau_embedding_z_commutation():

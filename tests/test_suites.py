@@ -28,6 +28,89 @@ def test_suite_names_registered():
     assert len(S.suite_specs("all")) == total
 
 
+# (check_id, suite, anchor, tolerance) of every check in registry order: a
+# check's registry index seeds its stream, so the order fixes its residual
+_REGISTRY_SPEC = [
+    ("v-half-exponential", "specfun", "17-7", 1e-12),
+    ("v-at-zero", "specfun", "17-7", 1e-14),
+    ("k-half-integer", "specfun", "17-5", 1e-10),
+    ("k-order-symmetry", "specfun", "17-5", 1e-10),
+    ("v-bessel-product", "specfun", "17-7", 1e-10),
+    ("v-small-x-asymptotic", "specfun", "17-8", 0.01),
+    ("k-reference-agreement", "specfun", "17-5", 1e-12),
+    ("marginal-density-total-mass", "specfun", "17-9", 1e-08),
+    ("jump-density-closed-form", "specfun", "345-1", 1e-10),
+    ("fourier-constant-n2", "fourier", "17-3", 1e-06),
+    ("fourier-constant-n3", "fourier", "17-3", 1e-06),
+    ("power-pairing-n2", "fourier", "17-4", 1e-05),
+    ("power-pairing-n3", "fourier", "17-4", 1e-05),
+    ("v-inverse-transform-n2", "fourier", "727-7", 1e-05),
+    ("v-inverse-transform-n3", "fourier", "727-7", 1e-05),
+    ("levy-khinchin-n2", "levy-khinchin", "345-1", 0.0001),
+    ("levy-khinchin-n3", "levy-khinchin", "345-1", 0.0001),
+    ("levy-khinchin-constant-n2", "levy-khinchin", "345-1", 1e-06),
+    ("levy-khinchin-constant-n3", "levy-khinchin", "345-1", 1e-06),
+    ("membership-closure", "group", "1-1", 1e-09),
+    ("cocycle-law", "group", "1-4", 1e-09),
+    ("action-composition", "group", "1-2", 1e-09),
+    ("jacobian-cocycle-relation", "group", "1-5", 1e-06),
+    ("distance-cocycle-relation", "group", "1-6", 1e-06),
+    ("exchange-identity-matrix", "group", "364", 1e-10),
+    ("factor-word-roundtrip", "group", "1-1", 1e-08),
+    ("triangular-composition", "group", "1-1", 1e-10),
+    ("inversion-squared", "group", "1-1", 1e-15),
+    ("density-ratio-consistency", "measures", "17-91", 1e-10),
+    ("characteristic-product-form", "measures", "1-12", 1e-12),
+    ("nu-transform-single-cell", "measures", "30-1", 1e-12),
+    ("refinement-limit-of-density", "measures", "29", 0.01),
+    ("characteristic-positive-definite", "measures", "181-1", 1e-10),
+    ("characteristic-value", "measures", "181-1", 1e-14),
+    ("nu-exact-refinement-n2", "coherence", "30-1", 1e-12),
+    ("nu-exact-refinement-n3", "coherence", "30-1", 1e-12),
+    ("mu-projection-mc-n2", "coherence", "17-9", 3.0),
+    ("mu-projection-mc-n3", "coherence", "17-9", 3.0),
+    ("trivial-refinement", "coherence", "30-1", 1e-15),
+    ("two-level-chain", "coherence", "30-1", 1e-12),
+    ("nu-rotation-invariance", "invariance", "18-33", 1e-12),
+    ("nu-scaling-covariance", "invariance", "18-3", 1e-12),
+    ("mu-rotation-invariance", "invariance", "17-9", 1e-12),
+    ("configuration-rotation-radii", "invariance", "29", 1e-12),
+    ("z-letter-unitarity", "reps", "1-14-1", 1e-12),
+    ("d-letter-unitarity", "reps", "1-15-1", 1e-12),
+    ("current-letter-unitarity", "reps", "17-13", 1e-12),
+    ("kernel-involution", "reps", "73-1", 0.001),
+    ("kernel-unitarity", "reps", "73-1", 0.001),
+    ("inversion-dilation-conjugation", "reps", "363", 0.001),
+    ("inversion-translation-exchange", "reps", "364", 0.001),
+    ("vacuum-identities-n2", "reps", "342-1", 1e-06),
+    ("vacuum-identities-n3", "reps", "342-1", 1e-06),
+    ("tensor-embedding-z-commutation", "reps", "31-21", 1e-12),
+    ("tensor-embedding-isometry", "reps", "31-21", 3.0),
+    ("dual-transform-translation", "reps", "444", 1e-12),
+    ("dual-transform-dilation", "reps", "257", 1e-06),
+    ("dual-transform-inversion", "reps", "2561", 0.001),
+    ("special-cocycle-law", "reps", "11-13", 1e-08),
+    ("special-limit-continuity", "reps", "11-13", 1e-06),
+    ("spherical-n2-l1-g0", "spherical", "1-12", 1e-08),
+    ("spherical-n2-l1-g1", "spherical", "1-12", 1e-08),
+    ("spherical-n2-l1-g2", "spherical", "1-12", 1e-08),
+    ("spherical-n2-l2-g0", "spherical", "1-12", 1e-08),
+    ("spherical-n2-l2-g1", "spherical", "1-12", 1e-08),
+    ("spherical-n2-l2-g2", "spherical", "1-12", 1e-08),
+    ("spherical-n3-l1-g0", "spherical", "1-12", 1e-08),
+    ("spherical-n3-l1-g1", "spherical", "1-12", 1e-08),
+    ("spherical-n3-l1-g2", "spherical", "1-12", 1e-08),
+    ("spherical-n3-l2-g0", "spherical", "1-12", 1e-08),
+    ("spherical-n3-l2-g1", "spherical", "1-12", 1e-08),
+    ("spherical-n3-l2-g2", "spherical", "1-12", 1e-08),
+]
+
+
+def test_registry_spec_is_pinned_in_order():
+    assert [(s.check_id, s.suite, s.anchor, s.tolerance)
+            for s in S.suite_specs("all")] == _REGISTRY_SPEC
+
+
 def test_unknown_suite_raises():
     with pytest.raises(DomainError):
         S.suite_specs("nope")
@@ -313,3 +396,29 @@ def test_monte_carlo_checks_catch_mutants(monkeypatch, mutate, caught):
         mutate(monkeypatch)
     reports = S.run_suite(S.RunConfig(workers=1), "all", check_ids=_MC_CHECKS)
     assert [r.check_id for r in reports if not r.passed] == caught
+
+
+def test_exact_coherence_checks_draw_no_samples(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("an exact coherence check drew from the sampler")
+
+    monkeypatch.setattr(P, "sample_marginal", no_draws)
+    ids = ["nu-exact-refinement-n2", "nu-exact-refinement-n3", "trivial-refinement"]
+    reports = S.run_suite(S.RunConfig(workers=1), "coherence", check_ids=ids)
+    assert [r.check_id for r in reports] == ids
+    assert all(r.passed for r in reports)
+
+
+def test_kernel_checks_apply_the_kernel_letter_only_as_often_as_they_read(monkeypatch):
+    calls = []
+    apply_s = R._apply_s
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return apply_s(*args, **kwargs)
+
+    monkeypatch.setattr(R, "_apply_s", counted)
+    for check_id, applies in (("kernel-unitarity", 1), ("kernel-involution", 2)):
+        calls.clear()
+        _run_check(check_id)
+        assert len(calls) == applies, check_id
