@@ -409,26 +409,21 @@ _JACOBIAN_MAX_STEP = 1e-2   # ... and at most this
 _WORD_LETTERS = 6           # random words have 1 .. _WORD_LETTERS letters
 
 
-def measure_relation_check(g, x, y):
-    """Two finite checks of the boundary geometry, over one GroupElement or
-    a stack of elements (..., n+1, n+1) and points x, y (..., d):
-
-    (1) |det D(x -> x.g)| = beta(x, g)^(1-n)   (quasi-invariance of Lebesgue
-        measure under the action), by a five-point (fourth-order)
-        central-difference Jacobian;
-    (2) |x - y|^2 = |x.g - y.g|^2 beta(x,g) beta(y,g).
+def jacobian_relation_residual(g, x):
+    """|det D(x -> x.g)| = beta(x, g)^(1-n), the quasi-invariance of Lebesgue
+    measure under the action, by a five-point (fourth-order) central-
+    difference Jacobian, over one GroupElement or a stack of elements
+    (..., n+1, n+1) and points x (..., d).
 
     beta(x, g) = |g13|/2 |x - x0|^2 about the pole x0 of g, so the action
     varies on the scale of the distance |x - x0|: the difference step is
     _JACOBIAN_STEP times that distance, at most _JACOBIAN_MAX_STEP (for
-    g13 = 0 there is no pole and the action is affine).  Returns the pair of
-    relative residuals: floats for one trial, else arrays."""
+    g13 = 0 there is no pole and the action is affine).  Returns the
+    relative residual: a float for one trial, else an array."""
     m = _matrices(g)
     n = m.shape[-1] - 1
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
     beta_x = np.asarray(cocycle_beta(x, m))
-    beta_y = np.asarray(cocycle_beta(y, m))
     with np.errstate(divide="ignore"):
         pole_distance = np.sqrt(2.0 * beta_x / np.abs(m[..., 0, n]))
     h = np.minimum(_JACOBIAN_STEP * pole_distance, _JACOBIAN_MAX_STEP)[..., None, None]
@@ -440,13 +435,23 @@ def measure_relation_check(g, x, y):
 
     jac = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
     want = beta_x ** (-(n - 1))
-    res1 = np.abs(np.abs(np.linalg.det(jac)) - want) / want
+    res = np.abs(np.abs(np.linalg.det(jac)) - want) / want
+    return float(res) if res.ndim == 0 else res
+
+
+def distance_relation_residual(g, x, y):
+    """|x - y|^2 = |x.g - y.g|^2 beta(x,g) beta(y,g), over g, x and y as in
+    jacobian_relation_residual.  Returns the relative residual: a float for
+    one trial, else an array."""
+    m = _matrices(g)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    beta_x = np.asarray(cocycle_beta(x, m))
+    beta_y = np.asarray(cocycle_beta(y, m))
     lhs = np.sum((x - y) ** 2, axis=-1)
     rhs = np.sum((act(x, m) - act(y, m)) ** 2, axis=-1) * beta_x * beta_y
-    res2 = np.abs(lhs - rhs) / np.maximum(lhs, 1e-300)
-    if res1.ndim == 0:
-        return float(res1), float(res2)
-    return res1, res2
+    res = np.abs(lhs - rhs) / np.maximum(lhs, 1e-300)
+    return float(res) if res.ndim == 0 else res
 
 
 def _sign_fixed_q(a: np.ndarray) -> np.ndarray:

@@ -265,6 +265,50 @@ def test_tau_embedding_isometry_mc():
     assert abs(est - R.gaussian_pairing(D3, 1.2)) <= 3.0 * se
 
 
+def test_inner_std_reads_a_scaled_proposal_density(monkeypatch):
+    # a proposal density 5 % too large biases the estimate 5 % low
+    sample = R._sample_difference
+
+    def scaled(dims, rng, lam, count):
+        u, q = sample(dims, rng, lam, count)
+        return u, 1.05 * q
+
+    monkeypatch.setattr(R, "_sample_difference", scaled)
+    est, se = R.inner_std(D3, (0.5, 0.7), gauss, gauss, SeededStream(2024, 100),
+                          n_mc=100_000)
+    assert abs(est - R.gaussian_pairing(D3, 1.2)) > 3.0 * se
+
+
+def test_radial_pairing_matches_the_closed_forms():
+    import tracemalloc
+
+    # one and two cells, the exponents summing to near 0, d/2 and near d
+    for dims in (D2, D3):
+        d = dims.d
+        for total in (0.05, d / 2.0, d - 0.1):
+            want = R.gaussian_pairing(dims, total)
+            for lams in (total, (0.4 * total, 0.6 * total)):
+                got = R.radial_pairing(dims, lams, gauss, gauss)
+                assert abs(got - want) <= 1e-13 * want, (d, lams)
+    # e^(-|g|^2) against e^(-2|g|^2): the autocorrelation is
+    # (pi/3)^(d/2) e^(-2 r^2/3), so the pairing is
+    # (pi/3)^(d/2) |S^(d-1)| Gamma((d-lam)/2) / (2 (2/3)^((d-lam)/2))
+    want = (math.pi / 3.0) * 2.0 * math.pi * math.gamma(0.4) / (2.0 * (2.0 / 3.0) ** 0.4)
+    got = R.radial_pairing(D3, (0.5, 0.7), gauss, lambda g: gauss(g) ** 2)
+    assert abs(got - want) <= 1e-13 * want
+    # the radii go through in blocks: f1 never holds the whole 60-radius grid
+    tracemalloc.start()
+    try:
+        R.radial_pairing(D3, (0.5, 0.7), gauss, gauss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
+    for lams in (0.0, (1.2, 0.8)):
+        with pytest.raises(DomainError):
+            R.radial_pairing(D3, lams, gauss, gauss)
+
+
 def test_gaussian_pairing_matches_radial_quadrature():
     # |S^(d-1)| integral r^(d-1-lam) A(r e_1) dr, with the autocorrelation
     # A(u) of e^(-|g|^2) a product of one-dimensional ones, each by quad

@@ -85,7 +85,7 @@ _REGISTRY_SPEC = [
     ("vacuum-identities-n2", "reps", "342-1", 1e-06),
     ("vacuum-identities-n3", "reps", "342-1", 1e-06),
     ("tensor-embedding-z-commutation", "reps", "31-21", 1e-12),
-    ("tensor-embedding-isometry", "reps", "31-21", 3.0),
+    ("tensor-embedding-isometry", "reps", "31-21", 1e-12),
     ("dual-transform-translation", "reps", "444", 1e-12),
     ("dual-transform-dilation", "reps", "257", 1e-06),
     ("dual-transform-inversion", "reps", "2561", 0.001),
@@ -341,7 +341,7 @@ class _StreamWithoutDraws:
 
     @property
     def rng(self):
-        raise AssertionError("a spherical check used its random stream")
+        raise AssertionError("a check used its random stream")
 
 
 def test_spherical_checks_draw_nothing(monkeypatch):
@@ -355,17 +355,32 @@ def test_spherical_checks_draw_nothing(monkeypatch):
     assert all(r.passed and r.tolerance == 1e-8 for r in reports)
 
 
-_MC_CHECKS = ["mu-projection-mc-n2", "mu-projection-mc-n3", "tensor-embedding-isometry"]
+def test_tensor_embedding_isometry_draws_nothing_and_reads_one_value(monkeypatch):
+    residuals = {r.residual for seed in (0, 1, 2024) for r in S.run_suite(
+        S.RunConfig(seed=seed, workers=1), "reps", check_ids=["tensor-embedding-isometry"])}
+    assert len(residuals) == 1 and residuals.pop() <= 1e-13
+    monkeypatch.setattr(S, "SeededStream", _StreamWithoutDraws)
+    (report,) = S.run_suite(S.RunConfig(workers=1), "reps",
+                            check_ids=["tensor-embedding-isometry"])
+    assert report.passed and report.tolerance == 1e-12
 
 
-def _scale_proposal_density(monkeypatch):
-    sample = R._sample_difference
+def test_shifted_cell_exponent_fails_only_tensor_embedding_isometry(monkeypatch):
+    # the first cell's kernel factor |u|^(-0.5) becomes |u|^(-0.5 - 1e-6)
+    kernel = R._kernel_product
+    monkeypatch.setattr(R, "_kernel_product",
+                        lambda r, lams: kernel(r, lams + np.eye(len(lams))[0] * 1e-6))
+    failed = [r.check_id for r in S.run_suite(S.RunConfig(workers=1), "all") if not r.passed]
+    assert failed == ["tensor-embedding-isometry"]
 
-    def scaled(dims, rng, lam, count):
-        u, q = sample(dims, rng, lam, count)
-        return u, 1.05 * q
 
-    monkeypatch.setattr(R, "_sample_difference", scaled)
+_MC_CHECKS = ["mu-projection-mc-n2", "mu-projection-mc-n3"]
+
+
+def _scale_marginal_draws(monkeypatch):
+    sample = P.sample_marginal
+    monkeypatch.setattr(P, "sample_marginal",
+                        lambda *args, **kwargs: 1.05 * sample(*args, **kwargs))
 
 
 def _bias_mixing_shape(monkeypatch):
@@ -386,8 +401,8 @@ def _drop_a_fine_cell(monkeypatch):
 
 @pytest.mark.parametrize("mutate, caught", [
     (None, []),
-    # a check comparing two inner_std streams reads 0.06 SE here: both share the bias
-    (_scale_proposal_density, ["tensor-embedding-isometry"]),
+    # the conditional estimator draws only the mixing variables
+    (_scale_marginal_draws, ["mu-projection-mc-n2"]),
     (_bias_mixing_shape, ["mu-projection-mc-n2", "mu-projection-mc-n3"]),
     (_drop_a_fine_cell, ["mu-projection-mc-n2", "mu-projection-mc-n3"]),
 ])

@@ -4,7 +4,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-MC_CHECKS = ("mu-projection-mc-n2", "mu-projection-mc-n3", "tensor-embedding-isometry")
+MC_CHECKS = ("mu-projection-mc-n2", "mu-projection-mc-n3")
 
 
 def _run_tool(*args) -> str:
@@ -14,9 +14,9 @@ def _run_tool(*args) -> str:
     return done.stdout
 
 
-def test_mc_rate_runs_the_three_monte_carlo_checks():
+def test_mc_rate_runs_the_two_monte_carlo_checks():
     out = _run_tool("tools/mc_rate.py", "--seeds", "2")
-    assert "3 Monte Carlo checks, seeds 0..1" in out
+    assert "2 Monte Carlo checks, seeds 0..1" in out
     for check_id in MC_CHECKS:
         assert check_id in out
     assert "seeds with a failure:" in out
@@ -25,7 +25,7 @@ def test_mc_rate_runs_the_three_monte_carlo_checks():
 def test_check_times_runs_one_suite():
     out = _run_tool("tools/check_times.py", "--rounds", "1", "--suite", "coherence")
     assert "1 warm rounds" in out
-    # the coherence suite holds two of the three Monte Carlo checks
-    for check_id in MC_CHECKS[:2]:
+    # the coherence suite holds both Monte Carlo checks
+    for check_id in MC_CHECKS:
         assert check_id in out
     assert "round" in out.splitlines()[-1]
