@@ -497,17 +497,21 @@ def random_element(dims: Dimensions, rng: np.random.Generator) -> GroupElement:
     return GroupElement(random_elements(dims, rng, 1)[0], dims.n)
 
 
-def word_identity_residual(gamma) -> float:
+def word_identity_residual(gamma):
     """Matrix residual of the exchange identity
     z(gamma) s = d(gamma) . s . z(-gamma) . s . z(j gamma), with
-    j gamma = -2 gamma / |gamma|^2 and d(gamma) = d_of_gamma(gamma)."""
+    j gamma = -2 gamma / |gamma|^2 and d(gamma) = d_of_gamma(gamma), over
+    one gamma (d,) or a stack (k, d): a float for one, else an array."""
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    g2 = float(gamma @ gamma)
-    if g2 == 0.0:
+    g = gamma.reshape(-1, gamma.shape[-1])
+    # a stacked product, so that each |gamma|^2 rounds as gamma @ gamma does
+    g2 = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+    if np.any(g2 == 0.0):
         raise DomainError("gamma must be nonzero")
-    n = gamma.shape[0] + 1
-    s = make_s(n)
-    lhs = make_z(gamma) @ s
-    jg = -2.0 * gamma / g2
-    rhs = d_of_gamma(gamma) @ s @ make_z(-gamma) @ s @ make_z(jg)
-    return float(np.abs(lhs.m - rhs.m).max())
+    s = form_matrix(g.shape[-1] + 1)
+    lhs = _z_matrices(g) @ s
+    u = np.eye(g.shape[-1]) - 2.0 * (g[:, :, None] * g[:, None, :]) / g2[:, None, None]
+    jg = -2.0 * g / g2[:, None]
+    rhs = _d_matrices(-0.5 * g2, u) @ s @ _z_matrices(-g) @ s @ _z_matrices(jg)
+    res = np.abs(lhs - rhs).max(axis=(-2, -1))
+    return float(res[0]) if gamma.ndim == 1 else res

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 
 from . import specfun
 from .errors import DomainError
@@ -81,6 +80,39 @@ class PointConfiguration:
         return np.linalg.norm(self.amplitudes, axis=-1) if len(self.positions) else np.empty(0)
 
 
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """The end slope of the monotone cubic: the one-sided three-point
+    estimate, 0 if its sign differs from the end secant m0's, and 3 m0 if
+    the first two secants differ in sign and it exceeds 3 |m0|."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def monotone_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (4, len(x) - 1) coefficients, highest power first in x - x_k, of
+    the monotone piecewise cubic Hermite interpolant of y at increasing knots
+    x (at least three) with the slopes of Fritsch & Butland (1984): the
+    weighted harmonic mean of the neighbouring secants inside, 0 where they
+    differ in sign or one is 0, and _pchip_end_slope at the ends.  It keeps
+    the monotonicity of the data (Fritsch & Carlson 1980) and is the
+    interpolant of scipy's PchipInterpolator."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    slopes = np.zeros_like(y)
+    inside = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes[1:-1][inside] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))[inside]
+    slopes[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    slopes[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (slopes[:-1] + slopes[1:] - 2.0 * m) / h
+    return np.stack((t / h, (m - slopes[:-1]) / h - t, slopes[:-1], y[:-1]))
+
+
 class JumpSizeTable:
     """Tabulated inverse of the radial tail intensity
     Lambda(r) = kappa_s * area(S^{d-1}) integral_r^inf s^(d-1) g(s) ds built
@@ -101,16 +133,24 @@ class JumpSizeTable:
         tail = np.concatenate((np.cumsum(chunks[::-1])[::-1], [0.0]))
         self.total = float(tail[0])
         keep = tail > 0
-        self._inv = PchipInterpolator(
-            np.log(tail[keep][::-1]), np.log(rs[keep][::-1])
-        )
-        self._log_tail_range = (math.log(tail[keep].min()), math.log(self.total))
+        self.log_tail = np.log(tail[keep][::-1])
+        self.log_radius = np.log(rs[keep][::-1])
+        self._coeffs = monotone_cubic(self.log_tail, self.log_radius)
+
+    def inverse(self, log_tail) -> np.ndarray:
+        """log r at which log Lambda(r) takes the given values, clipped to
+        the table, by the monotone cubic through its (log Lambda, log r)
+        knots."""
+        x = np.minimum(np.maximum(log_tail, self.log_tail[0]), self.log_tail[-1])
+        k = np.searchsorted(self.log_tail[1:-1], x, side="right")   # the knot interval
+        c0, c1, c2, c3 = self._coeffs.take(k, axis=1)
+        t = x - self.log_tail.take(k)
+        # summed by ascending powers, as scipy's PPoly sums them
+        return c3 + c2 * t + c1 * (t * t) + c0 * (t * t * t)
 
     def sample_radii(self, rng: np.random.Generator, count: int) -> np.ndarray:
         u = rng.random(count) * self.total
-        lo, hi = self._log_tail_range
-        logu = np.clip(np.log(np.maximum(u, 1e-300)), lo, hi)
-        return np.exp(self._inv(logu))
+        return np.exp(self.inverse(np.log(np.maximum(u, 1e-300))))
 
 
 def default_intensity_scale(dims: Dimensions) -> float:

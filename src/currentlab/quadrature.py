@@ -18,10 +18,10 @@ Gauss-Jacobi panel that maps out the algebraic singularity at 0, then
 doubling Gauss-Legendre panels) and Gauss sums on the tail segments, with
 one profile evaluation per block of radii; k = 0 has a graded rule of its
 own on [0, 2^20].  The paired power identity integrates the transform
-against |x|^(-lam) with a fixed graded outer rule of the same kind, so its
-whole node set is one transform call.  The Levy-Khinchin integral takes
-every |gamma| of a call on one fixed rule in r of the same graded kind
-(radial_rule)."""
+against |x|^(-lam) with a fixed graded outer rule of the same kind, so the
+node set of all its masses is one transform call.  The Levy-Khinchin
+integral takes every |gamma| of a call on one fixed rule in r of the same
+graded kind (radial_rule), and so does its residual."""
 
 from __future__ import annotations
 
@@ -443,7 +443,7 @@ def cached_cn(n: int) -> FourierConstant:
     return calibrate_cn(Dimensions(n))
 
 
-def power_pairing_residual(dims: Dimensions, lam: float, cn: float) -> float:
+def power_pairing_residual(dims: Dimensions, lam, cn: float) -> float:
     """Check the homogeneous Fourier identity
         FT[|x|^(-lam)](xi) = c_n 2^(-lam) Gamma((d-lam)/2)/Gamma(lam/2) |xi|^(lam-d)
     in regularized pairing form against the Gaussian w(xi) = e^{-|xi|^2}:
@@ -452,25 +452,31 @@ def power_pairing_residual(dims: Dimensions, lam: float, cn: float) -> float:
             = c_n 2^(-lam) Gamma((d-lam)/2)/Gamma(lam/2) integral w |xi|^(lam-d) dxi,
 
     where the left side is evaluated by quadrature of the numerically
-    transformed Gaussian and the right side in closed form.  Returns the
-    relative residual."""
+    transformed Gaussian and the right side in closed form.  lam is one
+    mass or a sequence of them; returns the largest relative residual."""
     d = dims.d
-    if not 0 < lam < d:
+    lams = [float(x) for x in np.atleast_1d(lam)]
+    if not all(0 < x < d for x in lams):
         raise DomainError("the pairing identity needs 0 < lam < d = n - 1")
     prof = RadialProfile(lambda r: np.exp(-r ** 2), 0.0)
-    # fixed outer rule on [0, 20] (FT[w] is below e^-100 beyond): the
-    # s^(d-1-lam) factor is mapped out on the first panel, and every node's
-    # transform comes from one radial_fourier call
-    s, w = _graded_rule(20.0, _OUTER_PANELS, d - 1.0 - lam, _OUTER_PTS)
-    ft_w = radial_fourier(dims, prof, s, tol=1e-11).value
+    # fixed outer rule on [0, 20] per mass (FT[w] is below e^-100 beyond):
+    # the s^(d-1-lam) factor is mapped out on the first panel, the other
+    # panels are the same for every mass, and the transform at the distinct
+    # nodes of all the rules comes from one radial_fourier call
+    rules = [_graded_rule(20.0, _OUTER_PANELS, d - 1.0 - x, _OUTER_PTS) for x in lams]
+    nodes, at = np.unique(np.concatenate([s for s, _ in rules]), return_inverse=True)
+    ft_w = radial_fourier(dims, prof, nodes, tol=1e-11).value[at]
     area = specfun.sphere_area(d)
-    lhs = area * float(np.sum(w * s ** (d - 1 - lam) * ft_w))
-    # closed form of integral w |xi|^(lam-d) dxi for the Gaussian test profile
-    rhs_integral = area * 0.5 * _gamma(lam / 2.0)
-    # the constant is pi^(d/2) times the nu cell density at |xi| = 1
-    nu_at_one = math.exp(specfun.log_nu_radial_density(dims, lam, 1.0))
-    rhs = cn * math.pi ** (d / 2.0) * nu_at_one * rhs_integral
-    return abs(lhs - rhs) / abs(rhs)
+    worst = 0.0
+    for x, (s, w), ft in zip(lams, rules, np.split(ft_w, len(lams))):
+        lhs = area * float(np.sum(w * s ** (d - 1 - x) * ft))
+        # closed form of integral w |xi|^(lam-d) dxi for the Gaussian test profile
+        rhs_integral = area * 0.5 * _gamma(x / 2.0)
+        # the constant is pi^(d/2) times the nu cell density at |xi| = 1
+        nu_at_one = math.exp(specfun.log_nu_radial_density(dims, x, 1.0))
+        rhs = cn * math.pi ** (d / 2.0) * nu_at_one * rhs_integral
+        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+    return worst
 
 
 def fourier_vrho_inverse_check(dims: Dimensions, rho: float, cn: float):
@@ -636,13 +642,16 @@ def fit_levy_khinchin_kappa(n: int) -> float:
     return float(np.mean(np.log1p(g * g / 4.0) / _levy_rhs(Dimensions(n), g)))
 
 
-def levy_khinchin_residual(dims: Dimensions, gamma, kappa: float | None = None) -> float:
-    """Relative residual of the fitted Levy-Khinchin identity at gamma."""
-    gnorm = float(np.linalg.norm(np.atleast_1d(np.asarray(gamma, dtype=float))))
-    if gnorm == 0.0:
-        return 0.0
-    if kappa is None:
-        kappa = fit_levy_khinchin_kappa(dims.n)
-    lhs = math.log1p(gnorm * gnorm / 4.0)
-    rhs = kappa * float(_levy_rhs(dims, gnorm))
-    return abs(lhs - rhs) / abs(lhs)
+def levy_khinchin_residual(dims: Dimensions, gamma_norm, kappa: float | None = None):
+    """Relative residual of the fitted Levy-Khinchin identity at each |gamma|
+    of the scalar or array gamma_norm, 0 where |gamma| = 0; every nonzero
+    |gamma| comes from one _levy_rhs call.  A scalar gives a float."""
+    k = np.abs(np.asarray(gamma_norm, dtype=float))
+    out = np.zeros(k.shape)
+    nonzero = k != 0.0
+    if nonzero.any():
+        if kappa is None:
+            kappa = fit_levy_khinchin_kappa(dims.n)
+        lhs = np.log1p(k[nonzero] ** 2 / 4.0)
+        out[nonzero] = np.abs(lhs - kappa * _levy_rhs(dims, k[nonzero])) / np.abs(lhs)
+    return float(out) if out.ndim == 0 else out

@@ -384,12 +384,19 @@ def t_comm_apply(dims: Dimensions, lam: float, g, phi: GridFunction,
         if isinstance(let, str):
             out = _apply_s(dims, lam, out, 0, target or out.cells[0])
         else:
-            # triangular letter z(gamma) d(eps, u): apply d first, then the phase
-            if abs(let.epsilon - 1.0) > 0 or np.abs(let.u - np.eye(dims.d)).max() > 0:
-                out = _apply_d(dims, lam, out, 0, let.epsilon, let.u)
-            if np.abs(let.gamma).max() > 0:
-                out = _apply_z(out, 0, let.gamma)
+            out = _apply_triangular(dims, lam, out, 0, let)
     return out
+
+
+def _apply_triangular(dims: Dimensions, lam: float, phi: GridFunction, axis: int,
+                      let) -> GridFunction:
+    """The triangular letter z(gamma) d(eps, u) on the cell axis: d first,
+    then the phase; an identity d-part and a zero shift are skipped."""
+    if abs(let.epsilon - 1.0) > 0 or np.abs(let.u - np.eye(dims.d)).max() > 0:
+        phi = _apply_d(dims, lam, phi, axis, let.epsilon, let.u)
+    if np.abs(let.gamma).max() > 0:
+        phi = _apply_z(phi, axis, let.gamma)
+    return phi
 
 
 def _as_letters(dims: Dimensions, g) -> list:
@@ -581,8 +588,7 @@ def u_current_apply(dims: Dimensions, partition: M.Partition, letters: list,
     for axis, (lam, let) in enumerate(zip(partition.masses, letters)):
         if isinstance(let, str):
             raise DomainError("u_current_apply takes triangular letters only")
-        out = _apply_d(dims, 0.0, out, axis, let.epsilon, let.u)
-        out = _apply_z(out, axis, let.gamma)
+        out = _apply_triangular(dims, 0.0, out, axis, let)
         log_amp += 0.5 * lam * math.log(abs(let.epsilon))
     return GridFunction(out.cells, out.values * math.exp(log_amp))
 
@@ -696,14 +702,23 @@ def _spherical_cell(dims: Dimensions, lam: float, gamma: np.ndarray) -> complex:
     letters = [G.TriangularElement(1.0, np.eye(d), gamma)]
     if lam < d:
         grid = grid_1d_sqrt(40.0, 128) if d == 1 else grid_2d_sqrt(40.0, 64, 32)
-        log_v = specfun.log_cell_ratio(dims, lam, grid.radii)
+        log_v = _on_radii(specfun.log_cell_ratio, dims, lam, grid)
         f = GridFunction([grid], np.exp(-0.5 * log_v))
         return nu_inner(dims, part, u_current_apply(dims, part, letters, f), f)
     # with the log singularity of the density at lam = d the rule in t
     # converges only as N^-4 on the line, as N^-8 on the disk
     grid = grid_1d_sqrt(30.0, 1024) if d == 1 else grid_2d_sqrt(30.0, 128, 32)
-    dens = grid.weights * np.exp(specfun.log_marginal_radial_density(dims, lam, grid.radii))
+    dens = grid.weights * np.exp(
+        _on_radii(specfun.log_marginal_radial_density, dims, lam, grid))
     return complex(u_current_apply(dims, part, letters, GridFunction([grid], dens)).values.sum())
+
+
+def _on_radii(radial, dims: Dimensions, lam: float, grid: CellGrid) -> np.ndarray:
+    """radial(dims, lam, r) at every node of the grid, evaluated once per
+    distinct radius: a 1-d grid has each radius twice, and the 2048 nodes of
+    the polar grid have 157 distinct ones."""
+    radii, at = np.unique(grid.radii, return_inverse=True)
+    return radial(dims, lam, radii)[at]
 
 
 def spherical_reproduce(dims: Dimensions, partition: M.Partition, gamma):
@@ -713,13 +728,18 @@ def spherical_reproduce(dims: Dimensions, partition: M.Partition, gamma):
     Psi(gamma), since f^2 v = 1 turns it into the mu-average of
     e^{i<xi,gamma>}.  The current and the vacuum factorise over cells, so the
     coefficient is the product of one single-cell quadrature per cell
-    (_spherical_cell); no product grid is built and nothing is drawn.  At
-    gamma = 0 it is the normalisation ||f||^2 = 1.  Returns (coefficient,
-    Psi(gamma)); the coefficient is complex."""
+    (_spherical_cell), computed once for each distinct (mass, gamma) pair of
+    the cells; no product grid is built and nothing is drawn.  At gamma = 0
+    it is the normalisation ||f||^2 = 1.  Returns (coefficient, Psi(gamma));
+    the coefficient is complex."""
     gamma = np.asarray(gamma, dtype=float).reshape(partition.size, dims.d)
+    factors = {}
     coeff = complex(1.0)
     for lam, g in zip(partition.masses, gamma):
-        coeff *= _spherical_cell(dims, lam, g)
+        key = (lam, g.tobytes())
+        if key not in factors:
+            factors[key] = _spherical_cell(dims, lam, g)
+        coeff *= factors[key]
     return coeff, M.big_psi(partition, dims, gamma)
 
 

@@ -215,8 +215,7 @@ _check("fourier", "fourier-constant-n3", "17-3", 1e-6, n=3)(_cn)
 
 
 def _pairing(cfg, stream, n, lams):
-    cn = Q.cached_cn(n).value
-    return max(Q.power_pairing_residual(Dimensions(n), lam, cn) for lam in lams)
+    return Q.power_pairing_residual(Dimensions(n), lams, Q.cached_cn(n).value)
 
 
 _check("fourier", "power-pairing-n2", "17-4", 1e-5, n=2, lams=(0.5,))(_pairing)
@@ -236,8 +235,9 @@ _check("fourier", "v-inverse-transform-n3", "727-7", 1e-5, n=3, rho=1.0)(_v_inve
 # ---------------------------------------------------------------------------
 
 def _lk(cfg, stream, n):
-    kappa = Q.fit_levy_khinchin_kappa(n)
-    return max(Q.levy_khinchin_residual(Dimensions(n), g, kappa) for g in (0.5, 1.0, 2.0, 4.0))
+    gamma_norm = np.array([0.5, 1.0, 2.0, 4.0])
+    return float(Q.levy_khinchin_residual(Dimensions(n), gamma_norm,
+                                          Q.fit_levy_khinchin_kappa(n)).max())
 
 
 _check("levy-khinchin", "levy-khinchin-n2", "345-1", 1e-4, n=2)(_lk)
@@ -360,11 +360,9 @@ _check("group", "distance-cocycle-relation", "1-6", 1e-6,
 def _exchange_matrix(cfg, stream):
     worst = 0.0
     for d in (1, 2):
-        for _ in range(20):
-            gamma = stream.rng.standard_normal(d)
-            if float(gamma @ gamma) < 1e-4:
-                continue
-            worst = max(worst, G.word_identity_residual(gamma))
+        gamma = stream.rng.standard_normal((20, d))
+        keep = np.sum(gamma * gamma, axis=1) >= 1e-4
+        worst = max(worst, float(np.max(G.word_identity_residual(gamma[keep]), initial=0.0)))
     return worst
 
 
@@ -713,12 +711,16 @@ _check("spherical", "spherical-n3-l2-g2", "1-12", 1e-8, n=3, cells=2, radius=2.0
 # runner
 # ---------------------------------------------------------------------------
 
-def suite_specs(suite: str) -> list:
+def indexed_specs(suite: str) -> list:
+    """(registry index, spec) of every check of the suite, in registry order;
+    the index seeds the check's stream."""
     if suite not in SUITE_NAMES:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    if suite == "all":
-        return list(_REGISTRY)
-    return [s for s in _REGISTRY if s.suite == suite]
+    return [(i, s) for i, s in enumerate(_REGISTRY) if suite in ("all", s.suite)]
+
+
+def suite_specs(suite: str) -> list:
+    return [s for _, s in indexed_specs(suite)]
 
 
 def _run_one(spec: CheckSpec, cfg: RunConfig, index: int) -> CheckReport:
@@ -737,16 +739,14 @@ def run_suite(config: RunConfig, suite: str, check_ids=None) -> list:
     set, writes the report file atomically (no partial file on failure).
     A check's stream depends on its registry index alone, so its residual
     does not depend on which other checks run."""
-    specs = suite_specs(suite)
+    specs = indexed_specs(suite)
     if check_ids is not None:
-        specs = [s for s in specs if s.check_id in check_ids]
-    indices = {id(s): _REGISTRY.index(s) for s in specs}
+        specs = [(i, s) for i, s in specs if s.check_id in check_ids]
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            reports = list(pool.map(
-                lambda s: _run_one(s, config, indices[id(s)]), specs))
+            reports = list(pool.map(lambda item: _run_one(item[1], config, item[0]), specs))
     else:
-        reports = [_run_one(s, config, indices[id(s)]) for s in specs]
+        reports = [_run_one(s, config, i) for i, s in specs]
     if config.output_path:
         write_report(config, suite, reports)
     return reports

@@ -1,4 +1,6 @@
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -326,3 +328,26 @@ def test_word_identity():
             assert G.word_identity_residual(gam) <= 1e-10
     with pytest.raises(DomainError):
         G.word_identity_residual(np.zeros(2))
+
+
+def test_word_identity_over_a_stack_is_its_rows():
+    rng = np.random.default_rng(32)
+    for d in (1, 2):
+        gam = rng.standard_normal((20, d))
+        got = G.word_identity_residual(gam)
+        assert got.shape == (20,)
+        assert np.array_equal(got, [G.word_identity_residual(g) for g in gam])
+        assert isinstance(G.word_identity_residual(gam[0]), float)
+        with pytest.raises(DomainError):
+            G.word_identity_residual(np.vstack((gam, np.zeros(d))))
+    assert G.word_identity_residual(0.7) == G.word_identity_residual([[0.7]])[0]
+
+
+def test_word_identity_sees_j_gamma_of_the_wrong_sign():
+    source = textwrap.dedent(inspect.getsource(G.word_identity_residual))
+    assert "jg = -2.0 * g" in source
+    scope = dict(vars(G))
+    exec(source.replace("jg = -2.0 * g", "jg = 2.0 * g"), scope)
+    rng = np.random.default_rng(33)
+    for d in (1, 2):
+        assert scope["word_identity_residual"](rng.standard_normal((20, d))).min() >= 0.1

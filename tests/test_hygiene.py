@@ -253,3 +253,17 @@ def test_checks_run_without_mpmath():
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_leaves_scipy_interpolate_out():
+    # the jump table's monotone cubic is numpy's: importing scipy.interpolate
+    # would cost a cold `check all` about 50 ms and 2.4 MB
+    code = ("import sys\n"
+            "import currentlab.cli\n"
+            "assert 'scipy.interpolate' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -93,6 +93,34 @@ def test_marginal_characteristic_function_n3():
         assert abs(est - target) <= 3.0 * se
 
 
+def test_jump_table_inverse_is_scipys_pchip():
+    # the numpy monotone cubic against scipy's PchipInterpolator through the
+    # same (log Lambda, log r) knots, at the knots and between them
+    rng = np.random.default_rng(7)
+    for n in (2, 3):
+        dims = Dimensions(n)
+        for cutoff in (1e-5, 0.05, 0.2):
+            table = P.JumpSizeTable(dims, cutoff, P.default_intensity_scale(dims))
+            knots = table.log_tail
+            x = np.concatenate((knots, rng.uniform(knots[0], knots[-1], 20_000)))
+            want = PchipInterpolator(knots, table.log_radius)(x)
+            assert np.abs(table.inverse(x) - want).max() <= 1e-12
+            # outside the table the inverse is clipped to its ends
+            ends = table.inverse(np.array([knots[0] - 1.0, knots[-1] + 1.0]))
+            assert np.array_equal(ends, table.log_radius[[0, -1]])
+
+
+def test_monotone_cubic_keeps_monotone_data_monotone():
+    x = np.array([0.0, 1.0, 1.5, 4.0, 4.2, 7.0])
+    y = np.array([0.0, 0.0, 2.0, 2.1, 5.0, 5.0])
+    c = P.monotone_cubic(x, y)
+    t = np.linspace(0.0, 1.0, 101)[:, None] * np.diff(x)
+    vals = c[3] + c[2] * t + c[1] * t * t + c[0] * t * t * t
+    assert np.all(np.diff(vals, axis=0) >= -1e-15)
+    assert np.allclose(vals[-1], y[1:], rtol=0, atol=1e-14)
+    assert np.array_equal(c, PchipInterpolator(x, y).c)
+
+
 def test_intensity_scale_and_truncation_bound():
     dims = Dimensions(2)
     assert P.default_intensity_scale(dims) == pytest.approx(math.pi ** -0.5)

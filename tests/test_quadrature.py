@@ -176,6 +176,12 @@ def test_power_pairing_residual():
         for lam in lams:
             assert Q.power_pairing_residual(dims, lam, cn) <= 1e-12
             assert Q.power_pairing_residual(dims, lam, cn * (1.0 + 1e-9)) > 5e-10
+        # the masses of one call share one transform of the Gaussian
+        for c in (cn, cn * (1.0 + 1e-9)):
+            assert Q.power_pairing_residual(dims, lams, c) == max(
+                Q.power_pairing_residual(dims, lam, c) for lam in lams)
+    with pytest.raises(DomainError):
+        Q.power_pairing_residual(Dimensions(3), (0.5, 2.0), 1.0)
 
 
 def test_fourier_vrho_inverse_positive_and_accurate():
@@ -311,6 +317,21 @@ def test_levy_khinchin_constant_and_residual():
         assert kappa == pytest.approx(want, rel=1e-8)
         for g in (0.5, 1.0, 2.0, 4.0):
             assert Q.levy_khinchin_residual(dims, g, kappa) <= 1e-4
+
+
+def test_levy_khinchin_residual_over_an_array_is_its_scalar_calls():
+    # one _levy_rhs call for all |gamma| of the array, on the rule of its
+    # largest |gamma|, which is the scalar calls' rule up to |gamma| = 2 pi;
+    # a row of the matrix product may round apart from a one-row product,
+    # by a few units in the last place
+    g = np.array([[0.5, 1.0], [0.0, 4.0]])
+    for n in (2, 3):
+        kappa = Q.fit_levy_khinchin_kappa(n)
+        got = Q.levy_khinchin_residual(Dimensions(n), g, kappa)
+        assert got.shape == g.shape and got[1, 0] == 0.0
+        want = [[Q.levy_khinchin_residual(Dimensions(n), x, kappa) for x in row] for row in g]
+        assert np.abs(got - want).max() <= 4e-15
+        assert isinstance(Q.levy_khinchin_residual(Dimensions(n), 2.0, kappa), float)
 
 
 def test_levy_khinchin_zero_gamma():

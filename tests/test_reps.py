@@ -9,6 +9,7 @@ from currentlab import group as G
 from currentlab import measures as M
 from currentlab import quadrature as Q
 from currentlab import reps as R
+from currentlab import specfun
 from currentlab.errors import DomainError
 from currentlab.gridfn import CellGrid, grid_1d, grid_1d_sqrt, tabulate
 from currentlab.process import SeededStream
@@ -226,6 +227,28 @@ def test_current_group_elementwise_unitarity():
         == pytest.approx(1.0, abs=1e-12)
 
 
+def test_current_identity_parts_are_skipped_bit_for_bit(monkeypatch):
+    # a letter's identity d-part and zero z-part are not applied; applying
+    # them anyway gives the same values and nodes
+    part = M.Partition((0.5, 0.3))
+    phi = R._product_bump([grid64(), grid64()])
+    letters = [G.TriangularElement(1.0, np.eye(1), [0.4]),
+               G.TriangularElement(-0.7, np.eye(1), [0.0])]
+    skipped = R.u_current_apply(D2, part, letters, phi)
+    out, log_amp = phi, 0.0
+    for axis, (lam, let) in enumerate(zip(part.masses, letters)):
+        out = R._apply_z(R._apply_d(D2, 0.0, out, axis, let.epsilon, let.u), axis, let.gamma)
+        log_amp += 0.5 * lam * math.log(abs(let.epsilon))
+    assert np.array_equal(skipped.values, out.values * math.exp(log_amp))
+    assert all(np.array_equal(a.nodes, b.nodes) for a, b in zip(skipped.cells, out.cells))
+    calls = []
+    monkeypatch.setattr(R, "_apply_d", lambda *a: calls.append("d"))
+    monkeypatch.setattr(R, "_apply_z", lambda *a: calls.append("z"))
+    ident = [G.TriangularElement(1.0, np.eye(1), [0.0])] * 2
+    assert np.array_equal(R.u_current_apply(D2, part, ident, phi).values, phi.values)
+    assert calls == []
+
+
 def test_involution_squares_to_identity_and_preserves_norm():
     assert R.involution_residual(D2, LAM, grid64()) <= 1e-3
     assert R.letter_unitarity_residual(D2, LAM, "s", grid64()) <= 1e-3
@@ -422,6 +445,33 @@ def test_spherical_reproduce_is_the_product_grid_coefficient():
     want = R.nu_inner(D2, part, R.u_current_apply(D2, part, letters, f), f)
     coeff, _ = R.spherical_reproduce(D2, part, gamma)
     assert abs(coeff - want) <= 1e-12 * abs(want)
+
+
+def test_spherical_radial_factors_on_distinct_radii_are_the_per_node_values():
+    for dims, lam, grid in ((D2, 0.5, grid_1d_sqrt(40.0, 128)),
+                            (D3, 1.0, GF.grid_2d_sqrt(40.0, 64, 32)),
+                            (D2, 1.0, grid_1d_sqrt(30.0, 1024)),
+                            (D3, 2.0, GF.grid_2d_sqrt(30.0, 128, 32))):
+        for radial in (specfun.log_cell_ratio, specfun.log_marginal_radial_density):
+            if radial is specfun.log_cell_ratio and lam >= dims.d:
+                continue
+            assert np.array_equal(R._on_radii(radial, dims, lam, grid),
+                                  radial(dims, lam, grid.radii))
+        assert np.unique(grid.radii).size <= grid.size // 2
+
+
+def test_spherical_reproduce_computes_each_distinct_cell_once(monkeypatch):
+    cell = R._spherical_cell
+    calls = []
+    monkeypatch.setattr(R, "_spherical_cell",
+                        lambda dims, lam, g: calls.append(lam) or cell(dims, lam, g))
+    coeff, _ = R.spherical_reproduce(D2, M.Partition((0.5, 0.5)), [[0.7], [0.7]])
+    assert calls == [0.5]
+    factor = cell(D2, 0.5, np.array([0.7]))
+    assert coeff == complex(1.0) * factor * factor
+    calls.clear()
+    R.spherical_reproduce(D2, M.Partition((0.5, 0.5, 1.0)), [[0.7], [-0.7], [0.7]])
+    assert calls == [0.5, 0.5, 1.0]
 
 
 def test_spherical_reproduce_at_zero_is_the_vacuum_normalisation():

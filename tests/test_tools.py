@@ -29,3 +29,12 @@ def test_check_times_runs_one_suite():
     for check_id in MC_CHECKS:
         assert check_id in out
     assert "round" in out.splitlines()[-1]
+
+
+def test_special_evals_runs_one_suite():
+    out = _run_tool("tools/special_evals.py", "--suite", "spherical")
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:]}
+    assert len(rows) == 13 and "round" in rows
+    # the polar grid's 2048 nodes have 157 distinct radii, each evaluated once
+    assert rows["spherical-n3-l1-g1"] == ["157", "0"]
+    assert rows["round"][1] == "0"

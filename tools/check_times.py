@@ -48,13 +48,13 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _round(specs: list, config: S.RunConfig, rss_rise=None) -> dict:
+def _round(indexed: list, config: S.RunConfig, rss_rise=None) -> dict:
     """Seconds per check id of one round, caches cleared first; with a
     dict rss_rise, also the rise of ru_maxrss per check id in MB."""
     _clear_caches()
     out = {}
-    for spec in specs:
-        stream = S.SeededStream(config.seed, S._REGISTRY.index(spec))
+    for index, spec in indexed:
+        stream = S.SeededStream(config.seed, index)
         rss0 = _peak_rss_mb()
         t0 = time.perf_counter()
         spec.fn(config, stream)
@@ -75,15 +75,16 @@ def main(argv=None) -> int:
         ap.error("--rounds must be at least 1")
 
     config = S.RunConfig(seed=args.seed, workers=1)
-    specs = S.suite_specs(args.suite)
+    indexed = S.indexed_specs(args.suite)
+    specs = [spec for _, spec in indexed]
     rss_start = _peak_rss_mb()
     rss_rise = {}
-    _round(specs, config, rss_rise)  # warm-up
+    _round(indexed, config, rss_rise)  # warm-up
     per_check = defaultdict(list)
     per_suite = defaultdict(list)
     totals = []
     for _ in range(args.rounds):
-        times = _round(specs, config)
+        times = _round(indexed, config)
         suite_sums = defaultdict(float)
         for spec in specs:
             per_check[spec.check_id].append(times[spec.check_id])
