@@ -5,6 +5,7 @@ small-jump cutoff."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,13 +19,16 @@ from .specfun import Dimensions
 
 @dataclass
 class SeededStream:
-    """Deterministic random stream: (seed, stream_id) fixes every draw."""
+    """Deterministic random stream: (seed, stream_id) fixes every draw.  The
+    generator is built on first use, so a check that draws nothing does not
+    pay for seeding one."""
 
     seed: int
     stream_id: int = 0
 
-    def __post_init__(self):
-        self.rng = np.random.default_rng(
+    @functools.cached_property
+    def rng(self) -> np.random.Generator:
+        return np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         )
 

@@ -20,6 +20,16 @@ def test_seeded_stream_determinism():
     assert not np.array_equal(a, c)
 
 
+def test_seeded_stream_builds_its_generator_on_first_use():
+    stream = P.SeededStream(2024, 7)
+    assert "rng" not in vars(stream)
+    got = stream.rng.random(5)
+    assert stream.rng is stream.rng
+    want = np.random.default_rng(np.random.SeedSequence(entropy=2024, spawn_key=(7,)))
+    assert np.array_equal(got, want.random(5))
+    assert np.array_equal(stream.rng.standard_normal(3), want.standard_normal(3))
+
+
 def test_oracle_n2_domain():
     with pytest.raises(DomainError):
         P.oracle_n2(0.0, P.SeededStream(2024, 0), size=10)

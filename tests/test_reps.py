@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -386,6 +387,63 @@ def test_apply_s_is_the_kernel_contracted_on_one_axis():
         assert got.cells[axis] is target and got.cells[1 - axis] is phi.cells[1 - axis]
         np.testing.assert_allclose(got.values, want, rtol=1e-14,
                                    atol=1e-14 * np.abs(want).max())
+
+
+def _one_product_apply_s(phi, axis, target):
+    """The kernel letter as one real matrix product over the whole array,
+    contracted axis first."""
+    mat = R.kernel_matrix(D2, LAM, target, phi.cells[axis])
+    vals = np.ascontiguousarray(np.moveaxis(phi.values, axis, 0))
+    flat = mat @ vals.reshape(vals.shape[0], -1).view(float)
+    return np.moveaxis(flat.view(complex).reshape(mat.shape[0], *vals.shape[1:]), 0, axis)
+
+
+@pytest.mark.parametrize("block", [R._S_BLOCK, 64])
+def test_blocked_apply_s_is_the_one_product_route_on_every_axis(monkeypatch, block):
+    # at 64 values a block, every axis of both functions is split in blocks
+    monkeypatch.setattr(R, "_S_BLOCK", block)
+    two = _two_cell_function()
+    sizes = (12, 10, 14)
+    three = tabulate([grid_1d_sqrt(15.0, k) for k in sizes],
+                     lambda x, y, z: np.exp(-(x[..., 0] - 0.8) ** 2 - 0.5 * y[..., 0] ** 2
+                                            - 0.3 * z[..., 0] ** 2
+                                            + 1j * (0.7 * x[..., 0] - z[..., 0])))
+    for phi in (two, three):
+        for axis in range(phi.l):
+            target = grid_1d_sqrt(9.0, 2 * axis + 8)
+            got = R._apply_s(D2, LAM, phi, axis, target).values
+            want = _one_product_apply_s(phi, axis, target)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (phi.l, axis)
+
+
+def test_involution_holds_about_two_full_size_arrays_above_its_input():
+    grid = grid_1d_sqrt(60.0, 320)
+    part = M.Partition((0.5, 0.3))
+    phi = R._product_bump([grid, grid])
+    R.involution_apply(D2, part, phi, targets=[grid, grid])  # kernel blocks cached
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = R.involution_apply(D2, part, phi, targets=[grid, grid])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # the two axes' outputs and one transposed block of at most _S_BLOCK
+    # values; a full-size transposed copy or product would not fit
+    assert out.values.nbytes == phi.values.nbytes
+    assert peak <= 2 * phi.values.nbytes + 16 * R._S_BLOCK + 2 ** 16
+
+
+def test_product_bump_holds_no_subnormal_values():
+    grid = grid_1d_sqrt(60.0, 320)
+    vals = R._product_bump([grid, grid]).values
+    small = (vals != 0.0) & (np.abs(vals) < np.finfo(float).tiny)
+    assert not small.any()
+    # the outer product of the cell factors, up to the values set to 0
+    one = R._product_bump([grid]).values
+    want = np.multiply.outer(one, one)
+    assert np.abs(vals - want).max() < np.finfo(float).tiny
 
 
 def test_r_transform_is_the_scaled_grid_sum():

@@ -437,3 +437,95 @@ def test_kernel_checks_apply_the_kernel_letter_only_as_often_as_they_read(monkey
         calls.clear()
         _run_check(check_id)
         assert len(calls) == applies, check_id
+
+
+def test_checks_that_draw_nothing_build_no_generator():
+    cfg = S.RunConfig(workers=1)
+    specs = dict((s.check_id, (i, s)) for i, s in S.indexed_specs("all"))
+    for check_id, draws in (("dual-transform-translation", False),
+                            ("levy-khinchin-n2", False),
+                            ("exchange-identity-matrix", True)):
+        index, spec = specs[check_id]
+        stream = S.SeededStream(cfg.seed, index)
+        spec.fn(cfg, stream)
+        assert ("rng" in vars(stream)) == draws, check_id
+
+
+def _wrong_sign_phase(monkeypatch):
+    apply_z = R._apply_z
+    monkeypatch.setattr(R, "_apply_z", lambda phi, axis, gamma0: apply_z(phi, axis, -gamma0))
+
+
+def _wrong_current_amplitude(monkeypatch):
+    # |eps_i|^(lam_i/2) becomes |eps_i|^(3 lam_i/4)
+    current = R.u_current_apply
+
+    def mutant(dims, partition, letters, phi):
+        out = current(dims, partition, letters, phi)
+        extra = math.prod(abs(let.epsilon) ** (0.25 * lam)
+                          for lam, let in zip(partition.masses, letters))
+        return R.GridFunction(out.cells, out.values * extra)
+
+    monkeypatch.setattr(R, "u_current_apply", mutant)
+
+
+def _wrong_dilation_weight(monkeypatch):
+    # the transported weights |eps|^(-d) w become |eps|^(d) w
+    apply_d = R._apply_d
+
+    def mutant(dims, lam, phi, axis, eps, u):
+        out = apply_d(dims, lam, phi, axis, eps, u)
+        cells = list(out.cells)
+        c = cells[axis]
+        cells[axis] = R.CellGrid(c.nodes, c.weights * abs(eps) ** (2 * dims.d))
+        return R.GridFunction(cells, out.values)
+
+    monkeypatch.setattr(R, "_apply_d", mutant)
+
+
+_EXACT_DUAL = ["dual-transform-translation", "dual-transform-dilation"]
+
+
+@pytest.mark.parametrize("mutate, caught", [
+    (None, []),
+    (_wrong_sign_phase, ["dual-transform-translation"]),
+    (_wrong_current_amplitude, ["dual-transform-dilation"]),
+    (_wrong_dilation_weight, ["dual-transform-dilation"]),
+])
+def test_exact_dual_transform_checks_catch_mutants_on_the_64_node_grid(
+        monkeypatch, mutate, caught):
+    specs = {s.check_id: s for s in S.suite_specs("reps")}
+    for check_id in _EXACT_DUAL:
+        assert specs[check_id].fn.keywords["grid"]().size == 64
+    assert specs["dual-transform-inversion"].fn.keywords["grid"]().size == 320
+    if mutate is not None:
+        mutate(monkeypatch)
+    reports = S.run_suite(S.RunConfig(workers=1), "reps", check_ids=_EXACT_DUAL)
+    assert [r.check_id for r in reports if not r.passed] == caught
+    for r in reports:
+        if r.check_id in caught:
+            assert r.residual > 1e3 * r.tolerance, r
+
+
+@pytest.mark.parametrize("error", [
+    lambda k: 1e-3 * k,
+    # zero at the fit's |gamma| = 0.5, 1, 2, 4, so kappa does not move: only
+    # a residual taken at other |gamma| can see it
+    lambda k: 1e-3 * np.sin(math.pi * np.log2(2.0 * k)),
+])
+def test_levy_khinchin_checks_see_a_gamma_dependent_error(monkeypatch, error):
+    # kappa's fit absorbs a constant factor (1 + c) in _levy_rhs; a factor
+    # 1 + error(|gamma|) that varies with |gamma| must fail both checks
+    ids = ["levy-khinchin-n2", "levy-khinchin-n3"]
+    rhs = Q._levy_rhs
+    Q.fit_levy_khinchin_kappa.cache_clear()
+    try:
+        assert all(r.passed for r in S.run_suite(S.RunConfig(workers=1), "levy-khinchin",
+                                                 check_ids=ids))
+        monkeypatch.setattr(Q, "_levy_rhs", lambda dims, k: rhs(dims, k)
+                            * (1.0 + error(np.asarray(k))))
+        Q.fit_levy_khinchin_kappa.cache_clear()
+        reports = S.run_suite(S.RunConfig(workers=1), "levy-khinchin", check_ids=ids)
+        assert [r.check_id for r in reports if not r.passed] == ids
+    finally:
+        Q.fit_levy_khinchin_kappa.cache_clear()

@@ -31,6 +31,19 @@ def test_check_times_runs_one_suite():
     assert "round" in out.splitlines()[-1]
 
 
+def test_check_times_reports_each_checks_traced_peak():
+    out = _run_tool("tools/check_times.py", "--rounds", "1", "--suite", "reps")
+    assert "tracemalloc peak above the check's start" in out.splitlines()[0]
+    rows = {line.split()[0]: [float(x) for x in line.split()[1:]]
+            for line in out.splitlines()[2:] if not line.startswith("per ")}
+    assert all(len(cols) == 4 and cols[3] >= 0.0 for cols in rows.values())
+    # the inversion holds two 320 x 320 complex functions (1.6 MB each) at once
+    assert rows["dual-transform-inversion"][3] > 3.2
+    # a suite's and the round's peak is their largest check's
+    assert rows["reps"][3] == rows["round"][3] == max(
+        cols[3] for name, cols in rows.items() if name not in ("reps", "round"))
+
+
 def test_special_evals_runs_one_suite():
     out = _run_tool("tools/special_evals.py", "--suite", "spherical")
     rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:]}
