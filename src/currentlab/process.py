@@ -225,23 +225,7 @@ def project_config(config: PointConfiguration, partition) -> np.ndarray:
 
 
 def rotate_config(config: PointConfiguration, u) -> PointConfiguration:
-    """Apply an orthogonal matrix (globally, or per atom via a callable of
-    the position) to every amplitude."""
-    if callable(u):
-        amps = np.asarray([c @ np.asarray(u(x), dtype=float)
-                           for x, c in zip(config.positions, config.amplitudes)])
-    else:
-        amps = config.amplitudes @ np.asarray(u, dtype=float)
-    return PointConfiguration(config.total_mass, config.positions.copy(),
-                              amps, config.truncation_bound)
-
-
-def scale_config(config: PointConfiguration, factor) -> PointConfiguration:
-    """Scale every amplitude by a constant (or position-dependent) factor."""
-    if callable(factor):
-        amps = np.asarray([float(factor(x)) * c
-                           for x, c in zip(config.positions, config.amplitudes)])
-    else:
-        amps = float(factor) * config.amplitudes
+    """Apply one orthogonal matrix to every amplitude."""
+    amps = config.amplitudes @ np.asarray(u, dtype=float)
     return PointConfiguration(config.total_mass, config.positions.copy(),
                               amps, config.truncation_bound)

@@ -17,7 +17,20 @@ norm; every pairing here weights its cells by the nu cell law of specfun.
 The operator kernel A_op carries the constant (2/pi) 2^(-lambda/2) in front
 of the raw oscillatory integrals of the quadrature module; this is the
 normalisation forced by Fourier inversion (the (2 pi)^d of the inverse
-transform), and it is what makes s an involution numerically."""
+transform), and it is what makes s an involution numerically.
+
+The kernel letter need not fix the vacuum: for phi = vacuum_evaluator
+|xi|^((d-lambda)/2) at lambda = 1/2, <T_s phi, phi> / ||phi||^2 reads 0.9441
+on grid_1d_sqrt(50, 182) and (200, 362) alike.  The one-cell canonical state
+is Psi(g) = |<g o, o>|^(-lambda/2) with o = (1, 0, ..., 0, -1)/sqrt 2, and
+|<g o, o>| = cosh t for t = dist(o, g o) in H^n.  With a = lambda/2,
+
+    Delta cosh^(-a) t = cosh^(-a) t [a (a + 1) tanh^2 t - a n]
+
+is not a constant multiple of cosh^(-a) t, so Psi is the spherical function
+of no irreducible representation: as the z-orbit of o meets every t, a
+vector of T^lambda fixed by the stabiliser of o (which holds s) cannot
+reproduce Psi on the z-letters."""
 
 from __future__ import annotations
 
@@ -69,93 +82,8 @@ def comm_norm(dims: Dimensions, lam: float, phi: GridFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# standard model
+# standard-model pairing
 # ---------------------------------------------------------------------------
-
-def t_std_apply(dims: Dimensions, lam: float, g: G.GroupElement, f):
-    """T^lambda_g in the standard model: returns the callable
-    gamma -> f(gamma.g) beta(gamma,g)^(1-n+lambda/2)."""
-    expo = 1.0 - dims.n + lam / 2.0
-
-    def out(gamma):
-        return f(G.act(gamma, g)) * G.cocycle_beta(gamma, g) ** expo
-
-    return out
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of an (N, d) array by einsum, about five
-    times faster than np.linalg.norm(x, axis=1) at d = 2."""
-    return np.sqrt(np.einsum("ij,ij->i", x, x))
-
-
-# inner_std's proposals: radius bound and weight of the singular part, and
-# the standard deviation of the Gaussian parts
-_R0, _P_SING, _SIGMA = 1.0, 0.5, 2.0
-
-
-def _sample_difference(dims: Dimensions, rng: np.random.Generator, lam: float,
-                       count: int):
-    """Importance proposal for the singular factor |u|^(-lam): a mixture of
-    the normalized density ~ r^(d-1-lam) on [0, _R0] (which integrates the
-    singularity exactly) and a Gaussian; returns (u, q(u)) with q the mixture
-    density in R^d."""
-    d = dims.d
-    area = specfun.sphere_area(d)
-    pick = rng.random(count) < _P_SING
-    r = _R0 * rng.random(count) ** (1.0 / (d - lam))
-    if d == 1:
-        dirs = np.where(rng.random(count) < 0.5, -1.0, 1.0)[:, None]
-    else:
-        raw = rng.standard_normal((count, d))
-        dirs = raw / _row_norms(raw)[:, None]
-    u_sing = r[:, None] * dirs
-    u_gauss = _SIGMA * rng.standard_normal((count, d))
-    u = np.where(pick[:, None], u_sing, u_gauss)
-    rr = _row_norms(u)
-    q_sing = np.where(
-        rr <= _R0,
-        (d - lam) / (area * _R0 ** (d - lam)) * rr ** (-lam),
-        0.0,
-    )
-    q_gauss = (2 * math.pi * _SIGMA ** 2) ** (-d / 2.0) * np.exp(-rr ** 2 / (2 * _SIGMA ** 2))
-    return u, _P_SING * q_sing + (1 - _P_SING) * q_gauss
-
-
-def inner_std(dims: Dimensions, lam, f1, f2, stream, n_mc: int = 200_000):
-    """Monte Carlo estimate of the standard-model pairing
-    integral integral |g' - g''|^(-lam) f1(g') f2(g'') dg' dg''.
-
-    lam is one exponent or a sequence of them; a sequence pairs with the
-    per-cell kernel prod_i |g' - g''|^(-lam_i), its factors multiplied in
-    order, which is the pairing of the embedded tensor tau f (the diagonal
-    support of the embedding collapses every cell onto the same pair of
-    points).  The n_mc samples are drawn and weighted M.MC_BLOCK at a time:
-    f1 and f2 take a block's (size, d) array of sample points and return
-    the (size,) array of values, and each is called once per block.
-    radial_pairing is its deterministic counterpart for radial f1 and f2.
-
-    The difference variable is importance-sampled with an
-    |u|^(-sum lam_i)-exact proposal near 0 so the estimator has finite
-    variance for all 0 < sum lam_i < d.  Returns (estimate, standard_error)."""
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    total = float(np.sum(lams))
-    if not 0 < total < dims.d:
-        raise DomainError("inner_std needs 0 < sum(lam) < d")
-    rng = stream.rng
-    d = dims.d
-    moments = M.BlockMoments()
-    for size in M.mc_blocks(n_mc):
-        u, qu = _sample_difference(dims, rng, total, size)
-        gpp = _SIGMA * rng.standard_normal((size, d))
-        q_gpp = (2 * math.pi * _SIGMA ** 2) ** (-d / 2.0) * np.exp(
-            -np.einsum("ij,ij->i", gpp, gpp) / (2 * _SIGMA ** 2)
-        )
-        gp = gpp + u
-        moments.add(_kernel_product(_row_norms(u), lams) * _integrand_values(f1, gp)
-                    * _integrand_values(f2, gpp) / (qu * q_gpp))
-    return moments.mean, moments.standard_error
-
 
 def gaussian_pairing(dims: Dimensions, lam: float) -> float:
     """Closed form of the standard-model pairing of f(g) = e^(-|g|^2) on R^d
@@ -185,21 +113,24 @@ _PAIR_BLOCK = 2 ** 14
 
 
 def radial_pairing(dims: Dimensions, lam, f1, f2) -> float:
-    """The standard-model pairing of inner_std by a fixed quadrature rule,
-    for radial f1 and f2 that are negligible outside the box |g_i| <= 6 and
-    no narrower than e^(-2|g|^2) (the rule's node spacing), and whose
-    autocorrelation is negligible beyond |u| = 10:
+    """The standard-model pairing of f1 and f2 under the kernel
+    prod_i |g' - g''|^(-lam_i), by a fixed quadrature rule, for radial f1
+    and f2 that are negligible outside the box |g_i| <= 6 and no narrower
+    than e^(-2|g|^2) (the rule's node spacing), and whose autocorrelation
+    is negligible beyond |u| = 10:
 
         |S^(d-1)| integral_0^10 r^(d-1) prod_i r^(-lam_i) A(r) dr,
         A(r) = integral f1(g + r e_1) f2(g) dg.
 
-    lam is one exponent or a sequence of them, as in inner_std, and f1, f2
-    map (N, d) points to (N,) values.  The radial rule is
-    quadrature._graded_rule with singularity exponent d - 1 - sum lam_i; A
-    takes one Gauss-Legendre product rule in g, with the radii in blocks of
-    about _PAIR_BLOCK points per call of f1.  For e^(-|g|^2) at d = 1, 2
-    the result is within 1e-14 of gaussian_pairing; 52 nodes per axis
-    would do for it, but leave e^(-|g|^2) against e^(-2|g|^2) 8e-11 off."""
+    lam is one exponent or a sequence of them, a sequence being the kernel
+    of the embedded tensor tau f (the embedding's diagonal support collapses
+    every cell onto one pair of points); f1 and f2 map (N, d) points to (N,)
+    values.  The radial rule is quadrature._graded_rule with singularity
+    exponent d - 1 - sum lam_i; A takes one Gauss-Legendre product rule in
+    g, with the radii in blocks of about _PAIR_BLOCK points per call of f1.
+    For e^(-|g|^2) at d = 1, 2 the result is within 1e-14 of
+    gaussian_pairing; 52 nodes per axis would do for it, but leave
+    e^(-|g|^2) against e^(-2|g|^2) 8e-11 off."""
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     total = float(np.sum(lams))
     d = dims.d
@@ -233,7 +164,7 @@ def _kernel_product(r: np.ndarray, lams: np.ndarray) -> np.ndarray:
 def _integrand_values(f, points: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(points))
     if vals.shape != points.shape[:1]:
-        raise DomainError("an inner_std integrand maps (N, d) sample points "
+        raise DomainError("a pairing integrand maps (N, d) points "
                           f"to (N,) values, got shape {vals.shape}")
     return vals
 
@@ -294,7 +225,7 @@ def _kernel_block_n2(lam: float, xi: np.ndarray, xi_prime: np.ndarray) -> np.nda
 
 
 # Least recently used matrices are dropped beyond this many: a `check all`
-# round builds 6 and reuses each within a few calls.  The check runner's
+# round builds 7 and reuses each within a few calls.  The check runner's
 # threads share the cache, so reordering and eviction hold the lock.
 _KERNEL_CACHE_SIZE = 16
 _KERNEL_CACHE: OrderedDict = OrderedDict()
@@ -656,56 +587,45 @@ def _product_bump(cells: list) -> GridFunction:
     return GridFunction(cells, vals)
 
 
-def r_covariance_z_residual(dims: Dimensions, partition: M.Partition,
-                            cells: list, gamma0, gamma) -> float:
-    """R(U_b phi)(gamma) = R phi(gamma + gamma0) for the current z-letter
-    b with shift gamma0^i on cell i; exact on nodes."""
-    gamma0 = np.asarray(gamma0, dtype=float).reshape(partition.size, dims.d)
+def current_word_apply(dims: Dimensions, partition: M.Partition, cells: list,
+                       word: list, phi: GridFunction) -> GridFunction:
+    """U_w for a word w of current letters: a letter is "s", the involution
+    onto the cells, or a list of one TriangularElement per cell
+    (u_current_apply).  U is a homomorphism, so the last letter acts first,
+    as in t_comm_apply."""
+    out = phi
+    for let in reversed(word):
+        if isinstance(let, str):
+            out = involution_apply(dims, partition, out, targets=cells)
+        else:
+            out = u_current_apply(dims, partition, let, out)
+    return out
+
+
+def r_intertwining_residual(dims: Dimensions, partition: M.Partition,
+                            cells: list, word: list, gamma) -> float:
+    """R(U_w phi)(gamma) = prod_i beta(gamma^i, w_i)^(-lam_i/2) R phi(gamma^i.w_i):
+    the dual transform intertwines the current group, for the product bump
+    phi on the cells and a word w of current letters (current_word_apply)
+    whose word on cell i is w_i.  The right side is read from the group
+    alone: w_i evaluated as a matrix moves gamma^i by the boundary action
+    and weighs it by the cocycle (z(gamma0): gamma + gamma0 with beta = 1;
+    d(eps, u): gamma u / eps with beta = |eps|; s: -2 gamma / |gamma|^2
+    with beta = |gamma|^2 / 2).  The z and d letters are exact on the nodes;
+    s carries the kernel quadrature's error.  Raises PointAtInfinityError
+    where w_i sends gamma^i to infinity."""
     gamma = np.asarray(gamma, dtype=float).reshape(partition.size, dims.d)
     phi = _product_bump(cells)
-    ident = np.eye(dims.d)
-    letters = [G.TriangularElement(1.0, ident, g0) for g0 in gamma0]
-    lhs = r_transform(dims, partition, u_current_apply(dims, partition, letters, phi), gamma)
-    rhs = r_transform(dims, partition, phi, gamma + gamma0)
-    return abs(lhs - rhs) / abs(rhs)
-
-
-def r_covariance_d_residual(dims: Dimensions, partition: M.Partition,
-                            cells: list, eps_list, gamma) -> float:
-    """R(U_b phi)(gamma) = prod_i |eps_i|^(-lam_i/2) R phi(eps_i^{-1} gamma^i u_i)
-    for the current d-letter b = (eps_i, u_i) (here u_i = identity); exact
-    on nodes since the d-operator transports nodes without interpolation."""
-    gamma = np.asarray(gamma, dtype=float).reshape(partition.size, dims.d)
-    phi = _product_bump(cells)
-    ident = np.eye(dims.d)
-    letters = [G.TriangularElement(float(e), ident, np.zeros(dims.d))
-               for e in eps_list]
-    lhs = r_transform(dims, partition, u_current_apply(dims, partition, letters, phi), gamma)
-    amp = math.exp(sum(-0.5 * lam * math.log(abs(float(e)))
-                       for lam, e in zip(partition.masses, eps_list)))
-    shifted = np.asarray([g / float(e) for g, e in zip(gamma, eps_list)])
-    rhs = amp * r_transform(dims, partition, phi, shifted)
-    return abs(lhs - rhs) / abs(rhs)
-
-
-def r_covariance_s_residual(dims: Dimensions, partition: M.Partition,
-                            cells: list, gamma) -> float:
-    """R(I phi)(gamma) = 2^(m(X)/2) prod_i |gamma^i|^(-lam_i) R phi(j gamma)
-    with j gamma^i = -2 gamma^i / |gamma^i|^2 (inversion covariance of the
-    dual transform); kernel quadrature on both cells."""
-    gamma = np.asarray(gamma, dtype=float).reshape(partition.size, dims.d)
-    phi = _product_bump(cells)
-    inv = involution_apply(dims, partition, phi, targets=list(cells))
-    lhs = r_transform(dims, partition, inv, gamma)
-    log_amp = 0.5 * partition.total_mass * math.log(2.0)
-    jg = np.empty_like(gamma)
+    lhs = r_transform(dims, partition,
+                      current_word_apply(dims, partition, cells, word, phi), gamma)
+    moved = np.empty_like(gamma)
+    log_amp = []
     for i, (lam, g) in enumerate(zip(partition.masses, gamma)):
-        g2 = float(g @ g)
-        if g2 == 0.0:
-            raise DomainError("the inversion covariance needs gamma^i != 0")
-        jg[i] = -2.0 * g / g2
-        log_amp += -lam * 0.5 * math.log(g2)
-    rhs = math.exp(log_amp) * r_transform(dims, partition, phi, jg)
+        w_i = G.GroupWord(dims.n, [let if isinstance(let, str) else let[i]
+                                   for let in word]).evaluate()
+        moved[i] = G.act(g, w_i)
+        log_amp.append(-0.5 * lam * math.log(G.cocycle_beta(g, w_i)))
+    rhs = math.exp(sum(log_amp)) * r_transform(dims, partition, phi, moved)
     return abs(lhs - rhs) / abs(rhs)
 
 

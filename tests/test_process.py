@@ -238,11 +238,6 @@ def test_project_rotate_scale_config():
     rot = P.rotate_config(cfg, u)
     assert np.allclose(rot.radii, cfg.radii)
     assert np.allclose(rot.amplitudes, cfg.amplitudes @ u)
-    sc = P.scale_config(cfg, 2.0)
-    assert np.allclose(sc.radii, 2.0 * cfg.radii)
-    sc2 = P.scale_config(cfg, lambda x: 1.0 if x < 0.5 else 3.0)
-    assert np.allclose(sc2.amplitudes[0], cfg.amplitudes[0])
-    assert np.allclose(sc2.amplitudes[1], 3.0 * cfg.amplitudes[1])
 
 
 def test_project_empty_config_keeps_dimension():

@@ -11,9 +11,8 @@ from currentlab import measures as M
 from currentlab import quadrature as Q
 from currentlab import reps as R
 from currentlab import specfun
-from currentlab.errors import DomainError
+from currentlab.errors import DomainError, PointAtInfinityError
 from currentlab.gridfn import CellGrid, grid_1d, grid_1d_sqrt, tabulate
-from currentlab.process import SeededStream
 from currentlab.specfun import Dimensions
 
 D2 = Dimensions(2)
@@ -191,19 +190,6 @@ def test_kernel_cache_evicts_the_least_recently_used(monkeypatch):
     assert len(R._KERNEL_CACHE) == R._KERNEL_CACHE_SIZE
 
 
-def test_std_model_letter_action():
-    f = lambda gamma: math.exp(-float(np.dot(gamma, gamma)))
-    z = G.make_z([0.3])
-    out = R.t_std_apply(D2, LAM, z, f)
-    gam = np.array([0.5])
-    # translations have beta = 1
-    assert out(gam) == pytest.approx(f(gam + 0.3), rel=1e-14)
-    d = G.make_d(2.0, n=2)
-    out_d = R.t_std_apply(D2, LAM, d, f)
-    assert out_d(gam) == pytest.approx(
-        f(gam / 2.0) * 2.0 ** (1.0 - 2 + LAM / 2.0), rel=1e-13)
-
-
 def test_z_and_d_letter_unitarity():
     phi = bump(grid64())
     n0 = R.comm_norm(D2, LAM, phi)
@@ -281,28 +267,6 @@ def test_tau_embedding_z_commutation():
     assert R.tau_z_commutation_residual(D3, cells, gauss, [0.4, -0.3]) <= 1e-12
 
 
-def test_tau_embedding_isometry_mc():
-    # the embedded tensor's pairing, under the per-cell product kernel,
-    # against the closed form of the single-mass pairing
-    est, se = R.inner_std(D3, (0.5, 0.7), gauss, gauss, SeededStream(2024, 100),
-                          n_mc=100_000)
-    assert abs(est - R.gaussian_pairing(D3, 1.2)) <= 3.0 * se
-
-
-def test_inner_std_reads_a_scaled_proposal_density(monkeypatch):
-    # a proposal density 5 % too large biases the estimate 5 % low
-    sample = R._sample_difference
-
-    def scaled(dims, rng, lam, count):
-        u, q = sample(dims, rng, lam, count)
-        return u, 1.05 * q
-
-    monkeypatch.setattr(R, "_sample_difference", scaled)
-    est, se = R.inner_std(D3, (0.5, 0.7), gauss, gauss, SeededStream(2024, 100),
-                          n_mc=100_000)
-    assert abs(est - R.gaussian_pairing(D3, 1.2)) > 3.0 * se
-
-
 def test_radial_pairing_matches_the_closed_forms():
     import tracemalloc
 
@@ -331,6 +295,9 @@ def test_radial_pairing_matches_the_closed_forms():
     for lams in (0.0, (1.2, 0.8)):
         with pytest.raises(DomainError):
             R.radial_pairing(D3, lams, gauss, gauss)
+    # an integrand that does not return one value per point is refused
+    with pytest.raises(DomainError):
+        R.radial_pairing(D3, 0.8, lambda g: 1.0, gauss)
 
 
 def test_gaussian_pairing_matches_radial_quadrature():
@@ -358,16 +325,49 @@ def test_gaussian_pairing_matches_radial_quadrature():
             R.gaussian_pairing(D3, lam)
 
 
+def _cell_letters(eps, shifts):
+    return [G.TriangularElement(e, np.eye(1), [g]) for e, g in zip(eps, shifts)]
+
+
 def test_r_transform_covariances():
     part = M.Partition((0.5, 0.3))
     cells = [grid_1d_sqrt(60.0, 320)] * 2
     gamma = np.array([[0.7], [-1.1]])
-    assert R.r_covariance_z_residual(D2, part, cells, [[0.4], [-0.6]], gamma) \
-        <= 1e-12
-    assert R.r_covariance_d_residual(D2, part, cells, [2.0, -0.7], gamma) <= 1e-6
-    assert R.r_covariance_s_residual(D2, part, cells, gamma) <= 1e-3
-    with pytest.raises(DomainError):
-        R.r_covariance_s_residual(D2, part, cells, np.array([[0.0], [-1.1]]))
+    z = _cell_letters((1.0, 1.0), (0.4, -0.6))
+    d = _cell_letters((2.0, -0.7), (0.0, 0.0))
+    assert R.r_intertwining_residual(D2, part, cells, [z], gamma) <= 1e-12
+    assert R.r_intertwining_residual(D2, part, cells, [d], gamma) <= 1e-6
+    assert R.r_intertwining_residual(D2, part, cells, ["s"], gamma) <= 1e-3
+    # s sends gamma^1 = 0 to infinity
+    with pytest.raises(PointAtInfinityError):
+        R.r_intertwining_residual(D2, part, cells, ["s"], np.array([[0.0], [-1.1]]))
+
+
+def test_r_intertwining_applies_the_last_letter_first(monkeypatch):
+    # z.s acts as U_z U_s: s first.  Applying the letters first to last
+    # instead reads the law of s.z against the right side of z.s
+    part = M.Partition((0.5, 0.3))
+    cells = [grid64(), grid64()]
+    gamma = np.array([[0.7], [-1.1]])
+    word = [_cell_letters((1.0, 1.0), (0.4, -0.6)), "s"]
+    assert R.r_intertwining_residual(D2, part, cells, word, gamma) <= 1e-3
+    apply = R.current_word_apply
+    monkeypatch.setattr(R, "current_word_apply",
+                        lambda dims, p, c, w, phi: apply(dims, p, c, w[::-1], phi))
+    assert R.r_intertwining_residual(D2, part, cells, word, gamma) > 1e-2
+
+
+def test_current_word_is_its_letters_applied_last_first():
+    part = M.Partition((0.5, 0.3))
+    cells = [grid64(), grid64()]
+    phi = R._product_bump(cells)
+    z = _cell_letters((1.0, 1.0), (0.4, -0.6))
+    d = _cell_letters((2.0, -0.7), (0.3, 0.0))
+    got = R.current_word_apply(D2, part, cells, [z, "s", d], phi)
+    want = R.u_current_apply(D2, part, z, R.involution_apply(
+        D2, part, R.u_current_apply(D2, part, d, phi), targets=cells))
+    assert np.array_equal(got.values, want.values)
+    assert all(a is b for a, b in zip(got.cells, cells))
 
 
 def _two_cell_function():
@@ -538,46 +538,3 @@ def test_spherical_reproduce_at_zero_is_the_vacuum_normalisation():
         coeff, target = R.spherical_reproduce(dims, part, np.zeros((part.size, dims.d)))
         assert target == 1.0
         assert coeff != 1.0 and abs(coeff - 1.0) <= 1e-8
-
-
-def test_inner_std_matches_power_pairing_scale():
-    # MC pairing of two Gaussians against the deterministic radial reduction
-    est, se = R.inner_std(D2, LAM, gauss, gauss, SeededStream(2024, 300),
-                          n_mc=200_000)
-    assert abs(est - R.gaussian_pairing(D2, LAM)) <= 4.0 * se
-
-
-def test_tau_isometry_memory_does_not_grow_with_the_samples():
-    # the 100k-sample estimate held 12 MB of samples at once when drawn as
-    # one array
-    import tracemalloc
-
-    R.inner_std(D3, (0.5, 0.7), gauss, gauss, SeededStream(1, 1), n_mc=100)
-    tracemalloc.start()
-    try:
-        R.inner_std(D3, (0.5, 0.7), gauss, gauss, SeededStream(2024, 1), n_mc=100_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4e6
-
-
-def test_inner_std_calls_each_integrand_once_per_sample_array():
-    shapes = []
-
-    def counting(g):
-        shapes.append(g.shape)
-        return gauss(g)
-
-    # one call of each integrand per block of M.MC_BLOCK samples
-    R.inner_std(D3, 0.8, counting, counting, SeededStream(1, 1), n_mc=500)
-    assert shapes == [(500, 2), (500, 2)]
-    shapes.clear()
-    R.inner_std(D3, 0.8, counting, counting, SeededStream(1, 1), n_mc=M.MC_BLOCK + 500)
-    assert shapes == [(M.MC_BLOCK, 2)] * 2 + [(500, 2)] * 2
-    shapes.clear()
-    R.inner_std(D3, (0.5, 0.7), counting, counting, SeededStream(1, 2), n_mc=300)
-    assert shapes == [(300, 2)] * 2
-    # an integrand that does not return one value per sample point is refused
-    with pytest.raises(DomainError):
-        R.inner_std(D3, 0.8, lambda g: 1.0, gauss, SeededStream(1, 4), n_mc=10)

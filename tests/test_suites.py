@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -89,6 +90,7 @@ _REGISTRY_SPEC = [
     ("dual-transform-translation", "reps", "444", 1e-12),
     ("dual-transform-dilation", "reps", "257", 1e-06),
     ("dual-transform-inversion", "reps", "2561", 0.001),
+    ("dual-transform-word", "reps", "2561", 0.001),
     ("special-cocycle-law", "reps", "11-13", 1e-08),
     ("special-limit-continuity", "reps", "11-13", 1e-06),
     ("spherical-n2-l1-g0", "spherical", "1-12", 1e-08),
@@ -505,6 +507,50 @@ def test_exact_dual_transform_checks_catch_mutants_on_the_64_node_grid(
     for r in reports:
         if r.check_id in caught:
             assert r.residual > 1e3 * r.tolerance, r
+
+
+def _reversed_letter_order(monkeypatch):
+    # the word's letters applied first to last on the grid function
+    apply = R.current_word_apply
+    monkeypatch.setattr(R, "current_word_apply",
+                        lambda dims, part, cells, word, phi: apply(dims, part, cells,
+                                                                   word[::-1], phi))
+
+
+def _inverted_cocycle_weight(monkeypatch):
+    # beta^(-lam/2) becomes beta^(+lam/2)
+    beta = G.cocycle_beta
+    monkeypatch.setattr(G, "cocycle_beta", lambda gamma, g: 1.0 / beta(gamma, g))
+
+
+@pytest.mark.parametrize("mutate", [None, _reversed_letter_order, _inverted_cocycle_weight])
+def test_dual_transform_word_catches_mutants_on_the_64_node_grid(monkeypatch, mutate):
+    spec = {s.check_id: s for s in S.suite_specs("reps")}["dual-transform-word"]
+    assert spec.fn.keywords["grid"]().size == 64
+    assert [len(let) for let in spec.fn.keywords["word"]] == [2, 1]
+    if mutate is not None:
+        mutate(monkeypatch)
+    (report,) = S.run_suite(S.RunConfig(workers=1), "reps", check_ids=["dual-transform-word"])
+    if mutate is None:
+        assert report.passed
+    else:
+        assert report.residual > 10 * report.tolerance, report
+
+
+def test_check_all_builds_each_kernel_block_once(monkeypatch):
+    # a cold round builds every distinct (lam, target, source) block once:
+    # none is built twice, as it would be after an eviction
+    monkeypatch.setattr(R, "_KERNEL_CACHE", OrderedDict())
+    block = R._kernel_block_n2
+    built = []
+
+    def counted(lam, xi, xi_prime):
+        built.append((lam, xi.tobytes(), xi_prime.tobytes()))
+        return block(lam, xi, xi_prime)
+
+    monkeypatch.setattr(R, "_kernel_block_n2", counted)
+    assert all(r.passed for r in S.run_suite(S.RunConfig(workers=1), "all"))
+    assert len(built) == len(set(built)) == 7
 
 
 @pytest.mark.parametrize("error", [
