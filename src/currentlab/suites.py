@@ -579,8 +579,12 @@ def _grid64() -> CellGrid:
     return grid_1d_sqrt(25.0, 64)
 
 
-def _grid320() -> CellGrid:
-    return grid_1d_sqrt(60.0, 320)
+def _operator_grid() -> CellGrid:
+    # the grid of the two checks that the kernel quadrature limits.  Their
+    # residuals are set by the radius R, not by the node count: at R = 60
+    # they read the same from N = 192 to 320, while (80, 192) reads 4.8e-5
+    # and 1.5e-8, within 5 % of (80, 256) (tools/grid_floor.py)
+    return grid_1d_sqrt(80.0, 192)
 
 
 def _unitarity(cfg, stream, letter):
@@ -607,9 +611,9 @@ def _current_unitarity(cfg, stream):
     return abs(math.sqrt(R.nu_norm(_D2, part, out) / n0) - 1.0)
 
 
-@_check("reps", "kernel-involution", "73-1", 1e-3)
-def _s_involution(cfg, stream):
-    return R.involution_residual(_D2, _LAM, _grid64())
+@_check("reps", "kernel-involution", "73-1", 1e-3, grid=_grid64)
+def _s_involution(cfg, stream, grid):
+    return R.involution_residual(_D2, _LAM, grid())
 
 
 _check("reps", "kernel-unitarity", "73-1", 1e-3, letter="s")(_unitarity)
@@ -620,9 +624,9 @@ def _s_d_conj(cfg, stream):
     return R.s_dilation_conjugation_residual(_D2, _LAM, _grid64(), 2.0)
 
 
-@_check("reps", "inversion-translation-exchange", "364", 1e-3)
-def _z_exchange(cfg, stream):
-    return R.z_exchange_residual(_D2, _LAM, _grid320(), [0.7])
+@_check("reps", "inversion-translation-exchange", "364", 1e-3, grid=_operator_grid)
+def _z_exchange(cfg, stream, grid):
+    return R.z_exchange_residual(_D2, _LAM, grid(), [0.7])
 
 
 def _vacuum(cfg, stream, n, lam):
@@ -653,10 +657,10 @@ def _tau_isometry(cfg, stream):
 
 def _dual_transform(cfg, stream, grid, word):
     # the z and d letters hold exactly on the nodes, so they need no more
-    # than the 64-node grid; the inversion alone is limited by its kernel
-    # quadrature and takes the 320-node one.  The z.s word reads 1.5e-4 on
-    # 64 nodes; words that mix d and s, or apply s after z, read 2e-3 to
-    # 7e-2 there.
+    # than the 64-node grid; the inversion alone carries the kernel
+    # quadrature's error, which the grid radius limits, and takes the
+    # operator grid.  The z.s word reads 1.5e-4 on 64 nodes; words that
+    # mix d and s, or apply s after z, read 2e-3 to 7e-2 there.
     part, cells = M.Partition((0.5, 0.3)), [grid(), grid()]
     return R.r_intertwining_residual(_D2, part, cells, word, np.array([[0.7], [-1.1]]))
 
@@ -670,7 +674,7 @@ _check("reps", "dual-transform-translation", "444", 1e-12, grid=_grid64,
        word=[_Z_SHIFT])(_dual_transform)
 _check("reps", "dual-transform-dilation", "257", 1e-6, grid=_grid64,
        word=[_cell_letters((2.0, -0.7), (0.0, 0.0))])(_dual_transform)
-_check("reps", "dual-transform-inversion", "2561", 1e-3, grid=_grid320,
+_check("reps", "dual-transform-inversion", "2561", 1e-3, grid=_operator_grid,
        word=["s"])(_dual_transform)
 _check("reps", "dual-transform-word", "2561", 1e-3, grid=_grid64,
        word=[_Z_SHIFT, "s"])(_dual_transform)

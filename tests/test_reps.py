@@ -11,6 +11,7 @@ from currentlab import measures as M
 from currentlab import quadrature as Q
 from currentlab import reps as R
 from currentlab import specfun
+from currentlab import suites as S
 from currentlab.errors import DomainError, PointAtInfinityError
 from currentlab.gridfn import CellGrid, grid_1d, grid_1d_sqrt, tabulate
 from currentlab.specfun import Dimensions
@@ -246,7 +247,8 @@ def test_inversion_dilation_conjugation():
 
 
 def test_inversion_translation_exchange():
-    assert R.z_exchange_residual(D2, LAM, grid_1d_sqrt(60.0, 320), [0.7]) <= 1e-3
+    # reads 4.8e-5 on the operator grid
+    assert R.z_exchange_residual(D2, LAM, S._operator_grid(), [0.7]) <= 1e-4
 
 
 def test_vacuum_identities():
@@ -331,16 +333,48 @@ def _cell_letters(eps, shifts):
 
 def test_r_transform_covariances():
     part = M.Partition((0.5, 0.3))
-    cells = [grid_1d_sqrt(60.0, 320)] * 2
+    cells = [S._operator_grid()] * 2
     gamma = np.array([[0.7], [-1.1]])
     z = _cell_letters((1.0, 1.0), (0.4, -0.6))
     d = _cell_letters((2.0, -0.7), (0.0, 0.0))
     assert R.r_intertwining_residual(D2, part, cells, [z], gamma) <= 1e-12
     assert R.r_intertwining_residual(D2, part, cells, [d], gamma) <= 1e-6
-    assert R.r_intertwining_residual(D2, part, cells, ["s"], gamma) <= 1e-3
+    # reads 1.5e-8 on the operator grid
+    assert R.r_intertwining_residual(D2, part, cells, ["s"], gamma) <= 1e-7
     # s sends gamma^1 = 0 to infinity
     with pytest.raises(PointAtInfinityError):
         R.r_intertwining_residual(D2, part, cells, ["s"], np.array([[0.0], [-1.1]]))
+
+
+def _operator_residuals(grid):
+    part = M.Partition((0.5, 0.3))
+    return (R.z_exchange_residual(D2, LAM, grid, [0.7]),
+            R.r_intertwining_residual(D2, part, [grid, grid], ["s"],
+                                      np.array([[0.7], [-1.1]])))
+
+
+def test_operator_grid_is_converged_in_its_node_count():
+    # at R = 80 the residuals are set by the radius: 64 more nodes move
+    # each by less than 10 % (at N = 160 they are 2.4 and 230 times larger)
+    grid = grid_1d_sqrt(80.0, 192)
+    assert np.array_equal(S._operator_grid().nodes, grid.nodes)
+    for got, more in zip(_operator_residuals(grid),
+                         _operator_residuals(grid_1d_sqrt(80.0, 256))):
+        assert abs(got - more) <= 0.1 * more, (got, more)
+
+
+@pytest.mark.parametrize("scale", [None, 1.0 + 2e-3])
+def test_operator_grid_checks_see_a_kernel_constant_off_by_2e_3(monkeypatch, scale):
+    # a kernel constant off by 1 + delta reads delta in the exchange (one
+    # more s on its right side) and 2 delta in the two-cell inversion
+    ids = ["inversion-translation-exchange", "dual-transform-inversion"]
+    monkeypatch.setattr(R, "_KERNEL_CACHE", OrderedDict())
+    if scale is not None:
+        coeff = R._op_coeff
+        monkeypatch.setattr(R, "_op_coeff", lambda lam: scale * coeff(lam))
+    reports = S.run_suite(S.RunConfig(workers=1), "reps", check_ids=ids)
+    assert [r.check_id for r in reports] == ids
+    assert all(r.passed == (scale is None) for r in reports), reports
 
 
 def test_r_intertwining_applies_the_last_letter_first(monkeypatch):

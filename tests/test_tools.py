@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from currentlab import suites as S
+
 ROOT = Path(__file__).resolve().parents[1]
 
 MC_CHECKS = ("mu-projection-mc-n2", "mu-projection-mc-n3")
@@ -37,8 +39,10 @@ def test_check_times_reports_each_checks_traced_peak():
     rows = {line.split()[0]: [float(x) for x in line.split()[1:]]
             for line in out.splitlines()[2:] if not line.startswith("per ")}
     assert all(len(cols) == 4 and cols[3] >= 0.0 for cols in rows.values())
-    # the inversion holds two 320 x 320 complex functions (1.6 MB each) at once
-    assert rows["dual-transform-inversion"][3] > 3.2
+    # the inversion holds two N x N complex functions on the operator grid
+    # (16 N^2 bytes each) at once
+    n = S._operator_grid().size
+    assert rows["dual-transform-inversion"][3] > 2 * 16 * n ** 2 / 2 ** 20
     # a suite's and the round's peak is their largest check's
     assert rows["reps"][3] == rows["round"][3] == max(
         cols[3] for name, cols in rows.items() if name not in ("reps", "round"))
@@ -51,3 +55,17 @@ def test_special_evals_runs_one_suite():
     # the polar grid's 2048 nodes have 157 distinct radii, each evaluated once
     assert rows["spherical-n3-l1-g1"] == ["157", "0"]
     assert rows["round"][1] == "0"
+
+
+def test_grid_floor_runs_one_grid():
+    out = _run_tool("tools/grid_floor.py", "--grids", "25,64")
+    header, row = out.splitlines()[1:]
+    checks = header.split()[2:]
+    assert checks == ["inversion-translation-exchange", "dual-transform-inversion",
+                      "kernel-involution"]
+    cols = row.split()
+    assert cols[:2] == ["25.0", "64"] and len(cols) == 2 + 2 * len(checks)
+    # on its own 64-node grid, kernel-involution reads its registry residual
+    (report,) = S.run_suite(S.RunConfig(workers=1), "reps", check_ids=["kernel-involution"])
+    assert float(cols[6]) == float(f"{report.residual:.3e}")
+    assert all(float(ms) > 0.0 for ms in cols[3::2])
