@@ -137,35 +137,46 @@ def _cmd_check(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _process_record(config: P.PointConfiguration) -> dict:
+    return {
+        "atoms": [
+            {"x": float(x), "c": c.tolist()}
+            for x, c in zip(config.positions, config.amplitudes)
+        ],
+        "truncation_bound": config.truncation_bound,
+    }
+
+
 def _cmd_sample(args) -> int:
+    """Validate the arguments, then write each JSONL record as it is made, so
+    that memory holds the draws but never all the records."""
     try:
         dims = Dimensions(args.n)
         stream = SeededStream(args.seed if args.seed is not None else _default_seed())
-        records = []
         if args.kind == "marginal":
             part = M.Partition(_parse_partition(args.partition))
-            if args.count > 0:
-                draws = P.sample_marginal(dims, part, stream, size=args.count)
-                records = [{"xi": d.tolist()} for d in draws]
+            draws = P.sample_marginal(dims, part, stream, size=args.count) \
+                if args.count > 0 else ()
+            records = ({"xi": xi.tolist()} for xi in draws)
         else:
+            if args.mass <= 0:
+                raise DomainError("--mass must be positive")
             table = P.JumpSizeTable(dims, args.eps, P.default_intensity_scale(dims))
-            for _ in range(args.count):
-                config = P.sample_process(dims, args.mass, args.eps, stream,
-                                          table=table)
-                records.append({
-                    "atoms": [
-                        {"x": float(x), "c": c.tolist()}
-                        for x, c in zip(config.positions, config.amplitudes)
-                    ],
-                    "truncation_bound": config.truncation_bound,
-                })
+            records = (_process_record(P.sample_process(dims, args.mass, args.eps, stream,
+                                                        table=table))
+                       for _ in range(args.count))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     tmp = args.out + ".tmp"
-    with open(tmp, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    try:
+        with open(tmp, "w") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec) + "\n")
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     os.replace(tmp, args.out)
     return 0
 

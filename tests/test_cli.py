@@ -1,10 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from currentlab import cli
+from currentlab import measures as M
+from currentlab import process as P
+from currentlab.specfun import Dimensions
 
 
 def run(capsys, argv):
@@ -156,6 +160,56 @@ def test_sample_process_jsonl(tmp_path, capsys):
     for atom in rows[0]["atoms"]:
         assert 0.0 <= atom["x"] <= 0.8
         assert len(atom["c"]) == 2
+
+
+def test_sample_files_are_the_per_record_formula(tmp_path, capsys):
+    # each line is the JSON of one record made from the same stream
+    out = tmp_path / "m.jsonl"
+    assert cli.main(["sample", "marginal", "--n", "3", "--partition", "0.3,0.5,0.7",
+                     "--seed", "5", "--count", "50", "--out", str(out)]) == 0
+    draws = P.sample_marginal(Dimensions(3), M.Partition((0.3, 0.5, 0.7)),
+                              P.SeededStream(5), size=50)
+    assert out.read_text() == "".join(json.dumps({"xi": xi.tolist()}) + "\n" for xi in draws)
+
+    out = tmp_path / "p.jsonl"
+    assert cli.main(["sample", "process", "--n", "2", "--mass", "0.8", "--eps", "0.1",
+                     "--seed", "5", "--count", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    dims, stream = Dimensions(2), P.SeededStream(5)
+    table = P.JumpSizeTable(dims, 0.1, P.default_intensity_scale(dims))
+    want = ""
+    for _ in range(4):
+        config = P.sample_process(dims, 0.8, 0.1, stream, table=table)
+        atoms = [{"x": float(x), "c": c.tolist()}
+                 for x, c in zip(config.positions, config.amplitudes)]
+        want += json.dumps({"atoms": atoms, "truncation_bound": config.truncation_bound}) + "\n"
+    assert out.read_text() == want
+
+
+def test_sample_with_invalid_arguments_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "bad.jsonl"
+    code, _, err = run(capsys, ["sample", "process", "--mass", "-1", "--count", "3",
+                                "--out", str(out)])
+    assert code == 1 and err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_marginal_holds_the_draws_but_not_the_records(tmp_path, capsys):
+    # the records are written as they are made: the traced peak stays below
+    # the draws array (20 000 x 3 x 2 doubles, 0.96 MB) plus 1 MB, where a
+    # list of every record's dict took tens of MB
+    out = tmp_path / "m.jsonl"
+    argv = ["sample", "marginal", "--n", "3", "--partition", "0.3,0.5,0.7",
+            "--seed", "5", "--count", "20000", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 20_000 * 3 * 2 * 8 + 1_000_000
+    assert len(out.read_text().splitlines()) == 20_000
 
 
 def test_sample_count_zero_makes_empty_file(tmp_path, capsys):

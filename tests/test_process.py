@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 from scipy.interpolate import PchipInterpolator
 
 from currentlab import measures as M
@@ -51,6 +52,55 @@ def test_sample_marginal_is_gamma_then_normal_per_cell():
     # the mixing draw alone is the same Gamma draw
     w = P.sample_mixing(0.8, P.SeededStream(2024, 41), 500)
     assert np.array_equal(w, P.SeededStream(2024, 41).rng.gamma(0.4, 1.0, size=500))
+
+
+def _traced_peak_mb(fn, *args, **kwargs) -> float:
+    """The peak of traced memory (numpy arrays and Python objects) while fn
+    runs, in MB of 10^6 bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_marginal_is_one_draw_of_the_normals_across_their_blocks():
+    # the normals are drawn NORMAL_BLOCK_ROWS rows at a time; across several
+    # blocks and a ragged last one they are still the per-cell formula's one
+    # call, bit for bit
+    dims, part = Dimensions(3), M.Partition((0.3, 0.8))
+    size = 2 * P.NORMAL_BLOCK_ROWS + 5
+    got = P.sample_marginal(dims, part, P.SeededStream(2024, 42), size=size)
+    rng = P.SeededStream(2024, 42).rng
+    for i, lam in enumerate(part.masses):
+        w = rng.gamma(lam / 2.0, 1.0, size=size)
+        want = np.sqrt(w / 2.0)[:, None] * rng.standard_normal((size, dims.d))
+        assert np.array_equal(got[:, i, :], want)
+
+
+def test_sample_marginal_peak_is_its_output_and_one_mixing_array():
+    # 200 000 draws of 3 cells at n = 3: a 9.6 MB output and a 1.6 MB mixing
+    # array (the parent's full-size temporaries peaked at 19.3 MB)
+    part = M.Partition((0.3, 0.5, 0.7))
+    peak = _traced_peak_mb(P.sample_marginal, Dimensions(3), part, P.SeededStream(2024, 43),
+                           size=200_000)
+    assert 9.6 + 1.6 <= peak <= 11.5
+
+
+def test_oracle_n2_is_the_difference_of_two_gamma_draws():
+    got = P.oracle_n2(0.7, P.SeededStream(2024, 44), size=1000)
+    rng = P.SeededStream(2024, 44).rng
+    g1 = rng.gamma(0.35, 0.5, size=1000)
+    g2 = rng.gamma(0.35, 0.5, size=1000)
+    assert np.array_equal(got, g1 - g2)
+    rng = P.SeededStream(2024, 44).rng
+    one = rng.gamma(0.35, 0.5, size=1) - rng.gamma(0.35, 0.5, size=1)
+    assert P.oracle_n2(0.7, P.SeededStream(2024, 44)) == float(one[0])
+    # the second draw is subtracted in place: the output and one gamma
+    # array, 1.6 MB each (the parent's three arrays peaked at 4.8 MB)
+    peak = _traced_peak_mb(P.oracle_n2, 0.7, P.SeededStream(2024, 45), size=200_000)
+    assert 3.2 <= peak <= 3.3
 
 
 def test_marginal_matches_oracle_two_sample_ks():
@@ -140,6 +190,32 @@ def test_intensity_scale_and_truncation_bound():
     # near zero the integrand is ~ kappa_s * area * r^{d-1} (g ~ 1/(2 r^d)),
     # so the bound is ~ total_mass * kappa_s * area * cutoff / 2... linear
     assert b1 / b2 == pytest.approx(10.0, rel=0.15)
+
+
+def _truncation_bound_closed_form(d: int, total_mass: float, cutoff: float) -> float:
+    """truncation_bound in closed form.  The radial integrand r^d g(r) is
+    r^nu K_nu(2r) with nu = d/2, so the integral is 2^(-nu-1) times
+    integral_0^x t^nu K_nu(t) dt at x = 2 cutoff, which is
+    sqrt(pi) 2^(nu-1) Gamma(nu+1/2) x [K_nu L_(nu-1) + L_nu K_(nu-1)](x)
+    with L the modified Struve function (DLMF 10.43(ii))."""
+    nu, x = d / 2.0, 2.0 * cutoff
+    integral = (math.sqrt(math.pi) * 2.0 ** (nu - 1.0) * special.gamma(nu + 0.5) * x
+                * (special.kv(nu, x) * special.modstruve(nu - 1.0, x)
+                   + special.modstruve(nu, x) * special.kv(nu - 1.0, x)))
+    return (total_mass * P.default_intensity_scale(Dimensions(d + 1))
+            * specfun.sphere_area(d) * 2.0 ** (-nu - 1.0) * integral)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_truncation_bound_matches_its_closed_form(d):
+    # the quad is at most 2.4e-13 off the closed form here (d = 2, c = 0.2)
+    for cutoff in (1e-6, 1e-3, 0.05, 0.2, 1.0):
+        got = P.truncation_bound(Dimensions(d + 1), 0.7, cutoff)
+        assert got == pytest.approx(_truncation_bound_closed_form(d, 0.7, cutoff),
+                                    rel=5e-13, abs=0)
+    # d = 1: K_(1/2) is elementary, the integrand is (sqrt(pi)/2) e^(-2r)
+    want = 0.7 * math.pi ** -0.5 * 2.0 * 0.5 * math.sqrt(math.pi) * 0.5 * -math.expm1(-0.4)
+    assert _truncation_bound_closed_form(1, 0.7, 0.2) == pytest.approx(want, rel=1e-15)
 
 
 def test_sample_process_projection_matches_marginal():

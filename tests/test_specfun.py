@@ -66,6 +66,45 @@ def test_bessel_k_reference_matches_mpmath():
         specfun.bessel_k_reference([0.5, 1.0], [1.0, 0.0])
 
 
+def _bessel_k_reference_one_shot(rho, z):
+    """bessel_k_reference's rule with its (points x nodes) table built in
+    one piece."""
+    rho, z = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(z, dtype=float))
+    r = np.abs(rho).ravel()
+    x = 2.0 * z.ravel()
+    h = np.minimum(0.05, 0.6 / np.sqrt(x))
+    left_out = math.log(1e18) + 0.5 * np.log1p(x)
+    t_max = np.arccosh(1.0 + left_out / x)
+    for _ in range(6):
+        t_max = np.arccosh(1.0 + (left_out + r * t_max) / x)
+    steps = np.ceil(t_max / h).astype(int)
+    k = np.arange(1, steps.max(initial=0) + 1)
+    inside = k <= steps[:, None]
+    t = h[:, None] * np.where(inside, k, 0)
+    f = np.exp(-2.0 * x[:, None] * np.sinh(0.5 * t) ** 2) * np.cosh(r[:, None] * t)
+    scaled = h * (0.5 + np.sum(np.where(inside, f, 0.0), axis=1))
+    return (scaled * np.exp(-x)).reshape(z.shape)
+
+
+def test_bessel_k_reference_blocks_are_the_one_shot_rule(monkeypatch):
+    # the mpmath test's 722 points: far more values than one block holds,
+    # and every point's sum bit for bit the one-shot table's
+    orders = [m + e for m in range(6) for e in (-1e-6, 0.0, 1e-6)]
+    orders += [m + 0.5 + e for m in range(5) for e in (-1e-9, 0.0, 1e-9)]
+    orders += [-0.3, -1.0, -2.5 - 1e-9, -4.0 + 1e-6, -5.0]
+    zs = list(np.geomspace(1e-6, 150.0, 17)) + [15.0 - 5e-4, 15.0 + 5e-4]
+    rho, z = np.meshgrid(orders, zs, indexing="ij")
+    assert rho.size == 722
+    got = specfun.bessel_k_reference(rho, z)
+    assert np.array_equal(got, _bessel_k_reference_one_shot(rho, z))
+    # the same on random points, with blocks of one row each
+    rng = np.random.default_rng(11)
+    rho, z = rng.uniform(-5.0, 5.0, 300), np.exp(rng.uniform(-13.8, 5.0, 300))
+    monkeypatch.setattr(specfun, "REFERENCE_BLOCK_VALUES", 1)
+    assert np.array_equal(specfun.bessel_k_reference(rho, z),
+                          _bessel_k_reference_one_shot(rho, z))
+
+
 def test_log_bessel_k_beyond_the_kve_range():
     # kve returns NaN from 2z = 2^30 (z = 5.4e8) on; the large-argument
     # expansion takes over there, on either side of which the values agree

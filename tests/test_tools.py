@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from currentlab import suites as S
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,3 +71,19 @@ def test_grid_floor_runs_one_grid():
     (report,) = S.run_suite(S.RunConfig(workers=1), "reps", check_ids=["kernel-involution"])
     assert float(cols[6]) == float(f"{report.residual:.3e}")
     assert all(float(ms) > 0.0 for ms in cols[3::2])
+
+
+def test_peak_memory_runs_one_sampling_round():
+    out = _run_tool("tools/peak_memory.py", "--workload", "sampling", "--rounds", "1")
+    lines = out.splitlines()
+    assert lines[0].startswith("sampling, seed 1, 1 rounds in one process")
+    assert lines[1].startswith("round 0: ru_maxrss") and lines[1].endswith(", 0 failed checks")
+    rise = float(lines[1].split("(+")[1].split(")")[0])
+    charged = {label.strip(): float(mb)
+               for label, mb in (line.rsplit(None, 1) for line in lines[2:-1])}
+    # the rise is charged to the call kinds, the benchmark's checks and the rest
+    assert {"call marginal", "call paths_n2", "call paths_n3", "call density",
+            "check check_marginal_draws", "other"} <= set(charged)
+    assert sum(charged.values()) == pytest.approx(rise, abs=0.05)
+    assert all(mb >= 0.0 for label, mb in charged.items() if label != "other")
+    assert lines[-1].endswith("0 failed checks in all")
