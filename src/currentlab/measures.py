@@ -256,8 +256,10 @@ def coherence_mc(dims: Dimensions, refinement: Refinement, stream,
     only the fine cells' mixing variables W by sample_mixing: given W a
     coarse cell's draw is N(0, (S_c/2) I_d), S_c the group sum of W over its
     fine cells, so it averages exp(-sum_c |gamma_c|^2 S_c / 4), the mean of
-    the cosine given W, with a smaller variance.  Returns the estimate's
-    distance from big_psi and its standard error."""
+    the cosine given W, with a smaller variance; a block's W fill one
+    (size, fine cells) array column by column and the exponential is taken
+    in place.  Returns the estimate's distance from big_psi and its
+    standard error."""
     from . import process as P
 
     coarse, fine = refinement.coarse, refinement.fine
@@ -268,8 +270,13 @@ def coherence_mc(dims: Dimensions, refinement: Refinement, stream,
     sq_c = np.einsum("ld,ld->l", gamma_c, gamma_c)
     for size in mc_blocks(n_samples):
         if conditional:
-            w = np.stack([P.sample_mixing(lam, stream, size) for lam in fine.masses], axis=-1)
-            moments.add(np.exp(-(refinement.group_sum(w[..., None])[..., 0] @ sq_c) / 4.0))
+            w = np.empty((size, fine.size))
+            for i, lam in enumerate(fine.masses):
+                w[:, i] = P.sample_mixing(lam, stream, size)
+            exponent = refinement.group_sum(w[..., None])[..., 0] @ sq_c
+            del w
+            exponent /= -4.0
+            moments.add(np.exp(exponent, out=exponent))
         else:
             draws = refinement.group_sum(P.sample_marginal(dims, fine, stream, size=size))
             moments.add(np.cos(np.einsum("nld,ld->n", draws, gamma_c)))

@@ -191,10 +191,10 @@ def truncation_bound(dims: Dimensions, total_mass: float, cutoff: float,
     1e-6..1 (the quad is at most 2.4e-13 off there; the closed form is
     within 1.2e-15 of mpmath and costs 12 us against the quad's 300-350 us).
     Production keeps the quad for now: with the closed form in its place,
-    the benchmark's `sampling` workload measured 1.09 -> 0.26 s a round, but
-    its peak_rss_mb rose 119.9 -> 127.6 MB, past the benchmark's 5 % bound,
-    because the workload keeps every path's total (about 0.36 MB more a
-    round) until that benchmark is revised."""
+    the benchmark's `sampling` workload measured 1.09 -> 0.34 s a round, but
+    a 30 s run then made 83 rounds instead of 35, and as the workload keeps
+    every path's total (about 0.38 MB more a round) until that benchmark is
+    revised, its peak_rss_mb rose 117.2 -> 135.6 MB, past its 5 % bound."""
     if intensity_scale is None:
         intensity_scale = default_intensity_scale(dims)
     d = dims.d

@@ -285,7 +285,7 @@ def _apply_d(dims: Dimensions, lam: float, phi: GridFunction, axis: int,
     return GridFunction(cells, phi.values * abs(eps) ** (lam / 2.0))
 
 
-# _apply_s contracts at most about this many complex values per block
+# _apply_s contracts at most about this many values per block
 _S_BLOCK = 2 ** 15
 
 
@@ -295,10 +295,11 @@ def _apply_s(dims: Dimensions, lam: float, phi: GridFunction, axis: int,
     as (before, axis, after) and taken in blocks of rows of the axes before
     it, about _S_BLOCK values a block (one block for the first axis).  A
     block is transposed to put the axis first and, as the kernel matrix is
-    real, multiplied as one real matrix product with a float view of its
-    real and imaginary parts, straight into one preallocated output that
-    holds the contracted axis first; the result is a view of it with the
-    axis moved back.  So no full-size transposed copy or product is made,
+    real, multiplied as one real matrix product (with a float view of the
+    real and imaginary parts of complex values), straight into one
+    preallocated output of the values' dtype that holds the contracted axis
+    first; the result is a view of it with the axis moved back, real for
+    real values.  So no full-size transposed copy or product is made,
     unless the (before, axis, after) reading itself must copy: values whose
     memory order is not their axis order, as a 3-cell function's after its
     middle axis is contracted."""
@@ -306,7 +307,7 @@ def _apply_s(dims: Dimensions, lam: float, phi: GridFunction, axis: int,
     shape = phi.values.shape
     vals = phi.values.reshape(math.prod(shape[:axis]), shape[axis], -1)
     before, n, after = vals.shape
-    out = np.empty((mat.shape[0], before, after), dtype=complex)
+    out = np.empty((mat.shape[0], before, after), dtype=vals.dtype)
     rows = max(1, _S_BLOCK // (n * after))
     for i in range(0, before, rows):
         block = vals[i:i + rows].transpose(1, 0, 2)
@@ -558,12 +559,18 @@ def r_transform(dims: Dimensions, partition: M.Partition, phi: GridFunction,
                 gamma) -> complex:
     """R phi(gamma) = integral phi(xi) e^{i<xi,gamma>} d nu_alpha(xi) by node
     quadrature on the product grid, contracting the values with one cell's
-    factor at a time, the last cell first."""
+    factor at a time, the last cell first.  Real values are contracted with
+    the factor's real and imaginary parts as one real (N, 2) matrix, so they
+    are never copied to complex at full size."""
     gamma = np.asarray(gamma, dtype=float).reshape(partition.size, dims.d)
     vals = phi.values
     for w, c, g in reversed(list(zip(_nu_weights(dims, partition, phi.cells),
                                      phi.cells, gamma))):
-        vals = vals @ (w * np.exp(1j * c.nodes @ g))
+        factor = w * np.exp(1j * c.nodes @ g)
+        if np.iscomplexobj(vals):
+            vals = vals @ factor
+        else:
+            vals = (vals @ factor.view(float).reshape(-1, 2)).view(complex)[..., 0]
     return complex(vals)
 
 
@@ -660,7 +667,7 @@ def _spherical_cell(dims: Dimensions, lam: float, gamma: np.ndarray) -> complex:
 def _on_radii(radial, dims: Dimensions, lam: float, grid: CellGrid) -> np.ndarray:
     """radial(dims, lam, r) at every node of the grid, evaluated once per
     distinct radius: a 1-d grid has each radius twice, and the 2048 nodes of
-    the polar grid have 157 distinct ones."""
+    the polar grid have 156 distinct ones."""
     radii, at = np.unique(grid.radii, return_inverse=True)
     return radial(dims, lam, radii)[at]
 

@@ -469,6 +469,46 @@ def test_involution_holds_about_two_full_size_arrays_above_its_input():
     assert peak <= 2 * phi.values.nbytes + 16 * R._S_BLOCK + 2 ** 16
 
 
+def test_kernel_letters_keep_real_values_real():
+    # the kernel is real, so s and the involution contract real values into
+    # a real output: the complex route's real part to a few ulps, while the
+    # complex route's imaginary part stays exactly 0
+    grid = grid64()
+    part = M.Partition((0.5, 0.3))
+    two, one = R._product_bump([grid, grid]), bump(grid)
+    for real, apply in ((two, lambda phi: R.involution_apply(D2, part, phi)),
+                        (one, lambda phi: R.t_comm_apply(D2, LAM, "s", phi))):
+        assert real.values.dtype == np.float64
+        got = apply(real).values
+        want = apply(GF.GridFunction(real.cells, real.values.astype(complex))).values
+        assert got.dtype == np.float64 and want.dtype == np.complex128
+        assert not want.imag.any()
+        assert np.abs(got - want.real).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+    # a z letter promotes the values to complex through its phase
+    z = G.TriangularElement(1.0, np.eye(1), np.array([0.4]))
+    assert R.u_current_apply(D2, part, [z, z], two).values.dtype == np.complex128
+    assert R.t_comm_apply(D2, LAM, z, one).values.dtype == np.complex128
+
+
+def test_r_transform_contracts_real_values_without_a_complex_copy():
+    grid = grid_1d_sqrt(60.0, 320)
+    part = M.Partition((0.5, 0.3))
+    phi = R._product_bump([grid, grid])
+    cplx = GF.GridFunction(phi.cells, phi.values.astype(complex))
+    for gamma in ([[0.7], [-1.1]], [[1.3], [0.4]]):
+        want = R.r_transform(D2, part, cplx, gamma)
+        assert R.r_transform(D2, part, phi, gamma) == pytest.approx(want, rel=1e-14)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        R.r_transform(D2, part, phi, [[0.7], [-1.1]])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # the real values promoted to complex would take 2 * phi.values.nbytes
+    assert peak <= phi.values.nbytes / 8
+
+
 def test_product_bump_holds_no_subnormal_values():
     grid = grid_1d_sqrt(60.0, 320)
     vals = R._product_bump([grid, grid]).values

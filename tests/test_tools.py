@@ -2,9 +2,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from currentlab import suites as S
+from currentlab.gridfn import grid_2d_sqrt
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,10 +43,10 @@ def test_check_times_reports_each_checks_traced_peak():
     rows = {line.split()[0]: [float(x) for x in line.split()[1:]]
             for line in out.splitlines()[2:] if not line.startswith("per ")}
     assert all(len(cols) == 4 and cols[3] >= 0.0 for cols in rows.values())
-    # the inversion holds two N x N complex functions on the operator grid
-    # (16 N^2 bytes each) at once
+    # the inversion holds two N x N real functions on the operator grid
+    # (8 N^2 bytes each) at once
     n = S._operator_grid().size
-    assert rows["dual-transform-inversion"][3] > 2 * 16 * n ** 2 / 2 ** 20
+    assert rows["dual-transform-inversion"][3] > 2 * 8 * n ** 2 / 2 ** 20
     # a suite's and the round's peak is their largest check's
     assert rows["reps"][3] == rows["round"][3] == max(
         cols[3] for name, cols in rows.items() if name not in ("reps", "round"))
@@ -54,8 +56,10 @@ def test_special_evals_runs_one_suite():
     out = _run_tool("tools/special_evals.py", "--suite", "spherical")
     rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:]}
     assert len(rows) == 13 and "round" in rows
-    # the polar grid's 2048 nodes have 157 distinct radii, each evaluated once
-    assert rows["spherical-n3-l1-g1"] == ["157", "0"]
+    # each distinct radius of the polar grid of the lam < d cells (2048
+    # nodes on 64 radii, which the norm splits by rounding) is evaluated once
+    distinct = np.unique(grid_2d_sqrt(40.0, 64, 32).radii).size
+    assert rows["spherical-n3-l1-g1"] == [str(distinct), "0"]
     assert rows["round"][1] == "0"
 
 
@@ -87,3 +91,19 @@ def test_peak_memory_runs_one_sampling_round():
     assert sum(charged.values()) == pytest.approx(rise, abs=0.05)
     assert all(mb >= 0.0 for label, mb in charged.items() if label != "other")
     assert lines[-1].endswith("0 failed checks in all")
+
+
+def test_peak_memory_charges_check_all_to_each_suite():
+    out = _run_tool("tools/peak_memory.py", "--workload", "check-all", "--rounds", "1")
+    lines = out.splitlines()
+    assert lines[0].startswith("check-all, seed 1, 1 rounds in one process")
+    assert lines[1].endswith(", 0 failed checks")
+    rise = float(lines[1].split("(+")[1].split(")")[0])
+    charged = {label.strip(): float(mb)
+               for label, mb in (line.rsplit(None, 1) for line in lines[2:-1])}
+    # one row per suite, in registry order, and none for suite calls as a kind
+    suite_rows = [label.split()[1] for label in charged if label.startswith("suite ")]
+    assert suite_rows == list(dict.fromkeys(spec.suite for spec in S.suite_specs("all")))
+    assert "call suite" not in charged
+    assert sum(charged.values()) == pytest.approx(rise, abs=0.05)
+    assert all(mb >= 0.0 for label, mb in charged.items() if label != "other")

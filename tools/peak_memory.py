@@ -11,12 +11,13 @@ place of the machine-speed reference (so it needs no mpmath; the scaled
 times it would give are not read).  ru_maxrss is the process's peak
 resident memory, a high-water mark.  After each round the script prints it
 and charges the round's rise to where it happened: to each kind of program
-call (the kinds of workloads.Ops.call), to each of the benchmark's checks
-(the functions of bench/checks.py, a nested one charged to the outermost)
-and, for the rest (the workload's own code between them), to "other".  A
-call or check that stays below an earlier high-water mark reads 0, so the
-first round shows what a cold run pays and the later ones what each round
-adds to it.  Run it from the root of a source checkout.
+call (the kinds of workloads.Ops.call, a check-all suite call to its
+suite's name), to each of the benchmark's checks (the functions of
+bench/checks.py, a nested one charged to the outermost) and, for the rest
+(the workload's own code between them), to "other".  A call or check that
+stays below an earlier high-water mark reads 0, so the first round shows
+what a cold run pays and the later ones what each round adds to it.  Run it
+from the root of a source checkout.
 """
 
 from __future__ import annotations
@@ -74,14 +75,16 @@ class Rises:
 
 
 class MeteredOps(workloads.Ops):
-    """workloads.Ops with each program call's rise charged to its kind."""
+    """workloads.Ops with each program call's rise charged to its kind, and
+    a check-all suite call (run_suite(config, name)) to its suite's name."""
 
     def __init__(self, reference, rises: Rises):
         super().__init__(reference)
         self.rises = rises
 
     def call(self, kind: str, units: int, fn, *args, ops: int = 1, **kwargs):
-        return self.rises.charge(f"call {kind}", super().call, kind, units, fn, *args,
+        label = f"suite {args[1]}" if kind == "suite" else f"call {kind}"
+        return self.rises.charge(label, super().call, kind, units, fn, *args,
                                  ops=ops, **kwargs)
 
 
