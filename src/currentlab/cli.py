@@ -34,12 +34,15 @@ def _default_seed() -> int:
     return int(os.environ.get(_SEED_ENV, "2024"))
 
 
-def _parse_partition(text: str) -> tuple:
-    return tuple(float(m) for m in text.split(","))
-
-
 def _parse_vector(text: str) -> np.ndarray:
-    return np.asarray([float(v) for v in text.split(",")])
+    try:
+        return np.asarray([float(v) for v in text.split(",")])
+    except ValueError:
+        raise DomainError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _parse_partition(text: str) -> tuple:
+    return tuple(_parse_vector(text).tolist())
 
 
 def _emit(obj) -> None:
@@ -201,7 +204,7 @@ def _cmd_measure_density(args) -> int:
 
 def _cmd_kernel_tabulate(args) -> int:
     try:
-        grid = [float(v) for v in args.grid.split(",")]
+        grid = _parse_vector(args.grid).tolist()
         rows = []
         for xi in grid:
             for xp in grid:
@@ -243,8 +246,11 @@ def _parse_letters(text: str, d: int) -> list:
 def _cmd_rep_apply(args) -> int:
     try:
         dims = Dimensions(args.n)
-        radius, count = args.grid.split(",")
-        grid = default_grid(dims.d, float(radius), int(count))
+        try:
+            radius, count = args.grid.split(",")
+            grid = default_grid(dims.d, float(radius), int(count))
+        except ValueError:
+            raise DomainError(f"--grid takes radius,count, got {args.grid!r}") from None
         letters = _parse_letters(args.g, dims.d)
         phi = R.tabulate([grid], lambda xi: np.exp(-np.sum(xi ** 2, axis=-1)))
         out = R.t_comm_apply(dims, args.lam, G.GroupWord(dims.n, letters), phi,

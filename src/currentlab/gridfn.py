@@ -160,13 +160,6 @@ class GridFunction:
     def l(self) -> int:
         return len(self.cells)
 
-    def weight_tensor(self) -> np.ndarray:
-        w = self.cells[0].weights
-        out = w
-        for c in self.cells[1:]:
-            out = np.multiply.outer(out, c.weights)
-        return out
-
     def scale_values(self, factors: list) -> "GridFunction":
         """Multiply values by the outer product of one factor vector per cell."""
         vals = self.values

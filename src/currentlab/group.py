@@ -294,11 +294,16 @@ class GroupWord:
     n: int
     letters: list = field(default_factory=list)
 
-    def evaluate(self) -> GroupElement:
-        g = GroupElement(np.eye(self.n + 1), self.n)
+    def matrices(self) -> np.ndarray:
+        """The product of the letters, left to right: one matrix, or a stack
+        (..., n+1, n+1) over triangular letters that are stacks."""
+        g = np.eye(self.n + 1)
         for let in self.letters:
-            g = g @ (make_s(self.n) if isinstance(let, str) else let.matrix())
+            g = g @ (form_matrix(self.n) if isinstance(let, str) else let.matrices())
         return g
+
+    def evaluate(self) -> GroupElement:
+        return GroupElement(self.matrices(), self.n)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -497,21 +502,29 @@ def random_element(dims: Dimensions, rng: np.random.Generator) -> GroupElement:
     return GroupElement(random_elements(dims, rng, 1)[0], dims.n)
 
 
-def word_identity_residual(gamma):
-    """Matrix residual of the exchange identity
+def exchange_words(gamma):
+    """The two sides of the exchange identity
     z(gamma) s = d(gamma) . s . z(-gamma) . s . z(j gamma), with
-    j gamma = -2 gamma / |gamma|^2 and d(gamma) = d_of_gamma(gamma), over
-    one gamma (d,) or a stack (k, d): a float for one, else an array."""
+    j gamma = -2 gamma / |gamma|^2 and d(gamma) as d_of_gamma, as letter
+    lists over one gamma (d,) or, as stacked letters, over a stack (..., d)."""
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    g = gamma.reshape(-1, gamma.shape[-1])
     # a stacked product, so that each |gamma|^2 rounds as gamma @ gamma does
-    g2 = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+    g2 = (gamma[..., None, :] @ gamma[..., :, None])[..., 0, 0]
     if np.any(g2 == 0.0):
         raise DomainError("gamma must be nonzero")
-    s = form_matrix(g.shape[-1] + 1)
-    lhs = _z_matrices(g) @ s
-    u = np.eye(g.shape[-1]) - 2.0 * (g[:, :, None] * g[:, None, :]) / g2[:, None, None]
-    jg = -2.0 * g / g2[:, None]
-    rhs = _d_matrices(-0.5 * g2, u) @ s @ _z_matrices(-g) @ s @ _z_matrices(jg)
-    res = np.abs(lhs - rhs).max(axis=(-2, -1))
+    eye = np.eye(gamma.shape[-1])
+    u = eye - 2.0 * (gamma[..., :, None] * gamma[..., None, :]) / g2[..., None, None]
+    jg = -2.0 * gamma / g2[..., None]
+    z = [TriangularElement(1.0, eye, shift) for shift in (gamma, -gamma, jg)]
+    d_gamma = TriangularElement(-0.5 * g2, u, np.zeros_like(gamma))
+    return [z[0], "s"], [d_gamma, "s", z[1], "s", z[2]]
+
+
+def word_identity_residual(gamma):
+    """Matrix residual of the exchange identity (exchange_words), over one
+    gamma (d,) or a stack (k, d): a float for one, else an array."""
+    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+    n = gamma.shape[-1] + 1
+    lhs, rhs = exchange_words(gamma.reshape(-1, n - 1))
+    res = np.abs(GroupWord(n, lhs).matrices() - GroupWord(n, rhs).matrices()).max(axis=(-2, -1))
     return float(res[0]) if gamma.ndim == 1 else res

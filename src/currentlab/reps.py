@@ -323,27 +323,51 @@ def t_comm_apply(dims: Dimensions, lam: float, g, phi: GridFunction,
                  target: CellGrid | None = None) -> GridFunction:
     """Apply T^lambda_g in the commutative model to a single-cell grid
     function.  g may be a GroupWord, a single letter (TriangularElement or
-    "s"), or a GroupElement (factored first).  Kernel letters land on the
-    target grid (default: the function's own current grid)."""
+    "s"), or a GroupElement (factored first).  Each kernel letter lands on
+    the target grid (default: the function's own grid) pulled back as in
+    _landing_grids."""
     if phi.l != 1:
         raise DomainError("t_comm_apply acts on single-cell functions")
     letters = _as_letters(dims, g)
+    landing = _landing_grids(dims, letters, target or phi.cells[0])
     out = phi
     # T is a homomorphism: T_{l1 l2} = T_{l1} T_{l2}, so the last letter
     # of the word acts first
-    for let in reversed(letters):
+    for let, grid in zip(reversed(letters), reversed(landing)):
         if isinstance(let, str):
-            out = _apply_s(dims, lam, out, 0, target or out.cells[0])
+            out = _apply_s(dims, lam, out, 0, grid)
         else:
             out = _apply_triangular(dims, lam, out, 0, let)
     return out
+
+
+def _moves_nodes(let) -> bool:
+    """Whether the d-part of a triangular letter is not the identity."""
+    return let.epsilon != 1.0 or not np.array_equal(let.u, np.eye(len(let.u)))
+
+
+def _landing_grids(dims: Dimensions, letters: list, target: CellGrid) -> list:
+    """The grid each kernel letter of a word lands on, one entry per letter
+    (None for a triangular one): the target pulled back through the d-parts
+    of the triangular letters between it and the next kernel letter to its
+    left, nodes (q @ u) eps and weights w |eps|^d, so that those d-letters
+    carry it back onto the target."""
+    landing, grid = [], target
+    for let in letters:
+        landing.append(grid if isinstance(let, str) else None)
+        if isinstance(let, str):
+            grid = target
+        elif _moves_nodes(let):
+            grid = CellGrid((grid.nodes @ let.u) * let.epsilon,
+                            grid.weights * abs(let.epsilon) ** dims.d)
+    return landing
 
 
 def _apply_triangular(dims: Dimensions, lam: float, phi: GridFunction, axis: int,
                       let) -> GridFunction:
     """The triangular letter z(gamma) d(eps, u) on the cell axis: d first,
     then the phase; an identity d-part and a zero shift are skipped."""
-    if abs(let.epsilon - 1.0) > 0 or np.abs(let.u - np.eye(dims.d)).max() > 0:
+    if _moves_nodes(let):
         phi = _apply_d(dims, lam, phi, axis, let.epsilon, let.u)
     if np.abs(let.gamma).max() > 0:
         phi = _apply_z(phi, axis, let.gamma)
@@ -378,62 +402,19 @@ def letter_unitarity_residual(dims: Dimensions, lam: float, letter,
     return abs(math.sqrt(comm_norm(dims, lam, out) / comm_norm(dims, lam, phi)) - 1.0)
 
 
-def involution_residual(dims: Dimensions, lam: float, grid: CellGrid) -> float:
-    """Relative L^2 error ||T_s T_s phi - phi|| / ||phi|| of applying the
-    kernel letter twice to the bump phi."""
+def word_identity_residual(dims: Dimensions, lam: float, grid: CellGrid,
+                          lhs: list, rhs: list) -> float:
+    """||T_lhs phi - T_rhs phi|| / ||phi|| for the bump phi on the grid, two
+    words equal in the group applied through t_comm_apply onto the grid.
+    Raises DomainError unless the words evaluate to the same matrix, to
+    1e-12 of its largest entry."""
+    words = [G.GroupWord(dims.n, lhs), G.GroupWord(dims.n, rhs)]
+    g_lhs, g_rhs = (w.matrices() for w in words)
+    if np.abs(g_lhs - g_rhs).max() > 1e-12 * np.abs(g_lhs).max():
+        raise DomainError("the two words are not equal in the group")
     phi = bump(grid)
-    s1 = t_comm_apply(dims, lam, "s", phi, target=grid)
-    s2 = t_comm_apply(dims, lam, "s", s1, target=grid)
-    diff = GridFunction(phi.cells, s2.values - phi.values)
-    return math.sqrt(comm_norm(dims, lam, diff)) / math.sqrt(comm_norm(dims, lam, phi))
-
-
-def s_dilation_conjugation_residual(dims: Dimensions, lam: float,
-                                    grid: CellGrid, eps: float) -> float:
-    """T_s T_{d(eps,1)} = T_{d(1/eps,1)} T_s, both sides evaluated on the
-    same node set (the inner kernel target of the right side is pre-scaled
-    so the final dilation transport lands the nodes back on the grid)."""
-    ident = np.eye(dims.d)
-    phi = bump(grid)
-    d_el = G.TriangularElement(eps, ident, np.zeros(dims.d))
-    d_inv = G.TriangularElement(1.0 / eps, ident, np.zeros(dims.d))
-    lhs = t_comm_apply(dims, lam, "s", t_comm_apply(dims, lam, d_el, phi),
-                       target=grid)
-    pre = CellGrid(grid.nodes / eps, grid.weights / abs(eps) ** dims.d)
-    rhs = t_comm_apply(dims, lam, d_inv,
-                       t_comm_apply(dims, lam, "s", phi, target=pre))
-    diff = GridFunction([grid], lhs.values - rhs.values)
-    return math.sqrt(comm_norm(dims, lam, diff) / comm_norm(dims, lam, phi))
-
-
-def z_exchange_residual(dims: Dimensions, lam: float, grid: CellGrid,
-                        gamma) -> float:
-    """The exchange identity z(gamma) s = d(gamma) s z(-gamma) s z(j gamma)
-    as operators (two kernel applications on the right side), relative L^2
-    on the grid."""
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    gn2 = float(gamma @ gamma)
-    if gn2 == 0.0:
-        raise DomainError("exchange identity needs gamma != 0")
-    ident = np.eye(dims.d)
-    eps_g = -gn2 / 2.0
-    u_g = ident - 2.0 * np.outer(gamma, gamma) / gn2
-    j_gamma = -2.0 * gamma / gn2
-
-    def z_el(v):
-        return G.TriangularElement(1.0, ident, np.asarray(v, dtype=float))
-
-    phi = bump(grid)
-    lhs = t_comm_apply(dims, lam, z_el(gamma),
-                       t_comm_apply(dims, lam, "s", phi, target=grid))
-    t1 = t_comm_apply(dims, lam, z_el(j_gamma), phi)
-    t2 = t_comm_apply(dims, lam, "s", t1, target=grid)
-    t3 = t_comm_apply(dims, lam, z_el(-gamma), t2)
-    pre = CellGrid((grid.nodes @ u_g) * eps_g, grid.weights * abs(eps_g) ** dims.d)
-    t4 = t_comm_apply(dims, lam, "s", t3, target=pre)
-    rhs = t_comm_apply(dims, lam,
-                       G.TriangularElement(eps_g, u_g, np.zeros(dims.d)), t4)
-    diff = GridFunction([grid], lhs.values - rhs.values)
+    t_lhs, t_rhs = (t_comm_apply(dims, lam, w, phi, target=grid).values for w in words)
+    diff = GridFunction([grid], t_lhs - t_rhs)
     return math.sqrt(comm_norm(dims, lam, diff) / comm_norm(dims, lam, phi))
 
 
@@ -530,18 +511,16 @@ def tau_z_commutation_residual(dims: Dimensions, cells: list, phi, gamma0) -> fl
 def u_current_apply(dims: Dimensions, partition: M.Partition, letters: list,
                     phi: GridFunction) -> GridFunction:
     """U_b for a cell-wise triangular current b = (eps_i, u_i, gamma_i):
-    multiply by exp(1/2 sum lam_i log|eps_i|) e^{i sum <xi^i, gamma^i>} and
-    substitute xi^i -> eps_i xi^i u_i."""
+    multiply cell i by |eps_i|^(lam_i/2) e^{i <xi^i, gamma^i>} at its own
+    mass lam_i and substitute xi^i -> eps_i xi^i u_i."""
     if len(letters) != phi.l or phi.l != partition.size:
         raise DomainError("need one triangular letter per cell")
     out = phi
-    log_amp = 0.0
     for axis, (lam, let) in enumerate(zip(partition.masses, letters)):
         if isinstance(let, str):
             raise DomainError("u_current_apply takes triangular letters only")
-        out = _apply_triangular(dims, 0.0, out, axis, let)
-        log_amp += 0.5 * lam * math.log(abs(let.epsilon))
-    return GridFunction(out.cells, out.values * math.exp(log_amp))
+        out = _apply_triangular(dims, lam, out, axis, let)
+    return out
 
 
 def involution_apply(dims: Dimensions, partition: M.Partition,
@@ -596,16 +575,19 @@ def _product_bump(cells: list) -> GridFunction:
 
 def current_word_apply(dims: Dimensions, partition: M.Partition, cells: list,
                        word: list, phi: GridFunction) -> GridFunction:
-    """U_w for a word w of current letters: a letter is "s", the involution
-    onto the cells, or a list of one TriangularElement per cell
-    (u_current_apply).  U is a homomorphism, so the last letter acts first,
-    as in t_comm_apply."""
+    """U_w for a word w of current letters: a letter is "s", the involution,
+    or a list of one TriangularElement per cell (u_current_apply).  On cell
+    i the involution lands where _landing_grids puts the kernel letters of
+    the cell's word onto cells[i].  U is a homomorphism, so the last letter
+    acts first, as in t_comm_apply."""
+    landing = [_landing_grids(dims, [let if isinstance(let, str) else let[i] for let in word],
+                              cell) for i, cell in enumerate(cells)]
     out = phi
-    for let in reversed(word):
-        if isinstance(let, str):
-            out = involution_apply(dims, partition, out, targets=cells)
+    for k in reversed(range(len(word))):
+        if isinstance(word[k], str):
+            out = involution_apply(dims, partition, out, targets=[g[k] for g in landing])
         else:
-            out = u_current_apply(dims, partition, let, out)
+            out = u_current_apply(dims, partition, word[k], out)
     return out
 
 

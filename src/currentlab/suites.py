@@ -611,22 +611,22 @@ def _current_unitarity(cfg, stream):
     return abs(math.sqrt(R.nu_norm(_D2, part, out) / n0) - 1.0)
 
 
-@_check("reps", "kernel-involution", "73-1", 1e-3, grid=_grid64)
-def _s_involution(cfg, stream, grid):
-    return R.involution_residual(_D2, _LAM, grid())
+def _word_identity(cfg, stream, grid, lhs, rhs):
+    return R.word_identity_residual(_D2, _LAM, grid(), lhs, rhs)
 
 
+def _dilation(eps):
+    return G.TriangularElement(eps, np.eye(1), [0.0])
+
+
+_check("reps", "kernel-involution", "73-1", 1e-3, grid=_grid64,
+       lhs=["s", "s"], rhs=[])(_word_identity)
 _check("reps", "kernel-unitarity", "73-1", 1e-3, letter="s")(_unitarity)
-
-
-@_check("reps", "inversion-dilation-conjugation", "363", 1e-3)
-def _s_d_conj(cfg, stream):
-    return R.s_dilation_conjugation_residual(_D2, _LAM, _grid64(), 2.0)
-
-
-@_check("reps", "inversion-translation-exchange", "364", 1e-3, grid=_operator_grid)
-def _z_exchange(cfg, stream, grid):
-    return R.z_exchange_residual(_D2, _LAM, grid(), [0.7])
+_check("reps", "inversion-dilation-conjugation", "363", 1e-3, grid=_grid64,
+       lhs=["s", _dilation(2.0)], rhs=[_dilation(0.5), "s"])(_word_identity)
+_EXCHANGE_LHS, _EXCHANGE_RHS = G.exchange_words([0.7])
+_check("reps", "inversion-translation-exchange", "364", 1e-3, grid=_operator_grid,
+       lhs=_EXCHANGE_LHS, rhs=_EXCHANGE_RHS)(_word_identity)
 
 
 def _vacuum(cfg, stream, n, lam):

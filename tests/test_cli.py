@@ -8,6 +8,7 @@ import pytest
 from currentlab import cli
 from currentlab import measures as M
 from currentlab import process as P
+from currentlab.gridfn import default_grid
 from currentlab.specfun import Dimensions
 
 
@@ -289,6 +290,32 @@ def test_rep_apply_and_check(tmp_path, capsys):
     assert code == 0
     rows = json.loads(txt)
     assert rows and all(r["pass"] for r in rows)
+
+
+def test_rep_apply_lands_a_dilated_kernel_letter_on_the_grid(capsys):
+    # in d(2) s the kernel letter lands on the grid pulled back through d(2),
+    # which carries it back onto the grid's nodes
+    code, out, _ = run(capsys, ["rep", "apply", "--g", "d:2.0|s", "--grid", "10,16"])
+    assert code == 0
+    grid = default_grid(1, 10.0, 16)
+    assert json.loads(out)["nodes"] == grid.nodes.tolist()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "apply", "--g", "s", "--grid", "10"],
+    ["rep", "apply", "--g", "z:abc"],
+    ["measure", "density", "--which", "mu", "--xi", "0.7,abc"],
+    ["sample", "marginal", "--partition", "0.5,x", "--count", "2"],
+    ["kernel", "tabulate", "--grid", "1,x"],
+])
+def test_malformed_numbers_are_errors_not_tracebacks(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] != "measure":
+        argv = argv + ["--out", str(out)]
+    code, stdout, err = run(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
 def test_rep_check_runs_only_the_checks_it_reports(capsys, monkeypatch):

@@ -343,11 +343,26 @@ def test_word_identity_over_a_stack_is_its_rows():
     assert G.word_identity_residual(0.7) == G.word_identity_residual([[0.7]])[0]
 
 
+def test_exchange_words_over_a_stack_are_the_words_of_each_gamma():
+    rng = np.random.default_rng(34)
+    for d in (1, 2):
+        gam = rng.standard_normal((5, d))
+        per_gamma = [G.exchange_words(g) for g in gam]
+        for side, stacked in enumerate(G.exchange_words(gam)):
+            got = G.GroupWord(d + 1, stacked).matrices()
+            assert got.shape == (5, d + 2, d + 2)
+            for i, words in enumerate(per_gamma):
+                assert np.array_equal(got[i], G.GroupWord(d + 1, words[side]).evaluate().m)
+    with pytest.raises(DomainError):
+        G.exchange_words([0.0])
+
+
 def test_word_identity_sees_j_gamma_of_the_wrong_sign():
-    source = textwrap.dedent(inspect.getsource(G.word_identity_residual))
-    assert "jg = -2.0 * g" in source
+    source = textwrap.dedent(inspect.getsource(G.exchange_words))
+    assert "jg = -2.0 * gamma" in source
     scope = dict(vars(G))
-    exec(source.replace("jg = -2.0 * g", "jg = 2.0 * g"), scope)
+    exec(source.replace("jg = -2.0 * gamma", "jg = 2.0 * gamma"), scope)
+    exec(textwrap.dedent(inspect.getsource(G.word_identity_residual)), scope)
     rng = np.random.default_rng(33)
     for d in (1, 2):
         assert scope["word_identity_residual"](rng.standard_normal((20, d))).min() >= 0.1

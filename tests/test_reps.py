@@ -217,17 +217,17 @@ def test_current_group_elementwise_unitarity():
 
 def test_current_identity_parts_are_skipped_bit_for_bit(monkeypatch):
     # a letter's identity d-part and zero z-part are not applied; applying
-    # them anyway gives the same values and nodes
+    # them anyway, each cell's d-part with its own mass, gives the same
+    # values and nodes
     part = M.Partition((0.5, 0.3))
     phi = R._product_bump([grid64(), grid64()])
     letters = [G.TriangularElement(1.0, np.eye(1), [0.4]),
                G.TriangularElement(-0.7, np.eye(1), [0.0])]
     skipped = R.u_current_apply(D2, part, letters, phi)
-    out, log_amp = phi, 0.0
+    out = phi
     for axis, (lam, let) in enumerate(zip(part.masses, letters)):
-        out = R._apply_z(R._apply_d(D2, 0.0, out, axis, let.epsilon, let.u), axis, let.gamma)
-        log_amp += 0.5 * lam * math.log(abs(let.epsilon))
-    assert np.array_equal(skipped.values, out.values * math.exp(log_amp))
+        out = R._apply_z(R._apply_d(D2, lam, out, axis, let.epsilon, let.u), axis, let.gamma)
+    assert np.array_equal(skipped.values, out.values)
     assert all(np.array_equal(a.nodes, b.nodes) for a, b in zip(skipped.cells, out.cells))
     calls = []
     monkeypatch.setattr(R, "_apply_d", lambda *a: calls.append("d"))
@@ -237,18 +237,61 @@ def test_current_identity_parts_are_skipped_bit_for_bit(monkeypatch):
     assert calls == []
 
 
+def _dilation(eps):
+    return G.TriangularElement(eps, np.eye(1), [0.0])
+
+
 def test_involution_squares_to_identity_and_preserves_norm():
-    assert R.involution_residual(D2, LAM, grid64()) <= 1e-3
+    assert R.word_identity_residual(D2, LAM, grid64(), ["s", "s"], []) <= 1e-3
     assert R.letter_unitarity_residual(D2, LAM, "s", grid64()) <= 1e-3
 
 
 def test_inversion_dilation_conjugation():
-    assert R.s_dilation_conjugation_residual(D2, LAM, grid64(), 2.0) <= 1e-3
+    lhs, rhs = ["s", _dilation(2.0)], [_dilation(0.5), "s"]
+    assert R.word_identity_residual(D2, LAM, grid64(), lhs, rhs) <= 1e-3
+    # s d(2) = d(1/2) s in the group, but s d(2) is not d(2) s
+    with pytest.raises(DomainError):
+        R.word_identity_residual(D2, LAM, grid64(), lhs, [_dilation(2.0), "s"])
 
 
 def test_inversion_translation_exchange():
     # reads 4.8e-5 on the operator grid
-    assert R.z_exchange_residual(D2, LAM, S._operator_grid(), [0.7]) <= 1e-4
+    lhs, rhs = G.exchange_words([0.7])
+    assert R.word_identity_residual(D2, LAM, S._operator_grid(), lhs, rhs) <= 1e-4
+
+
+def test_kernel_letters_land_on_the_target_pulled_back_through_d_parts():
+    # each s lands on the target pulled back through the d-parts between it
+    # and the next s to its left; translations do not move it
+    grid = grid64()
+    d2, z = _dilation(2.0), G.TriangularElement(-0.5, np.eye(1), [0.3])
+    landing = R._landing_grids(D2, [d2, "s", z, d2, "s", z], grid)
+    assert [g is None for g in landing] == [True, False, True, True, False, True]
+    assert np.array_equal(landing[1].nodes, 2.0 * grid.nodes)
+    assert np.array_equal(landing[1].weights, 2.0 * grid.weights)
+    assert np.array_equal(landing[4].nodes, -grid.nodes)
+    assert np.array_equal(landing[4].weights, grid.weights)
+    # the word lands on the target: every kernel letter's d-parts carry it back
+    out = R.t_comm_apply(D2, LAM, G.GroupWord(2, [d2, "s", _dilation(0.5), "s"]), bump(grid))
+    assert np.array_equal(out.cells[0].nodes, grid.nodes)
+    assert R._landing_grids(D2, ["s", G.TriangularElement(1.0, np.eye(1), [0.3])],
+                            grid)[0] is grid
+
+
+def test_single_cell_and_current_interpreters_agree():
+    # one cell: t_comm_apply and current_word_apply run the same word of z,
+    # d and s letters, with a d letter left of s, to rounding and onto the
+    # same nodes
+    part = M.Partition((0.5,))
+    grid = grid64()
+    phi = bump(grid)
+    word = [G.TriangularElement(2.0, np.eye(1), [0.4]), "s",
+            G.TriangularElement(-0.7, np.eye(1), [-1.1]), "s", _dilation(0.5)]
+    one = R.t_comm_apply(D2, 0.5, G.GroupWord(2, word), phi, target=grid)
+    cur = R.current_word_apply(D2, part, [grid],
+                               [let if isinstance(let, str) else [let] for let in word], phi)
+    assert np.array_equal(one.cells[0].nodes, cur.cells[0].nodes)
+    assert np.abs(one.values - cur.values).max() <= 1e-15 * np.abs(one.values).max()
 
 
 def test_vacuum_identities():
@@ -348,7 +391,7 @@ def test_r_transform_covariances():
 
 def _operator_residuals(grid):
     part = M.Partition((0.5, 0.3))
-    return (R.z_exchange_residual(D2, LAM, grid, [0.7]),
+    return (R.word_identity_residual(D2, LAM, grid, *G.exchange_words([0.7])),
             R.r_intertwining_residual(D2, part, [grid, grid], ["s"],
                                       np.array([[0.7], [-1.1]])))
 

@@ -510,6 +510,19 @@ def test_exact_dual_transform_checks_catch_mutants_on_the_64_node_grid(
             assert r.residual > 1e3 * r.tolerance, r
 
 
+def test_word_identity_checks_see_kernel_letters_landing_off_the_pull_back(monkeypatch):
+    # a mutant that lands every s on the grid itself, whatever d-parts lie
+    # to its left: the words whose s has a dilation to its left leave the grid
+    ids = ["kernel-involution", "inversion-dilation-conjugation",
+           "inversion-translation-exchange"]
+    assert all(r.passed for r in S.run_suite(S.RunConfig(workers=1), "reps", check_ids=ids))
+    monkeypatch.setattr(R, "_landing_grids", lambda dims, letters, target: [
+        target if isinstance(let, str) else None for let in letters])
+    reports = S.run_suite(S.RunConfig(workers=1), "reps", check_ids=ids)
+    assert [r.check_id for r in reports if not r.passed] == ids[1:]
+    assert all(r.residual > 100 * r.tolerance for r in reports[1:]), reports
+
+
 def _reversed_letter_order(monkeypatch):
     # the word's letters applied first to last on the grid function
     apply = R.current_word_apply
