@@ -322,23 +322,15 @@ def _apply_s(dims: Dimensions, lam: float, phi: GridFunction, axis: int,
 def t_comm_apply(dims: Dimensions, lam: float, g, phi: GridFunction,
                  target: CellGrid | None = None) -> GridFunction:
     """Apply T^lambda_g in the commutative model to a single-cell grid
-    function.  g may be a GroupWord, a single letter (TriangularElement or
-    "s"), or a GroupElement (factored first).  Each kernel letter lands on
-    the target grid (default: the function's own grid) pulled back as in
-    _landing_grids."""
+    function: the one-cell current word of current_word_apply, at the one
+    mass lam onto the target grid (default: the function's own grid).  g may
+    be a GroupWord, a single letter (TriangularElement or "s"), or a
+    GroupElement (factored first).  lam must be positive (Partition), and
+    below d when g has a kernel letter (involution_apply)."""
     if phi.l != 1:
         raise DomainError("t_comm_apply acts on single-cell functions")
-    letters = _as_letters(dims, g)
-    landing = _landing_grids(dims, letters, target or phi.cells[0])
-    out = phi
-    # T is a homomorphism: T_{l1 l2} = T_{l1} T_{l2}, so the last letter
-    # of the word acts first
-    for let, grid in zip(reversed(letters), reversed(landing)):
-        if isinstance(let, str):
-            out = _apply_s(dims, lam, out, 0, grid)
-        else:
-            out = _apply_triangular(dims, lam, out, 0, let)
-    return out
+    word = [let if isinstance(let, str) else [let] for let in _as_letters(g)]
+    return current_word_apply(dims, M.Partition((lam,)), [target or phi.cells[0]], word, phi)
 
 
 def _moves_nodes(let) -> bool:
@@ -363,18 +355,7 @@ def _landing_grids(dims: Dimensions, letters: list, target: CellGrid) -> list:
     return landing
 
 
-def _apply_triangular(dims: Dimensions, lam: float, phi: GridFunction, axis: int,
-                      let) -> GridFunction:
-    """The triangular letter z(gamma) d(eps, u) on the cell axis: d first,
-    then the phase; an identity d-part and a zero shift are skipped."""
-    if _moves_nodes(let):
-        phi = _apply_d(dims, lam, phi, axis, let.epsilon, let.u)
-    if np.abs(let.gamma).max() > 0:
-        phi = _apply_z(phi, axis, let.gamma)
-    return phi
-
-
-def _as_letters(dims: Dimensions, g) -> list:
+def _as_letters(g) -> list:
     if isinstance(g, G.GroupWord):
         return list(g.letters)
     if isinstance(g, (G.TriangularElement, str)):
@@ -388,18 +369,22 @@ def _as_letters(dims: Dimensions, g) -> list:
 # operator identity residuals (single cell, n = 2)
 # ---------------------------------------------------------------------------
 
+def bump_evaluator(xi: np.ndarray) -> np.ndarray:
+    """The single-cell identities' test function e^(-|xi - 0.8|^2)."""
+    return np.exp(-np.sum((xi - 0.8) ** 2, axis=-1))
+
+
 def bump(grid: CellGrid) -> GridFunction:
-    """The single-cell identities' test function e^(-|xi - 0.8|^2) on the grid."""
-    return tabulate([grid], lambda xi: np.exp(-np.sum((xi - 0.8) ** 2, axis=-1)))
+    """bump_evaluator tabulated on the grid."""
+    return tabulate([grid], bump_evaluator)
 
 
-def letter_unitarity_residual(dims: Dimensions, lam: float, letter,
-                              grid: CellGrid) -> float:
-    """| ||T_letter phi|| / ||phi|| - 1 | for the bump phi and a triangular
-    letter or the kernel letter "s", which lands back on the grid."""
-    phi = bump(grid)
-    out = t_comm_apply(dims, lam, letter, phi, target=grid)
-    return abs(math.sqrt(comm_norm(dims, lam, out) / comm_norm(dims, lam, phi)) - 1.0)
+def unitarity_residual(dims: Dimensions, partition: M.Partition, cells: list,
+                       word: list, phi: GridFunction) -> float:
+    """| ||U_w phi|| / ||phi|| - 1 | in L^2(nu_alpha) for a word w of current
+    letters applied by current_word_apply onto the cells."""
+    out = current_word_apply(dims, partition, cells, word, phi)
+    return abs(math.sqrt(nu_norm(dims, partition, out) / nu_norm(dims, partition, phi)) - 1.0)
 
 
 def word_identity_residual(dims: Dimensions, lam: float, grid: CellGrid,
@@ -414,8 +399,9 @@ def word_identity_residual(dims: Dimensions, lam: float, grid: CellGrid,
         raise DomainError("the two words are not equal in the group")
     phi = bump(grid)
     t_lhs, t_rhs = (t_comm_apply(dims, lam, w, phi, target=grid).values for w in words)
+    part = M.Partition((lam,))
     diff = GridFunction([grid], t_lhs - t_rhs)
-    return math.sqrt(comm_norm(dims, lam, diff) / comm_norm(dims, lam, phi))
+    return math.sqrt(nu_norm(dims, part, diff) / nu_norm(dims, part, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +473,15 @@ def tau_embed(phi):
     return out
 
 
-def tau_z_commutation_residual(dims: Dimensions, cells: list, phi, gamma0) -> float:
+def tau_z_commutation_residual(dims: Dimensions, partition: M.Partition, cells: list,
+                               phi, gamma0) -> float:
     """Exact node identity: applying the current z-letter (same gamma0 in
-    every cell) to tau(phi) equals tau applied to the z-shifted phi."""
+    every cell) through u_current_apply to tau(phi) equals tau applied to the
+    z-shifted phi."""
     gamma0 = np.atleast_1d(np.asarray(gamma0, dtype=float))
     tphi = tabulate(cells, tau_embed(phi))
-    lhs = tphi
-    for axis in range(len(cells)):
-        lhs = _apply_z(lhs, axis, gamma0)
+    z = G.TriangularElement(1.0, np.eye(dims.d), gamma0)
+    lhs = u_current_apply(dims, partition, [z] * len(cells), tphi)
 
     def phi_shifted(xi):
         return phi(xi) * np.exp(1j * (xi @ gamma0))
@@ -512,14 +499,18 @@ def u_current_apply(dims: Dimensions, partition: M.Partition, letters: list,
                     phi: GridFunction) -> GridFunction:
     """U_b for a cell-wise triangular current b = (eps_i, u_i, gamma_i):
     multiply cell i by |eps_i|^(lam_i/2) e^{i <xi^i, gamma^i>} at its own
-    mass lam_i and substitute xi^i -> eps_i xi^i u_i."""
+    mass lam_i and substitute xi^i -> eps_i xi^i u_i, the d-part first; an
+    identity d-part and a zero shift are skipped."""
     if len(letters) != phi.l or phi.l != partition.size:
         raise DomainError("need one triangular letter per cell")
     out = phi
     for axis, (lam, let) in enumerate(zip(partition.masses, letters)):
         if isinstance(let, str):
             raise DomainError("u_current_apply takes triangular letters only")
-        out = _apply_triangular(dims, lam, out, axis, let)
+        if _moves_nodes(let):
+            out = _apply_d(dims, lam, out, axis, let.epsilon, let.u)
+        if np.abs(let.gamma).max() > 0:
+            out = _apply_z(out, axis, let.gamma)
     return out
 
 
@@ -573,15 +564,21 @@ def _product_bump(cells: list) -> GridFunction:
     return GridFunction(cells, vals)
 
 
+def _cell_word(word: list, i: int) -> list:
+    """Cell i's word of a word of current letters: "s" and each letter's
+    i-th triangular letter."""
+    return [let if isinstance(let, str) else let[i] for let in word]
+
+
 def current_word_apply(dims: Dimensions, partition: M.Partition, cells: list,
                        word: list, phi: GridFunction) -> GridFunction:
     """U_w for a word w of current letters: a letter is "s", the involution,
-    or a list of one TriangularElement per cell (u_current_apply).  On cell
-    i the involution lands where _landing_grids puts the kernel letters of
-    the cell's word onto cells[i].  U is a homomorphism, so the last letter
-    acts first, as in t_comm_apply."""
-    landing = [_landing_grids(dims, [let if isinstance(let, str) else let[i] for let in word],
-                              cell) for i, cell in enumerate(cells)]
+    or a list of one TriangularElement per cell (u_current_apply).  The one
+    interpreter of words: a single-cell word is the one-cell case
+    (t_comm_apply).  On cell i the involution lands where _landing_grids
+    puts the kernel letters of the cell's word onto cells[i].  U is a
+    homomorphism, U_{w1 w2} = U_{w1} U_{w2}, so the last letter acts first."""
+    landing = [_landing_grids(dims, _cell_word(word, i), cell) for i, cell in enumerate(cells)]
     out = phi
     for k in reversed(range(len(word))):
         if isinstance(word[k], str):
@@ -610,8 +607,7 @@ def r_intertwining_residual(dims: Dimensions, partition: M.Partition,
     moved = np.empty_like(gamma)
     log_amp = []
     for i, (lam, g) in enumerate(zip(partition.masses, gamma)):
-        w_i = G.GroupWord(dims.n, [let if isinstance(let, str) else let[i]
-                                   for let in word]).evaluate()
+        w_i = G.GroupWord(dims.n, _cell_word(word, i)).evaluate()
         moved[i] = G.act(g, w_i)
         log_amp.append(-0.5 * lam * math.log(G.cocycle_beta(g, w_i)))
     rhs = math.exp(sum(log_amp)) * r_transform(dims, partition, phi, moved)

@@ -48,6 +48,9 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError(f"trials must be at least 1, got {self.trials}")
+        unknown = sorted(set(self.tolerances) - {s.check_id for s in _REGISTRY})
+        if unknown:
+            raise DomainError(f"tolerance for unknown check {', '.join(map(repr, unknown))}")
         if any(t <= 0 for t in self.tolerances.values()):
             raise DomainError("tolerances must be positive")
         if self.format not in ("json", "csv"):
@@ -587,28 +590,25 @@ def _operator_grid() -> CellGrid:
     return grid_1d_sqrt(80.0, 192)
 
 
-def _unitarity(cfg, stream, letter):
-    return R.letter_unitarity_residual(_D2, _LAM, letter, _grid64())
+def _cell_letters(eps, shifts):
+    return [G.TriangularElement(e, np.eye(1), [g]) for e, g in zip(eps, shifts)]
 
 
-_check("reps", "z-letter-unitarity", "1-14-1", 1e-12,
-       letter=G.TriangularElement(1.0, np.eye(1), [0.7]))(_unitarity)
-_check("reps", "d-letter-unitarity", "1-15-1", 1e-12,
-       letter=G.TriangularElement(2.0, np.eye(1), [0.0]))(_unitarity)
+def _unitarity(cfg, stream, masses, word):
+    # rows of one law on 64-node cells: the bump on one cell, the product
+    # bump on more
+    part = M.Partition(masses)
+    cells = [_grid64() for _ in masses]
+    phi = R.bump(*cells) if part.size == 1 else R._product_bump(cells)
+    return R.unitarity_residual(_D2, part, cells, word, phi)
 
 
-@_check("reps", "current-letter-unitarity", "17-13", 1e-12)
-def _current_unitarity(cfg, stream):
-    part = M.Partition((0.5, 0.3))
-    cells = [_grid64(), _grid64()]
-    phi = R._product_bump(cells)
-    letters = [
-        G.TriangularElement(2.0, np.eye(1), [0.4]),
-        G.TriangularElement(-0.7, np.eye(1), [-1.1]),
-    ]
-    out = R.u_current_apply(_D2, part, letters, phi)
-    n0 = R.nu_norm(_D2, part, phi)
-    return abs(math.sqrt(R.nu_norm(_D2, part, out) / n0) - 1.0)
+_check("reps", "z-letter-unitarity", "1-14-1", 1e-12, masses=(_LAM,),
+       word=[_cell_letters((1.0,), (0.7,))])(_unitarity)
+_check("reps", "d-letter-unitarity", "1-15-1", 1e-12, masses=(_LAM,),
+       word=[_cell_letters((2.0,), (0.0,))])(_unitarity)
+_check("reps", "current-letter-unitarity", "17-13", 1e-12, masses=(0.5, 0.3),
+       word=[_cell_letters((2.0, -0.7), (0.4, -1.1))])(_unitarity)
 
 
 def _word_identity(cfg, stream, grid, lhs, rhs):
@@ -621,7 +621,7 @@ def _dilation(eps):
 
 _check("reps", "kernel-involution", "73-1", 1e-3, grid=_grid64,
        lhs=["s", "s"], rhs=[])(_word_identity)
-_check("reps", "kernel-unitarity", "73-1", 1e-3, letter="s")(_unitarity)
+_check("reps", "kernel-unitarity", "73-1", 1e-3, masses=(_LAM,), word=["s"])(_unitarity)
 _check("reps", "inversion-dilation-conjugation", "363", 1e-3, grid=_grid64,
        lhs=["s", _dilation(2.0)], rhs=[_dilation(0.5), "s"])(_word_identity)
 _EXCHANGE_LHS, _EXCHANGE_RHS = G.exchange_words([0.7])
@@ -640,8 +640,8 @@ _check("reps", "vacuum-identities-n3", "342-1", 1e-6, n=3, lam=1.0)(_vacuum)
 @_check("reps", "tensor-embedding-z-commutation", "31-21", 1e-12)
 def _tau_z(cfg, stream):
     cells = [grid_1d_sqrt(10.0, 24), grid_1d_sqrt(10.0, 24)]
-    return R.tau_z_commutation_residual(
-        _D2, cells, lambda xi: np.exp(-np.sum(xi ** 2, axis=-1)), [0.4])
+    return R.tau_z_commutation_residual(_D2, M.Partition((0.5, 0.3)), cells,
+                                        lambda xi: np.exp(-np.sum(xi ** 2, axis=-1)), [0.4])
 
 
 @_check("reps", "tensor-embedding-isometry", "31-21", 1e-12)
@@ -665,10 +665,6 @@ def _dual_transform(cfg, stream, grid, word):
     return R.r_intertwining_residual(_D2, part, cells, word, np.array([[0.7], [-1.1]]))
 
 
-def _cell_letters(eps, shifts):
-    return [G.TriangularElement(e, np.eye(1), [g]) for e, g in zip(eps, shifts)]
-
-
 _Z_SHIFT = _cell_letters((1.0, 1.0), (0.4, -0.6))
 _check("reps", "dual-transform-translation", "444", 1e-12, grid=_grid64,
        word=[_Z_SHIFT])(_dual_transform)
@@ -690,12 +686,13 @@ def _special_cocycle(cfg, stream):
 
 @_check("reps", "special-limit-continuity", "11-13", 1e-6)
 def _lambda_zero_limit(cfg, stream):
-    phi = R.bump(_grid64())
+    # T^lambda at small lambda on the grid against the lambda = 0 route,
+    # special_apply on the bump's evaluator, read at the nodes T^lambda
+    # moved to
     letter = G.TriangularElement(1.01, np.eye(1), [0.5])
-    small = R.t_comm_apply(_D2, 1e-4, letter, phi)
-    zero = R.t_comm_apply(_D2, 0.0, letter, phi)
-    return float(np.abs(small.values - zero.values).max()
-                 / np.abs(zero.values).max())
+    small = R.t_comm_apply(_D2, 1e-4, letter, R.bump(_grid64()))
+    zero = R.special_apply(_D2, [letter], R.bump_evaluator)(small.cells[0].nodes)
+    return float(np.abs(small.values - zero).max() / np.abs(zero).max())
 
 
 # ---------------------------------------------------------------------------
@@ -753,13 +750,17 @@ def _run_one(spec: CheckSpec, cfg: RunConfig, index: int) -> CheckReport:
 
 
 def run_suite(config: RunConfig, suite: str, check_ids=None) -> list:
-    """Run every check of the suite, or only those named in check_ids;
-    returns the reports in registry order and, when config.output_path is
-    set, writes the report file atomically (no partial file on failure).
-    A check's stream depends on its registry index alone, so its residual
-    does not depend on which other checks run."""
+    """Run every check of the suite, or only those named in check_ids
+    (DomainError for an id that names no check of the suite); returns the
+    reports in registry order and, when config.output_path is set, writes
+    the report file atomically (no partial file on failure).  A check's
+    stream depends on its registry index alone, so its residual does not
+    depend on which other checks run."""
     specs = indexed_specs(suite)
     if check_ids is not None:
+        unknown = sorted(set(check_ids) - {s.check_id for _, s in specs})
+        if unknown:
+            raise DomainError(f"no check {', '.join(map(repr, unknown))} in suite {suite!r}")
         specs = [(i, s) for i, s in specs if s.check_id in check_ids]
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:

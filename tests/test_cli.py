@@ -318,6 +318,56 @@ def test_malformed_numbers_are_errors_not_tracebacks(tmp_path, capsys, argv):
     assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
+# the values of rep apply --g "z:1.0|s|d:2.0" --lambda 0.5 --grid 10,8 as
+# (real, imag) pairs, pinned so that a change of the word interpreter keeps them
+_REP_APPLY_HALF = [
+    (-0.07529553120812393, -0.07231470880306481), (-0.056540507097775417, 0.24873289893581826),
+    (0.0716040159971245, -0.13695821229889493), (1.0630800973059278, -0.051288500761488984),
+    (1.0630800973059278, 0.051288500761488984), (0.0716040159971245, 0.13695821229889493),
+    (-0.056540507097775417, -0.24873289893581826), (-0.07529553120812393, 0.07231470880306481),
+]
+
+
+@pytest.mark.parametrize("word, lam", [
+    ("z:1.0|s|d:2.0", "-1"), ("z:1.0|s|d:2.0", "0"), ("z:1.0|s|d:2.0", "1"),
+    ("z:1.0|s|d:2.0", "1.5"), ("z:1.0|s|d:2.0", "0.5"),
+    # the lambda = 0 representation's route is reps.special_apply
+    ("z:1.0|d:2.0", "0"), ("z:1.0|d:2.0", "-0.5"),
+])
+def test_rep_apply_needs_a_mass_in_the_representation_range(tmp_path, capsys, word, lam):
+    # with a kernel letter the mass must lie in (0, d) = (0, 1) at n = 2, and
+    # be positive without one
+    out = tmp_path / "r.json"
+    code, stdout, err = run(capsys, ["rep", "apply", "--g", word, f"--lambda={lam}",
+                                     "--grid", "10,8", "--out", str(out)])
+    if lam != "0.5":
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert stdout == "" and list(tmp_path.iterdir()) == []
+        return
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["nodes"] == default_grid(1, 10.0, 8).nodes.tolist()
+    got = np.asarray(doc["values"])
+    want = np.asarray(_REP_APPLY_HALF)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_unknown_check_ids_are_errors(tmp_path, capsys, monkeypatch):
+    # a tolerance for a misspelt check in a config file
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"tolerances": {"kernel-involuton": 1e-9}}))
+    code, out, err = run(capsys, ["check", "reps", "--config", str(cfgfile)])
+    assert code == 1 and out == ""
+    assert err.strip() == "error: tolerance for unknown check 'kernel-involuton'"
+    # a stale id in a rep check group
+    monkeypatch.setitem(cli._REP_SUITE_CHECKS, "tau", ("tensor-embedding-z-commutation",
+                                                       "no-such-check"))
+    code, out, err = run(capsys, ["rep", "check", "--suite", "tau", "--workers", "1"])
+    assert code == 1 and out == ""
+    assert err.strip() == "error: no check 'no-such-check' in suite 'reps'"
+
+
 def test_rep_check_runs_only_the_checks_it_reports(capsys, monkeypatch):
     from currentlab import reps, suites
 

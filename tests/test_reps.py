@@ -192,16 +192,19 @@ def test_kernel_cache_evicts_the_least_recently_used(monkeypatch):
 
 
 def test_z_and_d_letter_unitarity():
-    phi = bump(grid64())
+    # the unitarity law in L^2(nu_lam) against the commutative-model norm,
+    # pi^(d/2) times it, whose ratio is the same to rounding
+    grid = grid64()
+    phi = bump(grid)
     n0 = R.comm_norm(D2, LAM, phi)
     for letter in (G.TriangularElement(1.0, np.eye(1), [0.7]),
                    G.TriangularElement(2.0, np.eye(1), [0.0]),
                    G.TriangularElement(-0.6, np.eye(1), [1.3])):
         out = R.t_comm_apply(D2, LAM, letter, phi)
-        assert math.sqrt(R.comm_norm(D2, LAM, out) / n0) == pytest.approx(
-            1.0, abs=1e-12)
-        assert R.letter_unitarity_residual(D2, LAM, letter, grid64()) == \
-            abs(math.sqrt(R.comm_norm(D2, LAM, out) / n0) - 1.0)
+        ratio = math.sqrt(R.comm_norm(D2, LAM, out) / n0)
+        assert ratio == pytest.approx(1.0, abs=1e-12)
+        res = R.unitarity_residual(D2, M.Partition((LAM,)), [grid], [[letter]], phi)
+        assert res == pytest.approx(abs(ratio - 1.0), abs=4 * np.finfo(float).eps)
 
 
 def test_current_group_elementwise_unitarity():
@@ -243,7 +246,8 @@ def _dilation(eps):
 
 def test_involution_squares_to_identity_and_preserves_norm():
     assert R.word_identity_residual(D2, LAM, grid64(), ["s", "s"], []) <= 1e-3
-    assert R.letter_unitarity_residual(D2, LAM, "s", grid64()) <= 1e-3
+    assert R.unitarity_residual(D2, M.Partition((LAM,)), [grid64()], ["s"],
+                                bump(grid64())) <= 1e-3
 
 
 def test_inversion_dilation_conjugation():
@@ -279,19 +283,23 @@ def test_kernel_letters_land_on_the_target_pulled_back_through_d_parts():
 
 
 def test_single_cell_and_current_interpreters_agree():
-    # one cell: t_comm_apply and current_word_apply run the same word of z,
-    # d and s letters, with a d letter left of s, to rounding and onto the
-    # same nodes
+    # t_comm_apply is the one-cell current word: bit for bit and onto the
+    # same nodes, for a word of z, d and s letters with a d letter left of
+    # s, and for a group element, which it factors first
     part = M.Partition((0.5,))
     grid = grid64()
     phi = bump(grid)
     word = [G.TriangularElement(2.0, np.eye(1), [0.4]), "s",
             G.TriangularElement(-0.7, np.eye(1), [-1.1]), "s", _dilation(0.5)]
-    one = R.t_comm_apply(D2, 0.5, G.GroupWord(2, word), phi, target=grid)
-    cur = R.current_word_apply(D2, part, [grid],
-                               [let if isinstance(let, str) else [let] for let in word], phi)
-    assert np.array_equal(one.cells[0].nodes, cur.cells[0].nodes)
-    assert np.abs(one.values - cur.values).max() <= 1e-15 * np.abs(one.values).max()
+    element = G.GroupWord(2, word).evaluate()
+    for g, letters in ((G.GroupWord(2, word), word),
+                       (element, G.factor_word(element).letters)):
+        one = R.t_comm_apply(D2, 0.5, g, phi, target=grid)
+        cur = R.current_word_apply(D2, part, [grid],
+                                   [let if isinstance(let, str) else [let] for let in letters],
+                                   phi)
+        assert np.array_equal(one.cells[0].nodes, cur.cells[0].nodes)
+        assert np.array_equal(one.values, cur.values)
 
 
 def test_vacuum_identities():
@@ -301,7 +309,7 @@ def test_vacuum_identities():
 
 def test_tau_embedding_z_commutation():
     cells = [grid_1d_sqrt(10.0, 24), grid_1d_sqrt(10.0, 24)]
-    res = R.tau_z_commutation_residual(D2, cells, gauss, [0.4])
+    res = R.tau_z_commutation_residual(D2, M.Partition((0.5, 0.3)), cells, gauss, [0.4])
     assert res <= 1e-12
     # three cells of d = 2, against the embedded function tabulated node by node
     cells = [GF.grid_2d(3.0, 3, 4), GF.grid_2d(2.0, 2, 3), GF.grid_2d(1.0, 2, 2)]
@@ -309,7 +317,8 @@ def test_tau_embedding_z_commutation():
     for idx in np.ndindex(tphi.values.shape):
         total = sum(c.nodes[i] for c, i in zip(cells, idx))
         assert tphi.values[idx] == gauss(total)
-    assert R.tau_z_commutation_residual(D3, cells, gauss, [0.4, -0.3]) <= 1e-12
+    assert R.tau_z_commutation_residual(D3, M.Partition((0.5, 0.3, 0.2)), cells, gauss,
+                                        [0.4, -0.3]) <= 1e-12
 
 
 def test_radial_pairing_matches_the_closed_forms():
@@ -582,13 +591,20 @@ def test_special_cocycle_law():
 
 
 def test_special_representation_is_lambda_zero_limit():
+    # T^lambda on the grid tends to the lambda = 0 route, special_apply on
+    # the bump's evaluator at the moved nodes, at first order in lambda
     phi = bump(grid64())
     letter = G.TriangularElement(1.01, np.eye(1), [0.5])
-    small = R.t_comm_apply(D2, 1e-4, letter, phi)
-    zero = R.t_comm_apply(D2, 0.0, letter, phi)
-    rel = float(np.abs(small.values - zero.values).max()
-                / np.abs(zero.values).max())
-    assert rel <= 1e-6
+    rel = []
+    for lam in (1e-3, 1e-4):
+        small = R.t_comm_apply(D2, lam, letter, phi)
+        zero = R.special_apply(D2, [letter], R.bump_evaluator)(small.cells[0].nodes)
+        rel.append(float(np.abs(small.values - zero).max() / np.abs(zero).max()))
+    assert rel[1] <= 1e-6
+    assert rel[0] / rel[1] == pytest.approx(10.0, rel=1e-3)
+    # the grid interpreter has no lambda = 0 route: that is special_apply
+    with pytest.raises(DomainError):
+        R.t_comm_apply(D2, 0.0, letter, phi)
 
 
 def test_spherical_reproduce_matches_psi_with_distinct_cell_shifts():

@@ -124,8 +124,23 @@ def test_run_config_validation():
             S.RunConfig(trials=trials)
     with pytest.raises(DomainError):
         S.RunConfig(format="yaml")
-    with pytest.raises(DomainError):
-        S.RunConfig(tolerances={"x": -1.0})
+    with pytest.raises(DomainError, match="positive"):
+        S.RunConfig(tolerances={"kernel-involution": -1.0})
+    # a tolerance for a check that does not exist (a typo of
+    # kernel-involution) would be silently ignored
+    with pytest.raises(DomainError, match="'kernel-involuton'"):
+        S.RunConfig(tolerances={"kernel-involuton": 1e-9})
+
+
+def test_run_suite_rejects_check_ids_that_name_no_check_of_the_suite():
+    # a stale id would otherwise run nothing and pass
+    cfg = S.RunConfig(workers=1)
+    for suite, ids in (("reps", ("no-such-check",)),
+                       ("reps", ("kernel-involution", "v-at-zero")),
+                       ("all", ("kernel-involuton",))):
+        with pytest.raises(DomainError, match="no check"):
+            S.run_suite(cfg, suite, ids)
+    assert [r.check_id for r in S.run_suite(cfg, "specfun", ("v-at-zero",))] == ["v-at-zero"]
 
 
 def test_run_suite_reports_and_determinism():
@@ -549,6 +564,33 @@ def test_dual_transform_word_catches_mutants_on_the_64_node_grid(monkeypatch, mu
         assert report.passed
     else:
         assert report.residual > 10 * report.tolerance, report
+
+
+def _nodes_moved_by_eps(monkeypatch):
+    # d(eps) transports the nodes to p u^T eps instead of p u^T / eps
+    apply_d = R._apply_d
+
+    def mutant(dims, lam, phi, axis, eps, u):
+        out = apply_d(dims, lam, phi, axis, eps, u)
+        cells = list(out.cells)
+        cells[axis] = R.CellGrid(cells[axis].nodes * eps * eps, cells[axis].weights)
+        return R.GridFunction(cells, out.values)
+
+    monkeypatch.setattr(R, "_apply_d", mutant)
+
+
+@pytest.mark.parametrize("mutate", [None, _nodes_moved_by_eps, _wrong_sign_phase])
+def test_special_limit_continuity_catches_mutants(monkeypatch, mutate):
+    # the grid route at small lambda is read against special_apply, which
+    # the grid letters' mutants do not reach (2.6e-2 and 0.94 against 5e-7)
+    if mutate is not None:
+        mutate(monkeypatch)
+    (report,) = S.run_suite(S.RunConfig(workers=1), "reps",
+                            check_ids=["special-limit-continuity"])
+    if mutate is None:
+        assert report.passed
+    else:
+        assert report.residual > 1e4 * report.tolerance, report
 
 
 def test_check_all_builds_each_kernel_block_once(monkeypatch):
