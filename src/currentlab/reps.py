@@ -473,15 +473,15 @@ def tau_embed(phi):
     return out
 
 
-def tau_z_commutation_residual(dims: Dimensions, partition: M.Partition, cells: list,
-                               phi, gamma0) -> float:
+def tau_z_commutation_residual(dims: Dimensions, cells: list, phi, gamma0) -> float:
     """Exact node identity: applying the current z-letter (same gamma0 in
     every cell) through u_current_apply to tau(phi) equals tau applied to the
     z-shifted phi."""
     gamma0 = np.atleast_1d(np.asarray(gamma0, dtype=float))
     tphi = tabulate(cells, tau_embed(phi))
     z = G.TriangularElement(1.0, np.eye(dims.d), gamma0)
-    lhs = u_current_apply(dims, partition, [z] * len(cells), tphi)
+    # a z-letter carries no mass-dependent amplitude, so any masses do
+    lhs = u_current_apply(dims, M.Partition((1.0,) * len(cells)), [z] * len(cells), tphi)
 
     def phi_shifted(xi):
         return phi(xi) * np.exp(1j * (xi @ gamma0))

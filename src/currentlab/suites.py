@@ -594,21 +594,22 @@ def _cell_letters(eps, shifts):
     return [G.TriangularElement(e, np.eye(1), [g]) for e, g in zip(eps, shifts)]
 
 
-def _unitarity(cfg, stream, masses, word):
-    # rows of one law on 64-node cells: the bump on one cell, the product
-    # bump on more
-    part = M.Partition(masses)
+def _unitarity(cfg, stream, masses, word, phi):
+    # rows of one law on 64-node cells, phi tabulating the test function on them
     cells = [_grid64() for _ in masses]
-    phi = R.bump(*cells) if part.size == 1 else R._product_bump(cells)
-    return R.unitarity_residual(_D2, part, cells, word, phi)
+    return R.unitarity_residual(_D2, M.Partition(masses), cells, word, phi(cells))
+
+
+def _bump(cells):
+    return R.bump(cells[0])
 
 
 _check("reps", "z-letter-unitarity", "1-14-1", 1e-12, masses=(_LAM,),
-       word=[_cell_letters((1.0,), (0.7,))])(_unitarity)
+       word=[_cell_letters((1.0,), (0.7,))], phi=_bump)(_unitarity)
 _check("reps", "d-letter-unitarity", "1-15-1", 1e-12, masses=(_LAM,),
-       word=[_cell_letters((2.0,), (0.0,))])(_unitarity)
+       word=[_cell_letters((2.0,), (0.0,))], phi=_bump)(_unitarity)
 _check("reps", "current-letter-unitarity", "17-13", 1e-12, masses=(0.5, 0.3),
-       word=[_cell_letters((2.0, -0.7), (0.4, -1.1))])(_unitarity)
+       word=[_cell_letters((2.0, -0.7), (0.4, -1.1))], phi=R._product_bump)(_unitarity)
 
 
 def _word_identity(cfg, stream, grid, lhs, rhs):
@@ -621,7 +622,8 @@ def _dilation(eps):
 
 _check("reps", "kernel-involution", "73-1", 1e-3, grid=_grid64,
        lhs=["s", "s"], rhs=[])(_word_identity)
-_check("reps", "kernel-unitarity", "73-1", 1e-3, masses=(_LAM,), word=["s"])(_unitarity)
+_check("reps", "kernel-unitarity", "73-1", 1e-3, masses=(_LAM,), word=["s"],
+       phi=_bump)(_unitarity)
 _check("reps", "inversion-dilation-conjugation", "363", 1e-3, grid=_grid64,
        lhs=["s", _dilation(2.0)], rhs=[_dilation(0.5), "s"])(_word_identity)
 _EXCHANGE_LHS, _EXCHANGE_RHS = G.exchange_words([0.7])
@@ -640,8 +642,8 @@ _check("reps", "vacuum-identities-n3", "342-1", 1e-6, n=3, lam=1.0)(_vacuum)
 @_check("reps", "tensor-embedding-z-commutation", "31-21", 1e-12)
 def _tau_z(cfg, stream):
     cells = [grid_1d_sqrt(10.0, 24), grid_1d_sqrt(10.0, 24)]
-    return R.tau_z_commutation_residual(_D2, M.Partition((0.5, 0.3)), cells,
-                                        lambda xi: np.exp(-np.sum(xi ** 2, axis=-1)), [0.4])
+    return R.tau_z_commutation_residual(_D2, cells, lambda xi: np.exp(-np.sum(xi ** 2, axis=-1)),
+                                        [0.4])
 
 
 @_check("reps", "tensor-embedding-isometry", "31-21", 1e-12)
