@@ -461,7 +461,22 @@ def distance_relation_residual(g, x, y):
 
 def _sign_fixed_q(a: np.ndarray) -> np.ndarray:
     """The orthogonal QR factors of a stack of square matrices, each column
-    signed so that R has a positive diagonal."""
+    signed so that R has a positive diagonal.  The boundary dimensions 1
+    and 2 have closed forms: a 1x1 factor is sign(a); for 2x2, with columns
+    a1 and a2, q1 = a1/|a1| and q2 = sign(det a) (-q1_y, q1_x), since
+    R_22 = <q2, a2> = sign(det a) det a/|a1|.  LAPACK's QR from d = 3 on."""
+    d = a.shape[-1]
+    if d == 1:
+        return np.sign(a)
+    if d == 2:
+        x, y = a[..., 0, 0], a[..., 1, 0]
+        norm = np.hypot(x, y)
+        c, s = x / norm, y / norm
+        turn = np.sign(x * a[..., 1, 1] - y * a[..., 0, 1])
+        q = np.empty_like(a)
+        q[..., 0, 0], q[..., 1, 0] = c, s
+        q[..., 0, 1], q[..., 1, 1] = -turn * s, turn * c
+        return q
     q, r = np.linalg.qr(a)
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 

@@ -179,6 +179,29 @@ def _op_coeff(lam: float) -> float:
     return (2.0 / math.pi) * 2.0 ** (-lam / 2.0)
 
 
+def _kernel_terms(lam: float, w: np.ndarray) -> np.ndarray:
+    """The Bessel factor of the n = 2 kernel entries at the points w, for
+    xi xi' < 0 (row 0) and for xi xi' > 0 (row 1); see _kernel_block_n2.
+    At lam = 1/2 both orders are 1/2, where H^(1)_{1/2}(w) =
+    -i sqrt(2/(pi w)) e^{iw} and K_{1/2}(w) = sqrt(pi/(2w)) e^{-w}
+    (DLMF 10.16.1, 10.39.2) replace scipy's hankel1 and kv."""
+    nu = 1.0 - lam
+    with np.errstate(under="ignore"):
+        if lam == 0.5:
+            root = np.sqrt(2.0 / (math.pi * w))
+            h_real, h_imag = root * np.sin(w), -root * np.cos(w)
+            k = 0.5 * math.pi * root * np.exp(-w)
+        else:
+            h = hankel1(nu, w)
+            h_real, h_imag = h.real, h.imag
+            k = kv(lam - 1.0, w)
+    d = np.empty((2,) + w.shape)
+    d[1] = math.pi / (2.0 * math.cos(0.5 * math.pi * lam)) * (
+        -2.0 * math.sin(0.5 * math.pi * nu) ** 2 * h_real - math.sin(math.pi * nu) * h_imag)
+    d[0] = 2.0 * math.sin(0.5 * math.pi * lam) * k
+    return d
+
+
 def _kernel_block_n2(lam: float, xi: np.ndarray, xi_prime: np.ndarray) -> np.ndarray:
     """Vectorized n = 2 closed-form kernel block A_op(xi_i, xi'_j), the
     Bessel closed form of the raw integral
@@ -197,7 +220,10 @@ def _kernel_block_n2(lam: float, xi: np.ndarray, xi_prime: np.ndarray) -> np.nda
     scipy's jv and yv and closer to the 30-digit values.  On the second
     branch the product of the prefactor and D is taken as
     2 sin(pi lam/2) K_{lam-1}(w) (the I difference cancels catastrophically
-    for large w).  quadrature.kernel_A is the reference route.
+    for large w).  At lam = 1/2 both Bessel functions are elementary:
+    H^(1)_{1/2}(w) = -i sqrt(2/(pi w)) e^{iw} and
+    K_{1/2}(w) = sqrt(pi/(2w)) e^{-w} (_kernel_terms).
+    quadrature.kernel_A is the reference route.
 
     An entry depends only on the magnitudes (|xi_i|, |xi'_j|) and on
     whether xi_i xi'_j > 0.  So the block is built from one table per sign
@@ -209,16 +235,8 @@ def _kernel_block_n2(lam: float, xi: np.ndarray, xi_prime: np.ndarray) -> np.nda
     ax, ix = np.unique(np.abs(xi), return_inverse=True)
     ay, iy = np.unique(np.abs(xi_prime), return_inverse=True)
     prod, ip = np.unique(ax[:, None] * ay[None, :], return_inverse=True)
-    w = 2.0 ** 1.5 * np.sqrt(prod)
     amp = (2.0 * ay[None, :] / ax[:, None]) ** ((lam - 1.0) / 2.0)
-    const = math.pi / (2.0 * math.cos(0.5 * math.pi * lam))
-    nu = 1.0 - lam
-    d = np.empty((2, prod.size))   # per product: D for xi xi' < 0, for xi xi' > 0
-    with np.errstate(under="ignore"):
-        h = hankel1(nu, w)
-        d[1] = const * (-2.0 * math.sin(0.5 * math.pi * nu) ** 2 * h.real
-                        - math.sin(math.pi * nu) * h.imag)
-        d[0] = 2.0 * math.sin(0.5 * math.pi * lam) * kv(lam - 1.0, w)
+    d = _kernel_terms(lam, 2.0 ** 1.5 * np.sqrt(prod))
     tables = _op_coeff(lam) * amp * d[:, ip.reshape(amp.shape)]
     same = np.multiply.outer(np.sign(xi), np.sign(xi_prime)) > 0
     return tables[same.view(np.uint8), ix[:, None], iy[None, :]]

@@ -68,6 +68,37 @@ def test_random_elements_are_words_drawn_as_one_array():
         assert np.array_equal(one.m, G.random_elements(dims, np.random.default_rng(9), 1)[0])
 
 
+def _lapack_sign_fixed_q(a):
+    q, r = np.linalg.qr(a)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
+def test_sign_fixed_q_closed_forms_are_the_qr_factor():
+    # 1x1 and 2x2 factors come in closed form, against LAPACK's sign-fixed QR
+    rng = np.random.default_rng(29)
+    for d in (1, 2):
+        a = rng.standard_normal((10 ** 4, d, d))
+        q = G._sign_fixed_q(a)
+        assert np.max(np.abs(q - _lapack_sign_fixed_q(a))) <= 1e-15
+        qt = np.swapaxes(q, -1, -2)
+        assert np.max(np.abs(qt @ q - np.eye(d))) <= 1e-15
+        r = qt @ a
+        assert np.max(np.abs(np.tril(r, -1))) <= 1e-15
+        assert np.all(np.diagonal(r, axis1=-2, axis2=-1) > 0.0)
+    # a single matrix, as random_orthogonal draws it
+    a = rng.standard_normal((2, 2))
+    assert np.max(np.abs(G._sign_fixed_q(a) - _lapack_sign_fixed_q(a))) <= 1e-15
+    # from d = 3 on, LAPACK's factor itself
+    a = rng.standard_normal((50, 3, 3))
+    assert np.array_equal(G._sign_fixed_q(a), _lapack_sign_fixed_q(a))
+
+
+def test_random_elements_stay_in_the_group():
+    for n in (2, 3):
+        g = G.random_elements(Dimensions(n), np.random.default_rng(n), 1000)
+        assert G.membership_residuals(g).max() < 1e-12
+
+
 def test_act_and_cocycle_broadcast_over_stacks():
     rng = np.random.default_rng(12)
     for n in (2, 3):

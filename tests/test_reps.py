@@ -126,24 +126,29 @@ def test_kernel_block_same_sign_term_against_mpmath():
             assert np.all(np.abs(got - pre * d) <= 1e-14 * pre * np.abs(hankel1(nu, w)))
 
 
-def _block_entrywise(lam, xi, xi_prime):
-    # the closed form entry by entry, both Bessel terms on the full block
+def _hankel_kv_terms(lam, w):
+    # the Bessel factor of both sign cases from scipy's hankel1 and kv, at
+    # every lam: the route the block takes away from lam = 1/2
     from scipy.special import kv
 
+    const = math.pi / (2.0 * math.cos(0.5 * math.pi * lam))
+    with np.errstate(under="ignore"):
+        return np.stack((2.0 * math.sin(0.5 * math.pi * lam) * kv(lam - 1.0, w),
+                         const * _reflected_difference(1.0 - lam, w)))
+
+
+def _block_entrywise(lam, xi, xi_prime, terms=R._kernel_terms):
+    # the closed form entry by entry, both Bessel terms on the full block
     s = xi[:, None] * xi_prime[None, :]
     w = 2.0 ** 1.5 * np.sqrt(np.abs(s))
     amp = np.abs(2.0 * xi_prime[None, :] / xi[:, None]) ** ((lam - 1.0) / 2.0)
-    const = math.pi / (2.0 * math.cos(0.5 * math.pi * lam))
-    with np.errstate(under="ignore"):
-        d = np.where(s > 0, const * _reflected_difference(1.0 - lam, w),
-                     2.0 * math.sin(0.5 * math.pi * lam) * kv(lam - 1.0, w))
-    return (2.0 / math.pi) * 2.0 ** (-lam / 2.0) * amp * d
+    d = terms(lam, w)
+    return (2.0 / math.pi) * 2.0 ** (-lam / 2.0) * amp * np.where(s > 0, d[1], d[0])
 
 
-def test_kernel_block_without_sign_symmetry():
-    # the block evaluates each Bessel term once per distinct |xi| |xi'|;
+def _sign_skewed_cases():
     # grids whose nodes are not sign-symmetric, and distinct pairs with one
-    # product (1 * 2 = 4 * 0.5, 1 * 8 = 4 * 2), must give the same entries
+    # product (1 * 2 = 4 * 0.5, 1 * 8 = 4 * 2)
     positive = np.geomspace(0.05, 30.0, 12)
     skew = np.concatenate((positive[:7], -positive[3:5], [2.0, -2.0, 2.0]))
     phi = tabulate([CellGrid(skew[:, None], np.ones(skew.size))], gauss)
@@ -151,14 +156,38 @@ def test_kernel_block_without_sign_symmetry():
     symmetric = grid_1d_sqrt(5.0, 8).nodes[:, 0]
     large = grid_1d_sqrt(60.0, 320).nodes[:, 0]
     other = grid_1d_sqrt(40.0, 96).nodes[:, 0]
-    cases = ((positive, positive), (positive[:5], -positive), (skew, skew),
-             (moved, skew), (symmetric, moved), (large, large), (large, other),
-             (np.array([1.0, -4.0, 4.0]), np.array([2.0, 0.5, -8.0, -2.0])))
+    return ((positive, positive), (positive[:5], -positive), (skew, skew),
+            (moved, skew), (symmetric, moved), (large, large), (large, other),
+            (np.array([1.0, -4.0, 4.0]), np.array([2.0, 0.5, -8.0, -2.0])))
+
+
+def test_kernel_block_without_sign_symmetry():
+    # the block evaluates each Bessel term once per distinct |xi| |xi'|;
+    # on every case it must give the entrywise formula's entries bit for bit
     for lam in (LAM, 0.3):
-        for xi, xp in cases:
+        for xi, xp in _sign_skewed_cases():
             block = R._kernel_block_n2(lam, xi, xp)
             assert block.shape == (xi.size, xp.size)
             assert np.array_equal(block, _block_entrywise(lam, xi, xp))
+
+
+def test_kernel_block_at_half_is_the_hankel_and_kv_formula():
+    # at lam = 1/2 the block takes H^(1)_{1/2} and K_{1/2} in closed form;
+    # against the hankel1/kv formula at lam = 1/2 (measured 5e-16 of the
+    # largest entry) and, from both sides of the switch, against the
+    # hankel1/kv route at lam = 1/2 -+ 1e-9 (measured 9e-9: the entries
+    # move by O(1e-9) themselves)
+    nodes = S._operator_grid().nodes[:, 0]
+    cases = ((nodes, nodes),) + _sign_skewed_cases()
+    for xi, xp in cases:
+        block = R._kernel_block_n2(0.5, xi, xp)
+        scale = np.max(np.abs(block))
+        ref = _block_entrywise(0.5, xi, xp, terms=_hankel_kv_terms)
+        assert np.max(np.abs(block - ref)) <= 1e-14 * scale
+        for lam in (0.5 - 1e-9, 0.5 + 1e-9):
+            near = R._kernel_block_n2(lam, xi, xp)
+            assert np.array_equal(near, _block_entrywise(lam, xi, xp, terms=_hankel_kv_terms))
+            assert np.max(np.abs(near - block)) <= 2e-8 * scale
 
 
 def test_kernel_block_is_built_without_full_size_temporaries():

@@ -125,6 +125,53 @@ def test_log_bessel_k_beyond_the_kve_range():
         specfun.log_bessel_k(0.5, np.array([1e9, 0.0]))
 
 
+_ORDER_ROUTE_ORDERS = [m + e for m in (-1.0, 0.0, 1.0) for e in (-1e-6, 0.0, 1e-6)]
+
+
+def test_log_bessel_k_order_routes_against_the_reference():
+    # orders 0 and +-1 go to k0e/k1e and their neighbours to kve: both sides
+    # of each switch against the trapezoid-rule reference, 2z = 30 +- 1e-3
+    # included
+    rho, z = np.meshgrid(_ORDER_ROUTE_ORDERS, _BOUNDARY_Z, indexing="ij")
+    want = specfun.bessel_k_reference(rho, z)
+    got = np.exp(specfun.log_bessel_k(rho, z))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    for r, row in zip(_ORDER_ROUTE_ORDERS, got):
+        assert np.array_equal(np.exp(specfun.log_bessel_k(r, np.array(_BOUNDARY_Z))), row)
+
+
+def test_log_bessel_k_order_routes_at_large_argument():
+    # at 2z = 2^30 and 2^31 kve returns NaN while k0e and k1e do not; both
+    # agree with the large-argument expansion (DLMF 10.40.2)
+    from scipy.special import kve
+
+    x = np.array([2.0 ** 30, 2.0 ** 31])
+    assert np.isnan(kve(0.5, x)).all()
+    for rho in (0.0, 1.0, -1.0):
+        series = 1.0 + (4.0 * rho * rho - 1.0) / (8.0 * x)
+        want = 0.5 * np.log(0.5 * math.pi / x) - x + np.log(series)
+        np.testing.assert_allclose(specfun.log_bessel_k(rho, x / 2.0), want, rtol=4e-16, atol=0)
+        # the scaled value itself, which the log's -x hides below 1e-8
+        np.testing.assert_allclose(specfun._scaled_k(rho, x), np.sqrt(0.5 * math.pi / x) * series,
+                                   rtol=1e-14, atol=0)
+
+
+def test_log_bessel_k_routes_per_element():
+    # one call over orders (0, 1, 0.7) gives the bits of one call per order
+    z = np.array([1e-3, 0.4, 3.0, 15.0 + 5e-4, 80.0])
+    orders = np.array([0.0, 1.0, 0.7])
+    got = specfun.log_bessel_k(orders[:, None], z)
+    for row, rho in zip(got, orders):
+        assert np.array_equal(row, specfun.log_bessel_k(float(rho), z))
+    assert np.array_equal(specfun.log_bessel_k(orders, z[:3]),
+                          [specfun.log_bessel_k(float(a), b) for a, b in zip(orders, z[:3])])
+    # the domain error holds on every route
+    for rho in (0.0, 1.0, -1.0, 0.7, orders):
+        for bad in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                specfun.log_bessel_k(rho, np.array([0.5, 1.0, bad]))
+
+
 def test_bessel_i_small_argument():
     # I_rho(2z) ~ z^rho / Gamma(1+rho) as z -> 0
     z = 1e-4

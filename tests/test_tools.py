@@ -61,6 +61,16 @@ def test_special_evals_runs_one_suite():
     distinct = np.unique(grid_2d_sqrt(40.0, 64, 32).radii).size
     assert rows["spherical-n3-l1-g1"] == [str(distinct), "0"]
     assert rows["round"][1] == "0"
+    assert out.splitlines()[0].startswith(
+        "scipy.special points (kve, k0e, k1e, kv, iv, hankel1, j0, jv)")
+    # the n = 2 kernel blocks at lam = 1/2 are closed forms that call no
+    # scipy function (1056 to 22166 points a check before)
+    out = _run_tool("tools/special_evals.py", "--suite", "reps")
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:]}
+    for check in ("kernel-involution", "inversion-dilation-conjugation",
+                  "inversion-translation-exchange"):
+        assert rows[check] == ["0", "0"]
+    assert int(rows["dual-transform-inversion"][0]) > 0
 
 
 def test_grid_floor_runs_one_grid():

@@ -5,16 +5,18 @@ them the check had evaluated before.
     python3 tools/special_evals.py --suite spherical
 
 The script wraps the scipy.special functions that currentlab's modules bind
-(kve, kv, iv, hankel1, j0 and jv), so every call made through those names is
-counted, and then runs one round of the registry in this fresh process, each
-check on the stream of its registry index, as `check all --seed S
---workers 1` runs it.  A call counts one point per element of its broadcast
+(kve, k0e, k1e, kv, iv, hankel1, j0 and jv), so every call made through
+those names is counted, and then runs one round of the registry in this
+fresh process, each check on the stream of its registry index, as `check
+all --seed S --workers 1` runs it.  A call counts one point per element of its broadcast
 arguments.  A point repeats when the same function was evaluated at the same
 arguments earlier in the same check.  The rules cached for the life of the
 process are built in the check that first needs them, as in a cold `check
 all`.  The script prints, per check, the points evaluated and the repeats,
-then their totals over the round.  Run it from the root of a source
-checkout.
+then their totals over the round.  n = 2 kernel entries at lam = 1/2 take
+H^(1)_{1/2} and K_{1/2} in closed form and call no scipy function, so the
+checks that use only such blocks count none.  Run it from the root of a
+source checkout.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np  # noqa: E402
 from currentlab import quadrature, reps, specfun  # noqa: E402
 from currentlab import suites as S  # noqa: E402
 
-COUNTED = ("kve", "kv", "iv", "hankel1", "j0", "jv")
+COUNTED = ("kve", "k0e", "k1e", "kv", "iv", "hankel1", "j0", "jv")
 
 
 class Counter:
