@@ -10,24 +10,13 @@ from .errors import (
     NotInGroupError,
     PointAtInfinityError,
 )
-from .gridfn import CellGrid, GridFunction, default_grid, grid_1d, grid_1d_sqrt, grid_2d, tabulate
-from .group import (
-    GroupElement,
-    GroupWord,
-    TriangularElement,
-    act,
-    cocycle_beta,
-    d_of_gamma,
-    factor_word,
-    form_matrix,
-    make_d,
-    make_s,
-    make_z,
-)
+from .gridfn import CellGrid, GridFunction, grid_1d_sqrt, grid_2d_sqrt, tabulate
+from .group import (GroupElement, GroupWord, TriangularElement, act, cocycle_beta, form_matrix,
+                    make_s)
 from .measures import Partition, Refinement, split_evenly
 from .process import PointConfiguration, SeededStream, sample_marginal, sample_process
 from .quadrature import QuadratureReport, RadialProfile, cached_cn, radial_fourier
-from .specfun import Dimensions, FourierConstant, bessel_i, bessel_k, v_rho
+from .specfun import Dimensions, FourierConstant, bessel_k, v_rho
 from .suites import CheckReport, RunConfig, run_suite
 
 __version__ = "0.1.0"
@@ -38,9 +27,8 @@ __all__ = [
     "GridFunction", "GroupElement", "GroupWord", "NotInGroupError",
     "Partition", "PointAtInfinityError", "PointConfiguration",
     "QuadratureReport", "RadialProfile", "Refinement", "RunConfig",
-    "SeededStream", "TriangularElement", "act", "bessel_i", "bessel_k",
-    "cached_cn", "cocycle_beta", "d_of_gamma", "default_grid", "factor_word",
-    "form_matrix", "grid_1d", "grid_1d_sqrt", "grid_2d", "make_d", "make_s",
-    "make_z", "radial_fourier", "run_suite", "sample_marginal",
-    "sample_process", "split_evenly", "tabulate", "v_rho",
+    "SeededStream", "TriangularElement", "act", "bessel_k", "cached_cn",
+    "cocycle_beta", "form_matrix", "grid_1d_sqrt", "grid_2d_sqrt", "make_s",
+    "radial_fourier", "run_suite", "sample_marginal", "sample_process",
+    "split_evenly", "tabulate", "v_rho",
 ]

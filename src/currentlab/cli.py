@@ -23,7 +23,7 @@ from . import quadrature as Q
 from . import reps as R
 from . import specfun, suites
 from .errors import DomainError
-from .gridfn import default_grid
+from .gridfn import CellGrid, grid_1d_sqrt, grid_2d_sqrt
 from .process import SeededStream
 from .specfun import Dimensions
 
@@ -57,9 +57,7 @@ def _emit(obj) -> None:
 def _cmd_specfun_eval(args) -> int:
     x = args.x
     try:
-        if args.fn == "I":
-            val = specfun.bessel_i(args.rho, x)
-        elif args.fn == "K":
+        if args.fn == "K":
             val = specfun.bessel_k(args.rho, x)
         elif args.fn == "V":
             val = specfun.v_rho(args.rho, x)
@@ -243,14 +241,32 @@ def _parse_letters(text: str, d: int) -> list:
     return letters
 
 
+def _rep_grid(dims: Dimensions, text: str) -> CellGrid:
+    """The operator checks' grid for --grid radius,count: grid_1d_sqrt(radius,
+    count) at n = 2, grid_2d_sqrt(radius, count/4, count/4) at n = 3."""
+    try:
+        radius, count = text.split(",")
+        radius, count = float(radius), int(count)
+    except ValueError:
+        raise DomainError(f"--grid takes radius,count, got {text!r}") from None
+    if not (math.isfinite(radius) and radius > 0):
+        raise DomainError(f"--grid radius must be finite and positive, got {radius}")
+    if dims.n == 2:
+        if count < 2 or count % 2:
+            raise DomainError(f"--grid count must be even and at least 2 at n = 2, got {count}")
+        return grid_1d_sqrt(radius, count)
+    if dims.n == 3:
+        if count < 8 or count % 4:
+            raise DomainError("--grid count must be a multiple of 4 and at least 8 at n = 3 "
+                              f"(count/4 radii and count/4 angles), got {count}")
+        return grid_2d_sqrt(radius, count // 4, count // 4)
+    raise DomainError("grids implemented for d in {1, 2}")
+
+
 def _cmd_rep_apply(args) -> int:
     try:
         dims = Dimensions(args.n)
-        try:
-            radius, count = args.grid.split(",")
-            grid = default_grid(dims.d, float(radius), int(count))
-        except ValueError:
-            raise DomainError(f"--grid takes radius,count, got {args.grid!r}") from None
+        grid = _rep_grid(dims, args.grid)
         letters = _parse_letters(args.g, dims.d)
         phi = R.tabulate([grid], lambda xi: np.exp(-np.sum(xi ** 2, axis=-1)))
         out = R.t_comm_apply(dims, args.lam, G.GroupWord(dims.n, letters), phi,
@@ -343,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sf = sub.add_parser("specfun", help="evaluate a special function")
     sf_sub = sf.add_subparsers(dest="action", required=True)
     ev = sf_sub.add_parser("eval")
-    ev.add_argument("--fn", choices=("I", "K", "V", "g", "psi"), required=True)
+    ev.add_argument("--fn", choices=("K", "V", "g", "psi"), required=True)
     ev.add_argument("--rho", type=float, default=0.5)
     ev.add_argument("--x", type=float, required=True)
     ev.add_argument("--n", type=int, default=2)

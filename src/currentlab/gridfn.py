@@ -72,19 +72,6 @@ def _legendre_rule(count: int):
     return x, w
 
 
-def grid_1d(radius: float, count: int) -> CellGrid:
-    """Two-panel Gauss-Legendre rule on [-radius, radius] clustered toward the
-    origin (where the representation-space weight |xi|^(lam-1) is singular)."""
-    if count % 2:
-        raise DomainError("count must be even")
-    x, w = _legendre_rule(count // 2)
-    pos = 0.5 * radius * (x + 1.0)
-    wpos = 0.5 * radius * w
-    nodes = np.concatenate((-pos[::-1], pos))[:, None]
-    weights = np.concatenate((wpos[::-1], wpos))
-    return CellGrid(nodes, weights)
-
-
 def grid_1d_sqrt(radius: float, count: int) -> CellGrid:
     """Gauss-Legendre rule in the variable t = sqrt(|xi|) (xi = sign t^2):
     the inversion kernel oscillates linearly in t, and the |xi|^(lam-1)
@@ -102,21 +89,6 @@ def grid_1d_sqrt(radius: float, count: int) -> CellGrid:
     return CellGrid(nodes, weights)
 
 
-def grid_2d(radius: float, radial_count: int, angular_count: int) -> CellGrid:
-    """Polar rule on the disk of the given radius: Gauss-Legendre radially
-    (weight r from the area element), trapezoid in angle (exact for
-    trigonometric polynomials)."""
-    x, w = _legendre_rule(radial_count)
-    r = 0.5 * radius * (x + 1.0)
-    wr = 0.5 * radius * w * r
-    th = 2.0 * np.pi * np.arange(angular_count) / angular_count
-    wth = 2.0 * np.pi / angular_count
-    rr, tt = np.meshgrid(r, th, indexing="ij")
-    nodes = np.stack((rr * np.cos(tt), rr * np.sin(tt)), axis=-1).reshape(-1, 2)
-    weights = (wr[:, None] * wth * np.ones_like(tt)).reshape(-1)
-    return CellGrid(nodes, weights)
-
-
 def grid_2d_sqrt(radius: float, radial_count: int, angular_count: int) -> CellGrid:
     """Polar rule on the disk of the given radius with Gauss-Legendre nodes
     in t = sqrt(|xi|), as in grid_1d_sqrt, and the trapezoid rule in angle:
@@ -131,14 +103,6 @@ def grid_2d_sqrt(radius: float, radial_count: int, angular_count: int) -> CellGr
     nodes = np.stack((rr * np.cos(tt), rr * np.sin(tt)), axis=-1).reshape(-1, 2)
     weights = np.repeat(wr * (2.0 * np.pi / angular_count), angular_count)
     return CellGrid(nodes, weights)
-
-
-def default_grid(d: int, radius: float | None = None, count: int = 64) -> CellGrid:
-    if d == 1:
-        return grid_1d_sqrt(25.0 if radius is None else radius, count)
-    if d == 2:
-        return grid_2d(8.0 if radius is None else radius, count // 4, count // 4)
-    raise DomainError("grids implemented for d in {1, 2}")
 
 
 @dataclass

@@ -50,34 +50,8 @@ class GroupElement:
         if self.m.shape != (self.n + 1, self.n + 1):
             raise DomainError("matrix shape does not match n")
 
-    # block accessors
-    @property
-    def g11(self) -> float: return self.m[0, 0]
-    @property
-    def g12(self) -> np.ndarray: return self.m[0, 1:self.n]
-    @property
-    def g13(self) -> float: return self.m[0, self.n]
-    @property
-    def g21(self) -> np.ndarray: return self.m[1:self.n, 0]
-    @property
-    def g22(self) -> np.ndarray: return self.m[1:self.n, 1:self.n]
-    @property
-    def g23(self) -> np.ndarray: return self.m[1:self.n, self.n]
-    @property
-    def g31(self) -> float: return self.m[self.n, 0]
-    @property
-    def g32(self) -> np.ndarray: return self.m[self.n, 1:self.n]
-    @property
-    def g33(self) -> float: return self.m[self.n, self.n]
-
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.m @ other.m, self.n)
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(inverse_matrices(self.m), self.n)
-
-    def membership_residual(self) -> float:
-        return float(membership_residuals(self.m))
 
 
 def inverse_matrices(m: np.ndarray) -> np.ndarray:
@@ -117,39 +91,6 @@ def _d_matrices(eps: np.ndarray, u: np.ndarray) -> np.ndarray:
     m[..., 1:n, 1:n] = u
     m[..., n, n] = eps
     return m
-
-
-def make_z(gamma) -> GroupElement:
-    """Unipotent translation letter z(gamma):
-    rows (1, 0, 0), (-gamma^T, e, 0), (-|gamma|^2/2, gamma, 1)."""
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    return GroupElement(_z_matrices(gamma), gamma.shape[0] + 1)
-
-
-def make_d(eps: float, u=None, n: int | None = None) -> GroupElement:
-    """Diagonal letter d(eps, u) = diag(1/eps, u, eps) with u orthogonal."""
-    if eps == 0.0:
-        raise DomainError("eps must be nonzero")
-    if u is None:
-        if n is None:
-            raise DomainError("give u or n")
-        u = np.eye(n - 1)
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    d = u.shape[0]
-    if np.abs(u @ u.T - np.eye(d)).max() > 1e-10:
-        raise DomainError("u must be orthogonal")
-    return GroupElement(_d_matrices(np.asarray(float(eps)), u), d + 1)
-
-
-def d_of_gamma(gamma) -> GroupElement:
-    """The diagonal element diag(-2/|gamma|^2, u_gamma, -|gamma|^2/2) with the
-    reflection u_gamma = e - 2 gamma^T gamma / |gamma|^2."""
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    g2 = float(gamma @ gamma)
-    if g2 == 0.0:
-        raise DomainError("gamma must be nonzero")
-    u = np.eye(gamma.shape[0]) - 2.0 * np.outer(gamma, gamma) / g2
-    return make_d(-0.5 * g2, u)
 
 
 def _matrices(g) -> np.ndarray:
@@ -226,10 +167,6 @@ class TriangularElement:
         if not np.asarray(self.epsilon).all():
             raise DomainError("epsilon must be nonzero")
 
-    @property
-    def n(self) -> int:
-        return self.gamma.shape[-1] + 1
-
     def compose(self, other: "TriangularElement") -> "TriangularElement":
         eps = self.epsilon * other.epsilon
         u = self.u @ other.u
@@ -240,9 +177,6 @@ class TriangularElement:
     def matrices(self) -> np.ndarray:
         """The matrix z(gamma) d(eps, u), or the stack of them (..., n+1, n+1)."""
         return _triangular_matrices(np.asarray(self.epsilon, dtype=float), self.u, self.gamma)
-
-    def matrix(self) -> GroupElement:
-        return GroupElement(self.matrices(), self.n)
 
 
 def random_triangular(dims: Dimensions, rng: np.random.Generator,
@@ -304,9 +238,6 @@ class GroupWord:
 
     def evaluate(self) -> GroupElement:
         return GroupElement(self.matrices(), self.n)
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
 
 @dataclass
@@ -520,8 +451,10 @@ def random_element(dims: Dimensions, rng: np.random.Generator) -> GroupElement:
 def exchange_words(gamma):
     """The two sides of the exchange identity
     z(gamma) s = d(gamma) . s . z(-gamma) . s . z(j gamma), with
-    j gamma = -2 gamma / |gamma|^2 and d(gamma) as d_of_gamma, as letter
-    lists over one gamma (d,) or, as stacked letters, over a stack (..., d)."""
+    j gamma = -2 gamma / |gamma|^2 and d(gamma) the diagonal letter
+    d(-|gamma|^2/2, u_gamma) = diag(-2/|gamma|^2, u_gamma, -|gamma|^2/2),
+    u_gamma = e - 2 gamma^T gamma / |gamma|^2 the reflection, as letter lists
+    over one gamma (d,) or, as stacked letters, over a stack (..., d)."""
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
     # a stacked product, so that each |gamma|^2 rounds as gamma @ gamma does
     g2 = (gamma[..., None, :] @ gamma[..., :, None])[..., 0, 0]

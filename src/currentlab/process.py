@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import specfun
 from .errors import DomainError
@@ -194,7 +193,12 @@ def truncation_bound(dims: Dimensions, total_mass: float, cutoff: float,
     the benchmark's `sampling` workload measured 1.09 -> 0.34 s a round, but
     a 30 s run then made 83 rounds instead of 35, and as the workload keeps
     every path's total (about 0.38 MB more a round) until that benchmark is
-    revised, its peak_rss_mb rose 117.2 -> 135.6 MB, past its 5 % bound."""
+    revised, its peak_rss_mb rose 117.2 -> 135.6 MB, past its 5 % bound.
+    scipy.integrate is imported here, not with the module: it loads
+    scipy.optimize, scipy.sparse and scipy.linalg, which nothing else of
+    the package needs."""
+    from scipy import integrate
+
     if intensity_scale is None:
         intensity_scale = default_intensity_scale(dims)
     d = dims.d

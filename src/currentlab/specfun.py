@@ -1,22 +1,22 @@
 """Modified Bessel functions in the doubled-argument convention and the
 derived radial densities.
 
-All Bessel evaluators here take the *half* argument: ``bessel_i(rho, z)``
-returns I_rho(2z) and ``bessel_k(rho, z)`` returns K_rho(2z).  Production
-values come from scipy's ``iv``/``kv``/``kve`` (D. E. Amos, ACM TOMS
-Algorithm 644, 1986): ``bessel_k`` for scalars and ``log_bessel_k``, from
-the exponentially scaled ``kve``, for arrays.  ``log_bessel_k`` routes by
-order, element by element: orders 0 and +-1 go to scipy's exponentially
-scaled ``k0e``/``k1e`` (Cephes Chebyshev expansions, a quarter of
-``kve``'s time a point), every other order to ``kve``.  On ``log_bessel_k``
-sit the normalisation function V_rho, the radial jump density g, and the per-cell
-laws of the (mu, nu) pair: the log density of a mu cell, of a nu cell, and
-of their ratio.  V and the three cell laws broadcast over arrays of the
-order or mass as well as of the radius, so that a sum over the cells of a
-partition is one call.  The sphere area is here too.  ``bessel_k_reference``
-evaluates K_rho(2z) independently, by the trapezoid rule on the integral
-representation K_rho(x) = integral_0^inf e^(-x cosh t) cosh(rho t) dt
-(DLMF 10.32.9); only the checks and tests use it.
+All Bessel evaluators here take the *half* argument: ``bessel_k(rho, z)``
+returns K_rho(2z).  Production values come from scipy's ``kv``/``kve``
+(D. E. Amos, ACM TOMS Algorithm 644, 1986): ``bessel_k`` for scalars and
+``log_bessel_k``, from the exponentially scaled ``kve``, for arrays.
+``log_bessel_k`` routes by order, element by element: orders 0 and +-1 go
+to scipy's exponentially scaled ``k0e``/``k1e`` (Cephes Chebyshev
+expansions, a quarter of ``kve``'s time a point), every other order to
+``kve``.  On ``log_bessel_k`` sit the normalisation function V_rho, the
+radial jump density g, and the per-cell laws of the (mu, nu) pair: the
+log density of a mu cell, of a nu cell, and of their ratio.  V and the
+three cell laws broadcast over arrays of the order or mass as well as of
+the radius, so that a sum over the cells of a partition is one call.  The
+sphere area is here too.  ``bessel_k_reference`` evaluates K_rho(2z)
+independently, by the trapezoid rule on the integral representation
+K_rho(x) = integral_0^inf e^(-x cosh t) cosh(rho t) dt (DLMF 10.32.9);
+only the checks and tests use it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, iv, k0e, k1e, kv, kve
+from scipy.special import gammaln, k0e, k1e, kv, kve
 
 from .errors import DomainError
 
@@ -53,15 +53,6 @@ class FourierConstant:
     n: int
     value: float
     spread: float = 0.0
-
-
-def bessel_i(rho: float, z: float) -> float:
-    """I_rho(2z) for rho >= 0 and z > 0."""
-    if rho < 0:
-        raise DomainError(f"bessel_i requires rho >= 0, got {rho}")
-    if z <= 0:
-        raise DomainError(f"bessel_i requires z > 0, got {z}")
-    return float(iv(rho, 2.0 * z))
 
 
 def bessel_k(rho: float, z: float) -> float:

@@ -103,9 +103,10 @@ def test_criterion_05_group_laws():
     for n in (2, 3):
         for _ in range(20):
             gam = rng.standard_normal(n - 1)
-            # the identity's right side passes through d_of_gamma, whose
-            # entries reach 2/|gamma|^2; measure relative to that scale
-            scale = float(np.abs(G.d_of_gamma(gam).m).max())
+            # the identity's right side passes through the letter d(gamma),
+            # whose entries reach 2/|gamma|^2; measure relative to that scale
+            _, (d_gamma, *_) = G.exchange_words(gam)
+            scale = float(np.abs(d_gamma.matrices()).max())
             worst_word = max(worst_word,
                              G.word_identity_residual(gam) / max(1.0, scale))
     worst_rt = 0.0

@@ -8,7 +8,7 @@ import pytest
 from currentlab import cli
 from currentlab import measures as M
 from currentlab import process as P
-from currentlab.gridfn import default_grid
+from currentlab.gridfn import grid_1d_sqrt, grid_2d_sqrt
 from currentlab.specfun import Dimensions
 
 
@@ -297,8 +297,50 @@ def test_rep_apply_lands_a_dilated_kernel_letter_on_the_grid(capsys):
     # which carries it back onto the grid's nodes
     code, out, _ = run(capsys, ["rep", "apply", "--g", "d:2.0|s", "--grid", "10,16"])
     assert code == 0
-    grid = default_grid(1, 10.0, 16)
+    grid = grid_1d_sqrt(10.0, 16)
     assert json.loads(out)["nodes"] == grid.nodes.tolist()
+
+
+def test_rep_apply_takes_the_operator_checks_grids(capsys):
+    # --grid R,N is grid_1d_sqrt(R, N) at n = 2 and grid_2d_sqrt(R, N/4, N/4)
+    # at n = 3, the grids of the registry's operator checks
+    for n, grid in ((2, grid_1d_sqrt(10.0, 16)), (3, grid_2d_sqrt(10.0, 4, 4))):
+        code, out, _ = run(capsys, ["rep", "apply", "--n", str(n), "--g", "d:2.0",
+                                    "--grid", "10,16"])
+        assert code == 0
+        doc = json.loads(out)
+        assert np.array_equal(np.asarray(doc["nodes"]) * 2.0, grid.nodes)
+        assert len(doc["values"]) == grid.size
+
+
+@pytest.mark.parametrize("n, grid, message", [
+    (2, "0,64", "radius must be finite and positive"),
+    (2, "nan,64", "radius must be finite and positive"),
+    (2, "inf,64", "radius must be finite and positive"),
+    (2, "-5,64", "radius must be finite and positive"),
+    (3, "0,64", "radius must be finite and positive"),
+    (3, "nan,64", "radius must be finite and positive"),
+    (3, "inf,64", "radius must be finite and positive"),
+    (3, "-5,64", "radius must be finite and positive"),
+    (2, "25,7", "count must be even and at least 2 at n = 2"),
+    (2, "25,0", "count must be even and at least 2 at n = 2"),
+    (3, "25,4", "count must be a multiple of 4 and at least 8 at n = 3"),
+    (3, "25,10", "count must be a multiple of 4 and at least 8 at n = 3"),
+])
+def test_rep_apply_rejects_a_grid_it_cannot_build(tmp_path, capsys, n, grid, message):
+    out = tmp_path / "r.json"
+    code, stdout, err = run(capsys, ["rep", "apply", "--n", str(n), "--g", "z:1.0" + ",0" * (n - 2),
+                                     f"--grid={grid}", "--out", str(out)])
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
+def test_specfun_eval_has_no_bessel_i(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["specfun", "eval", "--fn", "I", "--x", "1.0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [
@@ -347,7 +389,7 @@ def test_rep_apply_needs_a_mass_in_the_representation_range(tmp_path, capsys, wo
         return
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["nodes"] == default_grid(1, 10.0, 8).nodes.tolist()
+    assert doc["nodes"] == grid_1d_sqrt(10.0, 8).nodes.tolist()
     got = np.asarray(doc["values"])
     want = np.asarray(_REP_APPLY_HALF)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

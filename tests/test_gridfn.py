@@ -17,9 +17,9 @@ def test_cell_grid_validation():
 
 
 def test_grid_1d_integrates_gaussian():
-    g = GF.grid_1d(12.0, 400)
+    g = GF.grid_1d_sqrt(12.0, 400)
     val = float(np.sum(np.exp(-g.nodes[:, 0] ** 2) * g.weights))
-    assert val == pytest.approx(math.sqrt(math.pi), rel=1e-8)
+    assert val == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
 
 def test_grid_1d_sqrt_integrates_singular_density():
@@ -38,14 +38,13 @@ def test_legendre_rule_is_shared_and_read_only():
     with pytest.raises(ValueError):
         x[0] = 0.0
     # grids built from the one rule own writable arrays of their own
-    grids = [GF.grid_1d(3.0, 48), GF.grid_1d_sqrt(3.0, 48), GF.grid_1d_sqrt(3.0, 48),
-             GF.grid_2d(3.0, 24, 4)]
+    grids = [GF.grid_1d_sqrt(3.0, 48), GF.grid_1d_sqrt(3.0, 48), GF.grid_2d_sqrt(3.0, 24, 4)]
     arrays = [a for g in grids for a in (g.nodes, g.weights)]
     assert all(a.flags.writeable for a in arrays)
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:] + [x, w])
-    grids[1].nodes[0, 0] = 99.0
-    assert grids[2].nodes[0, 0] != 99.0
+    grids[0].nodes[0, 0] = 99.0
+    assert grids[1].nodes[0, 0] != 99.0
 
 
 def _legendre_reference(count: int, nodes: np.ndarray):
@@ -107,9 +106,9 @@ def test_legendre_rule_needs_no_dense_matrix():
 
 
 def test_grid_2d_integrates_gaussian():
-    g = GF.grid_2d(10.0, 80, 40)
+    g = GF.grid_2d_sqrt(10.0, 80, 40)
     val = float(np.sum(np.exp(-np.sum(g.nodes ** 2, axis=1)) * g.weights))
-    assert val == pytest.approx(math.pi, rel=1e-6)
+    assert val == pytest.approx(math.pi, rel=1e-13)
 
 
 def test_grid_2d_sqrt_integrates_the_singular_weight():
@@ -120,20 +119,10 @@ def test_grid_2d_sqrt_integrates_the_singular_weight():
     g = GF.grid_2d_sqrt(6.0, 64, 8)
     r = g.radii
     assert abs(float(np.sum(r ** -0.5 * np.exp(-r * r) * g.weights)) - want) <= 1e-12
-    # the plain Legendre radius of grid_2d leaves r^(1/2) singular in dr
-    p = GF.grid_2d(6.0, 64, 8)
-    assert abs(float(np.sum(p.radii ** -0.5 * np.exp(-p.radii ** 2) * p.weights)) - want) > 1e-6
-
-
-def test_default_grid_dimensions():
-    assert GF.default_grid(1).d == 1
-    assert GF.default_grid(2).d == 2
-    with pytest.raises(DomainError):
-        GF.default_grid(3)
 
 
 def test_tabulate_and_weight_tensor():
-    cells = [GF.grid_1d(6.0, 40), GF.grid_1d(6.0, 48)]
+    cells = [GF.grid_1d_sqrt(6.0, 40), GF.grid_1d_sqrt(6.0, 48)]
     phi = GF.tabulate(cells, lambda x, y: np.exp(-np.sum(x * x, axis=-1) - np.sum(y * y, axis=-1)))
     assert phi.values.shape == (40, 48)
     assert phi.l == 2
@@ -144,7 +133,7 @@ def test_tabulate_and_weight_tensor():
 
 
 def test_scale_values():
-    cells = [GF.grid_1d(5.0, 6), GF.grid_1d(5.0, 4)]
+    cells = [GF.grid_1d_sqrt(5.0, 6), GF.grid_1d_sqrt(5.0, 4)]
     phi = GF.tabulate(cells, lambda x, y: np.ones((6, 4)))
     f0 = np.arange(6.0)
     f1 = np.arange(4.0)
@@ -155,7 +144,7 @@ def test_scale_values():
 
 
 def test_tabulate_single_cell_needs_vectorized_fn():
-    grid = GF.grid_1d(5.0, 6)
+    grid = GF.grid_1d_sqrt(5.0, 6)
     phi = GF.tabulate([grid], lambda nodes: nodes[:, 0] ** 2)
     assert np.allclose(phi.values, grid.nodes[:, 0] ** 2)
     with pytest.raises(DomainError):
@@ -164,7 +153,7 @@ def test_tabulate_single_cell_needs_vectorized_fn():
 
 def test_tabulate_calls_fn_once_on_the_whole_product_grid():
     # a non-separable fn of three cells against a loop over the product nodes
-    cells = [GF.grid_2d(3.0, 2, 3), GF.grid_1d(2.0, 4), GF.grid_2d(1.0, 3, 2)]
+    cells = [GF.grid_2d_sqrt(3.0, 2, 3), GF.grid_1d_sqrt(2.0, 4), GF.grid_2d_sqrt(1.0, 3, 2)]
 
     def fn(a, b, c):
         return np.cos(a[..., 0] * b[..., 0] + c[..., 1]) * np.exp(-np.sum(a * c, axis=-1) * b[..., 0])
@@ -181,7 +170,7 @@ def test_tabulate_calls_fn_once_on_the_whole_product_grid():
 
 
 def test_tabulate_rejects_a_wrong_output_shape():
-    cells = [GF.grid_1d(5.0, 6), GF.grid_1d(5.0, 4), GF.grid_2d(1.0, 2, 2)]
+    cells = [GF.grid_1d_sqrt(5.0, 6), GF.grid_1d_sqrt(5.0, 4), GF.grid_2d_sqrt(1.0, 2, 2)]
     for fn in (lambda a, b, c: 1.0,                                   # a scalar
                lambda a, b, c: a[..., 0] * b[..., 0],                 # one cell short
                lambda a, b, c: np.ones((6, 4, 4, 1)),                 # one axis too many

@@ -21,25 +21,35 @@ def test_form_matrix_shape():
     assert np.array_equal(s, want)
 
 
-def test_make_z_blocks():
-    g = G.make_z([1.0, 2.0])
+def z_letter(gamma) -> np.ndarray:
+    """The matrix of the translation letter z(gamma)."""
+    gamma = np.asarray(gamma, dtype=float)
+    return G.TriangularElement(1.0, np.eye(len(gamma)), gamma).matrices()
+
+
+def d_letter(eps: float, u) -> np.ndarray:
+    """The matrix of the diagonal letter d(eps, u)."""
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    return G.TriangularElement(eps, u, np.zeros(len(u))).matrices()
+
+
+def test_z_letter_blocks():
+    g = z_letter([1.0, 2.0])
     m = np.array([
         [1.0, 0.0, 0.0, 0.0],
         [-1.0, 1.0, 0.0, 0.0],
         [-2.0, 0.0, 1.0, 0.0],
         [-2.5, 1.0, 2.0, 1.0],
     ])
-    assert np.allclose(g.m, m, atol=1e-15)
-    assert g.membership_residual() <= 1e-14
+    assert np.allclose(g, m, atol=1e-15)
+    assert G.membership_residuals(g) <= 1e-14
 
 
-def test_make_d_blocks_and_domain():
-    g = G.make_d(2.0, n=2)
-    assert np.allclose(g.m, np.diag([0.5, 1.0, 2.0]), atol=1e-15)
+def test_d_letter_blocks_and_domain():
+    g = d_letter(2.0, np.eye(1))
+    assert np.allclose(g, np.diag([0.5, 1.0, 2.0]), atol=1e-15)
     with pytest.raises(DomainError):
-        G.make_d(0.0, n=2)
-    with pytest.raises(DomainError):
-        G.make_d(1.0, u=np.array([[1.0, 1.0], [0.0, 1.0]]))
+        d_letter(0.0, np.eye(1))
 
 
 def test_letters_satisfy_form_relation():
@@ -48,9 +58,9 @@ def test_letters_satisfy_form_relation():
         d = n - 1
         for _ in range(20):
             g = G.random_element(Dimensions(n), rng)
-            assert g.membership_residual() <= 1e-9
-            assert (g @ g.inverse()).m == pytest.approx(np.eye(n + 1), abs=1e-9)
-        assert G.make_s(n).membership_residual() == 0.0
+            assert G.membership_residuals(g.m) <= 1e-9
+            assert g.m @ G.inverse_matrices(g.m) == pytest.approx(np.eye(n + 1), abs=1e-9)
+        assert G.membership_residuals(G.make_s(n).m) == 0.0
 
 
 def test_random_elements_are_words_drawn_as_one_array():
@@ -132,11 +142,11 @@ def test_inversion_squared_is_identity():
 
 def test_act_special_cases():
     # translation: gamma -> gamma + gamma0
-    z = G.make_z([0.3, -0.2])
+    z = z_letter([0.3, -0.2])
     assert G.act([1.0, 1.0], z) == pytest.approx([1.3, 0.8], abs=1e-14)
     # dilation with rotation: gamma -> eps^{-1} gamma u
     u = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    dlt = G.make_d(2.0, u=u)
+    dlt = d_letter(2.0, u)
     assert G.act([1.0, 3.0], dlt) == pytest.approx(
         np.array([1.0, 3.0]) @ u / 2.0, abs=1e-14)
     # inversion: gamma -> -2 gamma / |gamma|^2
@@ -153,9 +163,9 @@ def test_act_point_at_infinity():
 def test_cocycle_beta_special_cases():
     gam = np.array([0.7, -1.1])
     # translations are isometries of the boundary metric
-    assert G.cocycle_beta(gam, G.make_z([2.0, 3.0])) == pytest.approx(1.0, abs=1e-14)
+    assert G.cocycle_beta(gam, z_letter([2.0, 3.0])) == pytest.approx(1.0, abs=1e-14)
     # dilations scale by |eps|
-    assert G.cocycle_beta(gam, G.make_d(-3.0, n=3)) == pytest.approx(3.0, abs=1e-14)
+    assert G.cocycle_beta(gam, d_letter(-3.0, np.eye(2))) == pytest.approx(3.0, abs=1e-14)
     # inversion gives |gamma|^2 / 2
     assert G.cocycle_beta(gam, G.make_s(3)) == pytest.approx(
         float(gam @ gam) / 2.0, abs=1e-14)
@@ -179,14 +189,15 @@ def test_cocycle_law_random_words():
             done += 1
 
 
-def cocycle_beta_variant(gamma, g: G.GroupElement) -> float:
+def cocycle_beta_variant(gamma, m: np.ndarray) -> float:
     """The alternative reading of beta from the middle column blocks
-    (g12, g22, g32), which the cocycle law rules out."""
+    (g12, g22, g32) of the matrix m, which the cocycle law rules out."""
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+    n = len(m) - 1
     val = (
-        -0.5 * float(gamma @ gamma) * g.g12
-        + gamma @ g.g22
-        + g.g32
+        -0.5 * float(gamma @ gamma) * m[0, 1:n]
+        + gamma @ m[1:n, 1:n]
+        + m[n, 1:n]
     )
     return float(np.linalg.norm(np.atleast_1d(val)))
 
@@ -195,12 +206,12 @@ def test_cocycle_beta_variant_fails_for_diagonal_letters():
     # the middle-column reading returns |gamma| for a diagonal letter, not
     # |eps|; keeping both routes distinguishes the two candidate formulas
     gam = np.array([0.7, -1.1])
-    dlt = G.make_d(3.0, n=3)
+    dlt = d_letter(3.0, np.eye(2))
     assert cocycle_beta_variant(gam, dlt) == pytest.approx(
         float(np.linalg.norm(gam)), abs=1e-14)
     assert G.cocycle_beta(gam, dlt) == pytest.approx(3.0, abs=1e-14)
     # for a translation it returns the norm of the translated point
-    z = G.make_z([0.5, 0.5])
+    z = z_letter([0.5, 0.5])
     assert cocycle_beta_variant(gam, z) == pytest.approx(
         float(np.linalg.norm(gam + np.array([0.5, 0.5]))), abs=1e-13)
 
@@ -256,15 +267,15 @@ def test_triangular_composition_matches_matrix_product():
             t2 = G.TriangularElement(
                 -math.exp(rng.uniform(-1, 1)),
                 G.random_orthogonal(d, rng), rng.standard_normal(d))
-            prod = t1.compose(t2).matrix()
-            assert np.abs(prod.m - (t1.matrix() @ t2.matrix()).m).max() <= 1e-12
+            prod = t1.compose(t2).matrices()
+            assert np.abs(prod - t1.matrices() @ t2.matrices()).max() <= 1e-12
 
 
 def test_factor_word_triangular_case():
     t = G.TriangularElement(2.0, np.eye(2), np.array([1.0, -1.0]))
-    w = G.factor_word(t.matrix())
-    assert len(w) == 1
-    assert np.abs(w.evaluate().m - t.matrix().m).max() <= 1e-10
+    w = G.factor_word(G.GroupElement(t.matrices(), 3))
+    assert len(w.letters) == 1
+    assert np.abs(w.evaluate().m - t.matrices()).max() <= 1e-10
 
 
 def test_factor_word_generic_case():
@@ -274,7 +285,7 @@ def test_factor_word_generic_case():
         for _ in range(25):
             g = G.random_element(dims, rng)
             w = G.factor_word(g)
-            assert len(w) <= 3
+            assert len(w.letters) <= 3
             assert np.abs(w.evaluate().m - g.m).max() <= 1e-8
 
 
@@ -284,17 +295,17 @@ def test_factor_word_near_the_triangular_subgroup():
     # alone leaves the group for the draws (membership residuals 2.0e-7 and
     # 6.5e-7) and raised "not block lower triangular" for the third
     t = G.TriangularElement(-1.7, np.eye(1), np.array([0.8]))
-    s = G.make_s(2)
+    s = G.form_matrix(2)
     near = [G.random_element(Dimensions(2), np.random.default_rng(seed))
             for seed in (115268, 805762)]
     _, quotients = G._split(np.stack([g.m for g in near]))
     assert np.all(G.membership_residuals(quotients) > G._QUOTIENT_TOL)
-    near.append(t.matrix() @ s @ G.make_z([1e-6]) @ s)
+    near.append(G.GroupElement(t.matrices() @ s @ z_letter([1e-6]) @ s, 2))
     for g in near:
         scale = float(np.abs(g.m).max())
-        assert 0 < abs(g.g13) <= 2e-5 * scale
+        assert 0 < abs(g.m[0, 2]) <= 2e-5 * scale
         w = G.factor_word(g)
-        assert len(w) == 4
+        assert len(w.letters) == 4
         assert np.abs(w.evaluate().m - g.m).max() <= 1e-8 * scale
 
 
@@ -305,17 +316,17 @@ def test_factor_words_is_factor_word_over_a_stack():
     for n in (2, 3):
         dims = Dimensions(n)
         t = G.TriangularElement(-1.7, np.eye(n - 1), np.full(n - 1, 0.8))
-        s = G.make_s(n)
-        near = t.matrix() @ s @ G.make_z(np.full(n - 1, 1e-6)) @ s
+        s = G.form_matrix(n)
+        near = t.matrices() @ s @ z_letter(np.full(n - 1, 1e-6)) @ s
         m = np.concatenate((G.random_elements(dims, np.random.default_rng(n), 30),
-                            [near.m, t.matrix().m, 2.0 * np.eye(n + 1)]))
+                            [near, t.matrices(), 2.0 * np.eye(n + 1)]))
         words, ok = G.factor_words(m)
         assert ok[:-1].all() and not ok[-1]
         assert words.lead[-3] and not words.split[-2]
         got = words.evaluate()
         for i in range(len(m) - 1):
             w = G.factor_word(G.GroupElement(m[i], n))
-            assert len(w) == len(words.word(i))
+            assert len(w.letters) == len(words.word(i).letters)
             assert np.abs(got[i] - w.evaluate().m).max() <= 1e-13 * np.abs(m[i]).max()
         with pytest.raises(NotInGroupError):
             G.factor_word(G.GroupElement(m[-1], n))
@@ -330,7 +341,7 @@ def test_triangular_stacks_compose_elementwise():
     for i in range(6):
         one = G.TriangularElement(float(t1.epsilon[i]), t1.u[i], t1.gamma[i]).compose(
             G.TriangularElement(float(t2.epsilon[i]), t2.u[i], t2.gamma[i]))
-        assert np.abs(one.matrix().m - mats[i]).max() <= 1e-14
+        assert np.abs(one.matrices() - mats[i]).max() <= 1e-14
     with pytest.raises(DomainError):
         G.TriangularElement(np.array([1.0, 0.0]), np.stack([np.eye(2)] * 2), np.zeros((2, 2)))
 
@@ -342,13 +353,19 @@ def test_factor_word_rejects_non_members():
 
 
 def test_d_of_gamma_is_the_exchange_coefficient():
+    # d(gamma), the first letter of the exchange identity's right side, is
+    # diag(-2/|gamma|^2, u_gamma, -|gamma|^2/2) with u_gamma the reflection
+    # in gamma
     gam = np.array([1.0, 2.0])
-    dg = G.d_of_gamma(gam)
-    assert dg.g33 == pytest.approx(-0.5 * float(gam @ gam), abs=1e-14)
-    assert dg.g11 == pytest.approx(-2.0 / float(gam @ gam), abs=1e-14)
-    assert dg.membership_residual() <= 1e-14
+    _, (d_gamma, *_) = G.exchange_words(gam)
+    dg = d_gamma.matrices()
+    assert dg[3, 3] == pytest.approx(-0.5 * float(gam @ gam), abs=1e-14)
+    assert dg[0, 0] == pytest.approx(-2.0 / float(gam @ gam), abs=1e-14)
+    assert np.allclose(dg[1:3, 1:3], np.eye(2) - 2.0 * np.outer(gam, gam) / (gam @ gam),
+                       atol=1e-15, rtol=0.0)
+    assert G.membership_residuals(dg) <= 1e-14
     with pytest.raises(DomainError):
-        G.d_of_gamma([0.0, 0.0])
+        G.exchange_words([0.0, 0.0])
 
 
 def test_word_identity():

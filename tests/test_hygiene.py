@@ -240,30 +240,39 @@ def test_quadrature_imports_nothing_from_scipy_integrate():
     assert imported and not any(name.startswith("scipy.integrate") for name in imported)
 
 
-def test_checks_run_without_mpmath():
-    # mpmath is a test-only dependency: the specfun suite, whose reference
-    # route it used to be, must not import it
-    code = ("import sys\n"
-            "from currentlab.suites import RunConfig, run_suite\n"
-            "assert all(r.passed for r in run_suite(RunConfig(), 'specfun'))\n"
-            "assert 'mpmath' not in sys.modules\n")
+def _run_python(code: str) -> None:
+    """Run code in a fresh interpreter that imports the package from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                                       env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_checks_run_without_mpmath():
+    # mpmath is a test-only dependency: the specfun suite, whose reference
+    # route it used to be, must not import it
+    _run_python("import sys\n"
+                "from currentlab.suites import RunConfig, run_suite\n"
+                "assert all(r.passed for r in run_suite(RunConfig(), 'specfun'))\n"
+                "assert 'mpmath' not in sys.modules\n")
 
 
 def test_cli_import_leaves_scipy_interpolate_out():
     # the jump table's monotone cubic is numpy's: importing scipy.interpolate
     # would cost a cold `check all` about 50 ms and 2.4 MB
-    code = ("import sys\n"
-            "import currentlab.cli\n"
-            "assert 'scipy.interpolate' not in sys.modules\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
-                                                      env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    _run_python("import sys\n"
+                "import currentlab.cli\n"
+                "assert 'scipy.interpolate' not in sys.modules\n")
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # truncation_bound imports scipy.integrate when it runs: at import it
+    # would load scipy.optimize, scipy.sparse and scipy.linalg too, which
+    # nothing else of the package needs
+    _run_python("import sys\n"
+                "import currentlab.cli\n"
+                "loaded = [m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse',\n"
+                "                      'scipy.linalg') if m in sys.modules]\n"
+                "assert not loaded, loaded\n")

@@ -13,7 +13,7 @@ from currentlab import reps as R
 from currentlab import specfun
 from currentlab import suites as S
 from currentlab.errors import DomainError, PointAtInfinityError
-from currentlab.gridfn import CellGrid, grid_1d, grid_1d_sqrt, tabulate
+from currentlab.gridfn import CellGrid, grid_1d_sqrt, tabulate
 from currentlab.specfun import Dimensions
 
 D2 = Dimensions(2)
@@ -208,7 +208,7 @@ def test_kernel_block_is_built_without_full_size_temporaries():
 
 def test_kernel_cache_evicts_the_least_recently_used(monkeypatch):
     monkeypatch.setattr(R, "_KERNEL_CACHE", OrderedDict())
-    grids = [grid_1d(1.0 + k, 2) for k in range(R._KERNEL_CACHE_SIZE + 1)]
+    grids = [grid_1d_sqrt(1.0 + k, 2) for k in range(R._KERNEL_CACHE_SIZE + 1)]
     first = [R.kernel_matrix(D2, LAM, g, g) for g in grids[:R._KERNEL_CACHE_SIZE]]
     # a hit makes the oldest entry the most recent
     assert R.kernel_matrix(D2, LAM, grids[0], grids[0]) is first[0]
@@ -355,7 +355,7 @@ def test_tau_embedding_z_commutation():
     res = R.tau_z_commutation_residual(D2, cells, gauss, [0.4])
     assert res <= 1e-12
     # three cells of d = 2, against the embedded function tabulated node by node
-    cells = [GF.grid_2d(3.0, 3, 4), GF.grid_2d(2.0, 2, 3), GF.grid_2d(1.0, 2, 2)]
+    cells = [GF.grid_2d_sqrt(3.0, 3, 4), GF.grid_2d_sqrt(2.0, 2, 3), GF.grid_2d_sqrt(1.0, 2, 2)]
     tphi = tabulate(cells, R.tau_embed(gauss))
     for idx in np.ndindex(tphi.values.shape):
         total = sum(c.nodes[i] for c, i in zip(cells, idx))

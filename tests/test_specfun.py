@@ -172,12 +172,6 @@ def test_log_bessel_k_routes_per_element():
                 specfun.log_bessel_k(rho, np.array([0.5, 1.0, bad]))
 
 
-def test_bessel_i_small_argument():
-    # I_rho(2z) ~ z^rho / Gamma(1+rho) as z -> 0
-    z = 1e-4
-    assert specfun.bessel_i(1.0, z) == pytest.approx(z, rel=1e-6)
-
-
 def test_v_rho_half_is_exponential():
     for x in np.linspace(0.0, 5.0, 26):
         assert specfun.v_rho(0.5, float(x)) == pytest.approx(

@@ -62,7 +62,7 @@ def test_special_evals_runs_one_suite():
     assert rows["spherical-n3-l1-g1"] == [str(distinct), "0"]
     assert rows["round"][1] == "0"
     assert out.splitlines()[0].startswith(
-        "scipy.special points (kve, k0e, k1e, kv, iv, hankel1, j0, jv)")
+        "scipy.special points (kve, k0e, k1e, kv, hankel1, j0, jv)")
     # the n = 2 kernel blocks at lam = 1/2 are closed forms that call no
     # scipy function (1056 to 22166 points a check before)
     out = _run_tool("tools/special_evals.py", "--suite", "reps")
@@ -117,3 +117,18 @@ def test_peak_memory_charges_check_all_to_each_suite():
     assert "call suite" not in charged
     assert sum(charged.values()) == pytest.approx(rise, abs=0.05)
     assert all(mb >= 0.0 for label, mb in charged.items() if label != "other")
+
+
+def test_reach_lists_what_one_suite_never_calls():
+    out = _run_tool("tools/reach.py", "--suite", "group")
+    lines = out.splitlines()
+    assert lines[0].endswith("workloads: check group")
+    count = int(lines[1].split(": ")[1])
+    unreached = {line.split()[1] for line in lines[2:]}
+    assert len(unreached) == count == len(lines) - 2
+    # the group suite builds no operator and draws no sample
+    assert {"kernel_matrix", "sample_marginal", "_cmd_rep_apply"} <= unreached
+    # reached: the group checks, which the registry's decorator binds at
+    # import, the decorator itself, an lru_cache function and a property
+    assert not {"_membership", "_cocycle_law", "_check", "_check.deco", "form_matrix",
+                "Dimensions.d", "factor_words"} & unreached
