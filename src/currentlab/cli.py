@@ -206,16 +206,15 @@ def _cmd_kernel_tabulate(args) -> int:
         rows = []
         for xi in grid:
             for xp in grid:
-                rep = Q.kernel_A(Dimensions(2), args.lam, xi, xp)
-                rows.append((xi, xp, float(rep.value), float(rep.abs_error)))
+                rows.append((xi, xp, Q.kernel_A(Dimensions(2), args.lam, xi, xp).value))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     tmp = args.out + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write("xi,xi_prime,value,err_est\n")
-        for xi, xp, val, err in rows:
-            fh.write(f"{xi!r},{xp!r},{val!r},{err!r}\n")
+        fh.write("xi,xi_prime,value\n")
+        for xi, xp, val in rows:
+            fh.write(f"{xi!r},{xp!r},{val!r}\n")
     os.replace(tmp, args.out)
     return 0
 
@@ -396,9 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     ke = sub.add_parser("kernel", help="tabulate the inversion kernel")
     ke_sub = ke.add_subparsers(dest="action", required=True)
     ta = ke_sub.add_parser(
-        "tabulate", help="CSV of kernel_A by quadrature on a grid",
+        "tabulate", help="CSV of kernel_A in closed form on a grid",
         description="Tabulate quadrature.kernel_A at n = 2, which is pi * A_op "
-                    "(A_op: the operator kernel of the inversion letter s).")
+                    "(A_op: the operator kernel of the inversion letter s), "
+                    "from its Bessel closed form.")
     ta.add_argument("--lambda", dest="lam", type=float, default=0.5)
     ta.add_argument("--grid", required=True, help="comma-separated xi values")
     ta.add_argument("--out", required=True)

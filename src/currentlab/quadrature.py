@@ -1,15 +1,15 @@
 """Radial Fourier transforms, calibration of the Fourier constant c_n,
-the singular boundary-inversion kernel A^lambda by quadrature (the
-reference route of the closed form in reps), and the Levy-Khinchin
-residual for log(1 + |gamma|^2/4).
+the boundary-inversion kernel A^lambda (kernel_A, a closed form taken
+from the kernel blocks of reps), and the Levy-Khinchin residual for
+log(1 + |gamma|^2/4).
 
-Oscillatory improper integrals are computed by splitting the axis at the
-exact sign changes of the oscillating factor (cos phase crossings or
-Bessel-J zeros) and accelerating the resulting alternating series of
-segment integrals with repeated averaging; this converges also for the
-conditionally convergent and Abel-summable cases that arise from the
-slowly decaying profiles.  Every such tail grows in one loop (_grown_tail),
-which doubles its segments up to _SEGMENTS, evaluating only the new ones.
+The radial transform's oscillatory improper integral is computed by
+splitting the axis at the exact sign changes of the Bessel factor and
+accelerating the resulting alternating series of segment integrals with
+repeated averaging; this converges also for the conditionally convergent
+and Abel-summable cases that arise from the slowly decaying profiles.  The
+tail grows in one loop (_grown_tail), which doubles its segments up to
+_SEGMENTS, evaluating only the new ones.
 
 The radial Fourier transform takes an array of radii.  In the variable
 u = k r the sign changes sit at fixed roots for every radius k, so one
@@ -72,13 +72,6 @@ def _legendre_panels(edges: np.ndarray, pts: int):
     return mid[:, None] + half[:, None] * _legendre_rule(pts)[0], half
 
 
-def _gauss_on_segments(f, edges: np.ndarray) -> np.ndarray:
-    """Fixed-order Gauss-Legendre integral of f on each [edges_k, edges_{k+1}]."""
-    pts, half = _legendre_panels(edges, _GAUSS_PTS)
-    vals = f(pts.ravel()).reshape(pts.shape)
-    return half * (vals @ _legendre_rule(_GAUSS_PTS)[1])
-
-
 def _average_tail(segment_sums: np.ndarray, tol: float):
     """Accelerate each row's sum of an alternating-segment series by repeated
     averaging of its partial sums; a row stops improving once its error
@@ -122,81 +115,14 @@ def _grown_tail(segs: np.ndarray, sums, tol: float, stop):
         segs = np.concatenate((segs, sums(done, min(2 * done, _SEGMENTS))), axis=1)
 
 
-def _oscillatory_tail(f, start: float, roots: np.ndarray, tol: float, what: str):
-    """integral_start^inf f over its sign-alternating lobes between start and
-    the sign changes `roots` (at least _SEGMENTS + 1 of them beyond start):
-    the first _FIRST_CHUNK lobes, then as many more as _grown_tail needs for
-    an error estimate within max(tol, 1e-14 |value|).  Raises
-    ConvergenceError when the estimate of the whole budget is still far off.
-
-    Returns (value, error_estimate, evaluations)."""
-    edges = np.concatenate(([start], roots[roots > start * (1 + 1e-15)]))[:_SEGMENTS + 1]
-    sums = lambda lo, hi: _gauss_on_segments(f, edges[lo:hi + 1])[None, :]
-    segs, val, err = _grown_tail(sums(0, _FIRST_CHUNK), sums, tol,
-                                 lambda v: np.maximum(tol, 1e-14 * np.abs(v)))
-    val, err = float(val[0]), float(err[0])
-    if err > 1e3 * max(tol, 1e-12 * (abs(val) + 1e-300)):
-        raise ConvergenceError(f"oscillatory {what} tail stalled (err={err})")
-    return val, err, segs.shape[1] * _GAUSS_PTS
-
-
-def osc_cos_tail(a: float, b: float, p: float, start: float, tol: float = 1e-11):
-    """integral_start^inf u^p cos(a u + b/u) du for a > 0, with start at or
-    beyond the stationary point sqrt(max(b,0)/a) so the phase is monotone.
-
-    Returns (value, error_estimate, evaluations)."""
-    if a <= 0:
-        raise DomainError("osc_cos_tail needs a > 0")
-    if b > 0 and start < math.sqrt(b / a) * (1 - 1e-12):
-        raise DomainError("start must not precede the stationary point")
-
-    phase0 = a * start + (b / start if start > 0 else 0.0)
-    # phase values where cos vanishes: pi/2 + k pi beyond phase0
-    k0 = math.ceil((phase0 - 0.5 * math.pi) / math.pi)
-    phis = 0.5 * math.pi + (k0 + np.arange(_SEGMENTS + 1)) * math.pi
-    disc = phis * phis - 4.0 * a * b
-    roots = (phis + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
-    return _oscillatory_tail(lambda u: u ** p * np.cos(a * u + b / u), start, roots,
-                             tol, f"cos (a={a}, b={b}, p={p})")
-
-
-@lru_cache(maxsize=8)
-def _j0_zeros(count: int) -> np.ndarray:
-    zeros = jn_zeros(0, count)
-    zeros.flags.writeable = False
-    return zeros
-
-
 def _bessel_zeros(nu: float, count: int) -> np.ndarray:
     if nu == 0.0:
-        # tables in multiples of 256 zeros, shared by tails of other counts
-        return _j0_zeros(-(-count // 256) * 256)[:count]
+        return jn_zeros(0, count)
     # McMahon expansion is plenty for partitioning purposes
     k = np.arange(1, count + 1)
     beta = (k + 0.5 * nu - 0.25) * math.pi
     mu = 4.0 * nu * nu
     return beta - (mu - 1) / (8 * beta) - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * beta) ** 3)
-
-
-def osc_j0_tail(a: float, b: float, c2: float, p: float, start: float,
-                tol: float = 1e-11):
-    """integral_start^inf r^p J_0(w(r)) dr with w(r) = sqrt(a r^2 + b + c2/r^2),
-    a > 0, start at or beyond the stationary point (c2/a)^(1/4) of w.
-
-    Returns (value, error_estimate, evaluations)."""
-    if a <= 0:
-        raise DomainError("osc_j0_tail needs a > 0")
-    w = lambda r: np.sqrt(np.maximum(a * r * r + b + c2 / (r * r), 0.0))
-    w0 = w(np.asarray([start]))[0]
-    # the zeros beyond w0: the k-th zero of J_0 exceeds (k - 1/4) pi, so at
-    # most w0/pi + 1/4 of them lie at or below w0
-    zeros = _bessel_zeros(0.0, int(w0 / math.pi + 0.25) + _SEGMENTS + 1)
-    z2 = zeros[zeros > w0][:_SEGMENTS + 1] ** 2
-    # invert w(r) = z on the increasing branch: a t^2 + (b - z^2) t + c2 = 0, t = r^2
-    disc = (b - z2) ** 2 - 4.0 * a * c2
-    roots = np.sqrt(((z2 - b) + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a))
-    return _oscillatory_tail(lambda r: r ** p * j0(w(r)), start, roots, tol,
-                             f"J0 (a={a}, b={b}, c2={c2}, p={p})")
 
 
 # ---------------------------------------------------------------------------
@@ -507,80 +433,38 @@ def fourier_vrho_inverse_check(dims: Dimensions, rho: float, cn: float):
 # the inversion kernel A^lambda
 # ---------------------------------------------------------------------------
 
-def kernel_integral_n2(lam: float, xi: float, xi_prime: float,
-                       tol: float = 1e-10):
-    """I(xi, xi') = integral_0^inf cos(xi x + 2 xi'/x) x^(lam-2) dx for n = 2,
-    0 < lam < 1, xi and xi' both nonzero.  The lower half (0, x0] is mapped to
-    a second oscillatory tail by x -> 2/x; both halves are then phase-
-    partitioned and accelerated.  Returns (value, error, evaluations)."""
-    if not 0.0 < lam < 1.0:
-        raise DomainError("n=2 kernel needs 0 < lam < 1")
-    if xi == 0.0 or xi_prime == 0.0:
-        raise DomainError(
-            "kernel quadrature requires both arguments nonzero (the integral "
-            "is only Abel-regularizable on the axes)"
-        )
-    if xi < 0:  # cos is even: flip both signs
-        xi, xi_prime = -xi, -xi_prime
-    b = 2.0 * xi_prime
-    x0 = math.sqrt(abs(b) / xi) if b != 0.0 else 1.0
-    v_up, e_up, n_up = osc_cos_tail(xi, b, lam - 2.0, x0, tol)
-    # x = 2/u on (0, x0]:  2^(lam-1) integral_{2/x0}^inf cos(xi' u + 2 xi/u) u^-lam du
-    a2, b2 = xi_prime, 2.0 * xi
-    if a2 < 0:
-        a2, b2 = -a2, -b2
-    v_lo, e_lo, n_lo = osc_cos_tail(a2, b2, -lam, 2.0 / x0, tol)
-    v_lo *= 2.0 ** (lam - 1.0)
-    e_lo *= 2.0 ** (lam - 1.0)
-    return v_up + v_lo, e_up + e_lo, n_up + n_lo
+def kernel_A(dims: Dimensions, lam: float, xi, xi_prime,
+             cn: float | None = None) -> QuadratureReport:
+    """The boundary-inversion kernel
 
+        n = 2:  A(xi, xi') = 2^(1-lam/2) integral_0^inf cos(xi x + 2 xi'/x) x^(lam-2) dx
+        n = 3:  A(xi, xi') = c_n 2^(-lam/2) integral_0^inf r^(lam-3) J_0(|r xi + 2 xi'/r|) dr
 
-def kernel_integral_n3(lam: float, xi, xi_prime, tol: float = 1e-10):
-    """J(xi, xi') = integral_0^inf r^(lam-3) J_0(|r xi + 2 xi'/r|) dr for n = 3,
-    xi, xi' in R^2 both nonzero, 0 < lam < 2."""
-    xi = np.asarray(xi, dtype=float)
-    xip = np.asarray(xi_prime, dtype=float)
-    if xi.shape != (2,) or xip.shape != (2,):
-        raise DomainError(f"n=3 kernel needs xi, xi' in R^2, got shapes {xi.shape}, {xip.shape}")
-    if not 0.0 < lam < 2.0:
-        raise DomainError("n=3 kernel needs 0 < lam < 2")
-    na, nb = np.linalg.norm(xi), np.linalg.norm(xip)
-    if na == 0.0 or nb == 0.0:
-        raise DomainError("kernel quadrature requires both arguments nonzero")
-    a = na * na
-    bmid = 4.0 * float(xi @ xip)
-    c2 = 4.0 * nb * nb
-    r0 = math.sqrt(2.0 * nb / na)
-    v_up, e_up, n_up = osc_j0_tail(a, bmid, c2, lam - 3.0, r0, tol)
-    # r = 2/u on (0, r0]: 2^(lam-2) integral_{2/r0}^inf u^(1-lam) J_0(|u xi' + 2 xi/u|) du
-    v_lo, e_lo, n_lo = osc_j0_tail(nb * nb, bmid, 4.0 * na * na, 1.0 - lam,
-                                   2.0 / r0, tol)
-    scale = 2.0 ** (lam - 2.0)
-    return v_up + scale * v_lo, e_up + scale * e_lo, n_up + n_lo
+    in closed form: pi A_op at n = 2 and c_n (pi/2) A_op at n = 3 (2 pi^2
+    A_op with c_3 = 4 pi), A_op the operator kernel of reps, whose Bessel
+    closed forms (reps._kernel_block_n2, reps._kernel_block_n3) it takes at
+    the one pair (xi, xi'); `kernel tabulate` prints it at n = 2.  A closed
+    form has no quadrature error, so abs_error is 0.0, and it evaluates no
+    integrand, so nodes_used is 0.  xi and xi' are numbers at n = 2 and
+    points of R^2 at n = 3, both nonzero, and 0 < lam < d = n - 1."""
+    from . import reps  # reps imports this module
 
-
-def kernel_A(dims: Dimensions, lam: float, xi, xi_prime, cn: float | None = None,
-             tol: float = 1e-10) -> QuadratureReport:
-    """The boundary-inversion kernel by oscillatory quadrature, the
-    reference route for the closed form in reps.kernel_matrix:
-
-        n = 2:  A(xi, xi') = 2^(1-lam/2) integral cos(xi x + 2 xi'/x) x^(lam-2) dx
-        n = 3:  A(xi, xi') = c_n 2^(-lam/2) integral r^(lam-3) J_0(|r xi + 2 xi'/r|) dr
-
-    This normalisation is pi A_op at n = 2 and 2 pi^2 A_op at n = 3 (with
-    c_3 = 4 pi), where A_op = (2/pi) 2^(-lam/2) (integral) is the operator
-    kernel of reps; `kernel tabulate` prints it at n = 2."""
+    if dims.n not in (2, 3):
+        raise DomainError("kernel_A implemented for n in {2, 3}")
+    a, b = (np.asarray(x, dtype=float).reshape(1, -1) for x in (xi, xi_prime))
+    if a.shape != (1, dims.d) or b.shape != (1, dims.d):
+        raise DomainError(f"the n = {dims.n} kernel needs xi, xi' in R^{dims.d}")
+    if not (a.any() and b.any()):
+        raise DomainError("the kernel needs both arguments nonzero")
+    if not 0.0 < lam < dims.d:
+        raise DomainError(f"the n = {dims.n} kernel needs 0 < lam < {dims.d}")
     if dims.n == 2:
-        v, e, nev = kernel_integral_n2(lam, float(xi), float(xi_prime), tol)
-        c = 2.0 ** (1.0 - lam / 2.0)
-        return QuadratureReport(c * v, c * e, nev)
-    if dims.n == 3:
+        value = math.pi * reps._kernel_block_n2(lam, a[:, 0], b[:, 0])[0, 0]
+    else:
         if cn is None:
             cn = cached_cn(3).value
-        v, e, nev = kernel_integral_n3(lam, xi, xi_prime, tol)
-        c = cn * 2.0 ** (-lam / 2.0)
-        return QuadratureReport(c * v, c * e, nev)
-    raise DomainError("kernel_A implemented for n in {2, 3}")
+        value = cn * 0.5 * math.pi * reps._kernel_block_n3(lam, a, b)[0, 0]
+    return QuadratureReport(float(value), 0.0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ integral |xi|^(lambda-d) |phi|^2 dxi, pi^(d/2) times the L^2(nu_lambda)
 norm; every pairing here weights its cells by the nu cell law of specfun.
 
 The operator kernel A_op carries the constant (2/pi) 2^(-lambda/2) in front
-of the raw oscillatory integrals of the quadrature module; this is the
-normalisation forced by Fourier inversion (the (2 pi)^d of the inverse
-transform), and it is what makes s an involution numerically.
+of a raw oscillatory integral, which has a Bessel closed form at n = 2 and
+at n = 3 (_kernel_block_n2, _kernel_block_n3); this is the normalisation
+forced by Fourier inversion (the (2 pi)^d of the inverse transform), and it
+is what makes s an involution numerically.
 
 The kernel letter need not fix the vacuum: for phi = vacuum_evaluator
 |xi|^((d-lambda)/2) at lambda = 1/2, <T_s phi, phi> / ||phi||^2 reads 0.9441
@@ -39,7 +40,7 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
-from scipy.special import gamma as _gamma, hankel1, kv
+from scipy.special import gamma as _gamma, hankel1, hankel1e, hankel2e, kv
 
 from . import group as G
 from . import measures as M
@@ -222,8 +223,8 @@ def _kernel_block_n2(lam: float, xi: np.ndarray, xi_prime: np.ndarray) -> np.nda
     2 sin(pi lam/2) K_{lam-1}(w) (the I difference cancels catastrophically
     for large w).  At lam = 1/2 both Bessel functions are elementary:
     H^(1)_{1/2}(w) = -i sqrt(2/(pi w)) e^{iw} and
-    K_{1/2}(w) = sqrt(pi/(2w)) e^{-w} (_kernel_terms).
-    quadrature.kernel_A is the reference route.
+    K_{1/2}(w) = sqrt(pi/(2w)) e^{-w} (_kernel_terms).  The tests take
+    their reference values from mpmath.
 
     An entry depends only on the magnitudes (|xi_i|, |xi'_j|) and on
     whether xi_i xi'_j > 0.  So the block is built from one table per sign
@@ -242,6 +243,34 @@ def _kernel_block_n2(lam: float, xi: np.ndarray, xi_prime: np.ndarray) -> np.nda
     return tables[same.view(np.uint8), ix[:, None], iy[None, :]]
 
 
+def _kernel_block_n3(lam: float, xi: np.ndarray, xi_prime: np.ndarray) -> np.ndarray:
+    """Vectorized n = 3 closed-form kernel block A_op(xi_i, xi'_j) for the
+    rows xi_i of xi and xi'_j of xi_prime, points of R^2, from the Bessel
+    closed form of the raw integral
+    J = integral_0^inf r^(lam-3) J_0(|r xi + 2 xi'/r|) dr.  With xi and xi'
+    read as complex numbers, nu = 1 - lam/2 and w = sqrt(2 conj(xi) xi'),
+
+        J = pi 2^(lam/2-2) / sin(pi lam/2) * |xi/xi'|^nu
+            * (1/2) Re[(e^{2 i pi nu} - 1) H^(1)_nu(w) conj(H^(2)_nu(w))].
+
+    As sin(pi nu) = sin(pi lam/2), the factor (e^{2 i pi nu} - 1) /
+    sin(pi lam/2) is 2i e^{i pi nu}, so the block takes
+    J = -pi 2^(lam/2-2) |xi/xi'|^nu Im[e^{i pi nu} H^(1)_nu conj(H^(2)_nu)],
+    which does not cancel as lam nears 0 or 2.  The product is
+    hankel1e(nu, w) conj(hankel2e(nu, w)) e^{2i Re w}: the scaled functions
+    carry e^{-iw} and e^{iw}, so neither overflows where |Im w| is large.
+    H^(1)_nu(w) conj(H^(2)_nu(w)) = H^(1)_nu(w) H^(1)_nu(conj w) for real
+    nu, so either square root of a negative conj(xi) xi' gives the entry."""
+    z = xi[:, 0] + 1j * xi[:, 1]
+    zp = xi_prime[:, 0] + 1j * xi_prime[:, 1]
+    nu = 1.0 - 0.5 * lam
+    w = np.sqrt(2.0 * np.multiply.outer(z.conj(), zp))
+    h = hankel1e(nu, w) * hankel2e(nu, w).conj() * np.exp(2j * w.real)
+    amp = np.divide.outer(np.abs(z), np.abs(zp)) ** nu
+    return (-_op_coeff(lam) * math.pi * 2.0 ** (0.5 * lam - 2.0)) * amp * (
+        np.exp(1j * math.pi * nu) * h).imag
+
+
 # Least recently used matrices are dropped beyond this many: a `check all`
 # round builds 7 and reuses each within a few calls.  The check runner's
 # threads share the cache, so reordering and eviction hold the lock.
@@ -253,7 +282,7 @@ _KERNEL_LOCK = threading.Lock()
 def kernel_matrix(dims: Dimensions, lam: float, target: CellGrid,
                   source: CellGrid) -> np.ndarray:
     """M[i, j] = A_op(target_i, source_j) * w_j, cached on grid content:
-    the Bessel closed form at n = 2, oscillatory quadrature at n = 3."""
+    the Bessel closed form of _kernel_block_n2 or _kernel_block_n3."""
     if dims.n not in (2, 3):
         raise DomainError("operator kernel implemented for n in {2, 3}")
     key = (
@@ -268,8 +297,7 @@ def kernel_matrix(dims: Dimensions, lam: float, target: CellGrid,
     if dims.n == 2:
         m = _kernel_block_n2(lam, target.nodes[:, 0], source.nodes[:, 0])
     else:
-        m = _op_coeff(lam) * np.array([[Q.kernel_integral_n3(lam, xi, xp)[0]
-                                        for xp in source.nodes] for xi in target.nodes])
+        m = _kernel_block_n3(lam, target.nodes, source.nodes)
     m *= source.weights[None, :]
     with _KERNEL_LOCK:
         _KERNEL_CACHE[key] = m

@@ -253,26 +253,29 @@ def test_kernel_tabulate_csv(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "xi,xi_prime,value,err_est"
+    assert lines[0] == "xi,xi_prime,value"
     assert len(lines) == 1 + 9
     first = lines[1].split(",")
     assert float(first[2]) != 0.0
 
 
 def test_kernel_tabulate_usage_and_domain_errors(tmp_path, capsys):
-    # the table is the n = 2 kernel, so there is no --n; a zero argument is
-    # outside the quadrature's domain and ends in error: with no file
+    # the table is the n = 2 kernel, so there is no --n; a zero argument or a
+    # mass outside (0, 1) is outside the kernel's domain and ends in error:
+    # with no file
     with pytest.raises(SystemExit) as exc:
         cli.main(["kernel", "tabulate", "--n", "3", "--grid", "0.5,1.0",
                   "--out", str(tmp_path / "k3.csv")])
     assert exc.value.code == 2
     capsys.readouterr()
     out = tmp_path / "k0.csv"
-    code = cli.main(["kernel", "tabulate", "--grid", "0,1", "--out", str(out)])
-    _, err = capsys.readouterr()
-    assert code == 1
-    assert err.startswith("error:")
-    assert not out.exists()
+    for args in (["--grid", "0,1"], ["--lambda", "1.5", "--grid", "0.5,1"],
+                 ["--lambda", "0", "--grid", "0.5,1"]):
+        code = cli.main(["kernel", "tabulate", *args, "--out", str(out)])
+        _, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error:")
+        assert not out.exists()
 
 
 def test_rep_apply_and_check(tmp_path, capsys):

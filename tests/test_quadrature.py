@@ -8,7 +8,7 @@ from scipy.special import j0, jv
 from currentlab import quadrature as Q
 from currentlab import reps as R
 from currentlab import specfun
-from currentlab.errors import ConvergenceError, DomainError
+from currentlab.errors import DomainError
 from currentlab.gridfn import CellGrid
 from currentlab.specfun import Dimensions
 
@@ -191,19 +191,20 @@ def test_fourier_vrho_inverse_positive_and_accurate():
         assert max(resids) <= 1e-5
 
 
-def test_kernel_integral_n2_domain():
-    with pytest.raises(DomainError):
-        Q.kernel_integral_n2(1.5, 1.0, 1.0)
-    # a zero argument is outside the domain at both n
-    for integral, args in ((Q.kernel_integral_n2, (0.5, 0.0, 1.0)),
-                           (Q.kernel_integral_n3, (0.5, [0.0, 0.0], [1.0, 0.0]))):
+def test_kernel_A_domain():
+    # a mass outside (0, d) and a zero argument are outside the domain at
+    # both n, and so are a point of the wrong dimension and n = 4
+    for n, lam, xi, xp in ((2, 1.5, 1.0, 1.0), (2, 0.0, 1.0, 1.0), (3, 2.0, [1.0, 0.0], [0.0, 1.0]),
+                           (2, 0.5, 0.0, 1.0), (3, 0.5, [0.0, 0.0], [1.0, 0.0]),
+                           (3, 0.5, 1.0, [1.0, 0.0]), (4, 0.5, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])):
         with pytest.raises(DomainError):
-            integral(*args)
+            Q.kernel_A(Dimensions(n), lam, xi, xp, cn=4.0 * math.pi)
 
 
 def test_kernel_A_prefactor():
     # kernel_A is pi A_op at n = 2 and 2 pi^2 A_op at n = 3 (c_3 = 4 pi),
-    # A_op the kernel_matrix entry on a unit-weight grid
+    # A_op the kernel_matrix entry on a unit-weight grid; a closed form, it
+    # reports no quadrature error
     lam = 0.5
 
     def a_op(dims, xi, xp):
@@ -211,73 +212,37 @@ def test_kernel_A_prefactor():
         return R.kernel_matrix(dims, lam, one(xi), one(xp))[0, 0]
 
     rep = Q.kernel_A(Dimensions(2), lam, 0.8, 1.3)
-    assert rep.value == pytest.approx(math.pi * a_op(Dimensions(2), [0.8], [1.3]),
-                                      abs=max(1e-8, 10 * rep.abs_error))
+    assert rep.value == pytest.approx(math.pi * a_op(Dimensions(2), [0.8], [1.3]), rel=1e-13)
+    assert rep.abs_error == 0.0
     xi, xp = np.array([0.5, -0.2]), np.array([1.0, 0.7])
     rep = Q.kernel_A(Dimensions(3), lam, xi, xp, cn=4.0 * math.pi)
     assert rep.value == pytest.approx(2.0 * math.pi ** 2 * a_op(Dimensions(3), xi, xp),
                                       rel=1e-13)
+    assert rep.abs_error == 0.0
 
 
 def test_tail_evaluations_are_the_integrand_values_computed(monkeypatch):
-    # every segment is evaluated once, also in a tail that doubles its
-    # segments (u^3 cos u, Abel-summed) and in both kernels
-    seen = []
-    gauss = Q._gauss_on_segments
-    monkeypatch.setattr(Q, "_gauss_on_segments",
-                        lambda f, edges: gauss(lambda x: seen.append(x.size) or f(x), edges))
-    assert Q.osc_cos_tail(1.0, 0.0, 3.0, 1.0, 0.0)[2] == sum(seen) \
-        > 2 * Q._FIRST_CHUNK * Q._GAUSS_PTS
-    for integral, args in ((Q.kernel_integral_n2, (0.5, 0.7, 1.1)),
-                           (Q.kernel_integral_n3, (0.8, [0.5, -0.2], [1.0, 0.7]))):
-        seen.clear()
-        assert integral(*args)[2] == sum(seen)
-
-
-def test_kernel_tails_start_from_one_first_chunk(monkeypatch):
-    # the first chunk and the budget of a J_0 tail do not depend on w(start)
-    # (two tails per kernel integral)
-    firsts = []
-    grown = Q._grown_tail
-
-    def recorded(segs, *args):
-        firsts.append(segs.shape[1])
-        return grown(segs, *args)
-
-    monkeypatch.setattr(Q, "_grown_tail", recorded)
-    for xi, xp in (([0.5, 0.2], [1.0, 0.7]), ([20.0, 0.0], [20.0, 0.0]),
-                   ([50.0, 0.0], [50.0, 0.0])):
-        Q.kernel_integral_n3(0.8, xi, xp)
-    assert firsts == [Q._FIRST_CHUNK] * 6
-
-
-def test_stalled_tails_raise_after_the_whole_budget(monkeypatch):
-    widths = []
+    # every profile value is computed once, also in a tail that doubles its
+    # segments: 1/V_1 at k = 12..20 doubles the first chunk once, and the
+    # algebraic profile, let through _reaches, doubles it up to the whole rule
+    widths, seen = [], []
     accelerated_sum = Q._accelerated_sum
     monkeypatch.setattr(Q, "_accelerated_sum",
                         lambda segs, tol: widths.append(segs.shape[1]) or accelerated_sum(segs, tol))
-    for tail, args in ((Q.osc_cos_tail, (1.0, 0.0, 5.0, 1.0)),
-                       (Q.osc_j0_tail, (1.0, 0.0, 0.0, 4.0, 1.0))):
-        widths.clear()
-        with pytest.raises(ConvergenceError):
-            tail(*args)
-        assert widths == [Q._FIRST_CHUNK, 2 * Q._FIRST_CHUNK, 4 * Q._FIRST_CHUNK, Q._SEGMENTS]
 
+    def counted(name):
+        f = _PROFILES[name].evaluator
+        return Q.RadialProfile(lambda r: seen.append(r.size) or f(r), 0.0)
 
-def test_kernel_integrals_within_their_errors_of_the_separate_loops():
-    # values of the separate doubling loops that re-evaluated every segment
-    # at each pass, on 81 .. 641 segments
-    cases = [
-        (Q.kernel_integral_n2, (0.5, 0.7, 1.1), -1.1855538381779418),
-        (Q.kernel_integral_n2, (0.5, 0.7, -1.1), 0.07062493168986334),
-        (Q.kernel_integral_n2, (0.3, -2.0, 0.4), 0.0817968695508982),
-        (Q.kernel_integral_n2, (0.8, 0.05, -3.0), 0.43953415979774546),
-        (Q.kernel_integral_n3, (0.8, [0.5, -0.2], [1.0, 0.7]), -0.17943292870973657),
-        (Q.kernel_integral_n3, (1.5, [0.05, 0.02], [-0.4, 0.6]), 1.3147871980235766),
-    ]
-    for integral, args, before in cases:
-        value, err, _ = integral(*args)
-        assert abs(value - before) <= err, args
+    dims = Dimensions(3)
+    assert Q.radial_fourier(dims, counted("inverse V_1"), [12.0, 16.0, 20.0]).nodes_used \
+        == sum(seen)
+    assert widths == [Q._FIRST_CHUNK, 2 * Q._FIRST_CHUNK]
+    widths.clear()
+    seen.clear()
+    monkeypatch.setattr(Q, "_reaches", lambda *args: True)
+    assert Q.radial_fourier(dims, counted("algebraic"), [0.5]).nodes_used == sum(seen)
+    assert widths == [Q._FIRST_CHUNK, 2 * Q._FIRST_CHUNK, 4 * Q._FIRST_CHUNK, Q._SEGMENTS]
 
 
 def test_radial_fourier_zero_frequency_closed_forms():
@@ -397,11 +362,3 @@ def test_radial_rule_integrates_gamma_profiles():
             assert not r.flags.writeable and not w.flags.writeable
             got = float(np.sum(w * r ** a * np.exp(-2.0 * r)))
             assert got == pytest.approx(math.gamma(a + 1.0) / 2.0 ** (a + 1.0), rel=1e-13)
-
-
-def test_osc_cos_tail_against_closed_form():
-    # integral_1^inf cos(3 r) r^{-2} dr via the oscillatory machinery
-    val, err, _ = Q.osc_cos_tail(3.0, 0.0, -2.0, 1.0)
-    want, _ = integrate.quad(lambda r: math.cos(3.0 * r) * r ** -2.0,
-                             1.0, 2000.0, limit=4000)
-    assert val == pytest.approx(want, abs=1e-6)

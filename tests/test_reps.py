@@ -38,18 +38,62 @@ def _unit_grid(nodes):
     return CellGrid(nodes, np.ones(len(nodes)))
 
 
+def _mp_kernel_n2(lam, xi, xp):
+    # A_op at n = 2 from mpmath quadosc at 20 digits: (2/pi) 2^(-lam/2) times
+    # integral_0^inf cos(xi x + 2 xi'/x) x^(lam-2) dx, its part below
+    # x0 = sqrt(2 |xi'/xi|) mapped beyond 2/x0 by x -> 2/u
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        lam, xi, xp = mpmath.mpf(lam), mpmath.mpf(xi), mpmath.mpf(xp)
+        x0 = mpmath.sqrt(2 * abs(xp / xi))
+        up = mpmath.quadosc(lambda x: mpmath.cos(xi * x + 2 * xp / x) * x ** (lam - 2),
+                            [x0, mpmath.inf], omega=abs(xi))
+        lo = mpmath.quadosc(lambda u: mpmath.cos(xp * u + 2 * xi / u) * u ** -lam,
+                            [2 / x0, mpmath.inf], omega=abs(xp))
+        return float(2 / mpmath.pi * 2 ** (-lam / 2) * (up + 2 ** (lam - 1) * lo))
+
+
+def _mp_kernel_n3(lam, xi, xp):
+    # A_op at n = 3 from mpmath quadosc at 20 digits: (2/pi) 2^(-lam/2) times
+    # integral_0^inf r^(lam-3) J_0(|r xi + 2 xi'/r|) dr, its part below
+    # r0 = sqrt(2 |xi'|/|xi|) mapped beyond 2/r0 by r -> 2/u
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        lam = mpmath.mpf(lam)
+        a = mpmath.mpf(xi[0]) ** 2 + mpmath.mpf(xi[1]) ** 2
+        c = mpmath.mpf(xp[0]) ** 2 + mpmath.mpf(xp[1]) ** 2
+        b = 4 * (mpmath.mpf(xi[0]) * xp[0] + mpmath.mpf(xi[1]) * xp[1])
+        r0 = mpmath.sqrt(2 * mpmath.sqrt(c / a))
+        up = mpmath.quadosc(
+            lambda r: r ** (lam - 3) * mpmath.besselj(0, mpmath.sqrt(a * r * r + b + 4 * c / (r * r))),
+            [r0, mpmath.inf], omega=mpmath.sqrt(a))
+        lo = mpmath.quadosc(
+            lambda u: u ** (1 - lam) * mpmath.besselj(0, mpmath.sqrt(c * u * u + b + 4 * a / (u * u))),
+            [2 / r0, mpmath.inf], omega=mpmath.sqrt(c))
+        return float(mpmath.re(2 / mpmath.pi * 2 ** (-lam / 2) * (up + 2 ** (lam - 2) * lo)))
+
+
 def test_kernel_matrix_matches_pointwise():
-    # closed-form entries times the source weights against the quadrature
-    # reference kernel_A, which is pi A_op at n = 2, on nodes with both signs
-    # of xi * xi' (the J and the K branch of the block)
-    target = np.array([-2.5, -0.6, 0.3, 1.2])
-    source = CellGrid(np.array([[-1.1], [0.4], [0.7], [2.0]]), np.array([0.3, 0.7, 1.1, 0.5]))
-    for lam in (0.3, LAM):
-        m = R.kernel_matrix(D2, lam, _unit_grid(target[:, None]), source)
-        for i, xi in enumerate(target):
-            for j, (xp, w) in enumerate(zip(source.nodes[:, 0], source.weights)):
-                want = Q.kernel_A(D2, lam, xi, xp).value / math.pi * w
-                assert m[i, j] == pytest.approx(want, rel=0.0, abs=1e-9)
+    # closed-form entries times the source weight against mpmath, on both
+    # signs of xi * xi' (the J and the K branch of the block), at lam = 1/2
+    # (elementary Bessel functions) and away from it; at the first point an
+    # oscillatory quadrature of the integral misses by 2.6e-6
+    for lam, xi, xp in ((0.5, 0.024103904947130075, 0.3381049961377749),
+                        (0.5, 0.7, -1.1), (0.3, -2.0, 0.4)):
+        got = R.kernel_matrix(D2, lam, _unit_grid([[xi]]), CellGrid(np.array([[xp]]), np.array([0.7])))
+        assert got[0, 0] == pytest.approx(0.7 * _mp_kernel_n2(lam, xi, xp), rel=1e-12, abs=0.0)
+
+
+def test_kernel_matrix_n3_matches_mpmath():
+    # the n = 3 closed form against mpmath, on both signs of xi . xi' and
+    # across the mass range; the last point is an entry of `rep apply --n 3`'s
+    # grid, xi' = -xi, where an oscillatory quadrature misses by 7.6e-4
+    nodes = GF.grid_2d_sqrt(25.0, 8, 8).nodes
+    cases = [(0.8, [0.5, -0.2], [1.0, 0.7]), (1.5, [0.05, 0.02], [-0.4, 0.6]),
+             (0.2, [0.05, 0.02], [-0.4, 0.6]), (0.5, nodes[0], nodes[4])]
+    for lam, xi, xp in cases:
+        got = R.kernel_matrix(D3, lam, _unit_grid(xi), _unit_grid(xp))[0, 0]
+        assert got == pytest.approx(_mp_kernel_n3(lam, xi, xp), rel=1e-12, abs=0.0)
 
 
 XI3 = np.array([[0.5, -0.2], [1.3, 0.4], [-0.7, 0.9]])
@@ -71,21 +115,21 @@ def _n3_law_defect(lam=0.8, t=1.7) -> float:
 def test_kernel_matrix_n3_scaling_and_rotation(monkeypatch):
     monkeypatch.setattr(R, "_KERNEL_CACHE", OrderedDict())
     assert (XI3 @ XP3.T > 0).any() and (XI3 @ XP3.T < 0).any()
-    assert _n3_law_defect() <= 1e-9
+    assert _n3_law_defect() <= 1e-13
 
 
 def test_kernel_matrix_n3_laws_see_one_scaled_entry(monkeypatch):
     # one rotated entry off by 1 + 1e-6 must fail the law check above
     monkeypatch.setattr(R, "_KERNEL_CACHE", OrderedDict())
-    integral = Q.kernel_integral_n3
+    block = R._kernel_block_n3
 
-    def one_entry_off(lam, xi, xi_prime, tol=1e-10):
-        v, e, nev = integral(lam, xi, xi_prime, tol)
-        if np.array_equal(xi, XI3[1] @ ROT3) and np.array_equal(xi_prime, XP3[2] @ ROT3):
-            v *= 1.0 + 1e-6
-        return v, e, nev
+    def one_entry_off(lam, xi, xi_prime):
+        m = block(lam, xi, xi_prime)
+        if np.array_equal(xi, XI3 @ ROT3) and np.array_equal(xi_prime, XP3 @ ROT3):
+            m[1, 2] *= 1.0 + 1e-6
+        return m
 
-    monkeypatch.setattr(Q, "kernel_integral_n3", one_entry_off)
+    monkeypatch.setattr(R, "_kernel_block_n3", one_entry_off)
     assert _n3_law_defect() > 1e-7
 
 

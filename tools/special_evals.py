@@ -5,8 +5,9 @@ them the check had evaluated before.
     python3 tools/special_evals.py --suite spherical
 
 The script wraps the scipy.special functions that currentlab's modules bind
-(kve, k0e, k1e, kv, hankel1, j0 and jv), so every call made through
-those names is counted, and then runs one round of the registry in this
+(kve, k0e, k1e, kv, hankel1, hankel1e, hankel2e, j0 and jv), so every
+call made through those names is counted, and then runs one round of the
+registry in this
 fresh process, each check on the stream of its registry index, as `check
 all --seed S --workers 1` runs it.  A call counts one point per element of its broadcast
 arguments.  A point repeats when the same function was evaluated at the same
@@ -33,7 +34,7 @@ import numpy as np  # noqa: E402
 from currentlab import quadrature, reps, specfun  # noqa: E402
 from currentlab import suites as S  # noqa: E402
 
-COUNTED = ("kve", "k0e", "k1e", "kv", "hankel1", "j0", "jv")
+COUNTED = ("kve", "k0e", "k1e", "kv", "hankel1", "hankel1e", "hankel2e", "j0", "jv")
 
 
 class Counter:
