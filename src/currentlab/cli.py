@@ -69,7 +69,7 @@ def _cmd_specfun_eval(args) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(repr(val))
+    print(repr(float(val)))
     return 0
 
 
@@ -160,8 +160,8 @@ def _cmd_sample(args) -> int:
                 if args.count > 0 else ()
             records = ({"xi": xi.tolist()} for xi in draws)
         else:
-            if args.mass <= 0:
-                raise DomainError("--mass must be positive")
+            if not 0.0 < args.mass < math.inf:
+                raise DomainError("--mass must be positive and finite")
             table = P.JumpSizeTable(dims, args.eps, P.default_intensity_scale(dims))
             records = (_process_record(P.sample_process(dims, args.mass, args.eps, stream,
                                                         table=table))

@@ -36,14 +36,14 @@ from .specfun import Dimensions
 @dataclass(frozen=True)
 class Partition:
     """Finite measurable partition of X = [0, total_mass]: consecutive cells
-    with the given positive masses."""
+    with the given positive, finite masses."""
 
     masses: tuple
 
     def __init__(self, masses):
         object.__setattr__(self, "masses", tuple(float(m) for m in masses))
-        if any(m <= 0 for m in self.masses):
-            raise DomainError("all cell masses must be positive")
+        if not all(0.0 < m < math.inf for m in self.masses):
+            raise DomainError("all cell masses must be positive and finite")
 
     @property
     def size(self) -> int:

@@ -75,8 +75,8 @@ def oracle_n2(lam: float, stream: SeededStream, size: int | None = None):
     Gamma(lam/2, scale 1/2) variables has characteristic function
     (1 + gamma^2/4)^(-lam/2).  The second draw is subtracted from the first
     in place, so the peak memory is the output plus one gamma array."""
-    if lam <= 0:
-        raise DomainError("gamma shape must be positive")
+    if not 0.0 < lam < math.inf:
+        raise DomainError("gamma shape must be positive and finite")
     n_draws = 1 if size is None else int(size)
     out = stream.rng.gamma(lam / 2.0, 0.5, size=n_draws)
     out -= stream.rng.gamma(lam / 2.0, 0.5, size=n_draws)
@@ -139,7 +139,7 @@ class JumpSizeTable:
 
     def __init__(self, dims: Dimensions, cutoff: float, intensity_scale: float,
                  r_max: float = 25.0, grid_size: int = 600):
-        if cutoff <= 0 or cutoff >= r_max:
+        if not 0.0 < cutoff < r_max:
             raise DomainError("cutoff must lie in (0, r_max)")
         self.dims, self.cutoff, self.scale = dims, cutoff, intensity_scale
         d = dims.d
@@ -216,13 +216,16 @@ def sample_process(dims: Dimensions, total_mass: float, cutoff: float,
                    table: JumpSizeTable | None = None) -> PointConfiguration:
     """Shot-noise draw of the process over X = [0, total_mass]: Poisson jump
     count with mean total_mass * Lambda(cutoff), radii by tail inversion,
-    directions uniform on the sphere, positions uniform on X."""
-    if total_mass <= 0:
-        raise DomainError("total_mass must be positive")
+    directions uniform on the sphere, positions uniform on X.  A table must
+    match the call's dims, cutoff and intensity scale (DomainError if not)."""
+    if not 0.0 < total_mass < math.inf:
+        raise DomainError("total_mass must be positive and finite")
     if intensity_scale is None:
         intensity_scale = default_intensity_scale(dims)
     if table is None:
         table = JumpSizeTable(dims, cutoff, intensity_scale)
+    elif (table.dims, table.cutoff, table.scale) != (dims, cutoff, intensity_scale):
+        raise DomainError("table built for another dims, cutoff or intensity scale")
     rng = stream.rng
     count = int(rng.poisson(total_mass * table.total))
     radii = table.sample_radii(rng, count)

@@ -1,7 +1,9 @@
-"""Radial Fourier transforms, calibration of the Fourier constant c_n,
-the boundary-inversion kernel A^lambda (kernel_A, a closed form taken
-from the kernel blocks of reps), and the Levy-Khinchin residual for
-log(1 + |gamma|^2/4).
+"""Radial Fourier transforms, the Fourier constant c_n in closed form
+(closed_form_cn, its one definition) and its calibration, the
+boundary-inversion kernel A^lambda (kernel_A, a closed form taken from the
+kernel blocks of reps), and the Levy-Khinchin residual for
+log(1 + |gamma|^2/4), which takes kappa from its caller.  Only the checks
+of the calibration and of the kappa fit read the measured constants.
 
 The radial transform's oscillatory improper integral is computed by
 splitting the axis at the exact sign changes of the Bessel factor and
@@ -11,17 +13,17 @@ and Abel-summable cases that arise from the slowly decaying profiles.  The
 tail grows in one loop (_grown_tail), which doubles its segments up to
 _SEGMENTS, evaluating only the new ones.
 
-The radial Fourier transform takes an array of radii.  In the variable
-u = k r the sign changes sit at fixed roots for every radius k, so one
-fixed rule serves them all: a graded rule on the head [0, first root] (a
-Gauss-Jacobi panel that maps out the algebraic singularity at 0, then
+The radial Fourier transform takes an array of radii k > 0.  In the
+variable u = k r the sign changes sit at fixed roots for every radius k, so
+one fixed rule serves them all: a graded rule on the head [0, first root]
+(a Gauss-Jacobi panel that maps out the algebraic singularity at 0, then
 doubling Gauss-Legendre panels) and Gauss sums on the tail segments, with
-one profile evaluation per block of radii; k = 0 has a graded rule of its
-own on [0, 2^20].  The paired power identity integrates the transform
+one profile evaluation per block of radii.  The transform at k = 0 is a
+plain integral of a profile that decays like e^(-2r), which the fixed rule
+radial_rule takes.  The paired power identity integrates the transform
 against |x|^(-lam) with a fixed graded outer rule of the same kind, so the
 node set of all its masses is one transform call.  The Levy-Khinchin
-integral takes every |gamma| of a call on one fixed rule in r of the same
-graded kind (radial_rule), and so does its residual."""
+integral takes every |gamma| of a call on radial_rule too."""
 
 from __future__ import annotations
 
@@ -227,21 +229,18 @@ def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
     min(tol, 4 eps |T|), evaluating only the new segments.  When the first
     chunk's segment sums do not shrink fast enough to reach that level by
     the end of the rule (_reaches), the block evaluates the rest of the rule
-    at once and averages its tail only there.  k = 0 is the plain integral
-    of f(r) times the sphere area r^(d-1), on the graded rule (_graded_rule)
-    of 64 panels on [0, 2^20]; the integral beyond is left out of the value.
+    at once and averages its tail only there.  The radii are positive: at
+    k = 0 the transform is the plain integral of f, which radial_rule takes.
 
     A scalar r_out gives a scalar value and abs_error, an array gives arrays
     of its shape.  abs_error is the tail estimate plus the difference between
     the head rule and the same panels at half the nodes, plus the rounding
-    of the sums.  At k = 0 the tail estimate is the integral beyond 2^20
-    extrapolated from the last two panels as a geometric series, inf when
-    they do not shrink.  nodes_used counts the profile values computed."""
+    of the sums.  nodes_used counts the profile values computed."""
     d = dims.d
     f = profile.evaluator
     k = np.asarray(r_out, dtype=float)
-    if not np.all(np.isfinite(k) & (k >= 0)):
-        raise DomainError("r_out must be finite and >= 0")
+    if not np.all(np.isfinite(k) & (k > 0)):
+        raise DomainError("r_out must be finite and > 0")
     if profile.singularity_exponent <= -d:
         raise DomainError("profile is not locally integrable in R^d")
     alpha = profile.singularity_exponent + d - 1.0
@@ -249,29 +248,11 @@ def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
     value = np.empty(ks.size)
     error = np.empty(ks.size)
     nodes = 0
-    zero = ks == 0.0
-    if zero.any():
-        hi_r, hi_w = _graded_rule(2.0 ** 20, 64, alpha, _HEAD_PTS)
-        lo_r, lo_w = _graded_rule(2.0 ** 20, 64, alpha, _HEAD_PTS // 2)
-        r = np.concatenate((hi_r, lo_r))
-        g = specfun.sphere_area(d) * f(r) * r ** (d - 1)
-        terms = hi_w * g[:hi_r.size]
-        value[zero] = hi = terms.sum()
-        # the integral beyond 2^20, continued as a geometric series from the
-        # last two doubling panels: last q / (1 - q), q = last / prev
-        last = float(terms[-_HEAD_PTS:].sum())
-        prev = float(terms[-2 * _HEAD_PTS:-_HEAD_PTS].sum())
-        q = last / prev if prev else math.inf
-        beyond = 0.0 if last == 0.0 else math.inf if q >= 1.0 else abs(last * q / (1.0 - q))
-        error[zero] = abs(hi - lo_w @ g[hi_r.size:]) + _EPS * np.abs(terms).sum() + beyond
-        nodes += r.size
-
     u, hi_w, lo_w, tail_w = _transform_rule(d, alpha)
     n_hi, n_head = hi_w.size, hi_w.size + lo_w.size
     pts = tail_w.shape[1]
-    pos = np.flatnonzero(~zero)
-    for start in range(0, pos.size, _BLOCK):
-        idx = pos[start:start + _BLOCK]
+    for start in range(0, ks.size, _BLOCK):
+        idx = slice(start, start + _BLOCK)
         kb = ks[idx]
         scale = (2.0 * math.pi) ** (0.5 * d) * kb ** -d
 
@@ -279,7 +260,7 @@ def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
             more = f((u[n_head + lo * pts:n_head + hi * pts] / kb[:, None]).ravel())
             return _segment_sums(more, tail_w[lo:hi], scale)
 
-        vals = f((u[:n_head + _FIRST_CHUNK * pts] / kb[:, None]).ravel()).reshape(idx.size, -1)
+        vals = f((u[:n_head + _FIRST_CHUNK * pts] / kb[:, None]).ravel()).reshape(kb.size, -1)
         head_terms = vals[:, :n_hi] * hi_w
         head = scale * head_terms.sum(axis=1)
         head_lo = scale * (vals[:, n_hi:n_head] * lo_w).sum(axis=1)
@@ -293,7 +274,7 @@ def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
         rounding = _EPS * (scale * np.abs(head_terms).sum(axis=1) + np.abs(segs).sum(axis=1))
         value[idx] = head + tail
         error[idx] = np.abs(head - head_lo) + tail_err + rounding
-        nodes += idx.size * (n_head + segs.shape[1] * pts)
+        nodes += kb.size * (n_head + segs.shape[1] * pts)
     if k.ndim == 0:
         return QuadratureReport(float(value[0]), float(error[0]), nodes)
     return QuadratureReport(value.reshape(k.shape), error.reshape(k.shape), nodes)
@@ -326,13 +307,19 @@ def radial_rule(alpha: float, width: float):
 
 
 # ---------------------------------------------------------------------------
-# c_n calibration and the paired power identity
+# c_n, its calibration and the paired power identity
 # ---------------------------------------------------------------------------
 
 _DEF_LAM_GRID = (0.5, 1.0, 1.5)
 _DEF_XI_GRID = (0.25, 0.5, 1.0, 2.0)
 _OUTER_PANELS = 6   # power_pairing_residual's outer rule: 6 panels of 16 nodes
 _OUTER_PTS = 16
+
+
+def closed_form_cn(n: int) -> float:
+    """The Fourier constant c_n = (2 sqrt(pi))^(n-1) of
+    FT[(1 + |x|^2/4)^(-lam/2)]; the one definition of c_n."""
+    return (2.0 * math.sqrt(math.pi)) ** (n - 1)
 
 
 def calibrate_cn(dims: Dimensions, lam_grid=_DEF_LAM_GRID, xi_grid=_DEF_XI_GRID,
@@ -369,7 +356,7 @@ def cached_cn(n: int) -> FourierConstant:
     return calibrate_cn(Dimensions(n))
 
 
-def power_pairing_residual(dims: Dimensions, lam, cn: float) -> float:
+def power_pairing_residual(dims: Dimensions, lam) -> float:
     """Check the homogeneous Fourier identity
         FT[|x|^(-lam)](xi) = c_n 2^(-lam) Gamma((d-lam)/2)/Gamma(lam/2) |xi|^(lam-d)
     in regularized pairing form against the Gaussian w(xi) = e^{-|xi|^2}:
@@ -393,6 +380,7 @@ def power_pairing_residual(dims: Dimensions, lam, cn: float) -> float:
     nodes, at = np.unique(np.concatenate([s for s, _ in rules]), return_inverse=True)
     ft_w = radial_fourier(dims, prof, nodes, tol=1e-11).value[at]
     area = specfun.sphere_area(d)
+    cn = closed_form_cn(dims.n)
     worst = 0.0
     for x, (s, w), ft in zip(lams, rules, np.split(ft_w, len(lams))):
         lhs = area * float(np.sum(w * s ** (d - 1 - x) * ft))
@@ -405,7 +393,7 @@ def power_pairing_residual(dims: Dimensions, lam, cn: float) -> float:
     return worst
 
 
-def fourier_vrho_inverse_check(dims: Dimensions, rho: float, cn: float):
+def fourier_vrho_inverse_check(dims: Dimensions, rho: float):
     """Quadrature Fourier transform of 1/V_rho(|xi|) against the closed form
 
         (2 pi)^d Gamma(d/2+rho) / (c_n Gamma(rho)) * (1 + |x|^2/4)^(-d/2-rho).
@@ -413,18 +401,21 @@ def fourier_vrho_inverse_check(dims: Dimensions, rho: float, cn: float):
     Returns the list of relative residuals at |x| = 0, 0.5, 1, 2 and 4 (the
     transform is also checked to be positive).  The prefactor restates the
     companion Fourier identity for (1+|x|^2/4)^(-d/2-rho) with the inversion
-    constant (2 pi)^d made explicit."""
+    constant (2 pi)^d made explicit.  At |x| = 0 the transform is the
+    integral of 1/V_rho, which decays like e^(-2r), on radial_rule."""
     d = dims.d
 
     def vinv(r):
-        return np.exp(-specfun.log_v_rho(rho, np.atleast_1d(r)))
+        return np.exp(-specfun.log_v_rho(rho, r))
 
-    prof = RadialProfile(vinv)  # 1/V_rho(0) = 1
-    const = (2.0 * math.pi) ** d * _gamma(0.5 * d + rho) / (cn * _gamma(rho))
+    const = (2.0 * math.pi) ** d * _gamma(0.5 * d + rho) / (closed_form_cn(dims.n) * _gamma(rho))
     x = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
-    got = radial_fourier(dims, prof, x, tol=1e-11).value
+    r, w = radial_rule(d - 1.0, 0.5)
+    at_zero = specfun.sphere_area(d) * np.sum(w * vinv(r) * r ** (d - 1))
+    got = np.concatenate(([at_zero], radial_fourier(dims, RadialProfile(vinv), x[1:],
+                                                    tol=1e-11).value))
     want = const * (1.0 + x * x / 4.0) ** (-0.5 * d - rho)
-    if np.any(got <= 0):
+    if not np.all(got > 0):
         raise ConvergenceError("transform of 1/V_rho must be positive")
     return (np.abs(got - want) / np.abs(want)).tolist()
 
@@ -440,8 +431,9 @@ def kernel_A(dims: Dimensions, lam: float, xi, xi_prime,
         n = 2:  A(xi, xi') = 2^(1-lam/2) integral_0^inf cos(xi x + 2 xi'/x) x^(lam-2) dx
         n = 3:  A(xi, xi') = c_n 2^(-lam/2) integral_0^inf r^(lam-3) J_0(|r xi + 2 xi'/r|) dr
 
-    in closed form: pi A_op at n = 2 and c_n (pi/2) A_op at n = 3 (2 pi^2
-    A_op with c_3 = 4 pi), A_op the operator kernel of reps, whose Bessel
+    in closed form: pi A_op at n = 2 and c_n (pi/2) A_op at n = 3, c_n being
+    cn when given and closed_form_cn(3) = 4 pi otherwise (2 pi^2 A_op), and
+    A_op the operator kernel of reps, whose Bessel
     closed forms (reps._kernel_block_n2, reps._kernel_block_n3) it takes at
     the one pair (xi, xi'); `kernel tabulate` prints it at n = 2.  A closed
     form has no quadrature error, so abs_error is 0.0, and it evaluates no
@@ -462,7 +454,7 @@ def kernel_A(dims: Dimensions, lam: float, xi, xi_prime,
         value = math.pi * reps._kernel_block_n2(lam, a[:, 0], b[:, 0])[0, 0]
     else:
         if cn is None:
-            cn = cached_cn(3).value
+            cn = closed_form_cn(3)
         value = cn * 0.5 * math.pi * reps._kernel_block_n3(lam, a, b)[0, 0]
     return QuadratureReport(float(value), 0.0, 0)
 
@@ -478,8 +470,10 @@ def _angular_average_minus_one(d: int, u):
     below u = 1, where subtracting 1 from it would cancel, the difference is
     summed as the power series
     sum_{k>=1} (-u^2/4)^k Gamma(nu+1) / (k! Gamma(nu+k+1)), whose 12 terms
-    leave out less than 1e-17 of it."""
-    u = np.asarray(u, dtype=float)
+    leave out less than 1e-17 of it.  Each distinct u is evaluated once (|gamma|
+    and 2 |gamma| meet the same u on the doubling panels of radial_rule)."""
+    shape = np.shape(u)
+    u, at = np.unique(np.asarray(u, dtype=float), return_inverse=True)
     nu = 0.5 * d - 1.0
     if d == 1:
         out = np.cos(u)
@@ -496,7 +490,7 @@ def _angular_average_minus_one(d: int, u):
         term = term * q / (k * (nu + k))
         series = series + term
     out[small] = series
-    return out
+    return out[at].reshape(shape)
 
 
 def _levy_rhs(dims: Dimensions, gamma_norm):
@@ -521,21 +515,20 @@ def fit_levy_khinchin_kappa(n: int) -> float:
         log(1 + |gamma|^2/4) = kappa * integral (e^{i<xi,gamma>} - 1) g(xi) dxi
     over |gamma| = 0.5, 1, 2 and 4 (least squares = mean of ratios here),
     all of them in one _levy_rhs call.  The closed form is
-    kappa = -2 pi^(-(n-1)/2)."""
+    kappa = -2 pi^(-(n-1)/2), minus twice the sampler's jump intensity."""
     g = np.array([0.5, 1.0, 2.0, 4.0])
     return float(np.mean(np.log1p(g * g / 4.0) / _levy_rhs(Dimensions(n), g)))
 
 
-def levy_khinchin_residual(dims: Dimensions, gamma_norm, kappa: float | None = None):
-    """Relative residual of the fitted Levy-Khinchin identity at each |gamma|
-    of the scalar or array gamma_norm, 0 where |gamma| = 0; every nonzero
-    |gamma| comes from one _levy_rhs call.  A scalar gives a float."""
+def levy_khinchin_residual(dims: Dimensions, gamma_norm, kappa: float):
+    """Relative residual of the Levy-Khinchin identity with constant kappa
+    at each |gamma| of the scalar or array gamma_norm, 0 where |gamma| = 0;
+    every nonzero |gamma| comes from one _levy_rhs call.  A scalar gives a
+    float."""
     k = np.abs(np.asarray(gamma_norm, dtype=float))
     out = np.zeros(k.shape)
     nonzero = k != 0.0
     if nonzero.any():
-        if kappa is None:
-            kappa = fit_levy_khinchin_kappa(dims.n)
         lhs = np.log1p(k[nonzero] ** 2 / 4.0)
         out[nonzero] = np.abs(lhs - kappa * _levy_rhs(dims, k[nonzero])) / np.abs(lhs)
     return float(out) if out.ndim == 0 else out

@@ -40,7 +40,7 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
-from scipy.special import gamma as _gamma, hankel1, hankel1e, hankel2e, kv
+from scipy.special import gamma as _gamma, hankel1, hankel1e, hankel2e
 
 from . import group as G
 from . import measures as M
@@ -185,7 +185,7 @@ def _kernel_terms(lam: float, w: np.ndarray) -> np.ndarray:
     xi xi' < 0 (row 0) and for xi xi' > 0 (row 1); see _kernel_block_n2.
     At lam = 1/2 both orders are 1/2, where H^(1)_{1/2}(w) =
     -i sqrt(2/(pi w)) e^{iw} and K_{1/2}(w) = sqrt(pi/(2w)) e^{-w}
-    (DLMF 10.16.1, 10.39.2) replace scipy's hankel1 and kv."""
+    (DLMF 10.16.1, 10.39.2) replace hankel1 and specfun's K route."""
     nu = 1.0 - lam
     with np.errstate(under="ignore"):
         if lam == 0.5:
@@ -195,7 +195,7 @@ def _kernel_terms(lam: float, w: np.ndarray) -> np.ndarray:
         else:
             h = hankel1(nu, w)
             h_real, h_imag = h.real, h.imag
-            k = kv(lam - 1.0, w)
+            k = specfun._scaled_k(lam - 1.0, w) * np.exp(-w)
     d = np.empty((2,) + w.shape)
     d[1] = math.pi / (2.0 * math.cos(0.5 * math.pi * lam)) * (
         -2.0 * math.sin(0.5 * math.pi * nu) ** 2 * h_real - math.sin(math.pi * nu) * h_imag)
@@ -482,7 +482,7 @@ def vacuum_evaluator(dims: Dimensions, lam: float):
     return f
 
 
-def vacuum_checks(dims: Dimensions, lam: float, cn: float):
+def vacuum_checks(dims: Dimensions, lam: float):
     """Two quadrature identities for the vacuum vector, at |gamma| = 0.5, 1
     and 2:
 
@@ -492,21 +492,22 @@ def vacuum_checks(dims: Dimensions, lam: float, cn: float):
     (norm)   integral f_lambda^2 dxi  =  Gamma(lam/2) (2 pi)^d / (2 c_n),
 
     the norm value being the gamma-independent constant (with the inversion
-    factor (2 pi)^d written out).  Returns the worst residual of the two."""
+    factor (2 pi)^d written out), the norm taken on radial_rule.  Returns
+    the worst residual of the two."""
     d = dims.d
     rho = (d - lam) / 2.0
 
     def prof(r):
-        return np.exp(_log_k_profile(rho, np.atleast_1d(r)))
+        return np.exp(_log_k_profile(rho, r))
 
-    profile = Q.RadialProfile(prof, lam - d)
+    r, w = Q.radial_rule(lam - 1.0, 0.5)
+    norm = specfun.sphere_area(d) * float(np.sum(w * prof(r) * r ** (d - 1)))
+    want_norm = _gamma(lam / 2.0) * (2.0 * math.pi) ** d / (2.0 * Q.closed_form_cn(dims.n))
+    norm_resid = abs(norm - want_norm) / want_norm
     gn = np.array([0.5, 1.0, 2.0])
-    transform = Q.radial_fourier(dims, profile, np.concatenate(([0.0], gn))).value
-    norm0 = transform[0]
-    want_norm = _gamma(lam / 2.0) * (2.0 * math.pi) ** d / (2.0 * cn)
-    norm_resid = abs(norm0 - want_norm) / want_norm
+    transform = Q.radial_fourier(dims, Q.RadialProfile(prof, lam - d), gn).value
     want = (1.0 + gn * gn / 4.0) ** (-lam / 2.0)
-    ratio_resid = float(np.max(np.abs(transform[1:] / norm0 - want) / want, initial=0.0))
+    ratio_resid = float(np.max(np.abs(transform / norm - want) / want, initial=0.0))
     return max(ratio_resid, norm_resid)
 
 

@@ -2,13 +2,13 @@
 derived radial densities.
 
 All Bessel evaluators here take the *half* argument: ``bessel_k(rho, z)``
-returns K_rho(2z).  Production values come from scipy's ``kv``/``kve``
-(D. E. Amos, ACM TOMS Algorithm 644, 1986): ``bessel_k`` for scalars and
-``log_bessel_k``, from the exponentially scaled ``kve``, for arrays.
-``log_bessel_k`` routes by order, element by element: orders 0 and +-1 go
-to scipy's exponentially scaled ``k0e``/``k1e`` (Cephes Chebyshev
-expansions, a quarter of ``kve``'s time a point), every other order to
-``kve``.  On ``log_bessel_k`` sit the normalisation function V_rho, the
+returns K_rho(2z).  Production values come from one route, the
+exponentially scaled e^x K_rho(x) of ``_scaled_k``: ``log_bessel_k`` for
+arrays and ``bessel_k``, its scalar case times e^(-x).  The route goes by
+order, element by element: orders 0 and +-1 to scipy's ``k0e``/``k1e``
+(Cephes Chebyshev expansions, a quarter of ``kve``'s time a point), every
+other order to ``kve`` (D. E. Amos, ACM TOMS Algorithm 644, 1986).  On
+``log_bessel_k`` sit the normalisation function V_rho, the
 radial jump density g, and the per-cell laws of the (mu, nu) pair: the
 log density of a mu cell, of a nu cell, and of their ratio.  V and the
 three cell laws broadcast over arrays of the order or mass as well as of
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, k0e, k1e, kv, kve
+from scipy.special import gammaln, k0e, k1e, kve
 
 from .errors import DomainError
 
@@ -56,10 +56,12 @@ class FourierConstant:
 
 
 def bessel_k(rho: float, z: float) -> float:
-    """K_rho(2z) for real order (symmetric in rho) and z > 0."""
-    if z <= 0:
+    """K_rho(2z) for a real order (symmetric in rho) and z > 0, a float: the
+    scalar case of _scaled_k at x = 2z, times e^(-x)."""
+    if not z > 0:
         raise DomainError(f"bessel_k requires z > 0, got {z}")
-    return float(kv(rho, 2.0 * z))
+    x = 2.0 * z
+    return float(_scaled_k(float(rho), x) * math.exp(-x))
 
 
 def _scaled_k(rho, x):
@@ -99,13 +101,13 @@ def log_bessel_k(rho, z):
     1/2 log(pi/2x) - x + log1p((4 rho^2 - 1)/8x) (DLMF 10.40.2), whose
     first term left out, (4 rho^2 - 1)(4 rho^2 - 9)/(128 x^2), is below
     1e-18 for |rho| <= 2.  The domain is tested only when some value is
-    not finite, which z <= 0 makes it."""
+    not finite, which z <= 0 or NaN makes it."""
     z = np.asarray(z, dtype=float)
     x = 2.0 * z
     out = np.log(_scaled_k(rho, x)) - x
     if np.isfinite(out).all():
         return out
-    if np.any(z <= 0):
+    if not np.all(z > 0):
         raise DomainError("log_bessel_k requires z > 0")
     with np.errstate(divide="ignore"):
         large = 0.5 * np.log(0.5 * math.pi / x) - x + np.log1p(
@@ -138,7 +140,7 @@ def bessel_k_reference(rho, z):
     count (the largest), so each point's sum does not depend on the
     blocking."""
     rho, z = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(z, dtype=float))
-    if np.any(z <= 0):
+    if not np.all(z > 0):
         raise DomainError("bessel_k_reference requires z > 0")
     r = np.abs(rho).ravel()
     x = 2.0 * z.ravel()
@@ -171,10 +173,10 @@ def log_v_rho(rho, x):
     that broadcast together (0 at x = 0); stable for large x, where V grows
     like e^(2x).  Scalars give a scalar."""
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
+    if not np.all(rho > 0):
         raise DomainError(f"v_rho requires rho > 0, got {rho}")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if not np.all(x >= 0):
         raise DomainError("v_rho requires x >= 0")
     pos = x > 0
     xp = np.where(pos, x, 1.0)
@@ -193,9 +195,9 @@ def v_rho_asymptotic(rho: float, x: float) -> float:
     2 x^rho K_rho(2x) = Gamma(rho) (1 + x^2/(1-rho) + ...) (non-integer rho)
     and 2 x K_1(2x) = 1 + 2 x^2 (log x + euler_gamma - 1/2) + ..., so the
     relative error of each branch against V_rho(x) - 1 vanishes as x -> 0."""
-    if rho <= 0:
+    if not rho > 0:
         raise DomainError(f"v_rho_asymptotic requires rho > 0, got {rho}")
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"v_rho_asymptotic requires x >= 0, got {x}")
     if x == 0.0:
         return 1.0
@@ -211,7 +213,7 @@ def levy_density_radial(dims: Dimensions, r):
     as a function of the radius r = |xi| > 0, elementwise over arrays.
     |xi| g(xi) is integrable near 0 but g itself is not."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
+    if not np.all(r > 0):
         raise DomainError("radius must be positive")
     rho = dims.d / 2.0
     return np.exp(-rho * np.log(r) + log_bessel_k(rho, r))[()]
@@ -232,10 +234,10 @@ def log_nu_radial_density(dims: Dimensions, lam, r):
     It is homogeneous of degree lam - n + 1 in the cell vector."""
     d = dims.d
     lam = np.asarray(lam, dtype=float)
-    if np.any((lam <= 0) | (lam >= d)):
+    if not np.all((lam > 0) & (lam < d)):
         raise DomainError(f"nu-side formulas need 0 < lam < n - 1 = {d}, got {lam}")
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
+    if not np.all(r > 0):
         raise DomainError("radius must be positive")
     return (
         -0.5 * d * math.log(math.pi)
@@ -266,10 +268,10 @@ def log_marginal_radial_density(dims: Dimensions, lam, r):
     one (the kernel alone integrates to pi^((n-1)/2) for every lam), so this
     is the exact law of the Gaussian mixture sampler."""
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0):
+    if not np.all(lam > 0):
         raise DomainError(f"mass parameter must be positive, got {lam}")
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
+    if not np.all(r > 0):
         raise DomainError("radius must be positive")
     d = dims.d
     rho = (d - lam) / 2.0

@@ -51,7 +51,7 @@ class RunConfig:
         unknown = sorted(set(self.tolerances) - {s.check_id for s in _REGISTRY})
         if unknown:
             raise DomainError(f"tolerance for unknown check {', '.join(map(repr, unknown))}")
-        if any(t <= 0 for t in self.tolerances.values()):
+        if not all(t > 0 for t in self.tolerances.values()):
             raise DomainError("tolerances must be positive")
         if self.format not in ("json", "csv"):
             raise DomainError("format must be json or csv")
@@ -138,7 +138,7 @@ def _k_half_int(cfg, stream):
 def _k_symmetry(cfg, stream):
     rho, x = np.meshgrid((0.3, 0.8, 1.7, 2.4), (0.1, 1.0, 5.0), indexing="ij")
     want = specfun.bessel_k_reference(rho, x)
-    got = np.vectorize(specfun.bessel_k, otypes=[float])(-rho, x)
+    got = np.exp(specfun.log_bessel_k(-rho, x))
     return float(np.max(np.abs(got - want) / want))
 
 
@@ -166,18 +166,16 @@ def _v_asymptotic(cfg, stream):
 
 @_check("specfun", "k-reference-agreement", "17-5", 1e-12)
 def _k_reference(cfg, stream):
-    # both production routes (scalar kv, array log-kve) against the
-    # trapezoid-rule reference on a grid straddling every boundary of the
-    # former hand-written K routes: integer orders +- 1e-6, half-integer
-    # orders +- 1e-9, 2z = 30 +- 1e-3
+    # the production route against the trapezoid-rule reference on a grid
+    # straddling every boundary of the former hand-written K routes: integer
+    # orders +- 1e-6, half-integer orders +- 1e-9, 2z = 30 +- 1e-3
     orders = [m + e for m in range(4) for e in (-1e-6, 0.0, 1e-6)]
     orders += [m + 0.5 + e for m in range(3) for e in (-1e-9, 0.0, 1e-9)]
     zs = [float(z) for z in np.geomspace(1e-4, 40.0, 9)] + [15.0 - 5e-4, 15.0 + 5e-4]
     rho, z = np.meshgrid(orders, zs, indexing="ij")
     want = specfun.bessel_k_reference(rho, z)
-    scalar_route = np.vectorize(specfun.bessel_k, otypes=[float])(rho, z)
-    array_route = np.exp(specfun.log_bessel_k(rho, z))
-    return float(np.max(np.abs(np.stack((scalar_route, array_route)) - want) / want))
+    got = np.exp(specfun.log_bessel_k(rho, z))
+    return float(np.max(np.abs(got - want) / want))
 
 
 @_check("specfun", "marginal-density-total-mass", "17-9", 1e-8)
@@ -207,10 +205,10 @@ def _levy_value(cfg, stream):
 
 def _cn(cfg, stream, n):
     """The calibration's ratio spread or the calibrated c_n's relative
-    distance from the closed form (2 sqrt(pi))^(n-1), whichever is larger:
-    the spread alone stays 0 under a constant-factor error."""
+    distance from Q.closed_form_cn, whichever is larger (the spread alone
+    stays 0 under a constant factor); no other check reads the calibration."""
     const = Q.cached_cn(n)
-    return max(const.spread, abs(const.value / (2.0 * math.sqrt(math.pi)) ** (n - 1) - 1.0))
+    return max(const.spread, abs(const.value / Q.closed_form_cn(n) - 1.0))
 
 
 _check("fourier", "fourier-constant-n2", "17-3", 1e-6, n=2)(_cn)
@@ -218,7 +216,7 @@ _check("fourier", "fourier-constant-n3", "17-3", 1e-6, n=3)(_cn)
 
 
 def _pairing(cfg, stream, n, lams):
-    return Q.power_pairing_residual(Dimensions(n), lams, Q.cached_cn(n).value)
+    return Q.power_pairing_residual(Dimensions(n), lams)
 
 
 _check("fourier", "power-pairing-n2", "17-4", 1e-5, n=2, lams=(0.5,))(_pairing)
@@ -226,7 +224,7 @@ _check("fourier", "power-pairing-n3", "17-4", 1e-5, n=3, lams=(0.5, 1.0, 1.5))(_
 
 
 def _v_inverse(cfg, stream, n, rho):
-    return max(Q.fourier_vrho_inverse_check(Dimensions(n), rho, Q.cached_cn(n).value))
+    return max(Q.fourier_vrho_inverse_check(Dimensions(n), rho))
 
 
 _check("fourier", "v-inverse-transform-n2", "727-7", 1e-5, n=2, rho=0.5)(_v_inverse)
@@ -238,12 +236,12 @@ _check("fourier", "v-inverse-transform-n3", "727-7", 1e-5, n=3, rho=1.0)(_v_inve
 # ---------------------------------------------------------------------------
 
 def _lk(cfg, stream, n):
-    # away from the |gamma| that kappa is fitted on (0.5, 1, 2 and 4), so
-    # that the residual reads a |gamma|-dependent error and not only the
-    # spread of the fit's ratios; max |gamma| = 6 keeps the fit's rule in r
+    # kappa is -2 times the sampler's jump intensity, which the check reads;
+    # |gamma| away from the fit's 0.5, 1, 2 and 4, on the fit's rule in r
+    dims = Dimensions(n)
     gamma_norm = np.array([0.3, 1.5, 3.0, 6.0])
-    return float(Q.levy_khinchin_residual(Dimensions(n), gamma_norm,
-                                          Q.fit_levy_khinchin_kappa(n)).max())
+    return float(Q.levy_khinchin_residual(dims, gamma_norm,
+                                          -2.0 * P.default_intensity_scale(dims)).max())
 
 
 _check("levy-khinchin", "levy-khinchin-n2", "345-1", 1e-4, n=2)(_lk)
@@ -251,7 +249,8 @@ _check("levy-khinchin", "levy-khinchin-n3", "345-1", 1e-4, n=3)(_lk)
 
 
 def _lk_kappa(cfg, stream, n):
-    want = -2.0 * math.pi ** (-(n - 1) / 2.0)
+    # the one check that reads the fitted kappa
+    want = -2.0 * P.default_intensity_scale(Dimensions(n))
     return abs(Q.fit_levy_khinchin_kappa(n) - want) / abs(want)
 
 
@@ -632,7 +631,7 @@ _check("reps", "inversion-translation-exchange", "364", 1e-3, grid=_operator_gri
 
 
 def _vacuum(cfg, stream, n, lam):
-    return R.vacuum_checks(Dimensions(n), lam, Q.cached_cn(n).value)
+    return R.vacuum_checks(Dimensions(n), lam)
 
 
 _check("reps", "vacuum-identities-n2", "342-1", 1e-6, n=2, lam=0.5)(_vacuum)

@@ -42,9 +42,8 @@ def test_criterion_01_fourier_constant_calibration():
 def test_criterion_02_power_pairing_same_constant():
     worst = 0.0
     for n, lams in ((2, (0.5,)), (3, (0.5, 1.0, 1.5))):
-        cn = Q.cached_cn(n).value
         for lam in lams:
-            worst = max(worst, Q.power_pairing_residual(Dimensions(n), lam, cn))
+            worst = max(worst, Q.power_pairing_residual(Dimensions(n), lam))
     report("power-pairing", worst <= 1e-5, f"worst residual {worst:.2e}")
 
 

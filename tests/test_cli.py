@@ -33,6 +33,14 @@ def test_specfun_eval_k(capsys):
     assert float(out.strip()) == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("fn", ["K", "V", "g", "psi"])
+def test_specfun_eval_prints_a_float(capsys, fn):
+    # repr of a Python float, not numpy's np.float64(...)
+    code, out, _ = run(capsys, ["specfun", "eval", "--fn", fn, "--x", "1"])
+    assert code == 0
+    assert float(out.strip()) > 0 and "np." not in out
+
+
 def test_check_suite_json_and_exit_code(capsys):
     code, out, _ = run(capsys, ["check", "specfun", "--seed", "2024"])
     assert code == 0
@@ -356,6 +364,25 @@ def test_specfun_eval_has_no_bessel_i(capsys):
 def test_malformed_numbers_are_errors_not_tracebacks(tmp_path, capsys, argv):
     out = tmp_path / "out"
     if argv[0] != "measure":
+        argv = argv + ["--out", str(out)]
+    code, stdout, err = run(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "density", "--which", "mu", "--partition", "nan,0.3", "--xi", "1,1"],
+    ["sample", "marginal", "--partition", "nan", "--count", "2"],
+    ["specfun", "eval", "--fn", "V", "--x", "nan"],
+    ["specfun", "eval", "--fn", "K", "--x", "nan"],
+    ["rep", "apply", "--lambda", "nan", "--g", "z:1.0"],
+    ["sample", "process", "--mass", "nan", "--count", "2"],
+    ["sample", "process", "--eps", "nan", "--count", "2"],
+])
+def test_nan_arguments_are_domain_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] in ("sample", "rep"):
         argv = argv + ["--out", str(out)]
     code, stdout, err = run(capsys, argv)
     assert code == 1

@@ -32,8 +32,9 @@ def test_seeded_stream_builds_its_generator_on_first_use():
 
 
 def test_oracle_n2_domain():
-    with pytest.raises(DomainError):
-        P.oracle_n2(0.0, P.SeededStream(2024, 0), size=10)
+    for lam in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            P.oracle_n2(lam, P.SeededStream(2024, 0), size=10)
 
 
 def test_sample_marginal_is_gamma_then_normal_per_cell():
@@ -285,10 +286,25 @@ def test_sample_process_basic_properties():
     assert np.all(np.diff(cfg.positions) >= 0)
     assert np.all(cfg.radii >= 0.05 * (1 - 1e-9))
     assert cfg.truncation_bound > 0
-    with pytest.raises(DomainError):
-        P.sample_process(dims, -1.0, 0.05, P.SeededStream(2024, 21))
-    with pytest.raises(DomainError):
-        P.JumpSizeTable(dims, 0.0, 1.0)
+    for mass in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            P.sample_process(dims, mass, 0.05, P.SeededStream(2024, 21))
+    for cutoff in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            P.JumpSizeTable(dims, cutoff, 1.0)
+
+
+def test_sample_process_rejects_a_table_of_another_call():
+    # truncation_bound comes from the call's arguments, the draws from the
+    # table, so the two must describe the same process
+    dims = Dimensions(2)
+    table = P.JumpSizeTable(dims, 0.05, P.default_intensity_scale(dims))
+    stream = P.SeededStream(2024, 22)
+    assert P.sample_process(dims, 1.0, 0.05, stream, table=table).truncation_bound > 0
+    for other_dims, cutoff, scale in ((Dimensions(3), 0.05, None), (dims, 0.1, None),
+                                      (dims, 0.05, 1.01 * table.scale), (dims, math.nan, None)):
+        with pytest.raises(DomainError):
+            P.sample_process(other_dims, 1.0, cutoff, stream, scale, table=table)
 
 
 def test_sample_process_determinism():

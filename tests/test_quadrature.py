@@ -13,19 +13,6 @@ from currentlab.gridfn import CellGrid
 from currentlab.specfun import Dimensions
 
 
-def test_radial_fourier_zero_frequency_is_plain_integral():
-    dims = Dimensions(3)
-    prof = Q.RadialProfile(lambda r: np.exp(-r * r), 0.0)
-    got = Q.radial_fourier(dims, prof, 0.0).value
-    area = 2.0 * math.pi ** (dims.d / 2.0) / math.gamma(dims.d / 2.0)
-    want, _ = integrate.quad(lambda r: area * r * math.exp(-r * r), 0.0, 20.0)
-    assert got == pytest.approx(want, rel=1e-10)
-    # nodes_used counts the profile values computed
-    sizes = []
-    counted = Q.RadialProfile(lambda r: sizes.append(r.size) or np.exp(-r * r), 0.0)
-    assert Q.radial_fourier(dims, counted, 0.0).nodes_used == sum(sizes) > 0
-
-
 def test_radial_fourier_gaussian_closed_form():
     # FT of e^{-r^2} in R^d is pi^{d/2} e^{-|xi|^2/4}
     for n in (2, 3):
@@ -40,7 +27,7 @@ def test_radial_fourier_gaussian_closed_form():
 
 def test_radial_fourier_array_matches_scalar_calls():
     # the scalar call is the one-element case of the blocked array path
-    radii = np.array([0.0, 1e-3, 0.05, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0,
+    radii = np.array([1e-3, 0.05, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0,
                       7.0, 10.0, 0.25, 0.75, 1.25, 4.0, 6.0, 8.0, 0.1])
     for n in (2, 3, 4):
         dims = Dimensions(n)
@@ -69,7 +56,7 @@ def test_radial_fourier_singular_head():
     # FT of r^(-1/2) e^(-r) on the line: 2 Re integral r^(-1/2) e^(-(1-ik) r) dr
     # = 2 sqrt(pi) (1+k^2)^(-1/4) cos(atan(k)/2); the Gauss-Jacobi panel
     # carries the r^(-1/2)
-    radii = np.array([0.0, 0.1, 0.5, 1.0, 3.0, 10.0])
+    radii = np.array([0.1, 0.5, 1.0, 3.0, 10.0])
     prof = Q.RadialProfile(lambda r: r ** -0.5 * np.exp(-r), -0.5)
     rep = Q.radial_fourier(Dimensions(2), prof, radii)
     want = 2.0 * math.sqrt(math.pi) * (1.0 + radii ** 2) ** -0.25 * np.cos(0.5 * np.arctan(radii))
@@ -79,8 +66,9 @@ def test_radial_fourier_singular_head():
 
 def test_radial_fourier_domain():
     prof = Q.RadialProfile(lambda r: np.exp(-r * r), 0.0)
-    with pytest.raises(DomainError):
-        Q.radial_fourier(Dimensions(2), prof, np.array([0.5, -1.0]))
+    for bad in (np.array([0.5, -1.0]), 0.0, np.array([1.0, 0.0]), math.nan):
+        with pytest.raises(DomainError):
+            Q.radial_fourier(Dimensions(2), prof, bad)
     with pytest.raises(DomainError):
         Q.radial_fourier(Dimensions(3), Q.RadialProfile(prof.evaluator, -2.0), 1.0)
 
@@ -145,12 +133,15 @@ def test_tail_grows_only_as_far_as_its_error_needs(monkeypatch):
 
 def test_inverse_v_transform_at_tiny_radii():
     # the profile reaches r = 1e11 at k = 1e-8, where log_bessel_k once
-    # returned NaN
+    # returned NaN; the transform there is the integral of 1/V_1 (k = 0)
     prof = _PROFILES["inverse V_1"]
     for n in (2, 3):
-        rep = Q.radial_fourier(Dimensions(n), prof, np.array([0.0, 1e-8, 1e-6]))
+        d = n - 1
+        rep = Q.radial_fourier(Dimensions(n), prof, np.array([1e-8, 1e-6]))
         assert np.all(np.isfinite(rep.value))
-        np.testing.assert_allclose(rep.value[1:], rep.value[0], rtol=1e-9)
+        at_zero = (2.0 * math.pi) ** d * math.gamma(d / 2.0 + 1.0) / (
+            (4.0 * math.pi) ** (d / 2.0) * math.gamma(1.0))
+        np.testing.assert_allclose(rep.value, at_zero, rtol=1e-9)
 
 
 def test_cn_calibration_spread():
@@ -161,34 +152,35 @@ def test_cn_calibration_spread():
 
 
 def test_cn_matches_derived_constant():
-    # the calibrated constant agrees with (4 pi)^((n-1)/2)
+    # the calibrated constant and the closed form agree with (4 pi)^((n-1)/2)
     for n in (2, 3):
         want = (4.0 * math.pi) ** ((n - 1) / 2.0)
         assert Q.cached_cn(n).value == pytest.approx(want, rel=1e-9)
+        assert Q.closed_form_cn(n) == pytest.approx(want, rel=1e-15)
 
 
-def test_power_pairing_residual():
+def test_power_pairing_residual(monkeypatch):
     # the outer rule keeps the residual at its floor, far below the 1e-9
     # relative error in c_n that it must still see
-    for n, lams in ((2, (0.5,)), (3, (0.5, 1.0, 1.5))):
-        dims = Dimensions(n)
-        cn = Q.cached_cn(n).value
-        for lam in lams:
-            assert Q.power_pairing_residual(dims, lam, cn) <= 1e-12
-            assert Q.power_pairing_residual(dims, lam, cn * (1.0 + 1e-9)) > 5e-10
-        # the masses of one call share one transform of the Gaussian
-        for c in (cn, cn * (1.0 + 1e-9)):
-            assert Q.power_pairing_residual(dims, lams, c) == max(
-                Q.power_pairing_residual(dims, lam, c) for lam in lams)
+    closed_form = Q.closed_form_cn
+    for factor in (1.0, 1.0 + 1e-9):
+        monkeypatch.setattr(Q, "closed_form_cn", lambda n: closed_form(n) * factor)
+        for n, lams in ((2, (0.5,)), (3, (0.5, 1.0, 1.5))):
+            dims = Dimensions(n)
+            for lam in lams:
+                got = Q.power_pairing_residual(dims, lam)
+                assert got <= 1e-12 if factor == 1.0 else got > 5e-10
+            # the masses of one call share one transform of the Gaussian
+            assert Q.power_pairing_residual(dims, lams) == max(
+                Q.power_pairing_residual(dims, lam) for lam in lams)
     with pytest.raises(DomainError):
-        Q.power_pairing_residual(Dimensions(3), (0.5, 2.0), 1.0)
+        Q.power_pairing_residual(Dimensions(3), (0.5, 2.0))
 
 
 def test_fourier_vrho_inverse_positive_and_accurate():
     for n, rho in ((2, 0.5), (3, 1.0)):
-        resids = Q.fourier_vrho_inverse_check(Dimensions(n), rho,
-                                              Q.cached_cn(n).value)
-        assert max(resids) <= 1e-5
+        resids = Q.fourier_vrho_inverse_check(Dimensions(n), rho)
+        assert len(resids) == 5 and max(resids) <= 1e-13
 
 
 def test_kernel_A_domain():
@@ -245,35 +237,6 @@ def test_tail_evaluations_are_the_integrand_values_computed(monkeypatch):
     assert widths == [Q._FIRST_CHUNK, 2 * Q._FIRST_CHUNK, 4 * Q._FIRST_CHUNK, Q._SEGMENTS]
 
 
-def test_radial_fourier_zero_frequency_closed_forms():
-    # k = 0 on the graded rule: the plain integral of f times the sphere
-    # area, within its own error estimate
-    cases = [(n, _PROFILES["gaussian"], math.pi ** ((n - 1) / 2.0)) for n in (2, 3, 4)]
-    cases += [(2, _PROFILES["r^-1/2 e^-r"], 2.0 * math.sqrt(math.pi)),
-              (2, Q.RadialProfile(lambda r: (1.0 + r * r) ** -2.0, 0.0), math.pi / 2.0)]
-    for n, lam in ((2, 0.5), (3, 1.0)):   # the squared vacuum profiles
-        rho = (n - 1 - lam) / 2.0
-        vacuum = Q.RadialProfile(lambda r, rho=rho: np.exp(R._log_k_profile(rho, r)), -2.0 * rho)
-        cases.append((n, vacuum, math.gamma(lam / 2.0) * (2.0 * math.pi) ** (n - 1)
-                      / (2.0 * (4.0 * math.pi) ** ((n - 1) / 2.0))))
-    for n, rho in ((2, 0.5), (3, 1.0)):   # 1/V_rho
-        d = n - 1
-        inverse_v = Q.RadialProfile(lambda r, rho=rho: np.exp(-specfun.log_v_rho(rho, r)))
-        cases.append((n, inverse_v, (2.0 * math.pi) ** d * math.gamma(d / 2.0 + rho)
-                      / ((4.0 * math.pi) ** (d / 2.0) * math.gamma(rho))))
-    for n, prof, want in cases:
-        rep = Q.radial_fourier(Dimensions(n), prof, 0.0)
-        assert abs(rep.value - want) <= rep.abs_error, (n, rep.value, want)
-        assert rep.abs_error <= 1e-8 * want
-    # algebraic tails: the integral beyond 2^20 is left out of the value, and
-    # abs_error counts it, continued geometrically from the last two panels
-    for prof, want in ((lambda r: 1.0 / (1.0 + r * r), math.pi),
-                       (lambda r: (1.0 + r * r) ** -0.75,
-                        math.gamma(0.5) * math.gamma(0.25) / math.gamma(0.75))):
-        rep = Q.radial_fourier(Dimensions(2), Q.RadialProfile(prof, 0.0), 0.0)
-        assert abs(rep.value - want) <= rep.abs_error <= 1.01 * abs(rep.value - want)
-
-
 def test_levy_khinchin_constant_and_residual():
     for n in (2, 3):
         dims = Dimensions(n)
@@ -300,7 +263,7 @@ def test_levy_khinchin_residual_over_an_array_is_its_scalar_calls():
 
 
 def test_levy_khinchin_zero_gamma():
-    assert Q.levy_khinchin_residual(Dimensions(2), 0.0) == 0.0
+    assert Q.levy_khinchin_residual(Dimensions(2), 0.0, _lk_closed_form(2)) == 0.0
 
 
 def _lk_closed_form(n):
@@ -362,3 +325,20 @@ def test_radial_rule_integrates_gamma_profiles():
             assert not r.flags.writeable and not w.flags.writeable
             got = float(np.sum(w * r ** a * np.exp(-2.0 * r)))
             assert got == pytest.approx(math.gamma(a + 1.0) / 2.0 ** (a + 1.0), rel=1e-13)
+    # the two integrals at k = 0 of the checks, times the sphere area: the
+    # squared vacuum profiles (r^(lam-1) at 0) and 1/V_rho, against their
+    # closed forms in c_n = (4 pi)^(d/2)
+    for n, lam in ((2, 0.5), (3, 1.0)):
+        d, rho = n - 1, (n - 1 - lam) / 2.0
+        r, w = Q.radial_rule(lam - 1.0, 0.5)
+        got = specfun.sphere_area(d) * np.sum(w * np.exp(R._log_k_profile(rho, r)) * r ** (d - 1))
+        want = math.gamma(lam / 2.0) * (2.0 * math.pi) ** d / (2.0 * (4.0 * math.pi) ** (d / 2.0))
+        assert got == pytest.approx(want, rel=1e-13)
+    for n, rho in ((2, 0.5), (3, 1.0)):
+        d = n - 1
+        r, w = Q.radial_rule(d - 1.0, 0.5)
+        inverse_v = np.exp(-specfun.log_v_rho(rho, r))
+        got = specfun.sphere_area(d) * np.sum(w * inverse_v * r ** (d - 1))
+        want = (2.0 * math.pi) ** d * math.gamma(d / 2.0 + rho) / (
+            (4.0 * math.pi) ** (d / 2.0) * math.gamma(rho))
+        assert got == pytest.approx(want, rel=1e-13)

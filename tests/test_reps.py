@@ -171,13 +171,14 @@ def test_kernel_block_same_sign_term_against_mpmath():
 
 
 def _hankel_kv_terms(lam, w):
-    # the Bessel factor of both sign cases from scipy's hankel1 and kv, at
-    # every lam: the route the block takes away from lam = 1/2
-    from scipy.special import kv
+    # the Bessel factor of both sign cases from scipy's hankel1 and the
+    # scaled K, kve(w) e^(-w), at every lam: the route the block takes away
+    # from lam = 1/2
+    from scipy.special import kve
 
     const = math.pi / (2.0 * math.cos(0.5 * math.pi * lam))
     with np.errstate(under="ignore"):
-        return np.stack((2.0 * math.sin(0.5 * math.pi * lam) * kv(lam - 1.0, w),
+        return np.stack((2.0 * math.sin(0.5 * math.pi * lam) * (kve(lam - 1.0, w) * np.exp(-w)),
                          const * _reflected_difference(1.0 - lam, w)))
 
 
@@ -389,9 +390,14 @@ def test_single_cell_and_current_interpreters_agree():
         assert np.array_equal(one.values, ref.values)
 
 
-def test_vacuum_identities():
+def test_vacuum_identities(monkeypatch):
+    # at the rounding floor with the closed-form c_n, and they see it off by 1e-9
     for dims, lam in ((D2, 0.5), (D3, 1.0)):
-        assert R.vacuum_checks(dims, lam, Q.cached_cn(dims.n).value) <= 1e-6
+        assert R.vacuum_checks(dims, lam) <= 1e-13
+    closed_form = Q.closed_form_cn
+    monkeypatch.setattr(Q, "closed_form_cn", lambda n: closed_form(n) * (1.0 + 1e-9))
+    for dims, lam in ((D2, 0.5), (D3, 1.0)):
+        assert R.vacuum_checks(dims, lam) > 5e-10
 
 
 def test_tau_embedding_z_commutation():

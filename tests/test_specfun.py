@@ -38,7 +38,8 @@ _BOUNDARY_Z = (1e-4, 1e-2, 0.5, 2.0, 15.0 - 5e-4, 15.0 + 5e-4, 40.0)
 
 
 def test_bessel_k_scipy_cross_check():
-    # the production kv route against the independent trapezoid-rule reference
+    # the scalar case of the production route against the independent
+    # trapezoid-rule reference
     rho, z = np.meshgrid(_BOUNDARY_ORDERS, _BOUNDARY_Z, indexing="ij")
     want = specfun.bessel_k_reference(rho, z)
     assert want.shape == rho.shape

@@ -265,11 +265,36 @@ def test_fourier_constant_check_sees_a_constant_factor(monkeypatch):
     assert _run_check("fourier-constant-n2") > 1e-6
 
 
+def test_power_pairing_sees_a_scaled_transform(monkeypatch):
+    # a calibrated c_n would absorb the factor; the closed form does not
+    radial_fourier = Q.radial_fourier
+
+    def scaled(*args, **kwargs):
+        rep = radial_fourier(*args, **kwargs)
+        return Q.QuadratureReport(rep.value * (1.0 + 1e-6), rep.abs_error, rep.nodes_used)
+
+    monkeypatch.setattr(Q, "radial_fourier", scaled)
+    Q.cached_cn.cache_clear()
+    try:
+        for check_id in ("power-pairing-n2", "power-pairing-n3"):
+            assert _run_check(check_id) >= 5e-7
+    finally:
+        Q.cached_cn.cache_clear()
+
+
+def test_levy_khinchin_checks_read_the_jump_intensity(monkeypatch):
+    # kappa is -2 times the sampler's jump intensity, which a fit would not see
+    intensity = P.default_intensity_scale
+    monkeypatch.setattr(P, "default_intensity_scale", lambda dims: 1.01 * intensity(dims))
+    for check_id in ("levy-khinchin-n2", "levy-khinchin-n3"):
+        assert _fails(check_id)
+
+
 def test_k_order_symmetry_compares_with_the_reference(monkeypatch):
-    # scipy kv takes |rho| first, so K(-rho) against K(rho) compares a value
+    # scipy kve takes |rho| first, so K(-rho) against K(rho) compares a value
     # with itself; an error in the shared route must still fail the check
-    kv = specfun.kv
-    monkeypatch.setattr(specfun, "kv", lambda rho, x: kv(rho, x) * (1.0 + 1e-8))
+    kve = specfun.kve
+    monkeypatch.setattr(specfun, "kve", lambda rho, x: kve(rho, x) * (1.0 + 1e-8))
     assert _run_check("k-order-symmetry") > 1e-10
 
 
@@ -280,8 +305,9 @@ def _fails(check_id: str) -> bool:
 
 def test_k_reference_agreement_sees_an_order_shift(monkeypatch):
     # the former hand-written route evaluated K at an order off by 1e-6
-    monkeypatch.setattr(specfun, "bessel_k",
-                        lambda rho, z: float(specfun.kv(rho - 1e-6, 2.0 * z)))
+    scaled_k = specfun._scaled_k
+    monkeypatch.setattr(specfun, "_scaled_k",
+                        lambda rho, x: scaled_k(np.asarray(rho) - 1e-6, x))
     assert _run_check("k-reference-agreement") > 1e-6
 
 
@@ -616,8 +642,8 @@ def test_check_all_builds_each_kernel_block_once(monkeypatch):
     lambda k: 1e-3 * np.sin(math.pi * np.log2(2.0 * k)),
 ])
 def test_levy_khinchin_checks_see_a_gamma_dependent_error(monkeypatch, error):
-    # kappa's fit absorbs a constant factor (1 + c) in _levy_rhs; a factor
-    # 1 + error(|gamma|) that varies with |gamma| must fail both checks
+    # a factor 1 + error(|gamma|) in _levy_rhs must fail both checks, also
+    # one that a fitted kappa would not see
     ids = ["levy-khinchin-n2", "levy-khinchin-n3"]
     rhs = Q._levy_rhs
     Q.fit_levy_khinchin_kappa.cache_clear()

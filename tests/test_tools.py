@@ -62,7 +62,7 @@ def test_special_evals_runs_one_suite():
     assert rows["spherical-n3-l1-g1"] == [str(distinct), "0"]
     assert rows["round"][1] == "0"
     assert out.splitlines()[0].startswith(
-        "scipy.special points (kve, k0e, k1e, kv, hankel1, hankel1e, hankel2e, j0, jv)")
+        "scipy.special points (kve, k0e, k1e, hankel1, hankel1e, hankel2e, j0, jv)")
     # the n = 2 kernel blocks at lam = 1/2 are closed forms that call no
     # scipy function (1056 to 22166 points a check before)
     out = _run_tool("tools/special_evals.py", "--suite", "reps")

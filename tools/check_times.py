@@ -14,10 +14,12 @@ tracemalloc and reports each check's own peak of traced memory (numpy
 arrays and Python objects) above what was live when it started.  Before
 every round the script clears what the benchmark's check-all round rebuilds
 (cached_cn, fit_levy_khinchin_kappa and reps._KERNEL_CACHE), so the check
-that first needs c_n, kappa or a kernel block is charged for it, as in
-`currentlab check all`.  Each check runs as `check all --seed S
---workers 1` runs it, on the stream of its registry index, and is timed
-alone.  The script prints, per check and per suite (the sum of its checks
+that first needs a kernel block is charged for it, as in `currentlab check
+all`.  The calibrated c_n and the fitted kappa are read only by their own
+checks, so they are charged to fourier-constant-n* and
+levy-khinchin-constant-n*; the other checks take the closed forms.  Each
+check runs as `check all --seed S --workers 1` runs it, on the stream of
+its registry index, and is timed alone.  The script prints, per check and per suite (the sum of its checks
 in a round), the minimum and the median over the rounds in ms, the
 first round's ru_maxrss rise in MB and the traced round's peak in MB (a
 suite's and the round's peak is the largest of their checks').  On a
