@@ -3,7 +3,11 @@ samplers, density evaluation, kernel tabulation, operator application, and
 group-law verification, all emitting machine-readable output.
 
 Exit status: 0 on success (and all checks passing), 1 when a suite has
-failures or the configuration is invalid, 2 on usage errors."""
+failures, 2 on usage errors.  Every command fails the same way: a bad
+argument, seed, config or output path prints `error: <message>` on stderr,
+writes nothing to stdout, leaves no output file, and exits 1.  main is the
+one place that turns such a failure (DomainError, ValueError, OSError) into
+that message; every output file goes through suites.write_atomic."""
 
 from __future__ import annotations
 
@@ -56,19 +60,15 @@ def _emit(obj) -> None:
 
 def _cmd_specfun_eval(args) -> int:
     x = args.x
-    try:
-        if args.fn == "K":
-            val = specfun.bessel_k(args.rho, x)
-        elif args.fn == "V":
-            val = specfun.v_rho(args.rho, x)
-        elif args.fn == "g":
-            val = specfun.levy_density_radial(Dimensions(args.n), x)
-        else:  # psi: single-cell marginal density at radius x
-            val = math.exp(specfun.log_marginal_radial_density(
-                Dimensions(args.n), args.lam, x))
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.fn == "K":
+        val = specfun.bessel_k(args.rho, x)
+    elif args.fn == "V":
+        val = specfun.v_rho(args.rho, x)
+    elif args.fn == "g":
+        val = specfun.levy_density_radial(Dimensions(args.n), x)
+    else:  # psi: single-cell marginal density at radius x
+        val = math.exp(specfun.log_marginal_radial_density(
+            Dimensions(args.n), args.lam, x))
     print(repr(float(val)))
     return 0
 
@@ -128,12 +128,8 @@ def _build_run_config(args) -> suites.RunConfig:
 
 
 def _cmd_check(args) -> int:
-    try:
-        cfg = _build_run_config(args)
-        reports = suites.run_suite(cfg, args.suite)
-    except (DomainError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = _build_run_config(args)
+    reports = suites.run_suite(cfg, args.suite)
     _emit(suites.json_report(cfg, args.suite, reports))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -151,71 +147,44 @@ def _process_record(config: P.PointConfiguration) -> dict:
 def _cmd_sample(args) -> int:
     """Validate the arguments, then write each JSONL record as it is made, so
     that memory holds the draws but never all the records."""
-    try:
-        dims = Dimensions(args.n)
-        stream = SeededStream(args.seed if args.seed is not None else _default_seed())
-        if args.kind == "marginal":
-            part = M.Partition(_parse_partition(args.partition))
-            draws = P.sample_marginal(dims, part, stream, size=args.count) \
-                if args.count > 0 else ()
-            records = ({"xi": xi.tolist()} for xi in draws)
-        else:
-            if not 0.0 < args.mass < math.inf:
-                raise DomainError("--mass must be positive and finite")
-            table = P.JumpSizeTable(dims, args.eps, P.default_intensity_scale(dims))
-            records = (_process_record(P.sample_process(dims, args.mass, args.eps, stream,
-                                                        table=table))
-                       for _ in range(args.count))
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    tmp = args.out + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-    os.replace(tmp, args.out)
+    dims = Dimensions(args.n)
+    stream = SeededStream(args.seed if args.seed is not None else _default_seed())
+    if args.kind == "marginal":
+        part = M.Partition(_parse_partition(args.partition))
+        draws = P.sample_marginal(dims, part, stream, size=args.count) \
+            if args.count > 0 else ()
+        records = ({"xi": xi.tolist()} for xi in draws)
+    else:
+        if not 0.0 < args.mass < math.inf:
+            raise DomainError("--mass must be positive and finite")
+        table = P.JumpSizeTable(dims, args.eps, P.default_intensity_scale(dims))
+        records = (_process_record(P.sample_process(dims, args.mass, args.eps, stream,
+                                                    table=table))
+                   for _ in range(args.count))
+    suites.write_atomic(args.out, (json.dumps(rec) + "\n" for rec in records))
     return 0
 
 
 def _cmd_measure_density(args) -> int:
-    try:
-        dims = Dimensions(args.n)
-        part = M.Partition(_parse_partition(args.partition))
-        xi = _parse_vector(args.xi)
-        if args.which == "mu":
-            logv = M.log_mu_alpha_density(dims, part, xi)
-        elif args.which == "nu":
-            logv = M.log_nu_alpha_density(dims, part, xi)
-        else:  # v: xi holds the atom radii of a point configuration
-            logv = M.log_density_v(dims, part.total_mass, xi)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    dims = Dimensions(args.n)
+    part = M.Partition(_parse_partition(args.partition))
+    xi = _parse_vector(args.xi)
+    if args.which == "mu":
+        logv = M.log_mu_alpha_density(dims, part, xi)
+    elif args.which == "nu":
+        logv = M.log_nu_alpha_density(dims, part, xi)
+    else:  # v: xi holds the atom radii of a point configuration
+        logv = M.log_density_v(dims, part.total_mass, xi)
     _emit({"value": math.exp(logv), "log_value": logv})
     return 0
 
 
 def _cmd_kernel_tabulate(args) -> int:
-    try:
-        grid = _parse_vector(args.grid).tolist()
-        rows = []
-        for xi in grid:
-            for xp in grid:
-                rows.append((xi, xp, Q.kernel_A(Dimensions(2), args.lam, xi, xp).value))
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    tmp = args.out + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("xi,xi_prime,value\n")
-        for xi, xp, val in rows:
-            fh.write(f"{xi!r},{xp!r},{val!r}\n")
-    os.replace(tmp, args.out)
+    grid = _parse_vector(args.grid).tolist()
+    lines = ["xi,xi_prime,value\n"]
+    lines += [f"{xi!r},{xp!r},{Q.kernel_A(Dimensions(2), args.lam, xi, xp).value!r}\n"
+              for xi in grid for xp in grid]
+    suites.write_atomic(args.out, lines)
     return 0
 
 
@@ -263,27 +232,19 @@ def _rep_grid(dims: Dimensions, text: str) -> CellGrid:
 
 
 def _cmd_rep_apply(args) -> int:
-    try:
-        dims = Dimensions(args.n)
-        grid = _rep_grid(dims, args.grid)
-        letters = _parse_letters(args.g, dims.d)
-        phi = R.tabulate([grid], lambda xi: np.exp(-np.sum(xi ** 2, axis=-1)))
-        out = R.t_comm_apply(dims, args.lam, G.GroupWord(dims.n, letters), phi,
-                             target=grid)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    dims = Dimensions(args.n)
+    grid = _rep_grid(dims, args.grid)
+    letters = _parse_letters(args.g, dims.d)
+    phi = R.tabulate([grid], lambda xi: np.exp(-np.sum(xi ** 2, axis=-1)))
+    out = R.t_comm_apply(dims, args.lam, G.GroupWord(dims.n, letters), phi,
+                         target=grid)
     payload = {
         "lambda": args.lam,
         "nodes": out.cells[0].nodes.tolist(),
         "values": [[float(v.real), float(v.imag)] for v in out.values],
     }
     if args.out:
-        tmp = args.out + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-        os.replace(tmp, args.out)
+        suites.write_atomic(args.out, [json.dumps(payload) + "\n"])
     else:
         _emit(payload)
     return 0
@@ -301,13 +262,9 @@ _REP_SUITE_CHECKS = {
 
 
 def _cmd_rep_check(args) -> int:
-    try:
-        cfg = _build_run_config(args)
-        suite = "spherical" if args.suite == "spherical" else "reps"
-        reports = suites.run_suite(cfg, suite, _REP_SUITE_CHECKS[args.suite])
-    except (DomainError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = _build_run_config(args)
+    suite = "spherical" if args.suite == "spherical" else "reps"
+    reports = suites.run_suite(cfg, suite, _REP_SUITE_CHECKS[args.suite])
     _emit([
         {"check": r.check_id, "residual": r.residual,
          "tolerance": r.tolerance, "pass": r.passed}
@@ -317,13 +274,9 @@ def _cmd_rep_check(args) -> int:
 
 
 def _cmd_group_check(args) -> int:
-    try:
-        Dimensions(args.n)
-        cfg = _build_run_config(args)
-        reports = suites.run_suite(cfg, "group")
-    except (DomainError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    Dimensions(args.n)
+    cfg = _build_run_config(args)
+    reports = suites.run_suite(cfg, "group")
     _emit({
         "n": args.n,
         "trials": cfg.trials,
@@ -431,7 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DomainError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -478,3 +478,32 @@ def test_seed_env_default(capsys, monkeypatch):
     code, out, _ = run(capsys, ["check", "specfun"])
     assert code == 0
     assert json.loads(out)["seed"] == 99
+
+
+def test_malformed_seed_env_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CURRENTLAB_SEED", "abc")
+    code, out, err = run(capsys, ["sample", "marginal", "--count", "2",
+                                  "--out", str(tmp_path / "m.jsonl")])
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "marginal", "--count", "2"],
+    ["sample", "process", "--count", "2"],
+    ["kernel", "tabulate", "--grid", "0.5,1.0"],
+    ["rep", "apply", "--g", "z:1.0|s", "--grid", "10,8"],
+    ["check", "specfun"],
+])
+def test_output_path_errors_leave_no_file(tmp_path, capsys, argv):
+    # into a missing directory, and onto a directory, where the .tmp is
+    # written and then cannot replace the target
+    (tmp_path / "taken").mkdir()
+    for out in (tmp_path / "missing" / "out", tmp_path / "taken"):
+        code, stdout, err = run(capsys, argv + ["--out", str(out)])
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == [tmp_path / "taken"]
+        assert list((tmp_path / "taken").iterdir()) == []

@@ -229,6 +229,42 @@ def test_package_has_no_dead_definitions():
     assert dead_definitions(package, others) == []
 
 
+def functions_with_try(source: str, prefix: str) -> list:
+    """The module-level functions whose name starts with prefix and whose
+    body holds a try statement at any depth, nested functions included."""
+    return [f"line {node.lineno}: {node.name}" for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith(prefix)
+            and any(isinstance(n, (ast.Try, ast.TryStar)) for n in ast.walk(node))]
+
+
+def test_functions_with_try_are_found():
+    src = ("def _cmd_a(args):\n"
+           "    try:\n"
+           "        return 0\n"
+           "    finally:\n"
+           "        pass\n"
+           "def _cmd_b(args):\n"
+           "    def inner():\n"
+           "        try:\n"
+           "            pass\n"
+           "        except ValueError:\n"
+           "            pass\n"
+           "    return inner\n"
+           "def _cmd_c(args):\n"
+           "    return 0\n"
+           "def main():\n"
+           "    try:\n"
+           "        pass\n"
+           "    except OSError:\n"
+           "        pass\n")
+    assert functions_with_try(src, "_cmd_") == ["line 1: _cmd_a", "line 6: _cmd_b"]
+
+
+def test_cli_commands_leave_errors_to_main():
+    # cli.main alone turns a failure into `error: ...` and exit status 1
+    assert functions_with_try((PACKAGE / "cli.py").read_text(), "_cmd_") == []
+
+
 def test_quadrature_imports_nothing_from_scipy_integrate():
     # every quadrature of the module is one of its own fixed rules
     imported = set()

@@ -203,6 +203,23 @@ def _run_check(check_id: str, cfg=None) -> float:
     return float(spec.fn(cfg, S.SeededStream(cfg.seed, 0)))
 
 
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+def test_write_atomic_leaves_no_file_when_a_chunk_fails(tmp_path, error):
+    def chunks():
+        yield "first\n"
+        raise error("disk gone")
+
+    out = tmp_path / "out.txt"
+    with pytest.raises(error):
+        S.write_atomic(str(out), chunks())
+    assert list(tmp_path.iterdir()) == []
+    # an existing file is left as it was
+    out.write_text("old\n")
+    with pytest.raises(error):
+        S.write_atomic(str(out), chunks())
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == "old\n"
+
+
 def test_group_check_raises_on_unexpected_error(monkeypatch):
     # only degenerate draws are skipped; a TypeError is a bug and propagates
     def broken(x, g):
@@ -296,6 +313,15 @@ def test_k_order_symmetry_compares_with_the_reference(monkeypatch):
     kve = specfun.kve
     monkeypatch.setattr(specfun, "kve", lambda rho, x: kve(rho, x) * (1.0 + 1e-8))
     assert _run_check("k-order-symmetry") > 1e-10
+
+
+def test_v_bessel_product_sees_a_scaled_k_route(monkeypatch):
+    # V comes from the production K route and K from the reference, so an
+    # error in the production route no longer cancels in the product
+    kve, k1e = specfun.kve, specfun.k1e
+    monkeypatch.setattr(specfun, "kve", lambda rho, x: kve(rho, x) * (1.0 + 1e-6))
+    monkeypatch.setattr(specfun, "k1e", lambda x: k1e(x) * (1.0 + 1e-6))
+    assert _run_check("v-bessel-product") > 5e-7
 
 
 def _fails(check_id: str) -> bool:
