@@ -35,7 +35,11 @@ _SEED_ENV = "CURRENTLAB_SEED"
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(_SEED_ENV, "2024"))
+    text = os.environ.get(_SEED_ENV, "2024")
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"{_SEED_ENV} must be an integer, got {text!r}") from None
 
 
 def _parse_vector(text: str) -> np.ndarray:

@@ -306,9 +306,6 @@ def factor_words(m):
     upper = _upper_size(am)
     split = upper > 1e-10 * scale
     ok = membership_residuals(m) <= _MEMBERSHIP_TOL
-    if not split.any():
-        *b, is_triangular = _triangular_parts(m, upper)
-        return WordStack(n, split, split, np.zeros(m.shape[:1] + (n - 1,)), *b), ok & is_triangular
     lead = split & (am[:, 0, n] < np.minimum(_SPLIT_MIN_CORNER * scale, am[:, n, n]))
     h = np.where(lead[:, None, None], form_matrix(n) @ m, m) if lead.any() else m
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -132,18 +132,22 @@ def monotone_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack((t / h, (m - slopes[:-1]) / h - t, slopes[:-1], y[:-1]))
 
 
+_TABLE_R_MAX = 25.0   # largest jump radius of a table
+_TABLE_SIZE = 600     # knots of a table's log grid on [cutoff, _TABLE_R_MAX]
+
+
 class JumpSizeTable:
     """Tabulated inverse of the radial tail intensity
     Lambda(r) = kappa_s * area(S^{d-1}) integral_r^inf s^(d-1) g(s) ds built
-    on a log grid; used to draw jump radii by inversion."""
+    on a log grid of _TABLE_SIZE knots up to _TABLE_R_MAX; used to draw jump
+    radii by inversion."""
 
-    def __init__(self, dims: Dimensions, cutoff: float, intensity_scale: float,
-                 r_max: float = 25.0, grid_size: int = 600):
-        if not 0.0 < cutoff < r_max:
-            raise DomainError("cutoff must lie in (0, r_max)")
+    def __init__(self, dims: Dimensions, cutoff: float, intensity_scale: float):
+        if not 0.0 < cutoff < _TABLE_R_MAX:
+            raise DomainError(f"cutoff must lie in (0, {_TABLE_R_MAX:g})")
         self.dims, self.cutoff, self.scale = dims, cutoff, intensity_scale
         d = dims.d
-        rs = np.geomspace(cutoff, r_max, grid_size)
+        rs = np.geomspace(cutoff, _TABLE_R_MAX, _TABLE_SIZE)
         dens = (intensity_scale * specfun.sphere_area(d) * rs ** (d - 1)
                 * specfun.levy_density_radial(dims, rs))
         # cumulative tail mass by trapezoid on the log grid (refined enough

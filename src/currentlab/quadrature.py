@@ -10,8 +10,8 @@ splitting the axis at the exact sign changes of the Bessel factor and
 accelerating the resulting alternating series of segment integrals with
 repeated averaging; this converges also for the conditionally convergent
 and Abel-summable cases that arise from the slowly decaying profiles.  The
-tail grows in one loop (_grown_tail), which doubles its segments up to
-_SEGMENTS, evaluating only the new ones.
+tail is averaged on its first _FIRST_CHUNK segments, and once more on all
+_SEGMENTS of them where that first average has not reached its stop.
 
 The radial Fourier transform takes an array of radii k > 0.  In the
 variable u = k r the sign changes sit at fixed roots for every radius k, so
@@ -43,6 +43,7 @@ from .specfun import Dimensions, FourierConstant
 _GAUSS_PTS = 12
 _SEGMENTS = 607      # tail segments at most, per oscillatory tail
 _FIRST_CHUNK = 76    # tail segments evaluated first, about an eighth of _SEGMENTS
+_TOL = 1e-11         # absolute tail error at which the averaging stops
 
 
 @dataclass
@@ -74,10 +75,10 @@ def _legendre_panels(edges: np.ndarray, pts: int):
     return mid[:, None] + half[:, None] * _legendre_rule(pts)[0], half
 
 
-def _average_tail(segment_sums: np.ndarray, tol: float):
+def _average_tail(segment_sums: np.ndarray):
     """Accelerate each row's sum of an alternating-segment series by repeated
     averaging of its partial sums; a row stops improving once its error
-    estimate is within tol.  Returns (values, error_estimates), one per row
+    estimate is within _TOL.  Returns (values, error_estimates), one per row
     of the 2-d segment_sums."""
     row = np.cumsum(segment_sums, axis=1)
     best = row[:, -1]
@@ -91,30 +92,16 @@ def _average_tail(segment_sums: np.ndarray, tol: float):
         better = active & (diff < err)
         err = np.where(better, diff, err)
         best = np.where(better, prev, best)
-        active &= ~(err <= tol)
+        active &= ~(err <= _TOL)
     return best, err
 
 
-def _accelerated_sum(segment_sums: np.ndarray, tol: float):
+def _accelerated_sum(segment_sums: np.ndarray):
     """Row sums of segment integrals over alternating lobes: a few raw head
     segments (they may be irregular), the rest by _average_tail."""
     head = min(4, segment_sums.shape[1] // 4)
-    val, err = _average_tail(segment_sums[:, head:], tol)
+    val, err = _average_tail(segment_sums[:, head:])
     return segment_sums[:, :head].sum(axis=1) + val, err
-
-
-def _grown_tail(segs: np.ndarray, sums, tol: float, stop):
-    """Accelerated row sums (_accelerated_sum) of tail segment integrals, one
-    row per integral, from the first segments' sums segs: the segments
-    double, up to _SEGMENTS, while any row's error estimate is above
-    stop(value), sums(lo, hi) giving the sums of the new segments lo .. hi-1
-    alone.  Returns (segs, value, error_estimate), segs all the sums."""
-    while True:
-        done = segs.shape[1]
-        val, err = _accelerated_sum(segs, tol)
-        if done == _SEGMENTS or np.all(err <= stop(val)):
-            return segs, val, err
-        segs = np.concatenate((segs, sums(done, min(2 * done, _SEGMENTS))), axis=1)
 
 
 def _bessel_zeros(nu: float, count: int) -> np.ndarray:
@@ -191,26 +178,7 @@ def _segment_sums(vals: np.ndarray, weights: np.ndarray, scale: np.ndarray) -> n
     return scale[:, None] * (vals.reshape(scale.size, *weights.shape) * weights).sum(axis=2)
 
 
-def _reaches(segs: np.ndarray, value: np.ndarray, tol: float, total: int) -> bool:
-    """Whether the tail of every row of segment sums can get within
-    min(tol, 4 eps |value|) by segment `total`: whether the largest |sum|
-    in the last quarter of its segments, shrinking on at the rate from the
-    quarter before, falls below that level there.  Algebraic decay, whose
-    rate tends to 1, does not reach a rounding-level stop on the transform
-    rule."""
-    q = segs.shape[1] // 4
-    quarters = np.abs(segs[:, -2 * q:]).reshape(-1, 2, q).max(axis=2)
-    left = (total - segs.shape[1]) / q
-    for (a, b), v in zip(quarters.tolist(), value.tolist()):
-        stop = min(tol, 4.0 * _EPS * abs(v))
-        if b > stop and (stop == 0.0 or b >= a
-                         or math.log(b) + left * math.log(b / a) > math.log(stop)):
-            return False
-    return True
-
-
-def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
-                   tol: float = 1e-10) -> QuadratureReport:
+def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out) -> QuadratureReport:
     """d-dimensional Fourier transform of the radial profile, evaluated at
     the radius or array of radii r_out, with the standard unweighted
     convention T(xi) = integral f(|x|) e^{i<xi,x>} dx over R^d, d = n - 1.
@@ -221,16 +189,15 @@ def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
     root] has a fixed graded rule whose Gauss-Jacobi panel maps out the
     profile's r^singularity_exponent times the Jacobian and Bessel powers;
     its doubling panels also cover the long head of small k.  The tail
-    segments between the roots are accelerated by repeated averaging until
-    the error estimate is within tol (absolute, on T).  Radii go through in
-    blocks of _BLOCK.  A block evaluates the profile on the head and the
-    first _FIRST_CHUNK tail segments; _grown_tail then doubles the tail up
-    to the whole rule while the tail error of any of its radii is above
-    min(tol, 4 eps |T|), evaluating only the new segments.  When the first
-    chunk's segment sums do not shrink fast enough to reach that level by
-    the end of the rule (_reaches), the block evaluates the rest of the rule
-    at once and averages its tail only there.  The radii are positive: at
-    k = 0 the transform is the plain integral of f, which radial_rule takes.
+    segments between the roots are accelerated by repeated averaging.
+    Radii go through in blocks of _BLOCK.  A block evaluates the profile on
+    the head and the first _FIRST_CHUNK tail segments and averages that
+    tail once.  Where the tail error of any of its radii is still above
+    min(_TOL, 4 eps |T|) (absolute, on T), as for algebraically decaying
+    profiles, the block evaluates the profile on the remaining segments in
+    one call and averages the tail of the whole rule once.  The radii are
+    positive: at k = 0 the transform is the plain integral of f, which
+    radial_rule takes.
 
     A scalar r_out gives a scalar value and abs_error, an array gives arrays
     of its shape.  abs_error is the tail estimate plus the difference between
@@ -255,20 +222,17 @@ def radial_fourier(dims: Dimensions, profile: RadialProfile, r_out,
         idx = slice(start, start + _BLOCK)
         kb = ks[idx]
         scale = (2.0 * math.pi) ** (0.5 * d) * kb ** -d
-
-        def sums(lo, hi):
-            more = f((u[n_head + lo * pts:n_head + hi * pts] / kb[:, None]).ravel())
-            return _segment_sums(more, tail_w[lo:hi], scale)
-
-        vals = f((u[:n_head + _FIRST_CHUNK * pts] / kb[:, None]).ravel()).reshape(kb.size, -1)
+        first = n_head + _FIRST_CHUNK * pts
+        vals = f((u[:first] / kb[:, None]).ravel()).reshape(kb.size, -1)
         head_terms = vals[:, :n_hi] * hi_w
         head = scale * head_terms.sum(axis=1)
         head_lo = scale * (vals[:, n_hi:n_head] * lo_w).sum(axis=1)
         segs = _segment_sums(vals[:, n_head:], tail_w[:_FIRST_CHUNK], scale)
-        if not _reaches(segs, head + segs.sum(axis=1), tol, _SEGMENTS):
-            segs = np.concatenate((segs, sums(_FIRST_CHUNK, _SEGMENTS)), axis=1)
-        segs, tail, tail_err = _grown_tail(
-            segs, sums, tol, lambda t: np.minimum(tol, 4.0 * _EPS * np.abs(head + t)))
+        tail, tail_err = _accelerated_sum(segs)
+        if np.any(tail_err > np.minimum(_TOL, 4.0 * _EPS * np.abs(head + tail))):
+            rest = f((u[first:] / kb[:, None]).ravel())
+            segs = np.concatenate((segs, _segment_sums(rest, tail_w[_FIRST_CHUNK:], scale)), axis=1)
+            tail, tail_err = _accelerated_sum(segs)
         # the rounding of both sums keeps the estimate above 0 where the
         # head rules agree to the last bit
         rounding = _EPS * (scale * np.abs(head_terms).sum(axis=1) + np.abs(segs).sum(axis=1))
@@ -337,7 +301,7 @@ def calibrate_cn(dims: Dimensions, lam_grid=_DEF_LAM_GRID, xi_grid=_DEF_XI_GRID,
     lhs = []
     for lam in lam_grid:
         prof = RadialProfile(lambda r, lam=lam: (1.0 + r * r / 4.0) ** (-lam / 2.0), 0.0)
-        lhs.append(radial_fourier(dims, prof, xi, tol=1e-11).value)
+        lhs.append(radial_fourier(dims, prof, xi).value)
     lams = np.asarray(lam_grid, dtype=float)[:, None]
     rhs = math.pi ** (0.5 * dims.d) * np.exp(
         specfun.log_marginal_radial_density(dims, lams, xi))
@@ -378,7 +342,7 @@ def power_pairing_residual(dims: Dimensions, lam) -> float:
     # nodes of all the rules comes from one radial_fourier call
     rules = [_graded_rule(20.0, _OUTER_PANELS, d - 1.0 - x, _OUTER_PTS) for x in lams]
     nodes, at = np.unique(np.concatenate([s for s, _ in rules]), return_inverse=True)
-    ft_w = radial_fourier(dims, prof, nodes, tol=1e-11).value[at]
+    ft_w = radial_fourier(dims, prof, nodes).value[at]
     area = specfun.sphere_area(d)
     cn = closed_form_cn(dims.n)
     worst = 0.0
@@ -412,8 +376,7 @@ def fourier_vrho_inverse_check(dims: Dimensions, rho: float):
     x = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
     r, w = radial_rule(d - 1.0, 0.5)
     at_zero = specfun.sphere_area(d) * np.sum(w * vinv(r) * r ** (d - 1))
-    got = np.concatenate(([at_zero], radial_fourier(dims, RadialProfile(vinv), x[1:],
-                                                    tol=1e-11).value))
+    got = np.concatenate(([at_zero], radial_fourier(dims, RadialProfile(vinv), x[1:]).value))
     want = const * (1.0 + x * x / 4.0) ** (-0.5 * d - rho)
     if not np.all(got > 0):
         raise ConvergenceError("transform of 1/V_rho must be positive")

@@ -783,16 +783,19 @@ def json_report(config: RunConfig, suite: str, reports: list) -> dict:
 def write_atomic(path: str, chunks) -> None:
     """Write the text chunks to path + ".tmp" as they come, then rename it
     onto path.  Any failure, KeyboardInterrupt included, removes the .tmp
-    and leaves path as it was."""
+    and leaves path as it was; an OSError on the .tmp is raised naming
+    path, the file asked for."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 

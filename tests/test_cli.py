@@ -481,12 +481,14 @@ def test_seed_env_default(capsys, monkeypatch):
 
 
 def test_malformed_seed_env_is_an_error(tmp_path, capsys, monkeypatch):
+    # the message names the variable and its value, for sample and check alike
     monkeypatch.setenv("CURRENTLAB_SEED", "abc")
-    code, out, err = run(capsys, ["sample", "marginal", "--count", "2",
-                                  "--out", str(tmp_path / "m.jsonl")])
-    assert code == 1
-    assert err.startswith("error:") and "Traceback" not in err
-    assert out == "" and list(tmp_path.iterdir()) == []
+    for argv in (["sample", "marginal", "--count", "2"], ["check", "specfun"]):
+        code, out, err = run(capsys, argv + ["--out", str(tmp_path / "out")])
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "CURRENTLAB_SEED" in err and "'abc'" in err
+        assert out == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -504,6 +506,8 @@ def test_output_path_errors_leave_no_file(tmp_path, capsys, argv):
         code, stdout, err = run(capsys, argv + ["--out", str(out)])
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+        # the message names the path given, not its temporary name
+        assert f"'{out}'" in err and f"{out}.tmp" not in err
         assert stdout == ""
         assert list(tmp_path.iterdir()) == [tmp_path / "taken"]
         assert list((tmp_path / "taken").iterdir()) == []

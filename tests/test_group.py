@@ -311,25 +311,33 @@ def test_factor_word_near_the_triangular_subgroup():
 
 def test_factor_words_is_factor_word_over_a_stack():
     # generic, near-triangular and triangular elements and a non-member in
-    # one stack: each word evaluates as factor_word's, and ok is False
-    # exactly where factor_word raises
+    # one stack, and a stack that no element splits: each word evaluates as
+    # factor_word's, and ok is False exactly where factor_word raises
     for n in (2, 3):
         dims = Dimensions(n)
         t = G.TriangularElement(-1.7, np.eye(n - 1), np.full(n - 1, 0.8))
         s = G.form_matrix(n)
         near = t.matrices() @ s @ z_letter(np.full(n - 1, 1e-6)) @ s
-        m = np.concatenate((G.random_elements(dims, np.random.default_rng(n), 30),
-                            [near, t.matrices(), 2.0 * np.eye(n + 1)]))
-        words, ok = G.factor_words(m)
-        assert ok[:-1].all() and not ok[-1]
-        assert words.lead[-3] and not words.split[-2]
-        got = words.evaluate()
-        for i in range(len(m) - 1):
-            w = G.factor_word(G.GroupElement(m[i], n))
-            assert len(w.letters) == len(words.word(i).letters)
-            assert np.abs(got[i] - w.evaluate().m).max() <= 1e-13 * np.abs(m[i]).max()
-        with pytest.raises(NotInGroupError):
-            G.factor_word(G.GroupElement(m[-1], n))
+        bad = 2.0 * np.eye(n + 1)
+        mixed = np.concatenate((G.random_elements(dims, np.random.default_rng(n), 30),
+                                [near, t.matrices(), bad]))
+        triangular = np.concatenate(
+            (G.random_triangular(dims, np.random.default_rng(n), 20).matrices(), [bad]))
+        for m in (mixed, triangular):
+            words, ok = G.factor_words(m)
+            assert ok[:-1].all() and not ok[-1]
+            if m is mixed:
+                assert words.lead[-3] and not words.split[-2]
+            else:
+                assert not (words.split.any() or words.lead.any() or words.shift.any())
+            got = words.evaluate()
+            for i in range(len(m) - 1):
+                w = G.factor_word(G.GroupElement(m[i], n))
+                assert len(w.letters) == len(words.word(i).letters)
+                assert np.abs(got[i] - w.evaluate().m).max() <= 1e-13 * np.abs(m[i]).max()
+                assert np.abs(got[i] - m[i]).max() <= 1e-13 * np.abs(m[i]).max()
+            with pytest.raises(NotInGroupError):
+                G.factor_word(G.GroupElement(m[-1], n))
 
 
 def test_triangular_stacks_compose_elementwise():

@@ -110,37 +110,49 @@ def test_early_stopped_tail_matches_the_full_rule(monkeypatch):
                                    err_msg=f"{name} at n = {n}")
 
 
-def test_tail_grows_only_as_far_as_its_error_needs(monkeypatch):
-    # the Gaussian stops within the first chunk up to k = 30, and 1/V_1 at
-    # k = 12..20 after doubling it once; the algebraic profile goes from the
-    # first chunk straight to the whole rule, so each node is evaluated once
-    # and the tail is averaged once
+def _tail_runs(monkeypatch):
+    # the Gaussian stops on the first chunk up to k = 30, one average per
+    # block; 1/V_1 at k = 12..20 and the algebraic profile go on to the whole
+    # rule, evaluating the rest of it in one profile call and averaging
+    # twice.  Yields each case with the widths averaged, the sizes of the
+    # profile calls made and the nodes_used reported.
     gaussian = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0])
-    doubled = np.array([12.0, 16.0, 20.0])
-    head = 1.5 * Q._HEAD_PANELS * Q._HEAD_PTS
-    algebraic = np.array([0.1, 0.5, 1.0, 2.0])
-    averaged = []
+    widths, seen = [], []
     accelerated_sum = Q._accelerated_sum
+    monkeypatch.setattr(Q, "_accelerated_sum",
+                        lambda segs: widths.append(segs.shape[1]) or accelerated_sum(segs))
 
-    def counted(segs, tol):
-        averaged.append(segs.shape[1])
-        return accelerated_sum(segs, tol)
+    def counted(name):
+        f = _PROFILES[name].evaluator
+        return Q.RadialProfile(lambda r: seen.append(r.size) or f(r), 0.0)
 
-    monkeypatch.setattr(Q, "_accelerated_sum", counted)
     for n in (2, 3, 4):
         dims = Dimensions(n)
-        early = Q.radial_fourier(dims, _PROFILES["gaussian"], gaussian).nodes_used
-        assert Q.radial_fourier(dims, _PROFILES["inverse V_1"], doubled).nodes_used \
-            == doubled.size * (head + 2 * Q._FIRST_CHUNK * Q._GAUSS_PTS)
-        averaged.clear()
-        slow = Q.radial_fourier(dims, _PROFILES["algebraic"], algebraic).nodes_used
-        assert averaged == [_FULL_RULE]
-        with monkeypatch.context() as m:
-            m.setattr(Q, "_FIRST_CHUNK", _FULL_RULE)
-            full = Q.radial_fourier(dims, _PROFILES["gaussian"], gaussian).nodes_used
-            assert Q.radial_fourier(dims, _PROFILES["algebraic"], algebraic).nodes_used == slow
-        assert early < full / 4
-        assert full == gaussian.size * (head + _FULL_RULE * Q._GAUSS_PTS)
+        for name, radii, chunks in (
+                ("gaussian", gaussian, [Q._FIRST_CHUNK] * (gaussian.size // Q._BLOCK)),
+                ("inverse V_1", np.array([12.0, 16.0, 20.0]), [Q._FIRST_CHUNK, _FULL_RULE]),
+                ("algebraic", np.array([0.1, 0.5, 1.0, 2.0]), [Q._FIRST_CHUNK, _FULL_RULE])):
+            widths.clear()
+            seen.clear()
+            used = Q.radial_fourier(dims, counted(name), radii).nodes_used
+            yield f"{name} at n = {n}", radii, chunks, list(widths), list(seen), used
+
+
+def test_tail_grows_only_as_far_as_its_error_needs(monkeypatch):
+    # the tail takes the first chunk, or the whole rule where the first
+    # chunk's average has not reached its stop, and nothing in between
+    head = 1.5 * Q._HEAD_PANELS * Q._HEAD_PTS
+    for case, radii, chunks, widths, _, used in _tail_runs(monkeypatch):
+        assert widths == chunks, case
+        assert used == radii.size * (head + chunks[-1] * Q._GAUSS_PTS), case
+
+
+def test_tail_evaluations_are_the_integrand_values_computed(monkeypatch):
+    # every profile value computed is counted once, also in a tail that goes
+    # on to the whole rule, and the rest of the rule is one profile call
+    for case, _, chunks, _, seen, used in _tail_runs(monkeypatch):
+        assert used == sum(seen), case
+        assert len(seen) == len(chunks), case
 
 
 def test_inverse_v_transform_at_tiny_radii():
@@ -223,30 +235,6 @@ def test_kernel_A_prefactor():
     assert rep.value == pytest.approx(2.0 * math.pi ** 2 * a_op(Dimensions(3), xi, xp),
                                       rel=1e-13)
     assert rep.abs_error == 0.0
-
-
-def test_tail_evaluations_are_the_integrand_values_computed(monkeypatch):
-    # every profile value is computed once, also in a tail that doubles its
-    # segments: 1/V_1 at k = 12..20 doubles the first chunk once, and the
-    # algebraic profile, let through _reaches, doubles it up to the whole rule
-    widths, seen = [], []
-    accelerated_sum = Q._accelerated_sum
-    monkeypatch.setattr(Q, "_accelerated_sum",
-                        lambda segs, tol: widths.append(segs.shape[1]) or accelerated_sum(segs, tol))
-
-    def counted(name):
-        f = _PROFILES[name].evaluator
-        return Q.RadialProfile(lambda r: seen.append(r.size) or f(r), 0.0)
-
-    dims = Dimensions(3)
-    assert Q.radial_fourier(dims, counted("inverse V_1"), [12.0, 16.0, 20.0]).nodes_used \
-        == sum(seen)
-    assert widths == [Q._FIRST_CHUNK, 2 * Q._FIRST_CHUNK]
-    widths.clear()
-    seen.clear()
-    monkeypatch.setattr(Q, "_reaches", lambda *args: True)
-    assert Q.radial_fourier(dims, counted("algebraic"), [0.5]).nodes_used == sum(seen)
-    assert widths == [Q._FIRST_CHUNK, 2 * Q._FIRST_CHUNK, 4 * Q._FIRST_CHUNK, Q._SEGMENTS]
 
 
 def test_levy_khinchin_constant_and_residual():
