@@ -124,15 +124,25 @@ class GridFunction:
     def l(self) -> int:
         return len(self.cells)
 
-    def scale_values(self, factors: list) -> "GridFunction":
-        """Multiply values by the outer product of one factor vector per cell."""
-        vals = self.values
-        for axis, f in enumerate(factors):
-            if f is None:
-                continue
-            shape = [1] * vals.ndim
-            shape[axis] = -1
-            vals = vals * np.asarray(f).reshape(shape)
+    def scale_values(self, factors) -> "GridFunction":
+        """Multiply the values by factors in turn, each a pair (axis, f): a
+        vector f along that cell axis, or a scalar f for axis None.  The
+        result is allocated once, at the dtype of the values and the
+        factors, and every factor multiplies it in place, in the order
+        given; so it rounds as a chain of products would, and holds one
+        output-sized array.  With no factors the values are not copied."""
+        factors = [(axis, np.asarray(f)) for axis, f in factors]
+        if not factors:
+            return GridFunction(self.cells, self.values)
+        vals = np.empty(self.values.shape, np.result_type(self.values, *(f for _, f in factors)))
+        source = self.values
+        for axis, f in factors:
+            if axis is not None:
+                shape = [1] * vals.ndim
+                shape[axis] = -1
+                f = f.reshape(shape)
+            np.multiply(source, f, out=vals)
+            source = vals
         return GridFunction(self.cells, vals)
 
 

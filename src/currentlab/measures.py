@@ -19,7 +19,8 @@ sometimes convenient to absorb it into the cell factors; we never do).  The
 three cell laws are written once, in specfun; the joint densities here sum
 them over the cells, all cells (and any batch of points) in one call.
 Coherence under refinement is checked exactly (coherence_exact, which draws
-gamma alone) and by Monte Carlo (coherence_mc)."""
+gamma alone) and by Monte Carlo (coherence_mc, a chi-square test of sample
+means against their exact means and covariance)."""
 
 from __future__ import annotations
 
@@ -200,35 +201,41 @@ def nu_char(partition: Partition, dims: Dimensions, gamma) -> float:
 MC_BLOCK = 2 ** 14
 
 
-class BlockMoments:
-    """Mean and centred sum of squares of values that arrive in blocks.  Each
-    block's own mean and centred sum are merged into the running ones by the
-    pairwise rule of Chan, Golub & LeVeque (1983); the one-pass
-    sum(x^2) - N mean^2 would cancel to nothing on a near-constant sample."""
-
-    def __init__(self):
-        self.count, self.mean, self.m2 = 0, 0.0, 0.0
-
-    def add(self, values) -> None:
-        values = np.asarray(values, dtype=float)
-        count, mean = values.size, float(np.mean(values))
-        m2 = float(np.sum((values - mean) ** 2))
-        total = self.count + count
-        delta = mean - self.mean
-        self.mean += delta * count / total
-        self.m2 += m2 + delta * delta * self.count * count / total
-        self.count = total
-
-    @property
-    def standard_error(self) -> float:
-        """std(values) / sqrt(N), numpy's std (divisor N) over all values."""
-        return math.sqrt(self.m2 / self.count) / math.sqrt(self.count)
-
-
 def mc_blocks(n_samples: int):
     """The sizes of the MC_BLOCK-sample blocks of an n_samples-sample
     estimate, the last one short."""
     return [min(MC_BLOCK, n_samples - start) for start in range(0, n_samples, MC_BLOCK)]
+
+
+def cosine_moments(partition: Partition, dims: Dimensions, gammas):
+    """Exact mean and covariance of the cosines cos <gamma_a, xi>, xi drawn
+    from mu_alpha, at the frequencies gammas, m points of big_psi (each
+    (cells, d) or flat): as Psi is real and even, E cos <gamma_a, xi> =
+    Psi(gamma_a), and cos A cos B = (cos(A + B) + cos(A - B)) / 2 gives
+    Cov_ab = (Psi(gamma_a + gamma_b) + Psi(gamma_a - gamma_b)) / 2 - Psi(gamma_a) Psi(gamma_b)."""
+    gammas = np.asarray(gammas, dtype=float)
+    mean = np.array([big_psi(partition, dims, g) for g in gammas])
+    second = np.array([[(big_psi(partition, dims, a + b) + big_psi(partition, dims, a - b)) / 2.0
+                        for b in gammas] for a in gammas])
+    return mean, second - np.outer(mean, mean)
+
+
+def mixing_laplace(partition: Partition, t):
+    """L(t) = prod_c (1 + t_c)^(-lam_c/2), the Laplace transform
+    E exp(-sum_c t_c S_c) of independent S_c ~ Gamma(lam_c/2, 1), one per
+    cell, over the last axis of an array t (..., cells)."""
+    t = np.asarray(t, dtype=float)
+    return np.exp(np.log1p(t) @ (-0.5 * np.asarray(partition.masses)))
+
+
+def laplace_moments(partition: Partition, ts):
+    """Exact mean and covariance of exp(-sum_c t_ac S_c) at the rows t_a of
+    ts (m, cells), S_c the cells' mixing sums as in mixing_laplace: the
+    product of two is the exponential at t_a + t_b, so
+    Cov_ab = L(t_a + t_b) - L(t_a) L(t_b)."""
+    ts = np.asarray(ts, dtype=float)
+    mean = mixing_laplace(partition, ts)
+    return mean, mixing_laplace(partition, ts[:, None, :] + ts[None, :, :]) - np.outer(mean, mean)
 
 
 def coherence_exact(dims: Dimensions, refinement: Refinement, stream) -> float:
@@ -244,40 +251,49 @@ def coherence_exact(dims: Dimensions, refinement: Refinement, stream) -> float:
                for law in (nu_char, big_psi))
 
 
-def coherence_mc(dims: Dimensions, refinement: Refinement, stream,
-                 n_samples: int = 200_000, conditional: bool = False):
+def coherence_mc(dims: Dimensions, refinement: Refinement, stream, n_samples: int,
+                 frequencies, conditional: bool = False) -> float:
     """Consistency of the marginal families under refinement, by Monte
-    Carlo: fine samples of mu, group-summed to the coarse partition,
-    reproduce the coarse characteristic functional Psi(gamma) = big_psi.
-    gamma and then the samples come from the stream, gamma drawn as by
-    coherence_exact and the samples MC_BLOCK at a time, each block summed by
-    one group_sum.  The raw estimator averages cos <xi, gamma> over fine
-    draws of sample_marginal.  The conditional one (Rao-Blackwell) draws
-    only the fine cells' mixing variables W by sample_mixing: given W a
-    coarse cell's draw is N(0, (S_c/2) I_d), S_c the group sum of W over its
-    fine cells, so it averages exp(-sum_c |gamma_c|^2 S_c / 4), the mean of
-    the cosine given W, with a smaller variance; a block's W fill one
-    (size, fine cells) array column by column and the exponential is taken
-    in place.  Returns the estimate's distance from big_psi and its
-    standard error."""
+    Carlo: fine samples of mu, group-summed to the coarse partition, have
+    the coarse partition's law.  m statistics are averaged over n_samples
+    draws from the stream, MC_BLOCK at a time, each block summed by one
+    group_sum, and their sample means d away from the exact means of
+    cosine_moments or laplace_moments are read against the exact
+    covariance Sigma: q = n_samples d^T Sigma^(-1) d, which under the null
+    follows chi-square with m degrees of freedom.
+
+    The raw statistics are cos <gamma_a, xi> over fine draws of
+    sample_marginal, at the frequencies gamma_a, m points of the coarse
+    big_psi.  The conditional ones (Rao-Blackwell) draw only the fine
+    cells' mixing variables W by sample_mixing: given W a coarse cell's
+    draw is N(0, (S_c/2) I_d), S_c the group sum of W over its fine cells,
+    and the statistics are exp(-sum_c t_ac S_c) at the frequencies t
+    (m, coarse cells); a block's W fill one (size, fine cells) array column
+    by column and the exponential is taken in place.  Returns q."""
     from . import process as P
 
     coarse, fine = refinement.coarse, refinement.fine
-    gamma_c = stream.rng.normal(size=(coarse.size, dims.d))
-    # Psi is real, so only the real part is estimated; the raw estimator's
-    # standard error leaves out the variance of sin
-    moments = BlockMoments()
-    sq_c = np.einsum("ld,ld->l", gamma_c, gamma_c)
-    for size in mc_blocks(n_samples):
+    frequencies = np.asarray(frequencies, dtype=float)
+    if conditional:
+        mean, cov = laplace_moments(coarse, frequencies)
+        weights = -frequencies.T
+    else:
+        mean, cov = cosine_moments(coarse, dims, frequencies)
+        weights = frequencies.reshape(len(frequencies), -1).T
+
+    def block(size):
         if conditional:
             w = np.empty((size, fine.size))
             for i, lam in enumerate(fine.masses):
                 w[:, i] = P.sample_mixing(lam, stream, size)
-            exponent = refinement.group_sum(w[..., None])[..., 0] @ sq_c
-            del w
-            exponent /= -4.0
-            moments.add(np.exp(exponent, out=exponent))
-        else:
-            draws = refinement.group_sum(P.sample_marginal(dims, fine, stream, size=size))
-            moments.add(np.cos(np.einsum("nld,ld->n", draws, gamma_c)))
-    return abs(moments.mean - big_psi(coarse, dims, gamma_c)), moments.standard_error
+            values = refinement.group_sum(w[..., None])[..., 0] @ weights
+            return np.exp(values, out=values)
+        draws = refinement.group_sum(P.sample_marginal(dims, fine, stream, size=size))
+        values = draws.reshape(size, -1) @ weights
+        return np.cos(values, out=values)
+
+    total = np.zeros(len(frequencies))
+    for size in mc_blocks(n_samples):
+        total += block(size).sum(axis=0)
+    dev = total / n_samples - mean
+    return float(n_samples * (dev @ np.linalg.solve(cov, dev)))

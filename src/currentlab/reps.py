@@ -66,7 +66,8 @@ def nu_inner(dims: Dimensions, partition: M.Partition, phi1: GridFunction,
              phi2: GridFunction) -> complex:
     """L^2(nu_alpha) pairing on the product grid."""
     prod = GridFunction(phi1.cells, phi1.values * np.conj(phi2.values))
-    return complex(prod.scale_values(_nu_weights(dims, partition, phi1.cells)).values.sum())
+    weights = _nu_weights(dims, partition, phi1.cells)
+    return complex(prod.scale_values(enumerate(weights)).values.sum())
 
 
 def nu_norm(dims: Dimensions, partition: M.Partition, phi: GridFunction) -> float:
@@ -310,25 +311,20 @@ def kernel_matrix(dims: Dimensions, lam: float, target: CellGrid,
 # commutative model operators
 # ---------------------------------------------------------------------------
 
-def _apply_z(phi: GridFunction, axis: int, gamma0: np.ndarray) -> GridFunction:
-    c = phi.cells[axis]
-    phase = np.exp(1j * c.nodes @ gamma0)
-    factors = [None] * phi.l
-    factors[axis] = phase
-    return phi.scale_values(factors)
+def _z_phase(cell: CellGrid, gamma0: np.ndarray) -> np.ndarray:
+    """The factor e^{i <xi, gamma0>} of a z letter at the cell's nodes."""
+    return np.exp(1j * cell.nodes @ gamma0)
 
 
-def _apply_d(dims: Dimensions, lam: float, phi: GridFunction, axis: int,
-             eps: float, u: np.ndarray) -> GridFunction:
-    """|eps|^(lam/2) phi(eps xi u) by transporting the node set: the result
-    is known exactly at xi = p u^T / eps for each node p, with the quadrature
-    weights rescaled by |eps|^(-d) — change of variables is exact."""
-    c = phi.cells[axis]
-    new_nodes = (c.nodes @ u.T) / eps
-    new_weights = c.weights * abs(eps) ** (-dims.d)
-    cells = list(phi.cells)
-    cells[axis] = CellGrid(new_nodes, new_weights)
-    return GridFunction(cells, phi.values * abs(eps) ** (lam / 2.0))
+def _d_part(dims: Dimensions, lam: float, cell: CellGrid, eps: float,
+            u: np.ndarray) -> tuple:
+    """The d-part of a triangular letter on one cell, |eps|^(lam/2)
+    phi(eps xi u), by transporting the node set: the result is known exactly
+    at xi = p u^T / eps for each node p, with the quadrature weights
+    rescaled by |eps|^(-d) — change of variables is exact.  Returns the
+    transported cell and the amplitude |eps|^(lam/2)."""
+    moved = CellGrid((cell.nodes @ u.T) / eps, cell.weights * abs(eps) ** (-dims.d))
+    return moved, abs(eps) ** (lam / 2.0)
 
 
 # _apply_s contracts at most about this many values per block
@@ -554,18 +550,21 @@ def u_current_apply(dims: Dimensions, partition: M.Partition, letters: list,
     """U_b for a cell-wise triangular current b = (eps_i, u_i, gamma_i):
     multiply cell i by |eps_i|^(lam_i/2) e^{i <xi^i, gamma^i>} at its own
     mass lam_i and substitute xi^i -> eps_i xi^i u_i, the d-part first; an
-    identity d-part and a zero shift are skipped."""
+    identity d-part and a zero shift are skipped.  The d-parts transport the
+    cells, and the amplitudes and phases multiply one new array in turn
+    (GridFunction.scale_values)."""
     if len(letters) != phi.l or phi.l != partition.size:
         raise DomainError("need one triangular letter per cell")
-    out = phi
+    cells, factors = list(phi.cells), []
     for axis, (lam, let) in enumerate(zip(partition.masses, letters)):
         if isinstance(let, str):
             raise DomainError("u_current_apply takes triangular letters only")
         if _moves_nodes(let):
-            out = _apply_d(dims, lam, out, axis, let.epsilon, let.u)
+            cells[axis], amplitude = _d_part(dims, lam, cells[axis], let.epsilon, let.u)
+            factors.append((None, amplitude))
         if np.abs(let.gamma).max() > 0:
-            out = _apply_z(out, axis, let.gamma)
-    return out
+            factors.append((axis, _z_phase(cells[axis], let.gamma)))
+    return GridFunction(cells, phi.values).scale_values(factors)
 
 
 def involution_apply(dims: Dimensions, partition: M.Partition,

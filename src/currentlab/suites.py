@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma
+from scipy.special import chdtri, gamma
 
 from . import group as G
 from . import measures as M
@@ -473,10 +473,26 @@ def _nu_exact(cfg, stream, n, masses, parts):
     return M.coherence_exact(Dimensions(n), ref, stream)
 
 
-def _mu_projection(cfg, stream, n, masses, n_samples, conditional):
+# The Monte Carlo checks are chi-square tests: residual q, tolerance the
+# chi-square quantile at which correct code fails one of them on
+# MC_FAMILY_RATE of seeds, each row at the Sidak share of it.  Frequencies and
+# draw counts give each row 99 % power against its named mutants (a Gamma
+# shape x 1.05, the draws x 1.05, a dropped fine cell) by the noncentral
+# chi-square law, with covariance condition numbers below 1e3.
+MONTE_CARLO_CHECKS = ("mu-projection-mc-n2", "mu-projection-mc-n3")
+MC_FAMILY_RATE = 1e-3
+
+
+def _chi2_threshold(dof: int) -> float:
+    """The upper chi-square quantile with dof degrees of freedom at one
+    Monte Carlo row's share of MC_FAMILY_RATE."""
+    row_rate = 1.0 - (1.0 - MC_FAMILY_RATE) ** (1.0 / len(MONTE_CARLO_CHECKS))
+    return float(chdtri(dof, row_rate))
+
+
+def _mu_projection(cfg, stream, n, masses, n_samples, frequencies, conditional):
     ref = M.split_evenly(M.Partition(masses), 2)
-    dev, se = M.coherence_mc(Dimensions(n), ref, stream, n_samples, conditional)
-    return dev / max(se, 1e-300)
+    return M.coherence_mc(Dimensions(n), ref, stream, n_samples, frequencies, conditional)
 
 
 _check("coherence", "nu-exact-refinement-n2", "30-1", 1e-12,
@@ -484,12 +500,13 @@ _check("coherence", "nu-exact-refinement-n2", "30-1", 1e-12,
 _check("coherence", "nu-exact-refinement-n3", "30-1", 1e-12,
        n=3, masses=(0.5, 0.7), parts=2)(_nu_exact)
 # the raw estimator: the one check that runs sample_marginal end to end
-_check("coherence", "mu-projection-mc-n2", "17-9", 3.0,
-       n=2, masses=(0.5,), n_samples=200_000, conditional=False)(_mu_projection)
-# conditioned on the mixing variables, 4 blocks have the standard error of
-# the raw estimator's 200 000 samples
-_check("coherence", "mu-projection-mc-n3", "17-9", 3.0,
-       n=3, masses=(0.5, 0.7), n_samples=4 * M.MC_BLOCK, conditional=True)(_mu_projection)
+_check("coherence", "mu-projection-mc-n2", "17-9", _chi2_threshold(3),
+       n=2, masses=(0.5,), n_samples=4 * M.MC_BLOCK,
+       frequencies=((1.0,), (3.0,), (9.0,)), conditional=False)(_mu_projection)
+# conditioned on the mixing variables: a smaller variance, so one block
+_check("coherence", "mu-projection-mc-n3", "17-9", _chi2_threshold(2),
+       n=3, masses=(0.5, 0.7), n_samples=M.MC_BLOCK,
+       frequencies=((1.0, 1.0), (4.0, 4.0)), conditional=True)(_mu_projection)
 _check("coherence", "trivial-refinement", "30-1", 1e-15,
        n=2, masses=(0.5, 0.3), parts=1)(_nu_exact)
 

@@ -137,10 +137,18 @@ def test_scale_values():
     phi = GF.tabulate(cells, lambda x, y: np.ones((6, 4)))
     f0 = np.arange(6.0)
     f1 = np.arange(4.0)
-    out = phi.scale_values([f0, f1])
+    out = phi.scale_values([(0, f0), (1, f1)])
     assert np.allclose(out.values, np.multiply.outer(f0, f1))
     # original untouched
     assert np.allclose(phi.values, 1.0)
+    # a scalar and a complex factor after a real one: one complex output,
+    # bit for bit the chain of products in the order given
+    vals = np.random.default_rng(0).normal(size=(6, 4))
+    phase = np.exp(1j * np.arange(4.0))
+    out = GF.GridFunction(cells, vals).scale_values([(0, f0), (None, 0.7), (1, phase)])
+    assert out.values.dtype == np.complex128
+    assert np.array_equal(out.values, vals * f0[:, None] * 0.7 * phase[None, :])
+    assert phi.scale_values([]).values is phi.values
 
 
 def test_tabulate_single_cell_needs_vectorized_fn():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import chdtri, gammaln
 
 from currentlab import measures as M
 from currentlab import specfun
@@ -175,119 +175,114 @@ def test_nu_char_refinement_exact():
 def test_check_coherence():
     for n in (2, 3):
         dims = Dimensions(n)
-        ref = M.split_evenly(M.Partition((0.5, 0.3)), 3)
-        # the exact check draws gamma, as the Monte Carlo one first does, and nothing else
+        ref = M.split_evenly(M.Partition((0.5, 0.3)), 2)
+        # the exact check draws gamma and nothing else
         stream = SeededStream(2024, 0)
         assert M.coherence_exact(dims, ref, stream) <= 1e-12
         after_gamma = SeededStream(2024, 0).rng
         after_gamma.normal(size=(ref.coarse.size, dims.d))
         assert stream.rng.random() == after_gamma.random()
-        for conditional in (False, True):
-            dev, se = M.coherence_mc(dims, ref, SeededStream(2024, 0), n_samples=100_000,
-                                     conditional=conditional)
-            assert dev / se <= 3.0
+        gammas = np.array([[[1.0] * dims.d, [0.0] * dims.d], [[0.0] * dims.d, [2.0] * dims.d]])
+        for conditional, frequencies in ((False, gammas), (True, [[1.0, 1.0], [4.0, 0.5]])):
+            q = M.coherence_mc(dims, ref, SeededStream(2024, 0), 50_000, frequencies,
+                               conditional)
+            assert 0.0 <= q <= chdtri(2, 1e-3)
+
+
+def _plain_coherence_statistic(dims, ref, stream, n_samples, frequencies, conditional):
+    """q of coherence_mc recomputed in plain numpy: each block's draws
+    summed to the coarse cells by a loop over the fine cells, the mixing
+    variables stacked, the statistics made as new arrays."""
+    from currentlab.process import sample_marginal, sample_mixing
+
+    freq = np.asarray(frequencies, dtype=float)
+    if conditional:
+        mean, cov = M.laplace_moments(ref.coarse, freq)
+    else:
+        mean, cov = M.cosine_moments(ref.coarse, dims, freq)
+    total = np.zeros(len(freq))
+    for size in M.mc_blocks(n_samples):
+        if conditional:
+            w = np.stack([sample_mixing(lam, stream, size) for lam in ref.fine.masses], axis=-1)
+            sums = np.zeros((size, ref.coarse.size))
+            for j, i in enumerate(ref.assignment):
+                sums[:, i] += w[:, j]
+            values = np.exp(-(sums @ freq.T))
+        else:
+            draws = sample_marginal(dims, ref.fine, stream, size=size)
+            sums = np.zeros((size, ref.coarse.size, dims.d))
+            for j, i in enumerate(ref.assignment):
+                sums[:, i, :] += draws[:, j, :]
+            values = np.cos(sums.reshape(size, -1) @ freq.reshape(len(freq), -1).T)
+        total += values.sum(axis=0)
+    dev = total / n_samples - mean
+    return n_samples * (dev @ np.linalg.solve(cov, dev))
+
+
+def test_coherence_mc_is_the_plain_numpy_statistic_bit_for_bit():
+    # n spans two full blocks and a short one; at n = 3 the raw statistics
+    # take a frequency vector per coarse cell
+    n = 2 * M.MC_BLOCK + 123
+    ref = M.split_evenly(M.Partition((0.5, 0.7)), 2)
+    for dims in (Dimensions(2), Dimensions(3)):
+        gammas = np.random.default_rng(dims.n).normal(size=(3, 2, dims.d))
+        for conditional, frequencies in ((False, gammas), (True, [[1.0, 1.0], [4.0, 4.0]])):
+            got = M.coherence_mc(dims, ref, SeededStream(2024, 5), n, frequencies, conditional)
+            want = _plain_coherence_statistic(dims, ref, SeededStream(2024, 5), n,
+                                              frequencies, conditional)
+            assert got == want, (dims.n, conditional)
 
 
 def test_check_coherence_conditional_averages_the_mean_given_the_mixing():
-    # given the fine cells' Gamma(lam/2, 1) mixing variables W, a coarse
-    # draw is N(0, (S_c/2) I), S_c the sum of W over the cell, and the mean
-    # of cos <xi, gamma> is exp(-sum_c |gamma_c|^2 S_c / 4); the draws come
-    # MC_BLOCK at a time, cell after cell, and n spans a full and a short block
-    dims = Dimensions(3)
-    ref = M.split_evenly(M.Partition((0.5, 0.7)), 2)
-    n = 20_000
-    dev, se = M.coherence_mc(dims, ref, SeededStream(2024, 8), n_samples=n, conditional=True)
-    rng = SeededStream(2024, 8).rng
-    gamma_c = rng.normal(size=(2, dims.d))
-    values = []
-    for size in (M.MC_BLOCK, n - M.MC_BLOCK):
-        s = np.zeros((size, 2))
-        for j, lam in enumerate(ref.fine.masses):
-            s[:, ref.assignment[j]] += rng.gamma(lam / 2.0, 1.0, size=size)
-        values.append(np.exp(-(s @ np.sum(gamma_c ** 2, axis=1)) / 4.0))
-    values = np.concatenate(values)
-    assert se == pytest.approx(values.std() / math.sqrt(n), rel=1e-12)
-    assert dev == pytest.approx(
-        abs(values.mean() - M.big_psi(ref.coarse, dims, gamma_c)), rel=1e-12)
-    # and its standard error is below the raw estimator's on as many draws
-    _, raw_se = M.coherence_mc(dims, ref, SeededStream(2024, 8), n_samples=n)
-    assert se < raw_se
+    # given the mixing sums S_c ~ Gamma(lam_c/2, 1) of the coarse cells, the
+    # mean of the statistic is prod_c E exp(-t_c S_c); each factor by a
+    # quadrature of the Gamma law in u = s^k (k = lam_c/2), where
+    # s^(k-1) e^(-s) ds / Gamma(k) = e^(-u^(1/k)) du / Gamma(k + 1)
+    from scipy.integrate import quad
+
+    coarse = M.Partition((0.5, 0.7))
+
+    def laplace(t):
+        return math.prod(quad(lambda u: math.exp(-(1.0 + tc) * u ** (2.0 / lam)), 0.0, math.inf,
+                              epsabs=1e-14, epsrel=1e-13)[0] / math.gamma(lam / 2.0 + 1.0)
+                         for lam, tc in zip(coarse.masses, t))
+
+    ts = np.array([[1.0, 1.0], [4.0, 4.0], [0.3, 2.5]])
+    mean, cov = M.laplace_moments(coarse, ts)
+    want_mean = np.array([laplace(t) for t in ts])
+    want_cov = (np.array([[laplace(a + b) for b in ts] for a in ts])
+                - np.outer(want_mean, want_mean))
+    assert np.abs(mean - want_mean).max() <= 1e-12
+    assert np.abs(cov - want_cov).max() <= 1e-12
+    # and the mean of cos <gamma, xi> given the mixing is the statistic at
+    # t_c = |gamma_c|^2 / 4: L(t) is Psi(gamma)
+    gamma = np.array([[0.4, -1.0], [2.0, 0.3]])
+    t = np.sum(gamma ** 2, axis=1) / 4.0
+    assert M.mixing_laplace(coarse, t) == pytest.approx(
+        M.big_psi(coarse, Dimensions(3), gamma), rel=1e-14)
 
 
-def test_conditional_coherence_is_the_stacked_formula_bit_for_bit():
-    # the mixing variables fill one (size, l) array column by column and the
-    # exponential is taken in place; the estimate is the one of stacking the
-    # per-cell draws and exponentiating a new array, bit for bit
-    from currentlab.process import sample_mixing
+def test_cosine_moments_match_a_quadrature_of_the_coarse_density():
+    # Psi(gamma) = integral of cos(gamma xi) over the n = 2 coarse density,
+    # in xi = u^2, where the |xi|^(lam - 1) singularity at 0 becomes regular;
+    # the covariance reads Psi at every gamma_a + gamma_b and gamma_a - gamma_b
+    from scipy.integrate import quad
 
-    dims = Dimensions(3)
-    ref = M.split_evenly(M.Partition((0.5, 0.7)), 3)
-    n = M.MC_BLOCK + 123
-    got = M.coherence_mc(dims, ref, SeededStream(2024, 5), n_samples=n, conditional=True)
-    stream = SeededStream(2024, 5)
-    gamma_c = stream.rng.normal(size=(ref.coarse.size, dims.d))
-    sq_c = np.einsum("ld,ld->l", gamma_c, gamma_c)
-    moments = M.BlockMoments()
-    for size in M.mc_blocks(n):
-        w = np.stack([sample_mixing(lam, stream, size) for lam in ref.fine.masses], axis=-1)
-        moments.add(np.exp(-(ref.group_sum(w[..., None])[..., 0] @ sq_c) / 4.0))
-    want = (abs(moments.mean - M.big_psi(ref.coarse, dims, gamma_c)), moments.standard_error)
-    assert got == want
-    # mu-projection-mc-n3's estimate: four blocks of four fine cells, each
-    # block's mixing array 0.52 MB (the stacked route peaked at 1.58 MB)
-    import tracemalloc
+    dims, coarse = Dimensions(2), M.Partition((0.5,))
 
-    ref = M.split_evenly(M.Partition((0.5, 0.7)), 2)
-    tracemalloc.start()
-    try:
-        M.coherence_mc(dims, ref, SeededStream(2024, 3), n_samples=4 * M.MC_BLOCK,
-                       conditional=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25e6
+    def psi(g):
+        def f(u):
+            return 4.0 * u * math.cos(g * u * u) * math.exp(
+                M.log_mu_alpha_density(dims, coarse, [[u * u]]))
+        return quad(f, 0.0, 7.0, limit=800, epsabs=1e-13, epsrel=1e-12)[0]
 
-
-def test_check_coherence_se_is_that_of_the_real_part():
-    # Psi is real: the standard error is std(cos)/sqrt(N) on the same draws,
-    # not the std of the complex phases, which adds in the variance of sin.
-    # The draws come MC_BLOCK at a time; n spans a full and a short block
-    from currentlab.process import sample_marginal
-
-    dims = Dimensions(3)
-    ref = M.split_evenly(M.Partition((0.5, 0.7)), 2)
-    n = 20_000
-    dev, se = M.coherence_mc(dims, ref, SeededStream(2024, 7), n_samples=n)
-    stream = SeededStream(2024, 7)
-    gamma_c = stream.rng.normal(scale=1.0, size=(2, dims.d))
-    cos = []
-    for size in (M.MC_BLOCK, n - M.MC_BLOCK):
-        draws = sample_marginal(dims, ref.fine, stream, size=size)
-        coarse = np.zeros((size, 2, dims.d))
-        for j, i in enumerate(ref.assignment):
-            coarse[:, i, :] += draws[:, j, :]
-        cos.append(np.cos(np.einsum("nld,ld->n", coarse, gamma_c)))
-    cos = np.concatenate(cos)
-    assert se == pytest.approx(cos.std() / math.sqrt(n), rel=1e-12)
-    assert dev == pytest.approx(abs(cos.mean() - M.big_psi(ref.coarse, dims, gamma_c)), rel=1e-12)
-
-
-def test_block_moments_match_numpy_over_the_concatenated_values():
-    rng = np.random.default_rng(3)
-    samples = (rng.standard_normal(50_000) * 3.0 + 7.0,
-               # near-constant: sum(x^2) - N mean^2 cancels to nothing here
-               1.0 - 1e-9 * rng.random(50_000))
-    for values in samples:
-        moments = M.BlockMoments()
-        for start in range(0, values.size, 12_345):
-            moments.add(values[start:start + 12_345])
-        assert moments.count == values.size
-        assert moments.mean == pytest.approx(values.mean(), rel=1e-12)
-        want = values.std() / math.sqrt(values.size)
-        assert moments.standard_error == pytest.approx(want, rel=1e-12)
-    near = samples[1]
-    one_pass = math.sqrt(max(float(np.sum(near ** 2)) / near.size - near.mean() ** 2, 0.0))
-    assert abs(one_pass - near.std()) > 0.5 * near.std()
+    gammas = np.array([1.0, 3.0, 9.0, 0.5])
+    mean, cov = M.cosine_moments(coarse, dims, gammas[:, None, None])
+    want_mean = np.array([psi(g) for g in gammas])
+    want_cov = (np.array([[(psi(a + b) + psi(a - b)) / 2.0 for b in gammas] for a in gammas])
+                - np.outer(want_mean, want_mean))
+    assert np.abs(mean - want_mean).max() <= 1e-10
+    assert np.abs(cov - want_cov).max() <= 1e-10
 
 
 def test_mc_blocks_cover_the_samples():
@@ -298,21 +293,23 @@ def test_mc_blocks_cover_the_samples():
 
 def test_check_coherence_memory_does_not_grow_with_the_samples():
     # the 200k-sample n = 3 estimate held 21 MB of draws at once when drawn
-    # as one array
+    # as one array; block by block its peak is a raw block's fine draws and
+    # their coarse sums, 1.5 MiB, whatever the count
     import tracemalloc
 
     dims = Dimensions(3)
     ref = M.split_evenly(M.Partition((0.5, 0.7)), 2)
-    for conditional in (False, True):
-        M.coherence_mc(dims, ref, SeededStream(1, 1), n_samples=100, conditional=conditional)
+    gammas = np.random.default_rng(1).normal(size=(3, 2, dims.d))
+    for conditional, frequencies in ((False, gammas), (True, [[1.0, 1.0], [4.0, 4.0]])):
+        M.coherence_mc(dims, ref, SeededStream(1, 1), 100, frequencies, conditional)
         tracemalloc.start()
         try:
-            M.coherence_mc(dims, ref, SeededStream(2024, 3), n_samples=200_000,
-                           conditional=conditional)
+            M.coherence_mc(dims, ref, SeededStream(2024, 3), 200_000, frequencies, conditional)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4e6
+        cells = ref.fine.size + ref.coarse.size
+        assert peak <= M.MC_BLOCK * cells * dims.d * 8 + 2 ** 16, conditional
 
 
 def test_density_v_is_refinement_limit_of_rn():

@@ -197,7 +197,7 @@ def _sign_skewed_cases():
     positive = np.geomspace(0.05, 30.0, 12)
     skew = np.concatenate((positive[:7], -positive[3:5], [2.0, -2.0, 2.0]))
     phi = tabulate([CellGrid(skew[:, None], np.ones(skew.size))], gauss)
-    moved = R._apply_d(D2, LAM, phi, 0, -0.6, np.eye(1)).cells[0].nodes[:, 0]
+    moved = R._d_part(D2, LAM, phi.cells[0], -0.6, np.eye(1))[0].nodes[:, 0]
     symmetric = grid_1d_sqrt(5.0, 8).nodes[:, 0]
     large = grid_1d_sqrt(60.0, 320).nodes[:, 0]
     other = grid_1d_sqrt(40.0, 96).nodes[:, 0]
@@ -301,14 +301,16 @@ def test_current_identity_parts_are_skipped_bit_for_bit(monkeypatch):
     letters = [G.TriangularElement(1.0, np.eye(1), [0.4]),
                G.TriangularElement(-0.7, np.eye(1), [0.0])]
     skipped = R.u_current_apply(D2, part, letters, phi)
-    out = phi
+    cells, values = list(phi.cells), phi.values
     for axis, (lam, let) in enumerate(zip(part.masses, letters)):
-        out = R._apply_z(R._apply_d(D2, lam, out, axis, let.epsilon, let.u), axis, let.gamma)
-    assert np.array_equal(skipped.values, out.values)
-    assert all(np.array_equal(a.nodes, b.nodes) for a, b in zip(skipped.cells, out.cells))
+        cells[axis], amplitude = R._d_part(D2, lam, cells[axis], let.epsilon, let.u)
+        phase = R._z_phase(cells[axis], let.gamma)
+        values = values * amplitude * phase.reshape([-1 if k == axis else 1 for k in range(2)])
+    assert np.array_equal(skipped.values, values)
+    assert all(np.array_equal(a.nodes, b.nodes) for a, b in zip(skipped.cells, cells))
     calls = []
-    monkeypatch.setattr(R, "_apply_d", lambda *a: calls.append("d"))
-    monkeypatch.setattr(R, "_apply_z", lambda *a: calls.append("z"))
+    monkeypatch.setattr(R, "_d_part", lambda *a: calls.append("d"))
+    monkeypatch.setattr(R, "_z_phase", lambda *a: calls.append("z"))
     ident = [G.TriangularElement(1.0, np.eye(1), [0.0])] * 2
     assert np.array_equal(R.u_current_apply(D2, part, ident, phi).values, phi.values)
     assert calls == []
@@ -366,9 +368,10 @@ def _letter_by_letter(lam, letters, phi, target):
             out = R._apply_s(D2, lam, out, 0, grid)
             continue
         if R._moves_nodes(let):
-            out = R._apply_d(D2, lam, out, 0, let.epsilon, let.u)
+            cell, amplitude = R._d_part(D2, lam, out.cells[0], let.epsilon, let.u)
+            out = GF.GridFunction([cell], out.values * amplitude)
         if np.abs(let.gamma).max() > 0:
-            out = R._apply_z(out, 0, let.gamma)
+            out = GF.GridFunction(out.cells, out.values * R._z_phase(out.cells[0], let.gamma))
     return out
 
 
@@ -613,6 +616,34 @@ def test_involution_holds_about_two_full_size_arrays_above_its_input():
     assert peak <= 2 * phi.values.nbytes + 16 * R._S_BLOCK + 2 ** 16
 
 
+def test_current_letters_hold_one_output_array_above_their_input():
+    # z letters on both cells, alone and after d-parts: the amplitudes and
+    # phases multiply one complex output in place, bit for bit the chain of
+    # products; a new array per factor held 2.1 outputs at once
+    grid = grid_1d_sqrt(60.0, 320)
+    part = M.Partition((0.5, 0.3))
+    phi = R._product_bump([grid, grid])
+    for eps in ((1.0, 1.0), (2.0, -0.7)):
+        letters = [G.TriangularElement(e, np.eye(1), [g]) for e, g in zip(eps, (0.4, -1.1))]
+        R.u_current_apply(D2, part, letters, phi)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = R.u_current_apply(D2, part, letters, phi)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        want = phi.values
+        for axis, (lam, let) in enumerate(zip(part.masses, letters)):
+            if let.epsilon != 1.0:
+                want = want * abs(let.epsilon) ** (lam / 2.0)
+            phase = R._z_phase(out.cells[axis], let.gamma)
+            want = want * phase.reshape([-1 if k == axis else 1 for k in range(2)])
+        assert np.array_equal(out.values, want)
+        # the output and numpy's buffers for casting real values to complex
+        assert peak <= out.values.nbytes + 2 ** 19, eps
+
+
 def test_kernel_letters_keep_real_values_real():
     # the kernel is real, so s and the involution contract real values into
     # a real output: the complex route's real part to a few ulps, while the
@@ -671,7 +702,7 @@ def test_r_transform_is_the_scaled_grid_sum():
     for gamma in ([[0.7], [-1.1]], [[0.0], [2.5]]):
         factors = [w * np.exp(1j * c.nodes @ g)
                    for w, c, g in zip(weights, phi.cells, np.asarray(gamma))]
-        want = complex(phi.scale_values(factors).values.sum())
+        want = complex(phi.scale_values(enumerate(factors)).values.sum())
         assert R.r_transform(D2, part, phi, gamma) == pytest.approx(want, rel=1e-14)
 
 

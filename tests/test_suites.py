@@ -6,6 +6,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc, chdtri, chndtr
 
 from currentlab import group as G
 from currentlab import measures as M
@@ -15,7 +16,7 @@ from currentlab import reps as R
 from currentlab import specfun
 from currentlab import suites as S
 from currentlab.errors import DomainError, PointAtInfinityError
-from currentlab.specfun import FourierConstant
+from currentlab.specfun import Dimensions, FourierConstant
 
 
 def test_suite_names_registered():
@@ -68,8 +69,10 @@ _REGISTRY_SPEC = [
     ("characteristic-value", "measures", "181-1", 1e-14),
     ("nu-exact-refinement-n2", "coherence", "30-1", 1e-12),
     ("nu-exact-refinement-n3", "coherence", "30-1", 1e-12),
-    ("mu-projection-mc-n2", "coherence", "17-9", 3.0),
-    ("mu-projection-mc-n3", "coherence", "17-9", 3.0),
+    # chi-square quantiles at 3 and 2 degrees of freedom, each at the Sidak
+    # share of a 1e-3 family-wise false-failure rate over the two rows
+    ("mu-projection-mc-n2", "coherence", "17-9", chdtri(3, 1.0 - (1.0 - 1e-3) ** 0.5)),
+    ("mu-projection-mc-n3", "coherence", "17-9", chdtri(2, 1.0 - (1.0 - 1e-3) ** 0.5)),
     ("trivial-refinement", "coherence", "30-1", 1e-15),
     ("two-level-chain", "coherence", "30-1", 1e-12),
     ("nu-rotation-invariance", "invariance", "18-33", 1e-12),
@@ -379,9 +382,9 @@ def _shift_mu_density(monkeypatch):
 
 
 def _scale_z_shift(monkeypatch):
-    apply_z = R._apply_z
-    monkeypatch.setattr(R, "_apply_z",
-                        lambda phi, axis, gamma0: apply_z(phi, axis, gamma0 * (1.0 + 1e-4)))
+    z_phase = R._z_phase
+    monkeypatch.setattr(R, "_z_phase",
+                        lambda cell, gamma0: z_phase(cell, gamma0 * (1.0 + 1e-4)))
 
 
 @pytest.mark.parametrize("mutate, caught", [
@@ -482,6 +485,57 @@ def test_monte_carlo_checks_catch_mutants(monkeypatch, mutate, caught):
     assert [r.check_id for r in reports if not r.passed] == caught
 
 
+def _monte_carlo_rows():
+    specs = {s.check_id: s for s in S.suite_specs("all")}
+    for check_id in S.MONTE_CARLO_CHECKS:
+        kw = specs[check_id].fn.keywords
+        ref = M.split_evenly(M.Partition(kw["masses"]), 2)
+        yield specs[check_id], kw, ref
+
+
+def _statistic_means(kw, masses, scale=1.0):
+    """The exact means of a Monte Carlo row's statistics for coarse cells of
+    the given masses, the draws scaled by scale."""
+    part, freq = M.Partition(masses), np.asarray(kw["frequencies"])
+    if kw["conditional"]:
+        return M.laplace_moments(part, freq)
+    return M.cosine_moments(part, Dimensions(kw["n"]), scale * freq)
+
+
+def test_monte_carlo_thresholds_hold_the_stated_family_rate():
+    rates = [chdtrc(len(kw["frequencies"]), spec.tolerance) for spec, kw, _ in _monte_carlo_rows()]
+    assert len(rates) == 2
+    assert 1.0 - math.prod(1.0 - r for r in rates) == pytest.approx(S.MC_FAMILY_RATE, rel=1e-9)
+
+
+def test_monte_carlo_covariances_are_well_conditioned():
+    # a nearly singular covariance makes q hang on its smallest eigenvalue:
+    # the six frequencies 0.25, 0.5, ..., 8 at n = 2 reach a condition
+    # number of 8e6 (37 for the registered 1, 3, 9)
+    for spec, kw, ref in _monte_carlo_rows():
+        cov = _statistic_means(kw, ref.coarse.masses)[1]
+        assert np.linalg.cond(cov) < 1e3, spec.check_id
+
+
+def test_monte_carlo_rows_have_the_stated_power():
+    # the chance that q passes its threshold under each named mutant, by the
+    # noncentral chi-square law with noncentrality N delta^T Sigma^-1 delta,
+    # delta the shift of the exact means; the draws x 1.05 mutant reaches
+    # only the raw row, which draws by sample_marginal
+    for spec, kw, ref in _monte_carlo_rows():
+        coarse = np.asarray(ref.coarse.masses)
+        mean, cov = _statistic_means(kw, coarse)
+        dropped = coarse.copy()
+        dropped[ref.assignment[0]] -= ref.fine.masses[0]
+        mutants = [_statistic_means(kw, 1.05 * coarse)[0], _statistic_means(kw, dropped)[0]]
+        if not kw["conditional"]:
+            mutants.append(_statistic_means(kw, coarse, scale=1.05)[0])
+        for shifted in mutants:
+            delta = shifted - mean
+            nc = kw["n_samples"] * (delta @ np.linalg.solve(cov, delta))
+            assert 1.0 - chndtr(spec.tolerance, len(mean), nc) >= 0.99, spec.check_id
+
+
 def test_exact_coherence_checks_draw_no_samples(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("an exact coherence check drew from the sampler")
@@ -521,8 +575,8 @@ def test_checks_that_draw_nothing_build_no_generator():
 
 
 def _wrong_sign_phase(monkeypatch):
-    apply_z = R._apply_z
-    monkeypatch.setattr(R, "_apply_z", lambda phi, axis, gamma0: apply_z(phi, axis, -gamma0))
+    z_phase = R._z_phase
+    monkeypatch.setattr(R, "_z_phase", lambda cell, gamma0: z_phase(cell, -gamma0))
 
 
 def _wrong_current_amplitude(monkeypatch):
@@ -540,16 +594,13 @@ def _wrong_current_amplitude(monkeypatch):
 
 def _wrong_dilation_weight(monkeypatch):
     # the transported weights |eps|^(-d) w become |eps|^(d) w
-    apply_d = R._apply_d
+    d_part = R._d_part
 
-    def mutant(dims, lam, phi, axis, eps, u):
-        out = apply_d(dims, lam, phi, axis, eps, u)
-        cells = list(out.cells)
-        c = cells[axis]
-        cells[axis] = R.CellGrid(c.nodes, c.weights * abs(eps) ** (2 * dims.d))
-        return R.GridFunction(cells, out.values)
+    def mutant(dims, lam, cell, eps, u):
+        c, amplitude = d_part(dims, lam, cell, eps, u)
+        return R.CellGrid(c.nodes, c.weights * abs(eps) ** (2 * dims.d)), amplitude
 
-    monkeypatch.setattr(R, "_apply_d", mutant)
+    monkeypatch.setattr(R, "_d_part", mutant)
 
 
 _EXACT_DUAL = ["dual-transform-translation", "dual-transform-dilation"]
@@ -620,15 +671,13 @@ def test_dual_transform_word_catches_mutants_on_the_64_node_grid(monkeypatch, mu
 
 def _nodes_moved_by_eps(monkeypatch):
     # d(eps) transports the nodes to p u^T eps instead of p u^T / eps
-    apply_d = R._apply_d
+    d_part = R._d_part
 
-    def mutant(dims, lam, phi, axis, eps, u):
-        out = apply_d(dims, lam, phi, axis, eps, u)
-        cells = list(out.cells)
-        cells[axis] = R.CellGrid(cells[axis].nodes * eps * eps, cells[axis].weights)
-        return R.GridFunction(cells, out.values)
+    def mutant(dims, lam, cell, eps, u):
+        c, amplitude = d_part(dims, lam, cell, eps, u)
+        return R.CellGrid(c.nodes * eps * eps, c.weights), amplitude
 
-    monkeypatch.setattr(R, "_apply_d", mutant)
+    monkeypatch.setattr(R, "_d_part", mutant)
 
 
 @pytest.mark.parametrize("mutate", [None, _nodes_moved_by_eps, _wrong_sign_phase])

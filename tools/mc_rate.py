@@ -3,9 +3,10 @@
     python3 tools/mc_rate.py --seeds 1000
     python3 tools/mc_rate.py --seeds 1000 --suite group
 
-By default it runs the Monte Carlo checks, those whose residual is a
-deviation in standard errors, with tolerance 3.0; on correct code a 3-SE
-check fails on about 0.27 % of seeds.  --suite runs every check of a suite,
+By default it runs the Monte Carlo checks the registry names in
+suites.MONTE_CARLO_CHECKS, chi-square tests whose thresholds make correct
+code fail one of them on suites.MC_FAMILY_RATE of seeds, and prints the
+measured rate next to that target.  --suite runs every check of a suite,
 deterministic checks included: a check that is exact up to rounding should
 fail on no seed.  For each seed s in 0 .. N-1 the script runs the checks
 with run_suite(RunConfig(seed=s, workers=1), "all", check_ids=...), exactly
@@ -25,13 +26,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from currentlab import suites as S  # noqa: E402
 
-SE_TOLERANCE = 3.0
-
 
 def _check_ids(suite) -> list:
     if suite:
         return [s.check_id for s in S.suite_specs(suite)]
-    return [s.check_id for s in S.suite_specs("all") if s.tolerance == SE_TOLERANCE]
+    return list(S.MONTE_CARLO_CHECKS)
 
 
 def main(argv=None) -> int:
@@ -60,7 +59,10 @@ def main(argv=None) -> int:
     print(f"{len(ids)} {kind}, seeds 0..{args.seeds - 1}, {time.perf_counter() - t0:.1f} s")
     for cid in ids:
         print(f"  {cid:32s} failed {failures[cid]:4d}  worst {worst[cid]:.3g}")
-    print(f"seeds with a failure: {len(bad_seeds)} of {args.seeds}")
+    rate = f"seeds with a failure: {len(bad_seeds)} of {args.seeds} ({len(bad_seeds) / args.seeds:.2%})"
+    if not args.suite:
+        rate += f", stated family-wise rate {S.MC_FAMILY_RATE:.2%}"
+    print(rate)
     for line in bad_seeds:
         print("  " + line)
     return 0
